@@ -16,13 +16,14 @@ formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .bvar import BvarConfig, run_bvar_chain
 from .combine import (
     CombinationWeightSeries,
     combination_objective,
-    combine_fixed,
     combine_weighted,
     optimal_weight,
     performance_weight,
@@ -75,6 +75,8 @@ from .qbvar import McmcSchedule, PosteriorDrawSet, QbvarConfig, run_chain
 # model indices for seed derivation (stable across runs)
 _MODEL_SEED_INDEX = {"qbvar": 0, "bvar": 1, "rw": 2}
 _STAGE_CHAIN, _STAGE_FORECAST = 0, 1
+
+_COMBINATION_IDS = {"performance": "comb_perf", "optimal": "comb_opt"}
 
 _DEFAULT_EVAL_WINDOWS = [
     {"label": "main", "start": "2008-01", "end": "2025-02"},
@@ -149,12 +151,16 @@ class ExperimentConfig:
             ids.append("rw")
         return ids
 
+    def labelled_windows(self) -> list[tuple[EventWindow, str]]:
+        """Evaluation windows, then event windows (labelled ``event_<label>``)."""
+        windows = [(w, w.label) for w in self.evaluation_windows]
+        return windows + [(w, f"event_{w.label}") for w in self.event_windows]
+
 
 def _parse_window(d: dict) -> EventWindow:
-    try:
-        return EventWindow(label=d["label"], start=d["start"], end=d["end"])
-    except KeyError as exc:
-        raise ConfigError(f"window entry missing field {exc}") from exc
+    if not isinstance(d["label"], str):
+        raise ConfigError(f"window label must be a string, got {d['label']!r}")
+    return EventWindow(label=d["label"], start=d["start"], end=d["end"])
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
@@ -165,17 +171,24 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
+    """Validate a raw config; a missing or mistyped field raises ConfigError."""
+    try:
+        return _parse_fields(raw, base_dir)
+    except KeyError as exc:
+        raise ConfigError(f"config missing required field {exc}") from exc
+    except (TypeError, AttributeError, OverflowError) as exc:  # e.g. a list where an object belongs
+        raise ConfigError(f"config field of the wrong type: {exc}") from exc
+
+
+def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     def _path(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    try:
-        data_file = _path(raw["data_file"])
-        tcode_file = _path(raw["tcode_file"])
-        target = raw["target"]
-        seed = int(raw["seed"])
-        output_dir = _path(raw["output_dir"])
-    except KeyError as exc:
-        raise ConfigError(f"config missing required field {exc}") from exc
+    data_file = _path(raw["data_file"])
+    tcode_file = _path(raw["tcode_file"])
+    target = raw["target"]
+    seed = int(raw["seed"])
+    output_dir = _path(raw["output_dir"])
     companions = list(raw.get("companions", []))
     if target in companions:
         raise ConfigError("target listed among companions; exactly one target")
@@ -336,47 +349,64 @@ def _forecast_one_origin(payload):
         return origin, None, f"{type(exc).__name__}: {exc}"
 
 
-def _combination_series(
-    cfg: ExperimentConfig,
-    fc_q: QuantileForecastSet,
-    fc_b: QuantileForecastSet,
-    tpanel: TimeSeriesPanel,
-    spec: dict,
-) -> CombinationWeightSeries:
-    """Adaptive weight series over all origins for one strategy."""
-    strategy, S = spec["strategy"], spec["window"]
+def _history(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str, q: float, h: int):
+    """Origins of ``a_id`` whose h-step realization is observed, oldest first.
+
+    Returns (origins, target forecasts of a, target forecasts of b,
+    realizations) at level q, the last three as float arrays.
+    """
+    col = fc_a.variable_names.index(target)
+    rows = []
+    for o in fc_a.origins(a_id):
+        y = realized_value(tpanel, target, o, h)
+        if y is not None:
+            rows.append((o, float(fc_a.get(a_id, o, h, q)[col]), float(fc_b.get(b_id, o, h, q)[col]), y))
+    origins = [r[0] for r in rows]
+    return (origins, *(np.array([r[i] for r in rows], dtype=float) for i in (1, 2, 3)))
+
+
+def _combine(fc_a, a_id, fc_b, b_id, strategy: str, lambda_or_window, model_id: str, tpanel, target):
+    """Combine a with b under one strategy; returns (combined set, weight series).
+
+    ``fixed`` puts ``lambda_or_window`` on a in every cell. The adaptive
+    strategies weigh a at origin t on the trailing ``lambda_or_window``
+    origins whose realizations are observed by t (see combine.py).
+    """
+    if strategy == "fixed":
+        series = CombinationWeightSeries(strategy="fixed", window=None)
+        for o, h, q in sorted({k[1:] for k in fc_a.records}):
+            series.set_weight(o, q, h, lambda_or_window, False)
+        return combine_weighted(fc_a, fc_b, series, model_id), series
+    S = lambda_or_window
     series = CombinationWeightSeries(strategy=strategy, window=S)
-    col = fc_q.variable_names.index(cfg.target)
-    origins = fc_q.origins("qbvar")
-    bench = cfg.benchmark
-    for q in fc_q.quantiles():
-        for h in fc_q.horizons():
-            # per-origin target forecasts and realizations, ordered by origin
-            hist = []
-            for o in origins:
-                y = realized_value(tpanel, cfg.target, o, h)
-                if y is None:
-                    continue
-                hist.append(
-                    (o, float(fc_q.get("qbvar", o, h, q)[col]), float(fc_b.get(bench, o, h, q)[col]), y)
-                )
-            for t in origins:
-                t_idx = month_index(t)
-                usable = [rec for rec in hist if month_index(rec[0]) + h <= t_idx]
-                fq = np.array([rec[1] for rec in usable])
-                fb = np.array([rec[2] for rec in usable])
-                ys = np.array([rec[3] for rec in usable])
+    for q in fc_a.quantiles():
+        for h in fc_a.horizons():
+            origins, fa, fb, ys = _history(fc_a, a_id, fc_b, b_id, tpanel, target, q, h)
+            # origins are sorted, so the realizations known at t form a prefix
+            known_at = [month_index(o) + h for o in origins]
+            for t in fc_a.origins(a_id):
+                n = bisect.bisect_right(known_at, month_index(t))
                 if strategy == "performance":
-                    lam, warm = performance_weight(pinball(ys - fq, q), pinball(ys - fb, q), S)
+                    scores_a, scores_b = pinball(ys[:n] - fa[:n], q), pinball(ys[:n] - fb[:n], q)
+                    lam, warm = performance_weight(scores_a, scores_b, S)
                 else:
-                    lam, warm = optimal_weight(fq, fb, ys, q, S)
+                    lam, warm = optimal_weight(fa[:n], fb[:n], ys[:n], q, S)
                 series.set_weight(t, q, h, lam, warm)
-    return series
+    return combine_weighted(fc_a, fc_b, series, model_id), series
 
 
 def _write_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_json(path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256_file(path) -> str:
@@ -454,40 +484,24 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     os.makedirs(os.path.join(out, "combination"), exist_ok=True)
 
     # combinations: qbvar against the configured benchmark
-    weight_files = []
     if cfg.combinations:
-        fc_q, fc_b = fsets["qbvar"], fsets[cfg.benchmark]
+        fc_q, fc_b, bench = fsets["qbvar"], fsets[cfg.benchmark], cfg.benchmark
         for spec in cfg.combinations:
             if spec["strategy"] == "fixed":
-                lam = spec["lambda"]
-                model_id = f"comb_fixed_{lam:g}"
-                fsets[model_id] = combine_fixed(fc_q, fc_b, lam, model_id)
-                series = CombinationWeightSeries(strategy="fixed", window=None)
-                for o, h, q in sorted({k[1:] for k in fc_q.records}):
-                    series.set_weight(o, q, h, lam, False)
+                model_id, setting = f"comb_fixed_{spec['lambda']:g}", spec["lambda"]
             else:
-                series = _combination_series(cfg, fc_q, fc_b, tpanel, spec)
-                model_id = "comb_perf" if spec["strategy"] == "performance" else "comb_opt"
-                fsets[model_id] = combine_weighted(fc_q, fc_b, series, model_id)
-            wpath = os.path.join(out, "combination", f"weights_{model_id}.csv")
-            _write_csv(wpath, series.rows())
-            weight_files.append(wpath)
+                model_id, setting = _COMBINATION_IDS[spec["strategy"]], spec["window"]
+            fsets[model_id], series = _combine(
+                fc_q, "qbvar", fc_b, bench, spec["strategy"], setting, model_id, tpanel, cfg.target
+            )
+            _write_csv(os.path.join(out, "combination", f"weights_{model_id}.csv"), series.rows())
 
         # weight-vs-lambda curves for the plain qbvar/benchmark pair
-        col = fc_q.variable_names.index(cfg.target)
         curve_rows = [["quantile", "horizon", "lambda", "avg_qs", "ratio_to_benchmark", "optimal"]]
         for q in fc_q.quantiles():
             for h in fc_q.horizons():
-                fq, fb, ys = [], [], []
-                for o in fc_q.origins("qbvar"):
-                    y = realized_value(tpanel, cfg.target, o, h)
-                    if y is None:
-                        continue
-                    fq.append(float(fc_q.get("qbvar", o, h, q)[col]))
-                    fb.append(float(fc_b.get(cfg.benchmark, o, h, q)[col]))
-                    ys.append(y)
-                if not ys:
-                    continue
+                # never empty: run_recursive checked every origin has its realizations
+                _, fq, fb, ys = _history(fc_q, "qbvar", fc_b, bench, tpanel, cfg.target, q, h)
                 grid, vals, ratios = weight_curve(fq, fb, ys, q, n_points=101)
                 for g, v, rr in zip(grid, vals, ratios):
                     curve_rows.append(
@@ -507,25 +521,15 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         write_forecasts(fsets[model_id], os.path.join(out, "forecasts", f"{model_id}.csv"))
 
     # score and ratio tables per window (evaluation windows, then event windows)
-    all_sets = [fsets[m] for m in sorted(fsets)]
-    table_files = _emit_tables(cfg, all_sets, tpanel, out)
+    _emit_tables(cfg, [fsets[m] for m in sorted(fsets)], tpanel, out)
 
     # canonical config copy (data paths resolved so `report` works from
     # anywhere), errors, manifest
     cfg_copy = dict(raw_config)
     cfg_copy["data_file"] = os.path.abspath(cfg.data_file)
     cfg_copy["tcode_file"] = os.path.abspath(cfg.tcode_file)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(cfg_copy, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out, "errors.json"), "w") as fh:
-        json.dump(
-            {"aborted_origins": {k: aborted[k] for k in sorted(aborted)}},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out, "config.json"), cfg_copy)
+    _write_json(os.path.join(out, "errors.json"), {"aborted_origins": dict(sorted(aborted.items()))})
 
     manifest = {
         "version": f"quantvar-{__version__}",
@@ -542,51 +546,44 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
             fpath = os.path.join(root, name)
             rel = os.path.relpath(fpath, out)
             manifest["files"][rel] = _sha256_file(fpath)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest
 
 
-def _emit_tables(cfg: ExperimentConfig, all_sets, tpanel, out) -> list:
-    """Score + ratio tables for every evaluation and event window."""
-    files = []
-    windows: list[tuple[EventWindow | None, str]] = [(w, w.label) for w in cfg.evaluation_windows]
-    windows += [(w, f"event_{w.label}") for w in cfg.event_windows]
-    fset_models = sorted({k[0] for fs in all_sets for k in fs.records})
+def _window_tables(fsets, tpanel, target: str, windows, benchmark: str | None, by_origin=False):
+    """Yield, per (window, label), its ScoreTable and its ratios to the benchmark.
+
+    Raises EvaluationError for a window with nothing scorable and for a
+    model whose coverage differs from the benchmark's.
+    """
     for window, label in windows:
-        slug = _safe_label(label)
-        try:
-            table = average_qs(all_sets, tpanel, cfg.target, window=window, window_label=label)
-        except EvaluationError:
-            continue  # nothing scorable at all
+        table = average_qs(fsets, tpanel, target, window=window, by_origin=by_origin, window_label=label)
+        others = [m for m in table.models() if m != benchmark] if benchmark else []
+        yield table, [qs_ratio(table, m, benchmark) for m in others]
+
+
+def _ratio_name(slug: str, ratios) -> str:
+    return f"ratios__{slug}__{_safe_label(ratios.numerator)}_vs_{_safe_label(ratios.benchmark)}"
+
+
+def _emit_tables(cfg: ExperimentConfig, all_sets, tpanel, out) -> None:
+    """Score + ratio tables for every evaluation and event window."""
+    tables = os.path.join(out, "tables")
+    for table, ratio_tables in _window_tables(
+        all_sets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark
+    ):
+        slug = _safe_label(table.window_label)
+        scores = os.path.join(tables, f"scores__{slug}")
         if not table.entries:
             # window covers no realizations: leave an explicit n/a marker
-            with open(os.path.join(out, "tables", f"scores__{slug}.txt"), "w") as fh:
-                fh.write(f"window {label}: no covered realizations (n/a)\n")
+            _write_text(f"{scores}.txt", f"window {table.window_label}: no covered realizations (n/a)\n")
             continue
-        spath = os.path.join(out, "tables", f"scores__{slug}.csv")
-        _write_csv(spath, score_table_rows(table))
-        with open(os.path.join(out, "tables", f"scores__{slug}.txt"), "w") as fh:
-            fh.write(render_score_table(table))
-        files.append(spath)
-        present = table.models()
-        if cfg.benchmark not in present:
-            continue
-        for model_id in fset_models:
-            if model_id == cfg.benchmark or model_id not in present:
-                continue
-            try:
-                ratios = qs_ratio(table, model_id, cfg.benchmark)
-            except EvaluationError:
-                continue  # partial coverage inside this window
-            rslug = f"ratios__{slug}__{_safe_label(model_id)}_vs_{_safe_label(cfg.benchmark)}"
-            rpath = os.path.join(out, "tables", f"{rslug}.csv")
-            _write_csv(rpath, ratio_table_rows(ratios))
-            with open(os.path.join(out, "tables", f"{rslug}.txt"), "w") as fh:
-                fh.write(render_ratio_table(ratios))
-            files.append(rpath)
-    return files
+        _write_csv(f"{scores}.csv", score_table_rows(table))
+        _write_text(f"{scores}.txt", render_score_table(table))
+        for ratios in ratio_tables:
+            name = os.path.join(tables, _ratio_name(slug, ratios))
+            _write_csv(f"{name}.csv", ratio_table_rows(ratios))
+            _write_text(f"{name}.txt", render_ratio_table(ratios))
 
 
 def report(run_dir: str, output_path: str | None = None) -> str:
@@ -602,31 +599,17 @@ def report(run_dir: str, output_path: str | None = None) -> str:
     panel = read_panel(cfg.data_file, cfg.tcode_file)
     tpanel = transform_panel(panel.select(cfg.variables))
     chunks = []
-    windows = [(w, w.label) for w in cfg.evaluation_windows]
-    windows += [(w, f"event_{w.label}") for w in cfg.event_windows]
-    model_ids = sorted({k[0] for fs in fsets for k in fs.records})
-    for window, label in windows:
-        try:
-            table = average_qs(fsets, tpanel, cfg.target, window=window, window_label=label)
-        except EvaluationError:
-            chunks.append(f"window {label}: no scorable forecasts (n/a)\n")
-            continue
+    for table, ratio_tables in _window_tables(
+        fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark
+    ):
         if not table.entries:
-            chunks.append(f"window {label}: no covered realizations (n/a)\n")
+            chunks.append(f"window {table.window_label}: no covered realizations (n/a)\n")
             continue
         chunks.append(render_score_table(table))
-        for model_id in model_ids:
-            if model_id == cfg.benchmark or model_id not in table.models():
-                continue
-            try:
-                ratios = qs_ratio(table, model_id, cfg.benchmark)
-            except EvaluationError:
-                continue
-            chunks.append(render_ratio_table(ratios))
+        chunks += [render_ratio_table(r) for r in ratio_tables]
     text = "\n".join(chunks)
     if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text)
+        _write_text(output_path, text)
     return text
 
 
@@ -720,28 +703,17 @@ def _cmd_evaluate(args) -> int:
         (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
     ]
     os.makedirs(args.output_dir, exist_ok=True)
-    for window, label in windows:
-        table = average_qs(
-            fsets, tpanel, args.target, window=window, by_origin=args.by_origin, window_label=label
-        )
-        slug = _safe_label(label)
+    for table, ratio_tables in _window_tables(
+        fsets, tpanel, args.target, windows, args.benchmark, args.by_origin
+    ):
+        slug = _safe_label(table.window_label)
         _write_csv(os.path.join(args.output_dir, f"scores__{slug}.csv"), score_table_rows(table))
         text = render_score_table(table)
-        if args.benchmark:
-            for model_id in table.models():
-                if model_id == args.benchmark:
-                    continue
-                ratios = qs_ratio(table, model_id, args.benchmark)
-                _write_csv(
-                    os.path.join(
-                        args.output_dir,
-                        f"ratios__{slug}__{_safe_label(model_id)}_vs_{_safe_label(args.benchmark)}.csv",
-                    ),
-                    ratio_table_rows(ratios),
-                )
-                text += "\n" + render_ratio_table(ratios)
-        with open(os.path.join(args.output_dir, f"tables__{slug}.txt"), "w") as fh:
-            fh.write(text)
+        for ratios in ratio_tables:
+            name = os.path.join(args.output_dir, _ratio_name(slug, ratios))
+            _write_csv(f"{name}.csv", ratio_table_rows(ratios))
+            text += "\n" + render_ratio_table(ratios)
+        _write_text(os.path.join(args.output_dir, f"tables__{slug}.txt"), text)
         print(text)
     return 0
 
@@ -749,42 +721,17 @@ def _cmd_evaluate(args) -> int:
 def _cmd_combine(args) -> int:
     fc_a = read_forecasts(args.forecasts_a)
     fc_b = read_forecasts(args.forecasts_b)
-    if args.strategy == "fixed":
-        out = combine_fixed(fc_a, fc_b, args.lam, args.model_id)
-        series = CombinationWeightSeries(strategy="fixed", window=None)
-        for o, h, q in sorted({k[1:] for k in fc_a.records}):
-            series.set_weight(o, q, h, args.lam, False)
-    else:
+    if len(fc_a.model_ids()) != 1 or len(fc_b.model_ids()) != 1:
+        raise ConfigError("each forecast file must hold exactly one model")
+    tpanel, setting = None, args.lam
+    if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
-        tpanel, _ = _load_system(args)
-        a_id = fc_a.model_ids()[0]
-        col = fc_a.variable_names.index(args.target)
-        series = CombinationWeightSeries(strategy=args.strategy, window=args.window)
-        b_id = fc_b.model_ids()[0]
-        for q in fc_a.quantiles():
-            for h in fc_a.horizons():
-                hist = []
-                for o in fc_a.origins(a_id):
-                    y = realized_value(tpanel, args.target, o, h)
-                    if y is None:
-                        continue
-                    hist.append(
-                        (o, float(fc_a.get(a_id, o, h, q)[col]), float(fc_b.get(b_id, o, h, q)[col]), y)
-                    )
-                for t in fc_a.origins(a_id):
-                    usable = [r for r in hist if month_index(r[0]) + h <= month_index(t)]
-                    fq = np.array([r[1] for r in usable])
-                    fb = np.array([r[2] for r in usable])
-                    ys = np.array([r[3] for r in usable])
-                    if args.strategy == "performance":
-                        lam, warm = performance_weight(
-                            pinball(ys - fq, q), pinball(ys - fb, q), args.window
-                        )
-                    else:
-                        lam, warm = optimal_weight(fq, fb, ys, q, args.window)
-                    series.set_weight(t, q, h, lam, warm)
-        out = combine_weighted(fc_a, fc_b, series, args.model_id)
+        tpanel, setting = _load_system(args)[0], args.window
+    out, series = _combine(
+        fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
+        args.model_id, tpanel, args.target,
+    )
     write_forecasts(out, args.output)
     if args.weights_output:
         _write_csv(args.weights_output, series.rows())

@@ -1,4 +1,4 @@
-"""Monthly panel ingestion, stationarity transforms, lag design, diagnostics.
+"""Monthly panel ingestion, stationarity transforms and lag design.
 
 Raw series arrive as levels with a per-series transformation code
 (1 = first difference, 2 = none, 5 = log first difference). Columns may be
@@ -38,14 +38,6 @@ def month_label(index: int) -> str:
     """Inverse of :func:`month_index`."""
     year, month = divmod(index, 12)
     return f"{year:04d}-{month + 1:02d}"
-
-
-def month_range(start: str, end: str) -> list[str]:
-    """Inclusive list of month labels from start to end."""
-    i0, i1 = month_index(start), month_index(end)
-    if i1 < i0:
-        raise PanelError(f"month range {start}..{end} is empty")
-    return [month_label(i) for i in range(i0, i1 + 1)]
 
 
 class TransformCode(enum.IntEnum):
@@ -272,25 +264,6 @@ def build_lag_design(Y, p: int, variable_names=None) -> LagDesign:
         X[:, 1 + (lag - 1) * n : 1 + lag * n] = Y[p - lag : T_full - lag]
     names = list(variable_names) if variable_names is not None else [f"y{j}" for j in range(n)]
     return LagDesign(Y=Y[p:].copy(), X=X, p=p, variable_names=names)
-
-
-def rolling_skewness(x, window: int) -> np.ndarray:
-    """Trailing-window sample skewness m3 / m2^(3/2).
-
-    One value per window end index; windows with zero variance yield NaN.
-    """
-    x = np.asarray(x, dtype=float)
-    if window < 3:
-        raise PanelError("window must be at least 3")
-    if x.size < window:
-        raise PanelError("series shorter than window")
-    w = np.lib.stride_tricks.sliding_window_view(x, window)
-    d = w - w.mean(axis=1, keepdims=True)
-    m2 = np.mean(d**2, axis=1)
-    m3 = np.mean(d**3, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(m2 > 0, m3 / np.power(m2, 1.5, where=m2 > 0), np.nan)
-    return out
 
 
 # ---------------------------------------------------------------------------

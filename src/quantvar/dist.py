@@ -7,10 +7,8 @@ master seed and a structured key (origin, model, quantile, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 _TINY = 1e-300
 
@@ -29,37 +27,22 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class GigParams:
-    """Parameters of the generalized inverse Gaussian GIG(p, a, b).
+def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
+    """Elementwise exact GIG(1/2, a, b) draws for arrays of parameters.
 
-    Density proportional to x^(p-1) exp(-(a/x + b x)/2) on x > 0.
+    GIG(p, a, b) has density proportional to x^(p-1) exp(-(a/x + b x)/2)
+    on x > 0. If X ~ GIG(1/2, a, b) then 1/X ~ IG(mu=sqrt(b/a), lam=b); we
+    draw the inverse Gaussian by the squared-normal method, keeping the
+    larger root in a cancellation-free form and selecting the smaller by its
+    acceptance probability. a may be 0 (Gamma(1/2, b/2) limit, reached
+    continuously).
     """
-
-    p: float
-    a: float
-    b: float
-
-    def mean(self) -> float:
-        if self.a <= 0:
-            if self.p <= 0:
-                raise ValueError("mean undefined for a=0, p<=0")
-            return 2.0 * self.p / self.b  # Gamma(p, rate b/2) limit
-        om = np.sqrt(self.a * self.b)
-        r = np.sqrt(self.a / self.b)
-        return r * special.kv(self.p + 1, om) / special.kv(self.p, om)
-
-
-def _gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized exact GIG(1/2, a, b) draw.
-
-    If X ~ GIG(1/2, a, b) then 1/X ~ IG(mu=sqrt(b/a), lam=b); we draw the
-    inverse Gaussian by the squared-normal method, keeping the larger root
-    in a cancellation-free form and selecting the smaller by its acceptance
-    probability. a may be 0 (Gamma(1/2, b/2) limit, reached continuously).
-    """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if np.any(b <= 0):
+        raise ValueError("GIG requires b > 0")
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("GIG requires a >= 0")
     a, b = np.broadcast_arrays(a, b)
     a_safe = np.maximum(a, _TINY)
     nu = rng.standard_normal(a.shape) ** 2
@@ -72,38 +55,6 @@ def _gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(a_safe / b) / v
 
 
-def draw_gig(params: GigParams, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Draw from GIG(p, a, b); exact O(1) kernel at p=1/2, scipy otherwise."""
-    if params.b <= 0:
-        raise ValueError("GIG requires b > 0")
-    if params.a < 0:
-        raise ValueError("GIG requires a >= 0")
-    shape = () if size is None else size
-    if params.p == 0.5:
-        a = np.broadcast_to(params.a, shape)
-        b = np.broadcast_to(params.b, shape)
-        out = _gig_half(a, b, rng)
-        return float(out) if size is None else out
-    if params.a == 0:
-        if params.p <= 0:
-            raise ValueError("GIG(p<=0, a=0, b) is not a distribution")
-        return rng.gamma(params.p, 2.0 / params.b, size=size)
-    om = np.sqrt(params.a * params.b)
-    scale = np.sqrt(params.a / params.b)
-    return stats.geninvgauss.rvs(params.p, om, scale=scale, size=size, random_state=rng)
-
-
-def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
-    """Elementwise GIG(1/2, a, b) draws for arrays of parameters."""
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("GIG requires b > 0")
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("GIG requires a >= 0")
-    return _gig_half(a, b, rng)
-
-
 def draw_inverse_gamma(shape_param: float, scale: float, rng: np.random.Generator, size=None):
     """Inverse-gamma draw: X = 1/G with G ~ Gamma(shape, rate=scale)."""
     if shape_param <= 0 or scale <= 0:
@@ -112,36 +63,13 @@ def draw_inverse_gamma(shape_param: float, scale: float, rng: np.random.Generato
     return 1.0 / g
 
 
-def draw_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multivariate normal draw via Cholesky with escalating jitter.
-
-    Starts at 1e-10 * mean(diag) on a failed factorization and escalates
-    tenfold up to 1e-6 * mean(diag) before giving up.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    k = mean.size
-    z = rng.standard_normal(k)
-    base = float(np.mean(np.diag(cov)))
-    if not np.isfinite(base) or base <= 0:
-        base = 1.0
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            L = np.linalg.cholesky(cov + jitter * np.eye(k))
-            return mean + L @ z
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * base if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * base * 10.0:
-                break
-    raise np.linalg.LinAlgError("covariance not positive definite after jitter escalation")
-
-
 def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Generator):
     """Draw x ~ N(P^-1 rhs, P^-1) from a precision matrix and linear term.
 
     Returns (draw, posterior_mean). Uses one Cholesky of P; the draw is
-    mean + L^-T z. Falls back to jittered factorization like draw_mvn.
+    mean + L^-T z. A failed factorization is retried with jitter on the
+    diagonal, from 1e-10 * mean(diag) up tenfold to 1e-6 * mean(diag);
+    LinAlgError if P is still not positive definite.
     """
     P = np.asarray(P, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -156,13 +84,11 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 * base if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * base * 10.0:
-                raise
+    else:
+        raise np.linalg.LinAlgError("precision matrix not positive definite after jitter escalation")
     mean = linalg.cho_solve((c, low), rhs)
     z = rng.standard_normal(k)
-    draw = mean + linalg.solve_triangular(c, z, lower=low, trans="T" if low else "N")
-    if not low:  # pragma: no cover - cho_factor(lower=True) returns lower
-        draw = mean + linalg.solve_triangular(c, z, trans="T")
+    draw = mean + linalg.solve_triangular(c, z, lower=True, trans="T")
     return draw, mean
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantvar.cli import (
     ConfigError,
@@ -17,7 +23,7 @@ from quantvar.cli import (
     run_recursive,
 )
 from quantvar.data import month_index, month_label
-from quantvar.forecast import read_forecasts
+from quantvar.forecast import QuantileForecastSet, read_forecasts, write_forecasts
 
 from conftest import make_config_dict, make_raw_panel
 
@@ -87,10 +93,64 @@ def test_parse_config_rejections():
         ),  # benchmark must differ from qbvar
         _minimal_raw(evaluation_windows=[]),
         _minimal_raw(evaluation_windows=[{"label": "w", "start": "2020-01"}]),
+        # missing nested fields and values of the wrong JSON type
+        _minimal_raw(models={"qbvar": {"p": 1}}),  # no quantiles
+        _minimal_raw(models={"qbvar": {"quantiles": [0.5]}}),  # no p
+        _minimal_raw(models={"bvar": [2]}),
+        _minimal_raw(models=[]),
+        _minimal_raw(
+            models={"qbvar": {"p": 1, "quantiles": [0.5]}, "bvar": {"p": 1}}, combinations=["fixed"]
+        ),
+        _minimal_raw(evaluation_windows=["main"]),
+        _minimal_raw(evaluation_windows=[{"label": 3, "start": "2020-01", "end": "2020-05"}]),
+        _minimal_raw(seed=None),
+        _minimal_raw(data_file=5),
+        [],
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+
+# JSON values for config fields; strings carry no path separator, so every
+# path a config names stays inside the example's temporary directory
+_json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(alphabet="ab09.-_", max_size=8)
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(valid):
+    """A valid config with each field, at any depth, kept, dropped or replaced by any JSON value."""
+    if isinstance(valid, dict):
+        return st.fixed_dictionaries(
+            {}, optional={k: st.one_of(_mutated(v), _json_value) for k, v in valid.items()}
+        )
+    if isinstance(valid, list):
+        return st.tuples(*(st.one_of(_mutated(v), _json_value) for v in valid)).map(list)
+    return st.just(valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.dictionaries(st.text(max_size=10), _json_value, max_size=6), _mutated(make_config_dict())))
+def test_any_json_config_exits_cleanly(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"QUANTVAR_OUTPUT": os.path.join(d, "out")}), \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", path])
+    assert rc in (0, 1, 2)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["status"] == "error"
 
 
 def test_config_digest_canonical():
@@ -259,6 +319,72 @@ def test_report_matches_run_tables(tmp_path):
     assert ratio_txt in text
 
 
+def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys):
+    cfg, raw = _light_cfg(
+        tmp_path, event_windows=({"label": "mid", "start": "2017-11", "end": "2018-02"},)
+    )
+    run_recursive(cfg, raw)
+    out = cfg.output_dir
+    fdir = os.path.join(out, "forecasts")
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "tgt,c1", "--target", "tgt"]
+
+    for spec in raw["combinations"][1:]:
+        model_id = {"performance": "comb_perf", "optimal": "comb_opt"}[spec["strategy"]]
+        got, weights = str(tmp_path / f"{model_id}.csv"), str(tmp_path / f"w_{model_id}.csv")
+        rc = main(
+            ["combine", "--forecasts-a", os.path.join(fdir, "qbvar.csv"),
+             "--forecasts-b", os.path.join(fdir, "bvar.csv"), "--strategy", spec["strategy"],
+             "--window", str(spec["window"]), *data, "--model-id", model_id,
+             "--output", got, "--weights-output", weights]
+        )
+        assert rc == 0
+        assert open(got, "rb").read() == open(os.path.join(fdir, f"{model_id}.csv"), "rb").read()
+        run_weights = os.path.join(out, "combination", f"weights_{model_id}.csv")
+        assert open(weights, "rb").read() == open(run_weights, "rb").read()
+
+    ev_dir = tmp_path / "ev"
+    forecasts = [os.path.join(fdir, f) for f in sorted(os.listdir(fdir))]
+    rc = main(
+        ["evaluate", "--forecasts", *forecasts, *data, "--window", "all:2015-03:2020-04",
+         "--window", "event_mid:2017-11:2018-02", "--benchmark", "bvar", "--output-dir", str(ev_dir)]
+    )
+    assert rc == 0
+    run_tables = [f for f in os.listdir(os.path.join(out, "tables")) if f.endswith(".csv")]
+    assert len(run_tables) == 2 * 6  # per window: scores + 5 ratio tables
+    for name in run_tables:
+        expected = open(os.path.join(out, "tables", name), "rb").read()
+        assert (ev_dir / name).read_bytes() == expected, name
+
+
+def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, capsys):
+    cfg, raw = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2, combinations=[])
+    run_recursive(cfg, raw)
+    fdir = os.path.join(cfg.output_dir, "forecasts")
+    qset = read_forecasts(os.path.join(fdir, "qbvar.csv"))
+    first = qset.origins()[0]
+    partial = QuantileForecastSet(variable_names=qset.variable_names)
+    for (model_id, origin, h, q), values in qset.records.items():
+        if origin != first:
+            partial.add(model_id, origin, h, q, values)
+    write_forecasts(partial, str(tmp_path / "partial.csv"))
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "tgt,c1", "--target", "tgt", "--output-dir", str(tmp_path / "ev")]
+    rc = main(["evaluate", "--forecasts", str(tmp_path / "partial.csv"),
+               os.path.join(fdir, "bvar.csv"), *data, "--benchmark", "bvar"])
+    assert rc == 2  # qbvar lacks the first origin: evaluated-origin counts differ from bvar's
+    assert json.loads(capsys.readouterr().err)["kind"] == "EvaluationError"
+
+    # a window over realizations beyond the sample: nothing is scorable
+    unseen = QuantileForecastSet(variable_names=qset.variable_names)
+    unseen.add("qbvar", "2020-04", 1, 0.5, np.zeros(2))
+    write_forecasts(unseen, str(tmp_path / "unseen.csv"))
+    rc = main(["evaluate", "--forecasts", str(tmp_path / "unseen.csv"), *data,
+               "--window", "late:2020-01:2020-06"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "EvaluationError"
+
+
 def test_origin_range_validation(tmp_path):
     cfg, raw = _light_cfg(tmp_path)
     cfg.origins_end = "2020-03"  # leaves no h=2 realization inside the sample
@@ -370,8 +496,6 @@ def test_estimate_forecast_evaluate_pipeline(tmp_path, capsys):
 def test_combine_adaptive_requires_data_args(tmp_path, capsys):
     make_raw_panel(tmp_path)
     # build two tiny aligned forecast files via the fixed path first
-    from quantvar.forecast import QuantileForecastSet, write_forecasts
-
     fa = QuantileForecastSet(variable_names=["tgt", "c1"])
     fb = QuantileForecastSet(variable_names=["tgt", "c1"])
     fa.add("a", "2018-01", 1, 0.5, np.array([0.1, 0.0]))

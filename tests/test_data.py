@@ -14,9 +14,7 @@ from quantvar.data import (
     invert_transform,
     month_index,
     month_label,
-    month_range,
     read_panel,
-    rolling_skewness,
     splice_by_growth,
     transform_panel,
     write_panel,
@@ -26,7 +24,6 @@ from quantvar.data import (
 def test_month_index_roundtrip():
     assert month_label(month_index("1999-12")) == "1999-12"
     assert month_index("2000-01") - month_index("1999-12") == 1
-    assert month_range("2019-11", "2020-02") == ["2019-11", "2019-12", "2020-01", "2020-02"]
 
 
 @pytest.mark.parametrize("bad", ["2020-13", "2020-00", "202001", "2020-1", "20-01"])
@@ -124,7 +121,7 @@ def test_splice_rejects_bad_donor_and_interior_gaps():
 
 
 def _dates(start, n):
-    return month_range(start, month_label(month_index(start) + n - 1))
+    return [month_label(month_index(start) + j) for j in range(n)]
 
 
 def test_panel_validation():
@@ -203,32 +200,6 @@ def test_lag_design_reconstruction(p, n, seed):
         for j in range(1, p + 1):
             np.testing.assert_array_equal(d.X[t, 1 + (j - 1) * n : 1 + j * n], Y[t + p - j])
         np.testing.assert_array_equal(d.Y[t], Y[t + p])
-
-
-def test_rolling_skewness_symmetric_and_constant():
-    np.testing.assert_allclose(rolling_skewness([-1.0, 0.0, 1.0], 3), [0.0], atol=1e-15)
-    out = rolling_skewness([1.0, 1.0, 1.0, 1.0], 3)
-    assert np.isnan(out).all() and out.shape == (2,)
-
-
-def test_rolling_skewness_matches_two_pass_oracle():
-    rng = np.random.default_rng(42)
-    x = rng.normal(size=200)
-    w = 48
-    got = rolling_skewness(x, w)
-    for i, end in enumerate(range(w, len(x) + 1)):
-        win = x[end - w : end]
-        m = win.mean()
-        m2 = np.mean((win - m) ** 2)
-        m3 = np.mean((win - m) ** 3)
-        assert got[i] == pytest.approx(m3 / m2**1.5, rel=1e-10)
-
-
-def test_rolling_skewness_iid_symmetric_centers_on_zero():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(3000)
-    sk = rolling_skewness(x, 48)
-    assert abs(np.nanmean(sk)) < 0.1
 
 
 def test_panel_csv_roundtrip(tmp_path):

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from quantvar.dist import (
-    GigParams,
     _trunc_exp,
     derive_rng,
     draw_from_precision_system,
-    draw_gig,
     draw_gig_half,
     draw_inverse_gamma,
-    draw_mvn,
     make_rng,
     update_horseshoe,
 )
@@ -24,14 +21,6 @@ def test_derive_rng_reproducible_and_distinct():
     b = derive_rng(123, 0, 1, 3).standard_normal(8)
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)
-
-
-def test_gig_mean_closed_form():
-    # for p = 1/2: mean = sqrt(a/b) (1 + 1/omega), omega = sqrt(ab)
-    assert GigParams(0.5, 1.0, 4.0).mean() == pytest.approx(0.75, rel=1e-12)
-    assert GigParams(0.5, 4.0, 1.0).mean() == pytest.approx(2.0 * 1.5, rel=1e-12)
-    # a = 0 falls back to the Gamma(p, b/2) limit
-    assert GigParams(2.0, 0.0, 4.0).mean() == pytest.approx(1.0)
 
 
 def test_gig_half_moments():
@@ -66,26 +55,12 @@ def test_gig_half_ks_against_scipy():
         assert ks < 0.01, (a, b, ks)
 
 
-def test_draw_gig_general_p_delegates():
-    rng = make_rng(8)
-    params = GigParams(2.0, 3.0, 5.0)
-    x = draw_gig(params, rng, size=100_000)
-    se = x.std() / np.sqrt(x.size)
-    assert abs(x.mean() - params.mean()) < 4 * se
-
-
-def test_draw_gig_scalar_and_validation():
+def test_draw_gig_half_validation():
     rng = make_rng(1)
-    v = draw_gig(GigParams(0.5, 1.0, 1.0), rng)
-    assert np.isscalar(v) and v > 0
-    with pytest.raises(ValueError):
-        draw_gig(GigParams(0.5, -1.0, 1.0), rng)
-    with pytest.raises(ValueError):
-        draw_gig(GigParams(0.5, 1.0, 0.0), rng)
-    with pytest.raises(ValueError):
-        draw_gig(GigParams(-1.0, 0.0, 1.0), rng)
     with pytest.raises(ValueError):
         draw_gig_half([1.0], [0.0], rng)
+    with pytest.raises(ValueError):
+        draw_gig_half([-1.0], [1.0], rng)
 
 
 def test_inverse_gamma_moments():
@@ -99,19 +74,6 @@ def test_inverse_gamma_moments():
         draw_inverse_gamma(0.0, 1.0, rng)
 
 
-def test_draw_mvn_moments_and_jitter():
-    rng = make_rng(17)
-    mean = np.array([1.0, -2.0])
-    cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-    draws = np.array([draw_mvn(mean, cov, rng) for _ in range(20_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
-    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.08)
-    # rank-deficient covariance succeeds through jitter escalation
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    v = draw_mvn(np.zeros(2), singular, rng)
-    assert np.all(np.isfinite(v))
-
-
 def test_draw_from_precision_system_mean_matches_inverse():
     rng = make_rng(4)
     k = 6
@@ -123,6 +85,13 @@ def test_draw_from_precision_system_mean_matches_inverse():
     draws = np.array([draw_from_precision_system(P, rhs, rng)[0] for _ in range(20_000)])
     np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
     np.testing.assert_allclose(np.cov(draws.T), np.linalg.inv(P), atol=0.05)
+
+
+def test_draw_from_precision_system_indefinite_raises_linalg_error():
+    # eigenvalues 3 and -1: no jitter up to 1e-6 * mean(diag) makes it positive definite
+    P = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        draw_from_precision_system(P, np.zeros(2), make_rng(0))
 
 
 def test_trunc_exp_matches_scipy_truncated_exponential():

@@ -76,7 +76,8 @@ def test_pinball_rejects_bad_level():
 
 
 @given(
-    st.floats(-1e6, 1e6),
+    # a subnormal u times q can round to 0.0, so "zero only at zero" holds for normal floats
+    st.floats(-1e6, 1e6, allow_subnormal=False),
     st.floats(0.01, 0.99),
 )
 def test_pinball_nonnegative_and_zero_only_at_zero(u, q):
