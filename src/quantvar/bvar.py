@@ -56,8 +56,7 @@ def step_scales_gaussian(design, state: QbvarState, a_sigma, b_sigma, rng) -> No
     E = residuals(design, state)
     T = E.shape[0]
     scale = b_sigma + 0.5 * np.sum(E**2, axis=0)
-    for i in range(state.sigma.size):
-        state.sigma[i] = draw_inverse_gamma(a_sigma + T / 2.0, scale[i], rng)
+    state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, scale, rng)
 
 
 def run_bvar_chain(

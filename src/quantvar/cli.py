@@ -303,8 +303,8 @@ def _forecast_one_origin(payload):
         quantiles = cfg.quantile_set
 
         if cfg.qbvar is not None:
+            design = build_lag_design(est, cfg.qbvar.p, names)
             for qi, q in enumerate(quantiles):
-                design = build_lag_design(est, cfg.qbvar.p, names)
                 model_cfg = QbvarConfig(
                     p=cfg.qbvar.p,
                     r=cfg.qbvar.r,

@@ -2,13 +2,15 @@
 
 Everything takes an explicit ``numpy.random.Generator``; reproducibility
 comes from :func:`derive_rng`, which spawns independent streams from a
-master seed and a structured key (origin, model, quantile, ...).
+master seed and a structured key (origin, model, quantile, ...). The
+Gaussian and inverse-gamma draws are batched over rows: one call draws every
+row of a Gibbs block.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 _TINY = 1e-300
 
@@ -55,41 +57,61 @@ def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(a_safe / b) / v
 
 
-def draw_inverse_gamma(shape_param: float, scale: float, rng: np.random.Generator, size=None):
-    """Inverse-gamma draw: X = 1/G with G ~ Gamma(shape, rate=scale)."""
-    if shape_param <= 0 or scale <= 0:
+def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator, size=None):
+    """Inverse-gamma draw: X = 1/G with G ~ Gamma(shape, rate=scale).
+
+    scale may be an array; one call then draws one value per element, in
+    the same stream order as successive scalar calls.
+    """
+    scale = np.asarray(scale, dtype=float)
+    if shape_param <= 0 or (scale <= 0).any():
         raise ValueError("inverse gamma requires positive shape and scale")
-    g = rng.gamma(shape_param, 1.0 / scale, size=size)
-    return 1.0 / g
+    return 1.0 / rng.gamma(shape_param, 1.0 / scale, size=size)
 
 
-def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Generator):
-    """Draw x ~ N(P^-1 rhs, P^-1) from a precision matrix and linear term.
+def _cholesky_with_jitter(P: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one (k, k) matrix, retried with diagonal jitter.
 
-    Returns (draw, posterior_mean). Uses one Cholesky of P; the draw is
-    mean + L^-T z. A failed factorization is retried with jitter on the
-    diagonal, from 1e-10 * mean(diag) up tenfold to 1e-6 * mean(diag);
+    Jitter runs from 1e-10 * mean(diag) up tenfold to 1e-6 * mean(diag);
     LinAlgError if P is still not positive definite.
     """
-    P = np.asarray(P, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    k = rhs.size
+    k = P.shape[-1]
     base = float(np.mean(np.diag(P)))
     if not np.isfinite(base) or base <= 0:
         base = 1.0
     jitter = 0.0
     for _ in range(6):
         try:
-            c, low = linalg.cho_factor(P + jitter * np.eye(k), lower=True)
-            break
+            return np.linalg.cholesky(P + jitter * np.eye(k))
         except np.linalg.LinAlgError:
             jitter = 1e-10 * base if jitter == 0.0 else jitter * 10.0
-    else:
-        raise np.linalg.LinAlgError("precision matrix not positive definite after jitter escalation")
-    mean = linalg.cho_solve((c, low), rhs)
-    z = rng.standard_normal(k)
-    draw = mean + linalg.solve_triangular(c, z, lower=True, trans="T")
-    return draw, mean
+    raise np.linalg.LinAlgError("precision matrix not positive definite after jitter escalation")
+
+
+def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Generator):
+    """Draw x ~ N(P^-1 rhs, P^-1) from a precision matrix and linear term.
+
+    Batched over rows: P is (..., k, k) and rhs (..., k), one independent
+    draw per leading index; a single (k, k) system is the unbatched case.
+    Returns (draw, posterior_mean). One Cholesky factors the whole stack
+    and the draw is mean + L^-T z, with the normals z taken in row order.
+    Only if that factorization fails is each matrix factored on its own
+    with jitter on its diagonal (:func:`_cholesky_with_jitter`), so a
+    positive-definite member is never perturbed.
+    """
+    P = np.asarray(P, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    z = rng.standard_normal(rhs.shape)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        k = P.shape[-1]
+        L = np.stack([_cholesky_with_jitter(m) for m in P.reshape(-1, k, k)]).reshape(P.shape)
+    # L w = rhs, then L^T [mean, fluct] = [w, z] in one solve
+    w = np.linalg.solve(L, rhs[..., None])
+    sol = np.linalg.solve(np.swapaxes(L, -1, -2), np.concatenate([w, z[..., None]], axis=-1))
+    mean = sol[..., 0]
+    return mean + sol[..., 1], mean
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ with z_it ~ Exp(1), u_it ~ N(0,1), theta = (1-2q)/(q(1-q)) and
 tau2 = 2/(q(1-q)), which makes every full conditional a standard draw.
 Coefficient rows carry a horseshoe prior with one global scale per model;
 factor loadings have unit-variance normal priors and factors a standard
-normal prior.
+normal prior. Given the other blocks, the coefficient rows, the loading rows
+and the factor vectors f_t are each independent, so every Gibbs step is one
+draw batched over rows.
 """
 
 from __future__ import annotations
@@ -125,12 +127,15 @@ def weighted_system(X, y, weights, prior_prec_diag):
     """Precision and linear term of a heteroskedastic Bayes regression.
 
     Returns (P, rhs) with P = X' W X + diag(prior_prec_diag) and
-    rhs = X' W y, so the conditional is N(P^-1 rhs, P^-1).
+    rhs = X' W y, so the conditional is N(P^-1 rhs, P^-1). Batched over
+    rows: y and weights (T, n) with prior_prec_diag (n, k) give the n
+    systems of columns i, P (n, k, k) and rhs (n, k); (T,) and (k,) give one.
     """
-    Xw = X * weights[:, None]
+    Xw = X * np.asarray(weights).T[..., None]  # (T, k) or (n, T, k)
     P = X.T @ Xw
-    P[np.diag_indices_from(P)] += prior_prec_diag
-    rhs = Xw.T @ y
+    idx = np.arange(X.shape[1])
+    P[..., idx, idx] += prior_prec_diag
+    rhs = (np.asarray(y).T[..., None, :] @ Xw)[..., 0, :]
     return P, rhs
 
 
@@ -143,33 +148,29 @@ def residuals(design: LagDesign, state: QbvarState) -> np.ndarray:
 
 
 def step_coefficients(design, state, theta, tau2, rng) -> None:
-    """Draw each coefficient row from its normal full conditional."""
-    Y, X = design.Y, design.X
-    n = Y.shape[1]
-    FLt = state.F @ state.Lam.T if state.Lam.shape[1] else 0.0
-    for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - theta * state.Z[:, i]
-        if state.Lam.shape[1]:
-            ytil = ytil - FLt[:, i]
-        prior_prec = 1.0 / (state.psi[i] ** 2 * state.kappa**2)
-        P, rhs = weighted_system(X, ytil, w, prior_prec)
-        state.Phi[i], _ = draw_from_precision_system(P, rhs, rng)
+    """Draw all coefficient rows from their normal full conditionals.
+
+    The rows are independent given the other blocks, so they are drawn in
+    one batched call.
+    """
+    W = 1.0 / (tau2 * state.sigma * state.Z)  # (T, n)
+    Ytil = design.Y - theta * state.Z
+    if state.Lam.shape[1]:
+        Ytil = Ytil - state.F @ state.Lam.T
+    prior_prec = 1.0 / (state.psi**2 * state.kappa**2)
+    P, rhs = weighted_system(design.X, Ytil, W, prior_prec)
+    state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
 
 
 def step_loadings(design, state, theta, tau2, rng) -> None:
-    """Draw each loading row; prior is N(0, I) on every row."""
+    """Draw all loading rows in one batched call; prior is N(0, I) on every row."""
     r = state.Lam.shape[1]
     if r == 0:
         return
-    Y, X = design.Y, design.X
-    n = Y.shape[1]
-    XPhit = X @ state.Phi.T
-    for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - XPhit[:, i] - theta * state.Z[:, i]
-        P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
-        state.Lam[i], _ = draw_from_precision_system(P, rhs, rng)
+    W = 1.0 / (tau2 * state.sigma * state.Z)
+    Ytil = design.Y - design.X @ state.Phi.T - theta * state.Z
+    P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
+    state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
 
 
 def factor_systems(design, state, theta, tau2):
@@ -190,18 +191,11 @@ def factor_systems(design, state, theta, tau2):
 
 
 def step_factors(design, state, theta, tau2, rng) -> None:
-    """Draw all factor vectors jointly across t (batched r x r solves)."""
-    r = state.Lam.shape[1]
-    if r == 0:
+    """Draw all factor vectors jointly across t (batched r x r systems)."""
+    if state.Lam.shape[1] == 0:
         return
-    T = design.Y.shape[0]
     P, rhs = factor_systems(design, state, theta, tau2)
-    L = np.linalg.cholesky(P)
-    mean = np.linalg.solve(P, rhs[..., None])[..., 0]
-    z = rng.standard_normal((T, r))
-    # solve L^T x = z per t for the zero-mean fluctuation
-    fluct = np.linalg.solve(np.swapaxes(L, 1, 2), z[..., None])[..., 0]
-    state.F = mean + fluct
+    state.F, _ = draw_from_precision_system(P, rhs, rng)
 
 
 def step_latent(design, state, theta, tau2, rng) -> None:
@@ -227,8 +221,7 @@ def step_scales(design, state, theta, tau2, a_sigma, b_sigma, rng) -> None:
     T = E.shape[0]
     adj = E - theta * state.Z
     scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=0)
-    for i in range(state.sigma.size):
-        state.sigma[i] = draw_inverse_gamma(a_sigma + 0.5 * T, scale[i], rng)
+    state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
 
 
 def step_shrinkage(state, rng) -> None:

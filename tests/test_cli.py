@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -527,3 +529,17 @@ def test_ingest_roundtrip(tmp_path, capsys):
     clean = read_panel(out_csv, out_tc)
     assert not np.isnan(clean.values).any()
     assert all(int(c) == 2 for c in clean.tcodes)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the samplers factor with numpy alone; scipy.linalg would add import
+    # time and resident memory to every run and pool worker
+    import quantvar
+
+    src = os.path.dirname(os.path.dirname(quantvar.__file__))
+    code = "import sys, quantvar.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

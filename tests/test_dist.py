@@ -94,6 +94,69 @@ def test_draw_from_precision_system_indefinite_raises_linalg_error():
         draw_from_precision_system(P, np.zeros(2), make_rng(0))
 
 
+def test_inverse_gamma_vector_scale_matches_scalar_calls():
+    scale = np.array([0.7, 2.5, 11.0, 0.04])
+    vec = draw_inverse_gamma(6.5, scale, make_rng(17))
+    rng = make_rng(17)
+    one_by_one = np.array([draw_inverse_gamma(6.5, s, rng) for s in scale])
+    np.testing.assert_array_equal(vec, one_by_one)
+    rng = make_rng(17)
+    np.testing.assert_array_equal(vec, [1.0 / rng.gamma(6.5, 1.0 / s) for s in scale])
+    for bad in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -3.0])):
+        with pytest.raises(ValueError):
+            draw_inverse_gamma(6.5, bad, make_rng(0))
+
+
+def _reference_draw(P, rhs, z):
+    """x = P^-1 rhs + L^-T z from numpy's dense solvers."""
+    L = np.linalg.cholesky(P)
+    mean = np.linalg.solve(P, rhs[..., None])[..., 0]
+    return mean + np.linalg.solve(np.swapaxes(L, -1, -2), z[..., None])[..., 0], mean
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("k", [1, 4])
+def test_draw_from_precision_system_batched_matches_single_calls(shape, k):
+    rng = make_rng(8)
+    A = rng.standard_normal(shape + (k + 2, k))
+    P = np.swapaxes(A, -1, -2) @ A + np.eye(k)
+    rhs = rng.standard_normal(shape + (k,))
+    draw, mean = draw_from_precision_system(P, rhs, make_rng(21))
+    assert draw.shape == mean.shape == rhs.shape
+    # the stack consumes its normals in row order, like one call per member
+    ref_rng = make_rng(21)
+    single = [draw_from_precision_system(Pm, rm, ref_rng)[0]
+              for Pm, rm in zip(P.reshape(-1, k, k), rhs.reshape(-1, k))]
+    np.testing.assert_allclose(draw.reshape(-1, k), np.array(single), rtol=0, atol=1e-12)
+    z = make_rng(21).standard_normal(rhs.shape)
+    ref_draw, ref_mean = _reference_draw(P, rhs, z)
+    np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(draw, ref_draw, rtol=0, atol=1e-12)
+
+
+def test_draw_from_precision_system_jitters_only_the_singular_member():
+    P = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[3.0, -1.0], [-1.0, 2.0]]])
+    rhs = np.array([[1.0, -1.0], [0.5, 0.5], [2.0, 0.0]])
+    draw, mean = draw_from_precision_system(P, rhs, make_rng(5))
+    ref_rng = make_rng(5)
+    for i in range(3):
+        d_i, m_i = draw_from_precision_system(P[i], rhs[i], ref_rng)
+        if i == 1:
+            assert np.all(np.isfinite(draw[i])) and np.all(np.isfinite(mean[i]))
+        else:
+            # a positive-definite member is factored with no jitter
+            np.testing.assert_array_equal(draw[i], d_i)
+            np.testing.assert_array_equal(mean[i], m_i)
+
+
+def test_draw_from_precision_system_stack_with_indefinite_member_raises():
+    P = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0 * np.eye(2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        draw_from_precision_system(P, np.zeros((3, 2)), make_rng(0))
+    with pytest.raises(np.linalg.LinAlgError):
+        draw_from_precision_system(np.array([[[1.0]], [[-2.0]]]), np.zeros((2, 1)), make_rng(0))
+
+
 def test_trunc_exp_matches_scipy_truncated_exponential():
     rng = make_rng(31)
     n = 150_000

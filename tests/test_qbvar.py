@@ -16,6 +16,7 @@ from quantvar.qbvar import (
     residuals,
     run_chain,
     step_coefficients,
+    step_factors,
     step_latent,
     step_loadings,
     step_scales,
@@ -149,6 +150,63 @@ def test_factor_conditional_means_match_per_period_formula():
         ytil = Y[t] - state.Phi @ X[t] - theta * state.Z[t]
         V_bar = np.linalg.inv(state.Lam.T @ Dinv @ state.Lam + np.eye(2))
         np.testing.assert_allclose(mean[t], V_bar @ state.Lam.T @ Dinv @ ytil, atol=1e-8)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_batched_steps_match_per_row_reference(r):
+    # one batched draw per block equals drawing row by row (coefficients,
+    # loadings) or period by period (factors) from the same stream
+    design = _toy_design(seed=13, T=50, n=3, p=2)
+    state = _fixed_state(design, r=r, seed=4)
+    state.Z = np.random.default_rng(6).uniform(0.2, 3.0, size=state.Z.shape)
+    level = QuantileLevel(0.25)
+    theta, tau2 = level.theta, level.tau2
+    Y, X = design.Y, design.X
+    n = Y.shape[1]
+
+    rng = make_rng(40)
+    ref = np.empty_like(state.Phi)
+    for i in range(n):
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
+        ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[:, i]
+        P, rhs = weighted_system(X, ytil, w, 1.0 / (state.psi[i] ** 2 * state.kappa**2))
+        ref[i], _ = draw_from_precision_system(P, rhs, rng)
+    step_coefficients(design, state, theta, tau2, make_rng(40))
+    np.testing.assert_allclose(state.Phi, ref, rtol=0, atol=1e-12)
+
+    rng = make_rng(41)
+    ref = np.empty_like(state.Lam)
+    for i in range(n):
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
+        ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[:, i]
+        P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
+        ref[i], _ = draw_from_precision_system(P, rhs, rng)
+    step_loadings(design, state, theta, tau2, make_rng(41))
+    np.testing.assert_allclose(state.Lam, ref, rtol=0, atol=1e-12)
+
+    rng = make_rng(42)
+    P, rhs = factor_systems(design, state, theta, tau2)
+    ref = state.F.copy()
+    if r:
+        for t in range(Y.shape[0]):
+            ref[t], _ = draw_from_precision_system(P[t], rhs[t], rng)
+    step_factors(design, state, theta, tau2, make_rng(42))
+    np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
+
+
+def test_weighted_system_batches_rows():
+    rng = np.random.default_rng(2)
+    T, k, n = 30, 5, 4
+    X = rng.normal(size=(T, k))
+    Y = rng.normal(size=(T, n))
+    W = rng.uniform(0.1, 5.0, size=(T, n))
+    prior = rng.uniform(0.2, 3.0, size=(n, k))
+    P, rhs = weighted_system(X, Y, W, prior)
+    assert P.shape == (n, k, k) and rhs.shape == (n, k)
+    for i in range(n):
+        P_i, rhs_i = weighted_system(X, Y[:, i], W[:, i], prior[i])
+        np.testing.assert_allclose(P[i], P_i, rtol=1e-13)
+        np.testing.assert_allclose(rhs[i], rhs_i, rtol=1e-13)
 
 
 def test_step_latent_respects_floor_and_conditional_moments():
