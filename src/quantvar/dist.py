@@ -4,7 +4,9 @@ Everything takes an explicit ``numpy.random.Generator``; reproducibility
 comes from :func:`derive_rng`, which spawns independent streams from a
 master seed and a structured key (origin, model, quantile, ...). The
 Gaussian and inverse-gamma draws are batched over rows: one call draws every
-row of a Gibbs block.
+row of a Gibbs block. A Gaussian draw in precision form takes one Cholesky
+factorisation P = L L^T and one solve with two right-hand sides, using
+mean + L^-T z = P^-1 (rhs + L z) (Rue 2001).
 """
 
 from __future__ import annotations
@@ -39,19 +41,19 @@ def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
     acceptance probability. a may be 0 (Gamma(1/2, b/2) limit, reached
     continuously).
     """
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("GIG requires b > 0")
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
+    b = np.asarray(b, dtype=float)
+    if (b <= 0).any():
+        raise ValueError("GIG requires b > 0")
+    if (a < 0).any():
         raise ValueError("GIG requires a >= 0")
-    a, b = np.broadcast_arrays(a, b)
+    shape = np.broadcast_shapes(a.shape, b.shape)
     a_safe = np.maximum(a, _TINY)
-    nu = rng.standard_normal(a.shape) ** 2
+    nu = rng.standard_normal(shape) ** 2
     om = np.sqrt(a_safe * b)
     x_plus = 1.0 + (nu + np.sqrt(nu * nu + 4.0 * om * nu)) / (2.0 * om)
     x_minus = 1.0 / x_plus
-    take_minus = rng.random(a.shape) < 1.0 / (1.0 + x_minus)
+    take_minus = rng.random(shape) < 1.0 / (1.0 + x_minus)
     v = np.where(take_minus, x_minus, x_plus)
     # v is 1/X scaled by mu = sqrt(b/a) in the IG parameterization; invert back
     return np.sqrt(a_safe / b) / v
@@ -66,14 +68,18 @@ def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator, size
     scale = np.asarray(scale, dtype=float)
     if shape_param <= 0 or (scale <= 0).any():
         raise ValueError("inverse gamma requires positive shape and scale")
-    return 1.0 / rng.gamma(shape_param, 1.0 / scale, size=size)
+    # numpy's gamma is scale * standard_gamma: the same values without its
+    # broadcast loop over an array scale
+    g = rng.standard_gamma(shape_param, scale.shape if size is None else size)
+    return 1.0 / (g * (1.0 / scale))
 
 
-def _cholesky_with_jitter(P: np.ndarray) -> np.ndarray:
+def _cholesky_with_jitter(P: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of one (k, k) matrix, retried with diagonal jitter.
 
-    Jitter runs from 1e-10 * mean(diag) up tenfold to 1e-6 * mean(diag);
-    LinAlgError if P is still not positive definite.
+    Returns (L, jitter) with L L^T = P + jitter I. Jitter runs from
+    1e-10 * mean(diag) up tenfold to 1e-6 * mean(diag); LinAlgError if P is
+    still not positive definite.
     """
     k = P.shape[-1]
     base = float(np.mean(np.diag(P)))
@@ -82,7 +88,7 @@ def _cholesky_with_jitter(P: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(6):
         try:
-            return np.linalg.cholesky(P + jitter * np.eye(k))
+            return np.linalg.cholesky(P + jitter * np.eye(k)), jitter
         except np.linalg.LinAlgError:
             jitter = 1e-10 * base if jitter == 0.0 else jitter * 10.0
     raise np.linalg.LinAlgError("precision matrix not positive definite after jitter escalation")
@@ -93,11 +99,13 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
 
     Batched over rows: P is (..., k, k) and rhs (..., k), one independent
     draw per leading index; a single (k, k) system is the unbatched case.
-    Returns (draw, posterior_mean). One Cholesky factors the whole stack
-    and the draw is mean + L^-T z, with the normals z taken in row order.
-    Only if that factorization fails is each matrix factored on its own
-    with jitter on its diagonal (:func:`_cholesky_with_jitter`), so a
-    positive-definite member is never perturbed.
+    Returns (draw, posterior_mean). One Cholesky P = L L^T factors the whole
+    stack and one solve with two right-hand sides gives the mean and the
+    draw, since mean + L^-T z = P^-1 (rhs + L z); the normals z are taken in
+    row order. Only if that factorization fails is each matrix factored on
+    its own with jitter on its diagonal (:func:`_cholesky_with_jitter`), and
+    that member's jitter is added to its diagonal of P before the solve, so
+    a positive-definite member is never perturbed.
     """
     P = np.asarray(P, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -106,12 +114,12 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
         L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         k = P.shape[-1]
-        L = np.stack([_cholesky_with_jitter(m) for m in P.reshape(-1, k, k)]).reshape(P.shape)
-    # L w = rhs, then L^T [mean, fluct] = [w, z] in one solve
-    w = np.linalg.solve(L, rhs[..., None])
-    sol = np.linalg.solve(np.swapaxes(L, -1, -2), np.concatenate([w, z[..., None]], axis=-1))
-    mean = sol[..., 0]
-    return mean + sol[..., 1], mean
+        L, jitter = zip(*map(_cholesky_with_jitter, P.reshape(-1, k, k)))
+        L = np.stack(L).reshape(P.shape)
+        P = P + np.reshape(jitter, P.shape[:-2])[..., None, None] * np.eye(k)
+    b = rhs[..., None]
+    sol = np.linalg.solve(P, np.concatenate([b, b + L @ z[..., None]], axis=-1))
+    return sol[..., 1], sol[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +129,18 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
 # closed form (truncated exponential / truncated gamma).
 
 
-def _trunc_exp(rate, ub, u, rng_shape_src):
+def _trunc_exp(rate, ub, u):
     """Exp(rate) truncated to (0, ub], via inverse cdf; rate may be ~0."""
     rate = np.asarray(rate, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    out = np.empty(np.broadcast(rate, ub).shape)
-    r, ubb = np.broadcast_arrays(rate, ub)
-    small = r * ubb < 1e-12
     # inverse cdf: -log(1 - U (1 - exp(-r*ub))) / r, in expm1/log1p form
     with np.errstate(over="ignore"):
-        tail = -np.expm1(-r * ubb)
-    safe_r = np.where(small, 1.0, r)
-    out = -np.log1p(-u * tail) / safe_r
-    out = np.where(small, u * ubb, out)
-    return np.minimum(out, ubb)
+        rub = rate * ub
+        tail = -np.expm1(-rub)
+    small = rub < 1e-12
+    out = -np.log1p(-u * tail) / np.where(small, 1.0, rate)
+    out = np.where(small, u * ub, out)
+    return np.minimum(out, ub)
 
 
 def update_horseshoe(beta: np.ndarray, psi: np.ndarray, kappa: float, rng: np.random.Generator):
@@ -156,7 +162,7 @@ def update_horseshoe(beta: np.ndarray, psi: np.ndarray, kappa: float, rng: np.ra
     u = np.maximum(u, _TINY)
     ub = (1.0 - u) / u
     rate = beta**2 / (2.0 * max(kappa, _TINY) ** 2)
-    eta_new = _trunc_exp(rate, ub, rng.random(k), None)
+    eta_new = _trunc_exp(rate, ub, rng.random(k))
     psi_new = 1.0 / np.sqrt(np.maximum(eta_new, _TINY))
 
     # global scale: eta_g = 1/kappa^2 | - ~ Gamma((k+1)/2, rate sum beta^2/(2 psi^2))

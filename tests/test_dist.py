@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from quantvar.dist import (
+    _cholesky_with_jitter,
     _trunc_exp,
     derive_rng,
     draw_from_precision_system,
@@ -141,12 +144,39 @@ def test_draw_from_precision_system_jitters_only_the_singular_member():
     ref_rng = make_rng(5)
     for i in range(3):
         d_i, m_i = draw_from_precision_system(P[i], rhs[i], ref_rng)
-        if i == 1:
-            assert np.all(np.isfinite(draw[i])) and np.all(np.isfinite(mean[i]))
-        else:
-            # a positive-definite member is factored with no jitter
-            np.testing.assert_array_equal(draw[i], d_i)
-            np.testing.assert_array_equal(mean[i], m_i)
+        # a positive-definite member is factored with no jitter, and the
+        # singular one gets the jitter it gets alone
+        np.testing.assert_array_equal(draw[i], d_i)
+        np.testing.assert_array_equal(mean[i], m_i)
+    assert np.all(np.isfinite(draw)) and np.all(np.isfinite(mean))
+
+
+def test_draw_from_precision_system_solves_with_the_jittered_matrix():
+    # rhs has a component along the null direction (1, -1), where the mean
+    # is set by the jitter alone
+    P = np.stack([np.eye(2), np.ones((2, 2))])
+    rhs = np.array([[1.0, 2.0], [1.0, 0.0]])
+    _, mean = draw_from_precision_system(P, rhs, make_rng(6))
+    _, jitter = _cholesky_with_jitter(P[1])
+    assert jitter > 0
+    np.testing.assert_allclose(mean[1], np.linalg.solve(P[1] + jitter * np.eye(2), rhs[1]), rtol=1e-6)
+    np.testing.assert_array_equal(mean[0], rhs[0])
+
+
+def test_draw_from_precision_system_badly_scaled_matches_triangular_solves():
+    # wide_var's shape: 8 rows of 49 coefficients, 200 observations, with a
+    # prior precision diagonal spanning 1e-8..1e12, a spread the horseshoe can give
+    rng = np.random.default_rng(3)
+    k, T, n = 49, 200, 8
+    X = rng.standard_normal((T, k))
+    w = rng.uniform(0.1, 10.0, (n, T))
+    prior = np.stack([rng.permutation(np.logspace(-8, 12, k)) for _ in range(n)])
+    P = (X.T * w[:, None, :]) @ X + prior[:, :, None] * np.eye(k)
+    rhs = rng.standard_normal((n, k))
+    draw, mean = draw_from_precision_system(P, rhs, make_rng(7))
+    ref_draw, ref_mean = _reference_draw(P, rhs, make_rng(7).standard_normal((n, k)))
+    assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
+    assert np.abs(mean - ref_mean).max() <= 1e-12 * np.abs(ref_mean).max()
 
 
 def test_draw_from_precision_system_stack_with_indefinite_member_raises():
@@ -161,16 +191,23 @@ def test_trunc_exp_matches_scipy_truncated_exponential():
     rng = make_rng(31)
     n = 150_000
     for rate, ub in [(2.0, 1.5), (0.3, 4.0), (8.0, 0.2)]:
-        d = _trunc_exp(np.full(n, rate), np.full(n, ub), rng.random(n), None)
+        d = _trunc_exp(np.full(n, rate), np.full(n, ub), rng.random(n))
         assert np.all(d > 0) and np.all(d <= ub)
         ks = stats.kstest(d, stats.truncexpon(b=rate * ub, scale=1 / rate).cdf).statistic
         assert ks < 0.01, (rate, ub, ks)
 
 
+def test_trunc_exp_huge_rate_times_bound_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = _trunc_exp(np.array([1e200]), np.array([1e200]), np.array([0.5]))
+    assert np.all(d > 0) and np.all(d <= 1e200)
+
+
 def test_trunc_exp_tiny_rate_is_uniform():
     rng = make_rng(32)
     n = 100_000
-    d = _trunc_exp(np.zeros(n), np.full(n, 3.0), rng.random(n), None)
+    d = _trunc_exp(np.zeros(n), np.full(n, 3.0), rng.random(n))
     ks = stats.kstest(d, stats.uniform(scale=3.0).cdf).statistic
     assert ks < 0.01
 
@@ -233,3 +270,89 @@ def test_horseshoe_update_always_valid(beta, kappa, seed):
 def test_horseshoe_rejects_length_mismatch():
     with pytest.raises(ValueError):
         update_horseshoe(np.zeros(3), np.ones(2), 1.0, make_rng(0))
+
+
+# Reference copies of the kernels' earlier formulas: the rewrites must keep
+# both the random stream and every value bit for bit.
+
+
+def _gig_half_reference(a, b, rng):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a_safe = np.maximum(a, 1e-300)
+    nu = rng.standard_normal(a.shape) ** 2
+    om = np.sqrt(a_safe * b)
+    x_plus = 1.0 + (nu + np.sqrt(nu * nu + 4.0 * om * nu)) / (2.0 * om)
+    x_minus = 1.0 / x_plus
+    take_minus = rng.random(a.shape) < 1.0 / (1.0 + x_minus)
+    return np.sqrt(a_safe / b) / np.where(take_minus, x_minus, x_plus)
+
+
+def _trunc_exp_reference(rate, ub, u):
+    r, ubb = np.broadcast_arrays(np.asarray(rate, dtype=float), np.asarray(ub, dtype=float))
+    small = r * ubb < 1e-12
+    with np.errstate(over="ignore"):
+        tail = -np.expm1(-r * ubb)
+    out = -np.log1p(-u * tail) / np.where(small, 1.0, r)
+    return np.minimum(np.where(small, u * ubb, out), ubb)
+
+
+def _horseshoe_reference(beta, psi, kappa, rng):
+    tiny = 1e-300
+    k = beta.size
+    eta = 1.0 / np.maximum(psi, tiny) ** 2
+    u = np.maximum(rng.random(k) * (1.0 / (1.0 + eta)), tiny)
+    rate = beta**2 / (2.0 * max(kappa, tiny) ** 2)
+    eta_new = _trunc_exp_reference(rate, (1.0 - u) / u, rng.random(k))
+    psi_new = 1.0 / np.sqrt(np.maximum(eta_new, tiny))
+    ug = max(rng.uniform(0.0, 1.0 / (1.0 + 1.0 / max(kappa, tiny) ** 2)), tiny)
+    ub_g = (1.0 - ug) / ug
+    shape_g = (k + 1) / 2.0
+    rate_g = float(np.sum(beta**2 / np.maximum(psi_new, tiny) ** 2)) / 2.0
+    v = rng.random()
+    if rate_g * ub_g < 1e-12:
+        eta_g_new = ub_g * v ** (1.0 / shape_g)
+    else:
+        cdf_ub = special.gammainc(shape_g, rate_g * ub_g)
+        eta_g_new = min(special.gammaincinv(shape_g, v * cdf_ub) / rate_g, ub_g)
+    return psi_new, float(1.0 / np.sqrt(max(eta_g_new, tiny)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.linspace(0.0, 9.0, 360).reshape(120, 3), np.linspace(0.1, 40.0, 360).reshape(120, 3)),
+        (0.7, np.linspace(0.1, 40.0, 12)),
+        (np.linspace(0.0, 9.0, 12).reshape(4, 3), np.array([2.0, 5.0, 0.3])),
+        (1.5, 2.0),
+    ],
+)
+def test_draw_gig_half_keeps_stream_and_values(a, b):
+    mine = draw_gig_half(a, b, make_rng(50))
+    ref = _gig_half_reference(a, b, make_rng(50))
+    assert np.shape(mine) == ref.shape
+    np.testing.assert_array_equal(mine, ref)
+
+
+def test_update_horseshoe_keeps_stream_and_values():
+    rng, ref_rng, beta_rng = make_rng(60), make_rng(60), make_rng(61)
+    k = 21
+    psi = ref_psi = np.ones(k)
+    kappa = ref_kappa = 1.0
+    for _ in range(500):
+        # some exact zeros take the flat (rate ~ 0) branch of the local draw
+        beta = beta_rng.standard_normal(k) * (beta_rng.random(k) < 0.8) * 3.0
+        psi, kappa = update_horseshoe(beta, psi, kappa, rng)
+        ref_psi, ref_kappa = _horseshoe_reference(beta, ref_psi, ref_kappa, ref_rng)
+        np.testing.assert_array_equal(psi, ref_psi)
+        assert kappa == ref_kappa
+
+
+@pytest.mark.parametrize(
+    "scale, size",
+    [(2.0, 1000), (np.array([0.7, 2.5, 11.0]), None), (np.array([0.7, 2.5, 11.0]), (4, 3)), (3.0, None)],
+)
+def test_draw_inverse_gamma_keeps_stream_and_values(scale, size):
+    mine = draw_inverse_gamma(4.5, scale, make_rng(70), size=size)
+    ref = 1.0 / make_rng(70).gamma(4.5, 1.0 / np.asarray(scale, dtype=float), size=size)
+    assert np.shape(mine) == np.shape(ref)
+    np.testing.assert_array_equal(mine, ref)
