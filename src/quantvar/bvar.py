@@ -24,7 +24,6 @@ from .qbvar import (
     QbvarConfig,
     QbvarState,
     init_state,
-    residuals,
     step_coefficients,
     step_factors,
     step_loadings,
@@ -51,9 +50,8 @@ class BvarConfig:
             raise ValueError("inverse-gamma hyperparameters must be positive")
 
 
-def step_scales_gaussian(design, state: QbvarState, a_sigma, b_sigma, rng) -> None:
-    """Conjugate variance draw sigma_i ~ IG(a + T/2, b + sum e^2 / 2)."""
-    E = residuals(design, state)
+def step_scales_gaussian(state: QbvarState, E, a_sigma, b_sigma, rng) -> None:
+    """Conjugate variance draw sigma_i ~ IG(a + T/2, b + sum e^2 / 2); E is (T, n) residuals."""
     T = E.shape[0]
     scale = b_sigma + 0.5 * np.sum(E**2, axis=0)
     state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, scale, rng)
@@ -84,16 +82,20 @@ def run_bvar_chain(
     kappa_trace = np.empty(S)
     s = 0
     for it in range(sched.iterations):
-        step_coefficients(design, state, 0.0, 1.0, rng)
-        step_loadings(design, state, 0.0, 1.0, rng)
-        step_factors(design, state, 0.0, 1.0, rng)
-        step_scales_gaussian(design, state, config.a_sigma, config.b_sigma, rng)
+        # shared terms once per sweep, as in qbvar.run_chain; with theta = 0
+        # and tau2 = 1 the factor target Y - X Phi' - theta Z is D itself
+        W = 1.0 / (state.sigma * state.Z)
+        step_coefficients(design, state, 0.0, W, rng)
+        D = design.Y - design.X @ state.Phi.T
+        step_loadings(state, W, D, rng)
+        step_factors(state, W, D, rng)
+        E = D - state.F @ state.Lam.T if config.r else D
+        step_scales_gaussian(state, E, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)
         if it >= sched.burn_in and (it - sched.burn_in) % sched.thin == 0 and s < S:
             Phi_draws[s] = state.Phi
             Lam_draws[s] = state.Lam
             sigma_draws[s] = state.sigma
-            E = residuals(design, state)
             rms[s] = float(np.sqrt(np.mean(E**2)))
             kappa_trace[s] = state.kappa
             s += 1

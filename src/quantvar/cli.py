@@ -59,6 +59,7 @@ from .evaluation import (
     realized_value,
     render_ratio_table,
     render_score_table,
+    score_records,
     score_table_rows,
 )
 from .forecast import (
@@ -292,7 +293,10 @@ def _forecast_one_origin(payload):
 
     payload: (origin, origin_idx, dates, values, names, cfg).
     Returns (origin, records, error) where records maps
-    (model_id, horizon, quantile) -> value vector.
+    (model_id, horizon, quantile) -> value vector. Only an expected
+    numerical failure (ForecastError, LinAlgError, FloatingPointError)
+    aborts the origin, with records None and the error text; any other
+    exception, a bad model value or a code bug among them, propagates.
     """
     origin, origin_idx, dates, values, names, cfg = payload
     try:
@@ -345,7 +349,8 @@ def _forecast_one_origin(payload):
                 for h in cfg.horizons:
                     records[("rw", h, q)] = block[h - 1]
         return origin, records, None
-    except Exception as exc:  # the origin aborts; the run decides whether to fail
+    except (ForecastError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # the origin aborts; the run decides whether to fail
         return origin, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -553,11 +558,13 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 def _window_tables(fsets, tpanel, target: str, windows, benchmark: str | None, by_origin=False):
     """Yield, per (window, label), its ScoreTable and its ratios to the benchmark.
 
-    Raises EvaluationError for a window with nothing scorable and for a
-    model whose coverage differs from the benchmark's.
+    Every set is scored once and each window averages those scores. Raises
+    EvaluationError for a window with nothing scorable and for a model
+    whose coverage differs from the benchmark's.
     """
+    scored = [score_records(fset, tpanel, target) for fset in fsets]
     for window, label in windows:
-        table = average_qs(fsets, tpanel, target, window=window, by_origin=by_origin, window_label=label)
+        table = average_qs(scored, tpanel, target, window=window, by_origin=by_origin, window_label=label)
         others = [m for m in table.models() if m != benchmark] if benchmark else []
         yield table, [qs_ratio(table, m, benchmark) for m in others]
 

@@ -6,7 +6,10 @@ master seed and a structured key (origin, model, quantile, ...). The
 Gaussian and inverse-gamma draws are batched over rows: one call draws every
 row of a Gibbs block. A Gaussian draw in precision form takes one Cholesky
 factorisation P = L L^T and one solve with two right-hand sides, using
-mean + L^-T z = P^-1 (rhs + L z) (Rue 2001).
+mean + L^-T z = P^-1 (rhs + L z) (Rue 2001). A stack of positive, finite
+1 x 1 systems (the loadings and factors of a one-factor model) skips
+LAPACK: its draw is (rhs + sqrt(d) z) (1/d) in closed form, bit for bit
+what the factor-and-solve path gives on OpenBLAS.
 """
 
 from __future__ import annotations
@@ -106,10 +109,23 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
     its own with jitter on its diagonal (:func:`_cholesky_with_jitter`), and
     that member's jitter is added to its diagonal of P before the solve, so
     a positive-definite member is never perturbed.
+
+    When k = 1 and every member d = P[..., 0, 0] is finite and positive,
+    the same arithmetic is done elementwise: L = sqrt(d), and the solve
+    multiplies by 1/d, as OpenBLAS's triangular solve does with its
+    reciprocal pivots. The draw (rhs + sqrt(d) z) (1/d) and the mean
+    rhs (1/d) therefore equal the factor-and-solve results bit for bit there
+    (within one rounding on a BLAS that divides). Any other 1 x 1 stack
+    (a zero, negative, infinite or NaN member) takes the path above.
     """
     P = np.asarray(P, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     z = rng.standard_normal(rhs.shape)
+    if P.shape[-1] == 1 and P.size:
+        d = P[..., 0]
+        if 0 < d.min() and d.max() < np.inf:  # False on a NaN member too
+            inv = 1.0 / d
+            return (rhs + np.sqrt(d) * z) * inv, rhs * inv
     try:
         L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:

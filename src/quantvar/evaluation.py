@@ -119,22 +119,27 @@ def average_qs(
 ) -> ScoreTable:
     """Mean pinball loss per (model, q, h), optionally within a date window.
 
-    ``forecasts`` is a QuantileForecastSet or a sequence of them. Window
-    membership is decided by the realization date t+h unless ``by_origin``.
+    ``forecasts`` is a QuantileForecastSet or a sequence of them; an element
+    may also be the :func:`score_records` dict of a set, so that a caller
+    averaging over several windows scores each set once. Window membership
+    is decided by the realization date t+h unless ``by_origin``.
     """
     if isinstance(forecasts, QuantileForecastSet):
         sets = [forecasts]
     else:
         sets = list(forecasts)
+    if window is not None:
+        lo, hi = month_index(window.start), month_index(window.end)
     sums: dict = {}
     counts: dict = {}
     any_scored = False
     for fset in sets:
-        for (model_id, origin, h, q), (_, score) in score_records(fset, panel, variable).items():
+        scored = fset if isinstance(fset, dict) else score_records(fset, panel, variable)
+        for (model_id, origin, h, q), (_, score) in scored.items():
             any_scored = True
             if window is not None:
-                member_date = origin if by_origin else realization_date(origin, h)
-                if not window.contains(member_date):
+                member = month_index(origin) + (0 if by_origin else h)
+                if not lo <= member <= hi:
                     continue
             key = (model_id, q, h)
             sums[key] = sums.get(key, 0.0) + score

@@ -139,21 +139,13 @@ def weighted_system(X, y, weights, prior_prec_diag):
     return P, rhs
 
 
-def residuals(design: LagDesign, state: QbvarState) -> np.ndarray:
-    """Regression residuals before the mixture location shift, (T, n)."""
-    E = design.Y - design.X @ state.Phi.T
-    if state.Lam.shape[1]:
-        E = E - state.F @ state.Lam.T
-    return E
-
-
-def step_coefficients(design, state, theta, tau2, rng) -> None:
+def step_coefficients(design, state, theta, W, rng) -> None:
     """Draw all coefficient rows from their normal full conditionals.
 
-    The rows are independent given the other blocks, so they are drawn in
-    one batched call.
+    W holds the observation weights 1/(tau2 sigma_i z_it), (T, n). The rows
+    are independent given the other blocks, so they are drawn in one
+    batched call.
     """
-    W = 1.0 / (tau2 * state.sigma * state.Z)  # (T, n)
     Ytil = design.Y - theta * state.Z
     if state.Lam.shape[1]:
         Ytil = Ytil - state.F @ state.Lam.T
@@ -162,62 +154,69 @@ def step_coefficients(design, state, theta, tau2, rng) -> None:
     state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
 
 
-def step_loadings(design, state, theta, tau2, rng) -> None:
-    """Draw all loading rows in one batched call; prior is N(0, I) on every row."""
+def step_loadings(state, W, R, rng) -> None:
+    """Draw all loading rows in one batched call; prior is N(0, I) on every row.
+
+    R is the target of the factor part, Y - X Phi' - theta Z, (T, n).
+    """
     r = state.Lam.shape[1]
     if r == 0:
         return
-    W = 1.0 / (tau2 * state.sigma * state.Z)
-    Ytil = design.Y - design.X @ state.Phi.T - theta * state.Z
-    P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
+    P, rhs = weighted_system(state.F, R, W, np.ones(r))
     state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
 
 
-def factor_systems(design, state, theta, tau2):
-    """Batched precision systems for the factor conditionals.
+def factor_precision(Lam, W, R):
+    """Batched precision systems (P (T, r, r), rhs (T, r)) of the factors.
 
-    Returns (P, rhs) with P of shape (T, r, r) and rhs (T, r); each f_t is
-    N(P_t^-1 rhs_t, P_t^-1), combining loadings weighted by the observation
-    variances tau2 sigma_i z_it with the standard-normal prior.
+    Each f_t is N(P_t^-1 rhs_t, P_t^-1), combining the loadings weighted by
+    W = 1/(tau2 sigma_i z_it) with the standard-normal prior; R is
+    Y - X Phi' - theta Z.
     """
-    Y, X = design.Y, design.X
-    r = state.Lam.shape[1]
-    W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)  # (T, n)
-    R = Y - X @ state.Phi.T - theta * state.Z  # (T, n)
-    P = np.einsum("ia,ti,ib->tab", state.Lam, W, state.Lam)
+    r = Lam.shape[1]
+    P = np.einsum("ia,ti,ib->tab", Lam, W, Lam)
     P[:, np.arange(r), np.arange(r)] += 1.0
-    rhs = np.einsum("ia,ti->ta", state.Lam, W * R)
+    rhs = np.einsum("ia,ti->ta", Lam, W * R)
     return P, rhs
 
 
-def step_factors(design, state, theta, tau2, rng) -> None:
+def factor_systems(design, state, theta, tau2):
+    """:func:`factor_precision` at the current state: W and R built from it."""
+    W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)  # (T, n)
+    R = design.Y - design.X @ state.Phi.T - theta * state.Z  # (T, n)
+    return factor_precision(state.Lam, W, R)
+
+
+def step_factors(state, W, R, rng) -> None:
     """Draw all factor vectors jointly across t (batched r x r systems)."""
     if state.Lam.shape[1] == 0:
         return
-    P, rhs = factor_systems(design, state, theta, tau2)
+    P, rhs = factor_precision(state.Lam, W, R)
     state.F, _ = draw_from_precision_system(P, rhs, rng)
 
 
-def step_latent(design, state, theta, tau2, rng) -> None:
-    """Draw mixture variables z_it ~ GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2)."""
-    E = residuals(design, state)
+def step_latent(state, E, theta, tau2, rng) -> None:
+    """Draw mixture variables z_it ~ GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2).
+
+    E holds the regression residuals Y - X Phi' - F Lam', (T, n).
+    """
     s = tau2 * state.sigma[None, :]
     a = E**2 / s
     b = theta**2 / s + 2.0
     state.Z = np.maximum(draw_gig_half(a, b, rng), _Z_FLOOR)
 
 
-def step_scales(design, state, theta, tau2, a_sigma, b_sigma, rng) -> None:
+def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
     """Draw sigma_i ~ IG(a + T/2, b + sum (e - theta z)^2 / (2 tau2 z)).
 
-    Only the Gaussian part of the mixture involves sigma (the exponential
+    E holds the regression residuals, as in :func:`step_latent`. Only the
+    Gaussian part of the mixture involves sigma (the exponential
     mixing law is parameter-free), so the likelihood adds T/2 to the shape
     and the shift-adjusted squared residuals to the scale. Expanding the
     square gives e^2/(2 tau2 z) - e theta/tau2 + theta^2 z/(2 tau2); the
     cross term keeps the scale draw centered when theta != 0, which is what
     anchors intercepts away from the median.
     """
-    E = residuals(design, state)
     T = E.shape[0]
     adj = E - theta * state.Z
     scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=0)
@@ -327,7 +326,9 @@ def run_chain(
     """Run the six-step Gibbs sampler and return thinned post-burn-in draws.
 
     Sweep order per iteration: coefficients, loadings, factors, mixture
-    variables, scales, shrinkage.
+    variables, scales, shrinkage. The weights, the factor target and the
+    residuals are computed once per sweep and passed to the steps that
+    read them.
     """
     level = config.level
     theta, tau2 = level.theta, level.tau2
@@ -343,17 +344,23 @@ def run_chain(
     kappa_trace = np.empty(S)
     s = 0
     for it in range(sched.iterations):
-        step_coefficients(design, state, theta, tau2, rng)
-        step_loadings(design, state, theta, tau2, rng)
-        step_factors(design, state, theta, tau2, rng)
-        step_latent(design, state, theta, tau2, rng)
-        step_scales(design, state, theta, tau2, config.a_sigma, config.b_sigma, rng)
+        # terms shared by the steps, each built once: W until sigma and Z
+        # move (latent and scale steps), Y - X Phi' once Phi is drawn, and
+        # the residuals E once the factors are drawn
+        W = 1.0 / (tau2 * state.sigma * state.Z)
+        step_coefficients(design, state, theta, W, rng)
+        D = design.Y - design.X @ state.Phi.T
+        R = D - theta * state.Z
+        step_loadings(state, W, R, rng)
+        step_factors(state, W, R, rng)
+        E = D - state.F @ state.Lam.T if config.r else D
+        step_latent(state, E, theta, tau2, rng)
+        step_scales(state, E, theta, tau2, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)
         if it >= sched.burn_in and (it - sched.burn_in) % sched.thin == 0 and s < S:
             Phi_draws[s] = state.Phi
             Lam_draws[s] = state.Lam
             sigma_draws[s] = state.sigma
-            E = residuals(design, state)
             rms[s] = float(np.sqrt(np.mean(E**2)))
             kappa_trace[s] = state.kappa
             s += 1

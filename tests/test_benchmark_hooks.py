@@ -1,0 +1,89 @@
+"""The names the benchmark (perfbench/) wraps must stay where it looks them up.
+
+``perfbench/tracer.py`` replaces layer functions by timing wrappers in the
+module namespaces their callers read (``quantvar.qbvar.step_coefficients``,
+``quantvar.cli.run_chain``, ...), and ``step_ms`` is the gap between two
+successive ``quantvar.qbvar.step_coefficients`` calls. A refactor that
+renames such a name, binds it elsewhere or calls it a different number of
+times per sweep fails here instead of silently changing what the benchmark
+measures.
+"""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+import quantvar.bvar as bvar
+import quantvar.cli as cli
+import quantvar.data as data
+import quantvar.evaluation as evaluation
+import quantvar.forecast as forecast
+import quantvar.qbvar as qbvar
+from quantvar.dist import make_rng
+from quantvar.qbvar import McmcSchedule, QbvarConfig
+
+_TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_MODULES = (bvar, cli, data, evaluation, forecast, qbvar)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _patched_names():
+    """(module, name, defined before) of every attribute the tracer's install() sets."""
+    tracer = _load_tracer()
+    before = {m: dict(vars(m)) for m in _MODULES}
+    missing = object()
+    try:
+        tracer.install(tracer.Tracer())
+        return {
+            (m.__name__, k, k in before[m])
+            for m in _MODULES
+            for k, v in vars(m).items()
+            if before[m].get(k, missing) is not v
+        }
+    finally:
+        for m in _MODULES:
+            for k in set(vars(m)) - set(before[m]):
+                delattr(m, k)
+            for k, v in before[m].items():
+                setattr(m, k, v)
+
+
+def test_every_traced_name_exists_where_the_tracer_patches_it():
+    patched = _patched_names()
+    added = sorted((mod, name) for mod, name, existed in patched if not existed)
+    assert added == [], f"the tracer patches names the program does not define: {added}"
+    names = {(mod, name) for mod, name, _ in patched}
+    steps = ("step_coefficients", "step_loadings", "step_factors", "step_latent",
+             "step_scales", "step_shrinkage", "draw_from_precision_system",
+             "draw_gig_half", "update_horseshoe", "draw_inverse_gamma")
+    shared = ("step_coefficients", "step_loadings", "step_factors", "step_shrinkage",
+              "draw_inverse_gamma", "step_scales_gaussian")
+    expected = ({("quantvar.qbvar", s) for s in steps}
+                | {("quantvar.bvar", s) for s in shared}
+                | {("quantvar.cli", "run_chain"), ("quantvar.cli", "run_bvar_chain")})
+    assert expected <= names
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_run_chain_calls_step_coefficients_once_per_sweep(monkeypatch, r):
+    calls = []
+    step = qbvar.step_coefficients
+
+    def counted(design, *args):
+        calls.append(design)
+        return step(design, *args)
+
+    monkeypatch.setattr(qbvar, "step_coefficients", counted)
+    design = data.build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
+    sched = McmcSchedule(25, 5, 2)
+    qbvar.run_chain(design, QbvarConfig(p=1, r=r, quantile=0.25, schedule=sched), make_rng(2))
+    assert len(calls) == sched.iterations
+    assert all(d is design for d in calls)  # the design is the first argument

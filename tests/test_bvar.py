@@ -4,7 +4,7 @@ import pytest
 from quantvar.bvar import BvarConfig, run_bvar_chain, step_scales_gaussian
 from quantvar.data import build_lag_design
 from quantvar.dist import derive_rng, make_rng
-from quantvar.qbvar import McmcSchedule, QbvarConfig, init_state, residuals
+from quantvar.qbvar import McmcSchedule, QbvarConfig, init_state
 
 
 def test_bvar_config_allows_zero_factors():
@@ -32,14 +32,14 @@ def test_gaussian_scale_step_matches_conjugate_moments():
     Y, _ = _gaussian_var_data(40, seed=3)
     design = build_lag_design(Y, 1)
     state = init_state(design, QbvarConfig(p=1, r=0, quantile=0.5))
-    E = residuals(design, state)
+    E = design.Y - design.X @ state.Phi.T
     T = E.shape[0]
     shape = 3.0 + T / 2.0
     scale0 = 1.0 + 0.5 * np.sum(E[:, 0] ** 2)
     rng = make_rng(5)
     draws = []
     for _ in range(6000):
-        step_scales_gaussian(design, state, 3.0, 1.0, rng)
+        step_scales_gaussian(state, E, 3.0, 1.0, rng)
         draws.append(state.sigma[0])
     assert np.mean(draws) == pytest.approx(scale0 / (shape - 1), rel=0.05)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantvar.cli as cli_mod
 from quantvar.cli import (
     ConfigError,
     RunFailure,
@@ -166,13 +167,22 @@ def test_config_digest_canonical():
 # per-origin worker
 
 
-def test_forecast_one_origin_reports_errors():
+def test_forecast_one_origin_reports_errors(monkeypatch):
+    # an expected numerical failure aborts the origin and is reported
     cfg = parse_config(_minimal_raw())
-    origin, records, err = _forecast_one_origin(
-        ("1999-01", 0, ["2000-01"], np.zeros((1, 1)), ["tgt"], cfg)
-    )
-    assert origin == "1999-01" and records is None
-    assert "ValueError" in err
+    dates = [month_label(month_index("2000-01") + j) for j in range(30)]
+    values = np.random.default_rng(0).normal(size=(30, 1))
+
+    def singular(design, config, rng):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(cli_mod, "run_bvar_chain", singular)
+    origin, records, err = _forecast_one_origin((dates[-1], 29, dates, values, ["tgt"], cfg))
+    assert origin == dates[-1] and records is None
+    assert err == "LinAlgError: not positive definite"
+    # an origin outside the sample is the caller's error, not an aborted origin
+    with pytest.raises(ValueError):
+        _forecast_one_origin(("1999-01", 0, ["2000-01"], np.zeros((1, 1)), ["tgt"], cfg))
 
 
 def _light_cfg(tmp_path, **over):
@@ -293,8 +303,6 @@ def test_parallel_origins_match_serial(tmp_path, monkeypatch):
 
 def test_abort_accounting_fails_run(tmp_path, monkeypatch):
     cfg, raw = _light_cfg(tmp_path)
-    import quantvar.cli as cli_mod
-
     real = cli_mod._forecast_one_origin
 
     def flaky(payload):
@@ -306,6 +314,51 @@ def test_abort_accounting_fails_run(tmp_path, monkeypatch):
     with pytest.raises(RunFailure) as exc_info:
         run_recursive(cfg, raw)
     assert "2017-10" in exc_info.value.detail["aborted_origins"]
+
+
+def _fail_first_chain(monkeypatch, exc):
+    """Make the first qbvar chain of a run raise ``exc``; the rest run as usual."""
+    real, calls = cli_mod.run_chain, []
+
+    def failing(design, config, rng):
+        calls.append(config.quantile)
+        if len(calls) == 1:
+            raise exc
+        return real(design, config, rng)
+
+    monkeypatch.setattr(cli_mod, "run_chain", failing)
+
+
+def test_code_bug_in_a_chain_propagates_out_of_run_recursive(tmp_path, monkeypatch):
+    cfg, raw = _light_cfg(tmp_path)
+    _fail_first_chain(monkeypatch, TypeError("unsupported operand"))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_recursive(cfg, raw)
+
+
+def test_linalg_error_in_a_chain_aborts_only_that_origin(tmp_path, monkeypatch):
+    cfg, raw = _light_cfg(tmp_path)
+    _fail_first_chain(monkeypatch, np.linalg.LinAlgError("not positive definite"))
+    with pytest.raises(RunFailure) as exc_info:  # 1 of 8 origins is over the 1% limit
+        run_recursive(cfg, raw)
+    assert exc_info.value.detail["aborted_origins"] == {"2017-08": "LinAlgError: not positive definite"}
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [("qbvar", "r", -1), ("qbvar", "p", 0), ("qbvar", "quantiles", [0.5, 1.5]),
+     (None, "a_sigma", 0.0), (None, "b_sigma", -1.0)],
+)
+def test_bad_model_value_exits_2_with_json(tmp_path, capsys, where, field, value):
+    # values only the model configs reject reach main as ValueError
+    make_raw_panel(tmp_path)
+    raw = make_config_dict()
+    (raw["models"][where] if where else raw)[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["status"] == "error" and err["kind"] in ("ValueError", "PanelError")
 
 
 def test_report_matches_run_tables(tmp_path):

@@ -187,6 +187,74 @@ def test_draw_from_precision_system_stack_with_indefinite_member_raises():
         draw_from_precision_system(np.array([[[1.0]], [[-2.0]]]), np.zeros((2, 1)), make_rng(0))
 
 
+def _factor_and_solve_draw(P, rhs, rng):
+    """The Cholesky/jitter/solve path for every k, as before the 1 x 1 closed form."""
+    P = np.asarray(P, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    z = rng.standard_normal(rhs.shape)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        k = P.shape[-1]
+        L, jitter = zip(*map(_cholesky_with_jitter, P.reshape(-1, k, k)))
+        L = np.stack(L).reshape(P.shape)
+        P = P + np.reshape(jitter, P.shape[:-2])[..., None, None] * np.eye(k)
+    b = rhs[..., None]
+    sol = np.linalg.solve(P, np.concatenate([b, b + L @ z[..., None]], axis=-1))
+    return sol[..., 1], sol[..., 0]
+
+
+@pytest.mark.parametrize("d", [[2.0, 0.0, 3.0], [2.0, -1.0, 3.0], [2.0, np.nan, 3.0], [2.0, np.inf]])
+def test_precision_draw_1x1_with_a_bad_member_takes_the_factor_path(d):
+    # a zero member is jittered, a negative one raises, NaN and inf members
+    # give what the factorization gives; the closed form changes none of it
+    P = np.array(d)[:, None, None]
+    rhs = np.linspace(-1.0, 1.0, len(d))[:, None]
+    try:
+        expect = _factor_and_solve_draw(P, rhs, make_rng(3))
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            draw_from_precision_system(P, rhs, make_rng(3))
+        return
+    got = draw_from_precision_system(P, rhs, make_rng(3))
+    np.testing.assert_array_equal(got[0], expect[0])
+    np.testing.assert_array_equal(got[1], expect[1])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (120,), (4, 5)])
+def test_precision_draw_1x1_closed_form_matches_reference_draw(shape):
+    rng = np.random.default_rng(11)
+    P = np.exp(rng.uniform(-30.0, 30.0, shape + (1, 1)))
+    rhs = rng.standard_normal(shape + (1,)) * np.exp(rng.uniform(-10.0, 10.0, shape + (1,)))
+    draw, mean = draw_from_precision_system(P, rhs, make_rng(12))
+    z = make_rng(12).standard_normal(rhs.shape)
+    ref_draw, ref_mean = _reference_draw(P, rhs, z)
+    d = P[..., 0]
+    # relative to the size of the two terms rhs/d and z/sqrt(d)
+    scale = np.abs(rhs / d) + np.abs(z / np.sqrt(d))
+    assert np.all(np.abs(draw - ref_draw) <= 1e-15 * scale)
+    assert np.all(np.abs(mean - ref_mean) <= 1e-15 * np.abs(ref_mean))
+
+
+def test_precision_draw_factors_only_stacks_the_closed_form_does_not_cover(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((120, 3, 2))
+    draw_from_precision_system(np.swapaxes(A, -1, -2) @ A + np.eye(2), rng.standard_normal((120, 2)), make_rng(0))
+    assert calls == [(120, 2, 2)]  # r = 2: the Cholesky path
+    draw_from_precision_system(np.full((120, 1, 1), 2.5), rng.standard_normal((120, 1)), make_rng(0))
+    assert calls == [(120, 2, 2)]  # r = 1 with positive members: closed form
+    draw_from_precision_system(np.array([[[2.5]], [[0.0]]]), np.ones((2, 1)), make_rng(0))
+    assert calls[1] == (2, 1, 1)  # a zero member: back on the Cholesky path
+
+
 def test_trunc_exp_matches_scipy_truncated_exponential():
     rng = make_rng(31)
     n = 150_000

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantvar.bvar import BvarConfig, run_bvar_chain
 from quantvar.data import LagDesign, build_lag_design
-from quantvar.dist import derive_rng, draw_from_precision_system, make_rng
+from quantvar.dist import (
+    derive_rng,
+    draw_from_precision_system,
+    draw_gig_half,
+    draw_inverse_gamma,
+    make_rng,
+)
 from quantvar.qbvar import (
     McmcSchedule,
     PosteriorDrawSet,
@@ -13,7 +20,6 @@ from quantvar.qbvar import (
     QuantileLevel,
     factor_systems,
     init_state,
-    residuals,
     run_chain,
     step_coefficients,
     step_factors,
@@ -171,7 +177,8 @@ def test_batched_steps_match_per_row_reference(r):
         ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[:, i]
         P, rhs = weighted_system(X, ytil, w, 1.0 / (state.psi[i] ** 2 * state.kappa**2))
         ref[i], _ = draw_from_precision_system(P, rhs, rng)
-    step_coefficients(design, state, theta, tau2, make_rng(40))
+    W = 1.0 / (tau2 * state.sigma * state.Z)
+    step_coefficients(design, state, theta, W, make_rng(40))
     np.testing.assert_allclose(state.Phi, ref, rtol=0, atol=1e-12)
 
     rng = make_rng(41)
@@ -181,7 +188,8 @@ def test_batched_steps_match_per_row_reference(r):
         ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[:, i]
         P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
         ref[i], _ = draw_from_precision_system(P, rhs, rng)
-    step_loadings(design, state, theta, tau2, make_rng(41))
+    R = Y - X @ state.Phi.T - theta * state.Z
+    step_loadings(state, W, R, make_rng(41))
     np.testing.assert_allclose(state.Lam, ref, rtol=0, atol=1e-12)
 
     rng = make_rng(42)
@@ -190,8 +198,83 @@ def test_batched_steps_match_per_row_reference(r):
     if r:
         for t in range(Y.shape[0]):
             ref[t], _ = draw_from_precision_system(P[t], rhs[t], rng)
-    step_factors(design, state, theta, tau2, make_rng(42))
+    step_factors(state, W, R, make_rng(42))
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
+
+
+def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian):
+    """One Gibbs sweep in which every step rebuilds the terms it reads.
+
+    These are the step formulas from before the sweep shared its terms;
+    the Gaussian model is theta = 0, tau2 = 1 with a conjugate scale draw.
+    """
+    Y, X = design.Y, design.X
+    r = state.Lam.shape[1]
+
+    def residuals():
+        E = Y - X @ state.Phi.T
+        if r:
+            E = E - state.F @ state.Lam.T
+        return E
+
+    W = 1.0 / (tau2 * state.sigma * state.Z)
+    Ytil = Y - theta * state.Z
+    if r:
+        Ytil = Ytil - state.F @ state.Lam.T
+    P, rhs = weighted_system(X, Ytil, W, 1.0 / (state.psi**2 * state.kappa**2))
+    state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
+    if r:
+        W = 1.0 / (tau2 * state.sigma * state.Z)
+        Ytil = Y - X @ state.Phi.T - theta * state.Z
+        P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
+        state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
+        W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)
+        R = Y - X @ state.Phi.T - theta * state.Z
+        P = np.einsum("ia,ti,ib->tab", state.Lam, W, state.Lam)
+        P[:, np.arange(r), np.arange(r)] += 1.0
+        rhs = np.einsum("ia,ti->ta", state.Lam, W * R)
+        state.F, _ = draw_from_precision_system(P, rhs, rng)
+    T = Y.shape[0]
+    if gaussian:
+        E = residuals()
+        state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, b_sigma + 0.5 * np.sum(E**2, axis=0), rng)
+    else:
+        E = residuals()
+        s = tau2 * state.sigma[None, :]
+        state.Z = np.maximum(draw_gig_half(E**2 / s, theta**2 / s + 2.0, rng), 1e-12)
+        E = residuals()
+        adj = E - theta * state.Z
+        scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=0)
+        state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
+    step_shrinkage(state, rng)
+    return float(np.sqrt(np.mean(residuals() ** 2)))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("model", ["qbvar", "bvar"])
+def test_chain_sweeps_equal_reference_sweeps_bit_for_bit(model, r):
+    # sharing W, Y - X Phi', the factor target and the residuals across the
+    # steps of a sweep must not move a single bit of any draw
+    design = _toy_design(seed=43, T=60, n=3, p=2)
+    sched = McmcSchedule(40, 0, 1)  # every sweep retained
+    if model == "qbvar":
+        cfg = QbvarConfig(p=2, r=r, quantile=0.1, schedule=sched)
+        draws, diag = run_chain(design, cfg, make_rng(50 + r))
+        theta, tau2 = cfg.level.theta, cfg.level.tau2
+    else:
+        cfg = BvarConfig(p=2, r=r, schedule=sched)
+        draws, diag = run_bvar_chain(design, cfg, make_rng(50 + r))
+        theta, tau2 = 0.0, 1.0
+    proxy = QbvarConfig(p=2, r=r, quantile=0.5)
+    state = init_state(design, proxy)
+    rng = make_rng(50 + r)
+    for it in range(sched.iterations):
+        rms = _reference_sweep(design, state, theta, tau2, 3.0, 1.0, rng, gaussian=model == "bvar")
+        np.testing.assert_array_equal(draws.Phi[it], state.Phi)
+        np.testing.assert_array_equal(draws.Lam[it], state.Lam)
+        np.testing.assert_array_equal(draws.sigma[it], state.sigma)
+        assert diag.residual_rms[it] == rms
+        assert diag.kappa_trace[it] == state.kappa
 
 
 def test_weighted_system_batches_rows():
@@ -215,7 +298,7 @@ def test_step_latent_respects_floor_and_conditional_moments():
     level = QuantileLevel(0.5)
     # Monte-Carlo check of the GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2)
     # conditional mean for one cell against the closed form
-    E = residuals(design, state)
+    E = design.Y - design.X @ state.Phi.T
     a = E**2 / (level.tau2 * state.sigma[None, :])
     b = np.full_like(a, level.theta**2 / (level.tau2 * state.sigma[0]) + 2.0)
     i, t = 0, 7
@@ -224,7 +307,7 @@ def test_step_latent_respects_floor_and_conditional_moments():
     rng = make_rng(123)
     draws = []
     for _ in range(4000):
-        step_latent(design, state, level.theta, level.tau2, rng)
+        step_latent(state, E, level.theta, level.tau2, rng)
         draws.append(state.Z[t, i])
         state.Z = np.ones_like(state.Z)  # residuals don't depend on Z; reset
     assert np.all(np.array(draws) >= 1e-12)
@@ -237,7 +320,7 @@ def test_step_scales_matches_inverse_gamma_moments():
     state = _fixed_state(design, r=0)
     level = QuantileLevel(0.25)
     theta, tau2 = level.theta, level.tau2
-    E = residuals(design, state)
+    E = design.Y - design.X @ state.Phi.T
     T = E.shape[0]
     adj = E[:, 0] - theta * state.Z[:, 0]
     scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[:, 0]))
@@ -245,7 +328,7 @@ def test_step_scales_matches_inverse_gamma_moments():
     rng = make_rng(7)
     draws = []
     for _ in range(6000):
-        step_scales(design, state, theta, tau2, 3.0, 1.0, rng)
+        step_scales(state, E, theta, tau2, 3.0, 1.0, rng)
         draws.append(state.sigma[0])
     draws = np.array(draws)
     assert np.all(draws > 0)
@@ -276,9 +359,10 @@ def test_step_scales_concentrates_on_true_scale():
         kappa=1.0,
     )
     kept = []
+    E = design.Y - design.X @ state.Phi.T  # the coefficients stay pinned
     for it in range(300):
-        step_latent(design, state, level.theta, level.tau2, rng)
-        step_scales(design, state, level.theta, level.tau2, 3.0, 1.0, rng)
+        step_latent(state, E, level.theta, level.tau2, rng)
+        step_scales(state, E, level.theta, level.tau2, 3.0, 1.0, rng)
         if it >= 100:
             kept.append(state.sigma.copy())
     post_mean = np.mean(kept, axis=0)
@@ -290,7 +374,7 @@ def test_step_shrinkage_keeps_scales_positive():
     state = _fixed_state(design, r=1)
     rng = make_rng(19)
     for _ in range(50):
-        step_coefficients(design, state, 0.0, 8.0, rng)
+        step_coefficients(design, state, 0.0, 1.0 / (8.0 * state.sigma * state.Z), rng)
         step_shrinkage(state, rng)
         assert np.all(state.psi > 0) and np.all(np.isfinite(state.psi))
         assert state.kappa > 0 and np.isfinite(state.kappa)
