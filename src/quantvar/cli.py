@@ -95,19 +95,6 @@ class RunFailure(RuntimeError):
         self.detail = detail or {}
 
 
-@dataclass(frozen=True)
-class QbvarModelSpec:
-    p: int
-    r: int
-    quantiles: tuple
-
-
-@dataclass(frozen=True)
-class BvarModelSpec:
-    p: int
-    r: int
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a recursive run needs, parsed from a JSON file."""
@@ -116,12 +103,9 @@ class ExperimentConfig:
     tcode_file: str
     target: str
     companions: list[str]
-    qbvar: QbvarModelSpec | None
-    bvar: BvarModelSpec | None
+    qbvar: tuple[QbvarConfig, ...]  # one per quantile level, ascending; empty if unused
+    bvar: BvarConfig | None
     include_rw: bool
-    schedule: McmcSchedule
-    a_sigma: float
-    b_sigma: float
     horizons: list[int]
     origins_start: str
     origins_end: str
@@ -138,13 +122,11 @@ class ExperimentConfig:
 
     @property
     def quantile_set(self) -> list[float]:
-        if self.qbvar is not None:
-            return sorted(self.qbvar.quantiles)
-        return [0.1, 0.5, 0.9]
+        return [m.quantile for m in self.qbvar] or [0.1, 0.5, 0.9]
 
     def model_ids(self) -> list[str]:
         ids = []
-        if self.qbvar is not None:
+        if self.qbvar:
             ids.append("qbvar")
         if self.bvar is not None:
             ids.append("bvar")
@@ -194,29 +176,32 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     if target in companions:
         raise ConfigError("target listed among companions; exactly one target")
 
+    mc = raw.get("mcmc", {})
+    shared = dict(
+        schedule=McmcSchedule(
+            iterations=int(mc.get("iterations", 3000)),
+            burn_in=int(mc.get("burn_in", 1000)),
+            thin=int(mc.get("thin", 5)),
+        ),
+        a_sigma=float(raw.get("a_sigma", 3.0)),
+        b_sigma=float(raw.get("b_sigma", 1.0)),
+    )
     models = raw.get("models", {})
-    qspec = None
+    qbvar = ()
     if "qbvar" in models:
         m = models["qbvar"]
-        qspec = QbvarModelSpec(
-            p=int(m["p"]), r=int(m.get("r", 0)), quantiles=tuple(float(q) for q in m["quantiles"])
-        )
-        if len(set(qspec.quantiles)) != len(qspec.quantiles):
-            raise ConfigError("duplicate quantiles in qbvar spec")
-    bspec = None
+        p, r, quantiles = int(m["p"]), int(m.get("r", 0)), [float(q) for q in m["quantiles"]]
+        if not quantiles or len(set(quantiles)) != len(quantiles):
+            raise ConfigError("qbvar quantiles must be a non-empty list of distinct levels")
+        qbvar = tuple(QbvarConfig(p=p, r=r, quantile=q, **shared) for q in sorted(quantiles))
+    bvar = None
     if "bvar" in models:
         m = models["bvar"]
-        bspec = BvarModelSpec(p=int(m["p"]), r=int(m.get("r", 0)))
+        bvar = BvarConfig(p=int(m["p"]), r=int(m.get("r", 0)), **shared)
     include_rw = bool(models.get("rw", False))
-    if qspec is None and bspec is None and not include_rw:
+    if not qbvar and bvar is None and not include_rw:
         raise ConfigError("no models configured")
 
-    mc = raw.get("mcmc", {})
-    schedule = McmcSchedule(
-        iterations=int(mc.get("iterations", 3000)),
-        burn_in=int(mc.get("burn_in", 1000)),
-        thin=int(mc.get("thin", 5)),
-    )
     horizons = [int(h) for h in raw.get("horizons", list(range(1, 13)))]
     if not horizons or sorted(set(horizons)) != sorted(horizons) or min(horizons) < 1:
         raise ConfigError("horizons must be distinct positive integers")
@@ -247,18 +232,15 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown combination strategy {strategy!r}")
 
-    benchmark = raw.get("benchmark", "bvar" if bspec is not None else "rw")
+    benchmark = raw.get("benchmark", "bvar" if bvar is not None else "rw")
     cfg = ExperimentConfig(
         data_file=data_file,
         tcode_file=tcode_file,
         target=target,
         companions=companions,
-        qbvar=qspec,
-        bvar=bspec,
+        qbvar=qbvar,
+        bvar=bvar,
         include_rw=include_rw,
-        schedule=schedule,
-        a_sigma=float(raw.get("a_sigma", 3.0)),
-        b_sigma=float(raw.get("b_sigma", 1.0)),
         horizons=sorted(horizons),
         origins_start=origins_start,
         origins_end=origins_end,
@@ -306,17 +288,9 @@ def _forecast_one_origin(payload):
         records: dict = {}
         quantiles = cfg.quantile_set
 
-        if cfg.qbvar is not None:
-            design = build_lag_design(est, cfg.qbvar.p, names)
-            for qi, q in enumerate(quantiles):
-                model_cfg = QbvarConfig(
-                    p=cfg.qbvar.p,
-                    r=cfg.qbvar.r,
-                    quantile=q,
-                    schedule=cfg.schedule,
-                    a_sigma=cfg.a_sigma,
-                    b_sigma=cfg.b_sigma,
-                )
+        if cfg.qbvar:
+            design = build_lag_design(est, cfg.qbvar[0].p, names)
+            for qi, model_cfg in enumerate(cfg.qbvar):
                 rng = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["qbvar"], qi, _STAGE_CHAIN)
                 draws, _ = run_chain(design, model_cfg, rng)
                 rng_fc = derive_rng(
@@ -324,19 +298,12 @@ def _forecast_one_origin(payload):
                 )
                 block = quantile_forecast(draws, est, H, rng_fc)
                 for h in cfg.horizons:
-                    records[("qbvar", h, q)] = block[h - 1]
+                    records[("qbvar", h, model_cfg.quantile)] = block[h - 1]
 
         if cfg.bvar is not None:
             design = build_lag_design(est, cfg.bvar.p, names)
-            model_cfg = BvarConfig(
-                p=cfg.bvar.p,
-                r=cfg.bvar.r,
-                schedule=cfg.schedule,
-                a_sigma=cfg.a_sigma,
-                b_sigma=cfg.b_sigma,
-            )
             rng = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["bvar"], 0, _STAGE_CHAIN)
-            draws, _ = run_bvar_chain(design, model_cfg, rng)
+            draws, _ = run_bvar_chain(design, cfg.bvar, rng)
             rng_fc = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["bvar"], 0, _STAGE_FORECAST)
             by_q = predictive_quantiles(draws, est, H, quantiles, rng_fc)
             for q, block in by_q.items():
@@ -447,7 +414,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
             "origin range leaves no realizations for the longest horizon; "
             f"last origin must be {max_h} months before {dates[-1]}"
         )
-    p_max = max([s.p for s in (cfg.qbvar, cfg.bvar) if s is not None], default=1)
+    p_max = max([m.p for m in (*cfg.qbvar, cfg.bvar) if m is not None], default=1)
     min_rows = p_max + 20
     if date_idx[cfg.origins_start] + 1 < min_rows:
         raise ConfigError(f"first origin leaves under {min_rows} estimation rows")

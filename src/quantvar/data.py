@@ -237,10 +237,6 @@ class LagDesign:
     def n_obs(self) -> int:
         return self.Y.shape[0]
 
-    @property
-    def n_regressors(self) -> int:
-        return self.X.shape[1]
-
 
 def build_lag_design(Y, p: int, variable_names=None) -> LagDesign:
     """Build (Y, X) for a VAR(p) with intercept, lag-1 block first.

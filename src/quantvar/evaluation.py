@@ -45,24 +45,32 @@ class EventWindow:
         if month_index(self.start) >= month_index(self.end):
             raise EvaluationError(f"event window {self.label!r}: start must precede end")
 
-    def contains(self, date: str) -> bool:
-        return month_index(self.start) <= month_index(date) <= month_index(self.end)
 
+def realizations(panel: TimeSeriesPanel, variable: str):
+    """:func:`realized_value` for one panel and variable, its bounds parsed once.
 
-def realization_date(origin: str, horizon: int) -> str:
-    return month_label(month_index(origin) + horizon)
+    Returns ``value(origin, horizon)``: the observation at origin+h months,
+    None when it lies beyond the sample end (not yet observed), and an
+    EvaluationError when it precedes the sample start.
+    """
+    first = month_index(panel.dates[0])
+    last = month_index(panel.dates[-1])
+    column = panel.values[:, panel.names.index(variable)]
+
+    def value(origin: str, horizon: int):
+        target = month_index(origin) + horizon
+        if target > last:
+            return None
+        if target < first:
+            raise EvaluationError(f"realization date {month_label(target)} precedes the sample")
+        return float(column[target - first])
+
+    return value
 
 
 def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: int):
     """Observed value at origin+h months, or None when not yet observed."""
-    target = month_index(origin) + horizon
-    last = month_index(panel.dates[-1])
-    first = month_index(panel.dates[0])
-    if target > last:
-        return None
-    if target < first:
-        raise EvaluationError(f"realization date {month_label(target)} precedes the sample")
-    return float(panel.values[target - first, panel.names.index(variable)])
+    return realizations(panel, variable)(origin, horizon)
 
 
 def score_records(
@@ -74,9 +82,10 @@ def score_records(
     (they are not yet observable); everything else must resolve.
     """
     col = fset.variable_names.index(variable)
+    realized = realizations(panel, variable)
     out = {}
     for (model_id, origin, h, q), values in fset.records.items():
-        y = realized_value(panel, variable, origin, h)
+        y = realized(origin, h)
         if y is None:
             continue
         u = y - float(values[col])

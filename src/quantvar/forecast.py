@@ -77,31 +77,16 @@ def simulate_paths(
 
 
 def quantile_forecast(
-    draws: PosteriorDrawSet,
-    history: np.ndarray,
-    horizon: int,
-    rng: np.random.Generator,
-    quantile: float | None = None,
+    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(horizon, n) quantile forecast from a posterior draw set.
+    """(horizon, n) forecast of a quantile model: the median across draws.
 
-    For a quantile model the level is fixed at estimation time and the
-    forecast is the median across draws; passing a conflicting ``quantile``
-    is an error. The Gaussian model requires ``quantile`` and returns the
-    empirical quantile of its predictive distribution.
+    The level is fixed at estimation time. A Gaussian draw set is an error;
+    its quantiles come from :func:`predictive_quantiles`.
     """
-    paths = simulate_paths(draws, history, horizon, rng)
-    if draws.kind == "qbvar":
-        if quantile is not None and not np.isclose(quantile, draws.quantile):
-            raise ValueError(
-                f"draw set is for quantile {draws.quantile}, asked for {quantile}"
-            )
-        return np.nanmedian(paths, axis=0)
-    if quantile is None:
-        raise ValueError("the Gaussian model needs an explicit quantile level")
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must lie in (0, 1)")
-    return np.nanquantile(paths, quantile, axis=0)
+    if draws.kind != "qbvar":
+        raise ValueError(f"quantile_forecast needs a qbvar draw set, got {draws.kind!r}")
+    return np.nanmedian(simulate_paths(draws, history, horizon, rng), axis=0)
 
 
 def predictive_quantiles(
@@ -164,9 +149,6 @@ class QuantileForecastSet:
     def get(self, model_id: str, origin: str, horizon: int, quantile: float) -> np.ndarray:
         return self.records[self._key(model_id, origin, horizon, quantile)]
 
-    def has(self, model_id: str, origin: str, horizon: int, quantile: float) -> bool:
-        return self._key(model_id, origin, horizon, quantile) in self.records
-
     def model_ids(self) -> list[str]:
         return sorted({k[0] for k in self.records})
 
@@ -179,14 +161,6 @@ class QuantileForecastSet:
 
     def quantiles(self) -> list[float]:
         return sorted({k[3] for k in self.records})
-
-    def merge(self, other: "QuantileForecastSet") -> None:
-        if other.variable_names != self.variable_names:
-            raise ValueError("cannot merge forecast sets over different variables")
-        for key, vals in other.records.items():
-            if key in self.records:
-                raise ValueError(f"duplicate forecast record {key}")
-            self.records[key] = vals
 
 
 def write_forecasts(fset: QuantileForecastSet, path) -> None:

@@ -21,6 +21,7 @@ import quantvar.data as data
 import quantvar.evaluation as evaluation
 import quantvar.forecast as forecast
 import quantvar.qbvar as qbvar
+from quantvar.bvar import BvarConfig
 from quantvar.dist import make_rng
 from quantvar.qbvar import McmcSchedule, QbvarConfig
 
@@ -87,3 +88,25 @@ def test_run_chain_calls_step_coefficients_once_per_sweep(monkeypatch, r):
     qbvar.run_chain(design, QbvarConfig(p=1, r=r, quantile=0.25, schedule=sched), make_rng(2))
     assert len(calls) == sched.iterations
     assert all(d is design for d in calls)  # the design is the first argument
+
+
+def test_run_bvar_chain_calls_only_its_own_step_coefficients(monkeypatch):
+    # step_ms times quantile sweeps only: a Gaussian sweep that called
+    # quantvar.qbvar.step_coefficients would enter the paced gaps
+    calls = {"bvar": 0, "qbvar": 0}
+
+    def counting(module):
+        step = module.step_coefficients
+
+        def counted(*args):
+            calls[module.__name__.rsplit(".", 1)[1]] += 1
+            return step(*args)
+
+        return counted
+
+    for module in (bvar, qbvar):
+        monkeypatch.setattr(module, "step_coefficients", counting(module))
+    design = data.build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
+    sched = McmcSchedule(25, 5, 2)
+    bvar.run_bvar_chain(design, BvarConfig(p=1, r=1, schedule=sched), make_rng(2))
+    assert calls == {"bvar": sched.iterations, "qbvar": 0}

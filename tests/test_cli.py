@@ -51,7 +51,9 @@ def _minimal_raw(**over):
 def test_parse_config_defaults():
     cfg = parse_config(_minimal_raw(), base_dir="/base")
     assert cfg.horizons == list(range(1, 13))
-    assert (cfg.schedule.iterations, cfg.schedule.burn_in, cfg.schedule.thin) == (3000, 1000, 5)
+    sched = cfg.bvar.schedule
+    assert (sched.iterations, sched.burn_in, sched.thin) == (3000, 1000, 5)
+    assert (cfg.bvar.a_sigma, cfg.bvar.b_sigma) == (3.0, 1.0)
     assert [w.label for w in cfg.evaluation_windows] == ["main", "recent"]
     assert cfg.evaluation_windows[0].start == "2008-01"
     assert cfg.evaluation_windows[1].start == "2013-01"
@@ -78,6 +80,7 @@ def test_parse_config_rejections():
         _minimal_raw(companions=["tgt"]),
         _minimal_raw(models={}),
         _minimal_raw(models={"qbvar": {"p": 1, "quantiles": [0.5, 0.5]}}),
+        _minimal_raw(models={"qbvar": {"p": 1, "quantiles": []}, "bvar": {"p": 1}}),
         _minimal_raw(horizons=[0, 1]),
         _minimal_raw(horizons=[1, 1]),
         _minimal_raw(horizons=[]),
@@ -112,6 +115,16 @@ def test_parse_config_rejections():
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
+            parse_config(raw)
+    # values only the model configs reject: parsed once, before any chain runs
+    bad_values = [
+        _minimal_raw(models={"qbvar": {"p": 1, "quantiles": [0.5, 1.5]}}),
+        _minimal_raw(models={"qbvar": {"p": 0, "quantiles": [0.5]}}),
+        _minimal_raw(models={"bvar": {"p": 1, "r": -1}}),
+        _minimal_raw(a_sigma=0.0),
+    ]
+    for raw in bad_values:
+        with pytest.raises(ValueError):
             parse_config(raw)
 
 

@@ -12,7 +12,6 @@ from quantvar.evaluation import (
     pinball,
     qs_ratio,
     ratio_table_rows,
-    realization_date,
     realized_value,
     render_ratio_table,
     render_score_table,
@@ -106,10 +105,6 @@ def test_pinball_convex(a, b, q, w):
 # realizations and windows
 
 
-def test_realization_date_arithmetic():
-    assert realization_date("2019-11", 3) == "2020-02"
-
-
 def test_realized_value_alignment_and_bounds():
     panel = _panel([[10.0], [11.0], [12.0]], start="2005-06")
     assert realized_value(panel, "y0", "2005-06", 1) == 11.0
@@ -120,9 +115,7 @@ def test_realized_value_alignment_and_bounds():
 
 
 def test_event_window_membership():
-    w = EventWindow("slump", "2014-06", "2016-01")
-    assert w.contains("2014-06") and w.contains("2016-01") and w.contains("2015-03")
-    assert not w.contains("2014-05") and not w.contains("2016-02")
+    # inclusive bounds are covered by test_window_by_realization_date_vs_origin
     with pytest.raises(EvaluationError):
         EventWindow("bad", "2015-01", "2015-01")
 

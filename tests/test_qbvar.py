@@ -254,27 +254,33 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
 @pytest.mark.parametrize("model", ["qbvar", "bvar"])
 def test_chain_sweeps_equal_reference_sweeps_bit_for_bit(model, r):
     # sharing W, Y - X Phi', the factor target and the residuals across the
-    # steps of a sweep must not move a single bit of any draw
+    # steps of a sweep must not move a single bit of any draw, and retained
+    # draw s is the state after sweep burn_in + s * thin (counted from 0)
     design = _toy_design(seed=43, T=60, n=3, p=2)
-    sched = McmcSchedule(40, 0, 1)  # every sweep retained
-    if model == "qbvar":
-        cfg = QbvarConfig(p=2, r=r, quantile=0.1, schedule=sched)
-        draws, diag = run_chain(design, cfg, make_rng(50 + r))
-        theta, tau2 = cfg.level.theta, cfg.level.tau2
-    else:
-        cfg = BvarConfig(p=2, r=r, schedule=sched)
-        draws, diag = run_bvar_chain(design, cfg, make_rng(50 + r))
-        theta, tau2 = 0.0, 1.0
-    proxy = QbvarConfig(p=2, r=r, quantile=0.5)
-    state = init_state(design, proxy)
-    rng = make_rng(50 + r)
-    for it in range(sched.iterations):
-        rms = _reference_sweep(design, state, theta, tau2, 3.0, 1.0, rng, gaussian=model == "bvar")
-        np.testing.assert_array_equal(draws.Phi[it], state.Phi)
-        np.testing.assert_array_equal(draws.Lam[it], state.Lam)
-        np.testing.assert_array_equal(draws.sigma[it], state.sigma)
-        assert diag.residual_rms[it] == rms
-        assert diag.kappa_trace[it] == state.kappa
+    for sched in (McmcSchedule(40, 0, 1), McmcSchedule(40, 7, 3)):
+        if model == "qbvar":
+            cfg = QbvarConfig(p=2, r=r, quantile=0.1, schedule=sched)
+            draws, diag = run_chain(design, cfg, make_rng(50 + r))
+            theta, tau2 = cfg.level.theta, cfg.level.tau2
+        else:
+            cfg = BvarConfig(p=2, r=r, schedule=sched)
+            draws, diag = run_bvar_chain(design, cfg, make_rng(50 + r))
+            theta, tau2 = 0.0, 1.0
+        state = init_state(design, cfg)
+        rng = make_rng(50 + r)
+        retained = 0
+        for it in range(sched.iterations):
+            rms = _reference_sweep(design, state, theta, tau2, 3.0, 1.0, rng, gaussian=model == "bvar")
+            s, offset = divmod(it - sched.burn_in, sched.thin)
+            if it < sched.burn_in or offset or s >= sched.n_draws:
+                continue
+            np.testing.assert_array_equal(draws.Phi[s], state.Phi)
+            np.testing.assert_array_equal(draws.Lam[s], state.Lam)
+            np.testing.assert_array_equal(draws.sigma[s], state.sigma)
+            assert diag.residual_rms[s] == rms
+            assert diag.kappa_trace[s] == state.kappa
+            retained += 1
+        assert retained == draws.n_draws == sched.n_draws
 
 
 def test_weighted_system_batches_rows():
