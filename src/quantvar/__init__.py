@@ -1,109 +1,3 @@
 """Quantile Bayesian VAR estimation, forecasting, scoring and combination."""
 
 __version__ = "0.1.0"
-
-from .bvar import BvarConfig, run_bvar_chain
-from .combine import (
-    CombinationWeightSeries,
-    combination_objective,
-    combine_fixed,
-    combine_weighted,
-    optimal_weight,
-    performance_weight,
-    weight_curve,
-)
-from .data import (
-    LagDesign,
-    PanelError,
-    TimeSeriesPanel,
-    TransformCode,
-    apply_transform,
-    build_lag_design,
-    deflate,
-    read_panel,
-    splice_by_growth,
-    transform_panel,
-    write_panel,
-)
-from .dist import (
-    derive_rng,
-    draw_gig_half,
-    draw_inverse_gamma,
-    make_rng,
-    update_horseshoe,
-)
-from .evaluation import (
-    EventWindow,
-    RatioTable,
-    ScoreTable,
-    average_qs,
-    pinball,
-    qs_ratio,
-)
-from .forecast import (
-    ForecastError,
-    QuantileForecastSet,
-    predictive_quantiles,
-    quantile_forecast,
-    random_walk_forecast,
-    read_forecasts,
-    simulate_paths,
-    write_forecasts,
-)
-from .qbvar import (
-    McmcSchedule,
-    PosteriorDrawSet,
-    QbvarConfig,
-    QbvarState,
-    QuantileLevel,
-    run_chain,
-)
-
-__all__ = [
-    "__version__",
-    "BvarConfig",
-    "CombinationWeightSeries",
-    "EventWindow",
-    "ForecastError",
-    "LagDesign",
-    "McmcSchedule",
-    "PanelError",
-    "PosteriorDrawSet",
-    "QbvarConfig",
-    "QbvarState",
-    "QuantileForecastSet",
-    "QuantileLevel",
-    "RatioTable",
-    "ScoreTable",
-    "TimeSeriesPanel",
-    "TransformCode",
-    "apply_transform",
-    "average_qs",
-    "build_lag_design",
-    "combination_objective",
-    "combine_fixed",
-    "combine_weighted",
-    "deflate",
-    "derive_rng",
-    "draw_gig_half",
-    "draw_inverse_gamma",
-    "make_rng",
-    "optimal_weight",
-    "performance_weight",
-    "pinball",
-    "predictive_quantiles",
-    "qs_ratio",
-    "quantile_forecast",
-    "random_walk_forecast",
-    "read_forecasts",
-    "read_panel",
-    "run_bvar_chain",
-    "run_chain",
-    "simulate_paths",
-    "splice_by_growth",
-    "transform_panel",
-    "update_horseshoe",
-    "weight_curve",
-    "write_forecasts",
-    "write_panel",
-]

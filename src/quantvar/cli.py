@@ -71,13 +71,15 @@ from .forecast import (
     read_forecasts,
     write_forecasts,
 )
-from .qbvar import McmcSchedule, PosteriorDrawSet, QbvarConfig, run_chain
+from .qbvar import McmcSchedule, ModelConfig, PosteriorDrawSet, QbvarConfig, run_chain
 
 # model indices for seed derivation (stable across runs)
 _MODEL_SEED_INDEX = {"qbvar": 0, "bvar": 1, "rw": 2}
 _STAGE_CHAIN, _STAGE_FORECAST = 0, 1
 
 _COMBINATION_IDS = {"performance": "comb_perf", "optimal": "comb_opt"}
+# trailing window S of an adaptive strategy when a config or command names none
+_DEFAULT_COMBINATION_WINDOWS = {"performance": 50, "optimal": 75}
 
 _DEFAULT_EVAL_WINDOWS = [
     {"label": "main", "start": "2008-01", "end": "2025-02"},
@@ -179,12 +181,12 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     mc = raw.get("mcmc", {})
     shared = dict(
         schedule=McmcSchedule(
-            iterations=int(mc.get("iterations", 3000)),
-            burn_in=int(mc.get("burn_in", 1000)),
-            thin=int(mc.get("thin", 5)),
+            iterations=int(mc.get("iterations", McmcSchedule.iterations)),
+            burn_in=int(mc.get("burn_in", McmcSchedule.burn_in)),
+            thin=int(mc.get("thin", McmcSchedule.thin)),
         ),
-        a_sigma=float(raw.get("a_sigma", 3.0)),
-        b_sigma=float(raw.get("b_sigma", 1.0)),
+        a_sigma=float(raw.get("a_sigma", ModelConfig.a_sigma)),
+        b_sigma=float(raw.get("b_sigma", ModelConfig.b_sigma)),
     )
     models = raw.get("models", {})
     qbvar = ()
@@ -225,7 +227,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
                 raise ConfigError("fixed combination weight must lie in [0, 1]")
             combos.append({"strategy": "fixed", "lambda": lam})
         elif strategy in ("performance", "optimal"):
-            window = int(c.get("window", 50 if strategy == "performance" else 75))
+            window = int(c.get("window", _DEFAULT_COMBINATION_WINDOWS[strategy]))
             if window < 1:
                 raise ConfigError("combination window must be >= 1")
             combos.append({"strategy": strategy, "window": window})
@@ -321,15 +323,15 @@ def _forecast_one_origin(payload):
         return origin, None, f"{type(exc).__name__}: {exc}"
 
 
-def _history(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str, q: float, h: int):
-    """Origins of ``a_id`` whose h-step realization is observed, oldest first.
+def _history(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str, q: float, h: int, origins):
+    """The ``origins`` (sorted origins of ``a_id``) whose h-step realization is observed.
 
     Returns (origins, target forecasts of a, target forecasts of b,
     realizations) at level q, the last three as float arrays.
     """
     col = fc_a.variable_names.index(target)
     rows = []
-    for o in fc_a.origins(a_id):
+    for o in origins:
         y = realized_value(tpanel, target, o, h)
         if y is not None:
             rows.append((o, float(fc_a.get(a_id, o, h, q)[col]), float(fc_b.get(b_id, o, h, q)[col]), y))
@@ -351,13 +353,15 @@ def _combine(fc_a, a_id, fc_b, b_id, strategy: str, lambda_or_window, model_id: 
         return combine_weighted(fc_a, fc_b, series, model_id), series
     S = lambda_or_window
     series = CombinationWeightSeries(strategy=strategy, window=S)
+    origins_a = fc_a.origins(a_id)
+    month_of = {o: month_index(o) for o in origins_a}
     for q in fc_a.quantiles():
         for h in fc_a.horizons():
-            origins, fa, fb, ys = _history(fc_a, a_id, fc_b, b_id, tpanel, target, q, h)
+            origins, fa, fb, ys = _history(fc_a, a_id, fc_b, b_id, tpanel, target, q, h, origins_a)
             # origins are sorted, so the realizations known at t form a prefix
-            known_at = [month_index(o) + h for o in origins]
-            for t in fc_a.origins(a_id):
-                n = bisect.bisect_right(known_at, month_index(t))
+            known_at = [month_of[o] + h for o in origins]
+            for t in origins_a:
+                n = bisect.bisect_right(known_at, month_of[t])
                 if strategy == "performance":
                     scores_a, scores_b = pinball(ys[:n] - fa[:n], q), pinball(ys[:n] - fb[:n], q)
                     lam, warm = performance_weight(scores_a, scores_b, S)
@@ -470,10 +474,11 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
         # weight-vs-lambda curves for the plain qbvar/benchmark pair
         curve_rows = [["quantile", "horizon", "lambda", "avg_qs", "ratio_to_benchmark", "optimal"]]
+        origins_q = fc_q.origins("qbvar")
         for q in fc_q.quantiles():
             for h in fc_q.horizons():
                 # never empty: run_recursive checked every origin has its realizations
-                _, fq, fb, ys = _history(fc_q, "qbvar", fc_b, bench, tpanel, cfg.target, q, h)
+                _, fq, fb, ys = _history(fc_q, "qbvar", fc_b, bench, tpanel, cfg.target, q, h, origins_q)
                 grid, vals, ratios = weight_curve(fq, fb, ys, q, n_points=101)
                 for g, v, rr in zip(grid, vals, ratios):
                     curve_rows.append(
@@ -493,7 +498,10 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         write_forecasts(fsets[model_id], os.path.join(out, "forecasts", f"{model_id}.csv"))
 
     # score and ratio tables per window (evaluation windows, then event windows)
-    _emit_tables(cfg, [fsets[m] for m in sorted(fsets)], tpanel, out)
+    _emit_tables(
+        [fsets[m] for m in sorted(fsets)], tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark,
+        os.path.join(out, "tables"),
+    )
 
     # canonical config copy (data paths resolved so `report` works from
     # anywhere), errors, manifest
@@ -522,42 +530,42 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     return manifest
 
 
-def _window_tables(fsets, tpanel, target: str, windows, benchmark: str | None, by_origin=False):
-    """Yield, per (window, label), its ScoreTable and its ratios to the benchmark.
-
-    Every set is scored once and each window averages those scores. Raises
-    EvaluationError for a window with nothing scorable and for a model
-    whose coverage differs from the benchmark's.
-    """
-    scored = [score_records(fset, tpanel, target) for fset in fsets]
-    for window, label in windows:
-        table = average_qs(scored, tpanel, target, window=window, by_origin=by_origin, window_label=label)
-        others = [m for m in table.models() if m != benchmark] if benchmark else []
-        yield table, [qs_ratio(table, m, benchmark) for m in others]
-
-
 def _ratio_name(slug: str, ratios) -> str:
     return f"ratios__{slug}__{_safe_label(ratios.numerator)}_vs_{_safe_label(ratios.benchmark)}"
 
 
-def _emit_tables(cfg: ExperimentConfig, all_sets, tpanel, out) -> None:
-    """Score + ratio tables for every evaluation and event window."""
-    tables = os.path.join(out, "tables")
-    for table, ratio_tables in _window_tables(
-        all_sets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark
-    ):
-        slug = _safe_label(table.window_label)
-        scores = os.path.join(tables, f"scores__{slug}")
+def _emit_tables(
+    fsets, tpanel, target: str, windows, benchmark: str | None, out_dir=None, by_origin=False
+) -> str:
+    """Score and ratio tables per (window, label); returns their text.
+
+    Every set is scored once and each window averages those scores. With
+    ``out_dir``, each table goes to ``scores__<window>`` or
+    ``ratios__<window>__<model>_vs_<benchmark>`` as .csv and .txt; a window
+    that covers no realizations gets only a ``scores__<window>.txt`` n/a
+    note. Raises EvaluationError for a window with nothing scorable and for
+    a model whose coverage differs from the benchmark's.
+    """
+    scored = [score_records(fset, tpanel, target) for fset in fsets]
+    chunks = []
+    for window, label in windows:
+        table = average_qs(scored, tpanel, target, window=window, by_origin=by_origin, window_label=label)
+        slug = _safe_label(label)
         if not table.entries:
-            # window covers no realizations: leave an explicit n/a marker
-            _write_text(f"{scores}.txt", f"window {table.window_label}: no covered realizations (n/a)\n")
+            note = f"window {label}: no covered realizations (n/a)\n"
+            chunks.append(note)
+            if out_dir:
+                _write_text(os.path.join(out_dir, f"scores__{slug}.txt"), note)
             continue
-        _write_csv(f"{scores}.csv", score_table_rows(table))
-        _write_text(f"{scores}.txt", render_score_table(table))
-        for ratios in ratio_tables:
-            name = os.path.join(tables, _ratio_name(slug, ratios))
-            _write_csv(f"{name}.csv", ratio_table_rows(ratios))
-            _write_text(f"{name}.txt", render_ratio_table(ratios))
+        ratios = [qs_ratio(table, m, benchmark) for m in table.models() if benchmark and m != benchmark]
+        named = [(f"scores__{slug}", score_table_rows(table), render_score_table(table))]
+        named += [(_ratio_name(slug, r), ratio_table_rows(r), render_ratio_table(r)) for r in ratios]
+        for name, rows, text in named:
+            chunks.append(text)
+            if out_dir:
+                _write_csv(os.path.join(out_dir, f"{name}.csv"), rows)
+                _write_text(os.path.join(out_dir, f"{name}.txt"), text)
+    return "\n".join(chunks)
 
 
 def report(run_dir: str, output_path: str | None = None) -> str:
@@ -572,16 +580,7 @@ def report(run_dir: str, output_path: str | None = None) -> str:
     fsets = [read_forecasts(os.path.join(fdir, f)) for f in sorted(os.listdir(fdir))]
     panel = read_panel(cfg.data_file, cfg.tcode_file)
     tpanel = transform_panel(panel.select(cfg.variables))
-    chunks = []
-    for table, ratio_tables in _window_tables(
-        fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark
-    ):
-        if not table.entries:
-            chunks.append(f"window {table.window_label}: no covered realizations (n/a)\n")
-            continue
-        chunks.append(render_score_table(table))
-        chunks += [render_ratio_table(r) for r in ratio_tables]
-    text = "\n".join(chunks)
+    text = _emit_tables(fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark)
     if output_path:
         _write_text(output_path, text)
     return text
@@ -677,18 +676,7 @@ def _cmd_evaluate(args) -> int:
         (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
     ]
     os.makedirs(args.output_dir, exist_ok=True)
-    for table, ratio_tables in _window_tables(
-        fsets, tpanel, args.target, windows, args.benchmark, args.by_origin
-    ):
-        slug = _safe_label(table.window_label)
-        _write_csv(os.path.join(args.output_dir, f"scores__{slug}.csv"), score_table_rows(table))
-        text = render_score_table(table)
-        for ratios in ratio_tables:
-            name = os.path.join(args.output_dir, _ratio_name(slug, ratios))
-            _write_csv(f"{name}.csv", ratio_table_rows(ratios))
-            text += "\n" + render_ratio_table(ratios)
-        _write_text(os.path.join(args.output_dir, f"tables__{slug}.txt"), text)
-        print(text)
+    print(_emit_tables(fsets, tpanel, args.target, windows, args.benchmark, args.output_dir, args.by_origin))
     return 0
 
 
@@ -701,7 +689,8 @@ def _cmd_combine(args) -> int:
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
-        tpanel, setting = _load_system(args)[0], args.window
+        tpanel = _load_system(args)[0]
+        setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(
         fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
         args.model_id, tpanel, args.target,
@@ -764,11 +753,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=int, default=0)
     g.add_argument("--quantile", type=float)
     g.add_argument("--quantile-index", type=int, default=0, help="seed-stream index")
-    g.add_argument("--iterations", type=int, default=3000)
-    g.add_argument("--burn-in", type=int, default=1000)
-    g.add_argument("--thin", type=int, default=5)
-    g.add_argument("--a-sigma", type=float, default=3.0)
-    g.add_argument("--b-sigma", type=float, default=1.0)
+    g.add_argument("--iterations", type=int, default=McmcSchedule.iterations)
+    g.add_argument("--burn-in", type=int, default=McmcSchedule.burn_in)
+    g.add_argument("--thin", type=int, default=McmcSchedule.thin)
+    g.add_argument("--a-sigma", type=float, default=ModelConfig.a_sigma)
+    g.add_argument("--b-sigma", type=float, default=ModelConfig.b_sigma)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--output", required=True)
     g.set_defaults(func=_cmd_estimate)
@@ -799,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--forecasts-b", required=True)
     g.add_argument("--strategy", choices=["fixed", "performance", "optimal"], required=True)
     g.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    g.add_argument("--window", type=int, default=50)
+    g.add_argument("--window", type=int)
     g.add_argument("--data")
     g.add_argument("--tcodes")
     g.add_argument("--variables")

@@ -10,7 +10,9 @@ Three weighting strategies for q_comb = lam * q_a + (1 - lam) * q_b:
                by enumerating its kinks.
 
 Until S scored origins have accumulated, both adaptive strategies fall
-back to lam = 0.5 and flag the origin as warm-up.
+back to lam = 0.5 and flag the origin as warm-up. Every strategy is applied
+by :func:`combine_weighted` from a :class:`CombinationWeightSeries`; a fixed
+weight is a series that holds lam in every cell.
 """
 
 from __future__ import annotations
@@ -44,24 +46,6 @@ def _aligned_cells(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet):
         missing = cells_a.symmetric_difference(cells_b)
         raise CombinationError(f"forecast sets misaligned on {len(missing)} cells")
     return a_id, b_id, sorted(cells_a)
-
-
-def combine_fixed(
-    fc_a: QuantileForecastSet,
-    fc_b: QuantileForecastSet,
-    lam: float,
-    model_id: str = "comb_fixed",
-) -> QuantileForecastSet:
-    """Cellwise lam * a + (1 - lam) * b over two aligned forecast sets."""
-    if not 0.0 <= lam <= 1.0:
-        raise CombinationError(f"weight must lie in [0, 1], got {lam}")
-    a_id, b_id, cells = _aligned_cells(fc_a, fc_b)
-    out = QuantileForecastSet(variable_names=list(fc_a.variable_names))
-    for origin, h, q in cells:
-        va = fc_a.get(a_id, origin, h, q)
-        vb = fc_b.get(b_id, origin, h, q)
-        out.add(model_id, origin, h, q, lam * va + (1.0 - lam) * vb)
-    return out
 
 
 def performance_weight(scores_a, scores_b, S: int) -> tuple[float, bool]:

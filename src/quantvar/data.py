@@ -71,17 +71,6 @@ def apply_transform(levels, code) -> np.ndarray:
     return np.diff(np.log(x))
 
 
-def invert_transform(transformed, code, initial: float) -> np.ndarray:
-    """Recover levels from a transformed series given the initial level."""
-    code = TransformCode(code)
-    z = np.asarray(transformed, dtype=float)
-    if code == TransformCode.LEVEL:
-        return z.copy()
-    if code == TransformCode.DIFFERENCE:
-        return initial + np.concatenate([[0.0], np.cumsum(z)])
-    return initial * np.exp(np.concatenate([[0.0], np.cumsum(z)]))
-
-
 def deflate(nominal, cpi) -> np.ndarray:
     """Deflate a nominal series, normalized so the final period's deflator is 1.
 

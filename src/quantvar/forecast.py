@@ -153,8 +153,7 @@ class QuantileForecastSet:
         return sorted({k[0] for k in self.records})
 
     def origins(self, model_id: str | None = None) -> list[str]:
-        keys = self.records if model_id is None else {k: None for k in self.records if k[0] == model_id}
-        return sorted({k[1] for k in keys})
+        return sorted({k[1] for k in self.records if model_id is None or k[0] == model_id})
 
     def horizons(self) -> list[int]:
         return sorted({k[2] for k in self.records})

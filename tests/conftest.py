@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quantvar.data import month_index, month_label
+from quantvar.forecast import QuantileForecastSet, write_forecasts
 
 
 def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
@@ -42,6 +43,27 @@ def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
             fh.write(d + "," + ",".join(f"{cols[n][i]:.17g}" for n in names) + "\n")
     tcode_path.write_text(json.dumps(tcodes, sort_keys=True))
     return csv_path, tcode_path
+
+
+def make_forecast_pair(dir_path, origins=("2017-08", "2018-03"), horizons=(1, 2),
+                       quantiles=(0.25, 0.5), seed=3):
+    """Write aligned qbvar.csv and bvar.csv forecasts of (tgt, c1); returns their paths.
+
+    Every origin in the inclusive range gets every (horizon, quantile) cell,
+    so with :func:`make_raw_panel`'s sample every realization is observed.
+    """
+    rng = np.random.default_rng(seed)
+    paths = []
+    for model_id in ("qbvar", "bvar"):
+        fset = QuantileForecastSet(variable_names=["tgt", "c1"])
+        for i in range(month_index(origins[0]), month_index(origins[1]) + 1):
+            for h in horizons:
+                for q in quantiles:
+                    fset.add(model_id, month_label(i), h, q, 0.05 * rng.standard_normal(2))
+        path = str(dir_path / f"{model_id}.csv")
+        write_forecasts(fset, path)
+        paths.append(path)
+    return paths
 
 
 def make_config_dict(

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from quantvar.cli import _forecast_one_origin, main, parse_config
+from quantvar.cli import _combine, _forecast_one_origin, main, parse_config
 from quantvar.combine import (
     combination_objective,
-    combine_fixed,
     optimal_weight,
     optimal_weight_grid,
     performance_weight,
@@ -306,9 +305,12 @@ def test_06_combination_strategies():
     for (o, h, q), v in cells.items():
         fa.add("a", o, h, q, np.array([v]))
         fb.add("b", o, h, q, np.array([10.0 - v]))
+    # the fixed-weight path of `run` and `quantvar combine`
+    at_one = _combine(fa, "a", fb, "b", "fixed", 1.0, "comb_fixed", None, None)[0]
+    at_zero = _combine(fa, "a", fb, "b", "fixed", 0.0, "comb_fixed", None, None)[0]
     end_ok = all(
-        np.array_equal(combine_fixed(fa, fb, 1.0).get("comb_fixed", o, h, q), fa.get("a", o, h, q))
-        and np.array_equal(combine_fixed(fa, fb, 0.0).get("comb_fixed", o, h, q), fb.get("b", o, h, q))
+        np.array_equal(at_one.get("comb_fixed", o, h, q), fa.get("a", o, h, q))
+        and np.array_equal(at_zero.get("comb_fixed", o, h, q), fb.get("b", o, h, q))
         for (o, h, q) in cells
     )
 

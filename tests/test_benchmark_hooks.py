@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` replaces layer functions by timing wrappers in the
 module namespaces their callers read (``quantvar.qbvar.step_coefficients``,
 ``quantvar.cli.run_chain``, ...), and ``step_ms`` is the gap between two
-successive ``quantvar.qbvar.step_coefficients`` calls. A refactor that
+successive ``quantvar.qbvar.step_coefficients`` calls (in rescore_206, of
+the weight functions ``quantvar.cli`` calls per cell). A refactor that
 renames such a name, binds it elsewhere or calls it a different number of
 times per sweep fails here instead of silently changing what the benchmark
 measures.
@@ -23,7 +24,10 @@ import quantvar.forecast as forecast
 import quantvar.qbvar as qbvar
 from quantvar.bvar import BvarConfig
 from quantvar.dist import make_rng
+from quantvar.forecast import read_forecasts
 from quantvar.qbvar import McmcSchedule, QbvarConfig
+
+from conftest import make_forecast_pair, make_raw_panel
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _MODULES = (bvar, cli, data, evaluation, forecast, qbvar)
@@ -110,3 +114,35 @@ def test_run_bvar_chain_calls_only_its_own_step_coefficients(monkeypatch):
     sched = McmcSchedule(25, 5, 2)
     bvar.run_bvar_chain(design, BvarConfig(p=1, r=1, schedule=sched), make_rng(2))
     assert calls == {"bvar": sched.iterations, "qbvar": 0}
+
+
+@pytest.mark.parametrize("strategy", ["performance", "optimal"])
+def test_combine_calls_its_weight_function_once_per_cell(tmp_path, monkeypatch, strategy):
+    # rescore_206's step_ms is the gap between successive cli weight calls: a
+    # _combine that stopped making one per (origin, q, h) would empty or skew it
+    calls = {"performance_weight": 0, "optimal_weight": 0}
+
+    def counting(name):
+        weight = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return weight(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    rc = cli.main(
+        ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
+         "--window", "3", "--data", str(tmp_path / "panel.csv"), "--tcodes",
+         str(tmp_path / "tcodes.json"), "--variables", "tgt,c1", "--target", "tgt",
+         "--output", str(tmp_path / "comb.csv")]
+    )
+    assert rc == 0
+    fset = read_forecasts(fa)
+    cells = len(fset.origins()) * len(fset.quantiles()) * len(fset.horizons())
+    assert cells == 8 * 2 * 2
+    assert calls == {name: cells if name == f"{strategy}_weight" else 0 for name in calls}

@@ -28,7 +28,7 @@ from quantvar.cli import (
 from quantvar.data import month_index, month_label
 from quantvar.forecast import QuantileForecastSet, read_forecasts, write_forecasts
 
-from conftest import make_config_dict, make_raw_panel
+from conftest import make_config_dict, make_forecast_pair, make_raw_panel
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +388,13 @@ def test_report_matches_run_tables(tmp_path):
 
 
 def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys):
+    # "full" spans the whole sample, so it equals evaluate's implicit window;
+    # "quiet" ends before the first realization
     cfg, raw = _light_cfg(
-        tmp_path, event_windows=({"label": "mid", "start": "2017-11", "end": "2018-02"},)
+        tmp_path,
+        eval_windows=({"label": "full", "start": "2015-03", "end": "2020-04"},),
+        event_windows=({"label": "mid", "start": "2017-11", "end": "2018-02"},
+                       {"label": "quiet", "start": "2015-03", "end": "2015-06"}),
     )
     run_recursive(cfg, raw)
     out = cfg.output_dir
@@ -413,16 +418,22 @@ def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys
 
     ev_dir = tmp_path / "ev"
     forecasts = [os.path.join(fdir, f) for f in sorted(os.listdir(fdir))]
+    capsys.readouterr()
     rc = main(
-        ["evaluate", "--forecasts", *forecasts, *data, "--window", "all:2015-03:2020-04",
-         "--window", "event_mid:2017-11:2018-02", "--benchmark", "bvar", "--output-dir", str(ev_dir)]
+        ["evaluate", "--forecasts", *forecasts, *data, "--window", "event_mid:2017-11:2018-02",
+         "--window", "event_quiet:2015-03:2015-06", "--benchmark", "bvar", "--output-dir", str(ev_dir)]
     )
     assert rc == 0
-    run_tables = [f for f in os.listdir(os.path.join(out, "tables")) if f.endswith(".csv")]
-    assert len(run_tables) == 2 * 6  # per window: scores + 5 ratio tables
+    # evaluate writes run's tables/ layout, file for file, and prints report's text
+    run_tables = sorted(os.listdir(os.path.join(out, "tables")))
+    assert len([f for f in run_tables if f.endswith(".csv")]) == 2 * 6  # scores + 5 ratio tables
+    assert sorted(os.listdir(ev_dir)) == run_tables
     for name in run_tables:
         expected = open(os.path.join(out, "tables", name), "rb").read()
         assert (ev_dir / name).read_bytes() == expected, name
+    quiet = (ev_dir / "scores__event_quiet.txt").read_text()
+    assert quiet == "window event_quiet: no covered realizations (n/a)\n"
+    assert capsys.readouterr().out == report(out) + "\n"
 
 
 def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, capsys):
@@ -559,6 +570,21 @@ def test_estimate_forecast_evaluate_pipeline(tmp_path, capsys):
     a = qset.get("qbvar", "2018-06", 1, 0.5)
     b = read_forecasts(fb).get("bvar", "2018-06", 1, 0.5)
     np.testing.assert_allclose(cset.get("mix", "2018-06", 1, 0.5), 0.5 * (a + b))
+
+
+@pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])
+def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, strategy, window):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    weights = tmp_path / "w.csv"
+    rc = main(
+        ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
+         "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+         "--variables", "tgt,c1", "--target", "tgt", "--output", str(tmp_path / "o.csv"),
+         "--weights-output", str(weights)]
+    )
+    assert rc == 0
+    assert {row[1] for row in _read_csv(weights)[1:]} == {window}
 
 
 def test_combine_adaptive_requires_data_args(tmp_path, capsys):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantvar.cli import _combine
 from quantvar.combine import (
     CombinationError,
     CombinationWeightSeries,
     combination_objective,
-    combine_fixed,
     combine_weighted,
     optimal_weight,
     optimal_weight_grid,
@@ -27,15 +27,20 @@ def _fset(model, cells, names=("y0",)):
 # fixed weights
 
 
+def _fixed(a, b, lam, model_id="comb_fixed"):
+    # the fixed-weight path of `run` and `quantvar combine`: a constant weight series
+    return _combine(a, "a", b, "b", "fixed", lam, model_id, None, None)[0]
+
+
 def test_combine_fixed_endpoints_and_midpoint():
     cells = {("2010-01", 1, 0.5): 2.0, ("2010-02", 1, 0.5): 4.0}
     a = _fset("a", cells)
     b = _fset("b", {k: 10.0 for k in cells})
     # lam = 1 reproduces a, lam = 0 reproduces b, exactly
     for k in cells:
-        assert combine_fixed(a, b, 1.0).get("comb_fixed", *k)[0] == cells[k]
-        assert combine_fixed(a, b, 0.0).get("comb_fixed", *k)[0] == 10.0
-    mid = combine_fixed(a, b, 0.5, model_id="mix")
+        assert _fixed(a, b, 1.0).get("comb_fixed", *k)[0] == cells[k]
+        assert _fixed(a, b, 0.0).get("comb_fixed", *k)[0] == 10.0
+    mid = _fixed(a, b, 0.5, model_id="mix")
     assert mid.get("mix", "2010-01", 1, 0.5)[0] == 6.0
 
 
@@ -44,14 +49,14 @@ def test_combine_fixed_validation():
     a = _fset("a", cells)
     b = _fset("b", cells)
     with pytest.raises(CombinationError):
-        combine_fixed(a, b, 1.5)
+        _fixed(a, b, 1.5)
     b_short = _fset("b", {("2010-02", 1, 0.5): 1.0})
     with pytest.raises(CombinationError):
-        combine_fixed(a, b_short, 0.5)
+        _fixed(a, b_short, 0.5)
     two = _fset("a", cells)
     two.add("c", "2010-01", 1, 0.5, np.array([1.0]))
     with pytest.raises(CombinationError):
-        combine_fixed(two, b, 0.5)
+        _fixed(two, b, 0.5)
 
 
 # ---------------------------------------------------------------------------

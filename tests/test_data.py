@@ -11,7 +11,6 @@ from quantvar.data import (
     apply_transform,
     build_lag_design,
     deflate,
-    invert_transform,
     month_index,
     month_label,
     read_panel,
@@ -50,6 +49,12 @@ def test_apply_transform_errors():
         apply_transform([1.0], 1)  # too short to difference
     with pytest.raises(PanelError):
         apply_transform([1.0, 2.0], 3)  # unknown code
+
+
+def invert_transform(transformed, code, initial: float) -> np.ndarray:
+    """Levels from a code-1 or code-5 series and its initial level: the oracle for apply_transform."""
+    path = np.concatenate([[0.0], np.cumsum(np.asarray(transformed, dtype=float))])
+    return initial + path if code == TransformCode.DIFFERENCE else initial * np.exp(path)
 
 
 @given(
