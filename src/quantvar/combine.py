@@ -111,7 +111,9 @@ def optimal_weight(fc_a, fc_b, realized, quantile: float, S: int) -> tuple[float
     with np.errstate(divide="ignore", invalid="ignore"):
         kinks = (y - b) / diff
     kinks = kinks[np.isfinite(kinks)]
-    candidates = np.unique(np.concatenate([[0.0, 1.0], kinks[(kinks > 0.0) & (kinks < 1.0)]]))
+    # sorted distinct candidates; np.unique would import numpy.ma on first use
+    candidates = np.sort(np.concatenate([[0.0, 1.0], kinks[(kinks > 0.0) & (kinks < 1.0)]]))
+    candidates = candidates[np.concatenate([[True], candidates[1:] != candidates[:-1]])]
     values = np.array([combination_objective(l, a, b, y, quantile) for l in candidates])
     vmin = values.min()
     scale = max(vmin, 1.0)

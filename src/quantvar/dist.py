@@ -9,13 +9,14 @@ factorisation P = L L^T and one solve with two right-hand sides, using
 mean + L^-T z = P^-1 (rhs + L z) (Rue 2001). A stack of positive, finite
 1 x 1 systems (the loadings and factors of a one-factor model) skips
 LAPACK: its draw is (rhs + sqrt(d) z) (1/d) in closed form, bit for bit
-what the factor-and-solve path gives on OpenBLAS.
+what the factor-and-solve path gives on OpenBLAS. The horseshoe scales
+take the inverse-gamma conditionals of Makalic & Schmidt (2016), drawn from
+numpy's exponential and gamma generators alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 _TINY = 1e-300
 
@@ -139,63 +140,40 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
 
 
 # ---------------------------------------------------------------------------
-# Horseshoe slice-sampler updates. State is kept on the local scales psi
-# (one per coefficient) and the global scale kappa; both updates work on
-# eta = 1/psi^2 with a uniform slice auxiliary, which keeps every draw in
-# closed form (truncated exponential / truncated gamma).
+# Horseshoe scale updates (Makalic & Schmidt 2016). The half-Cauchy(0, 1)
+# priors on the local scales psi and the global scale kappa are written as
+# inverse-gamma mixtures, psi^2 | nu ~ IG(1/2, 1/nu) with nu ~ IG(1/2, 1), and
+# kappa^2 | xi ~ IG(1/2, 1/xi) with xi ~ IG(1/2, 1); every full conditional
+# is then inverse gamma. IG(a, s) is s / Gamma(a, 1), and IG(1, s) is
+# s / Exp(1).
 
 
-def _trunc_exp(rate, ub, u):
-    """Exp(rate) truncated to (0, ub], via inverse cdf; rate may be ~0."""
-    rate = np.asarray(rate, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    # inverse cdf: -log(1 - U (1 - exp(-r*ub))) / r, in expm1/log1p form
-    with np.errstate(over="ignore"):
-        rub = rate * ub
-        tail = -np.expm1(-rub)
-    small = rub < 1e-12
-    out = -np.log1p(-u * tail) / np.where(small, 1.0, rate)
-    out = np.where(small, u * ub, out)
-    return np.minimum(out, ub)
+def update_horseshoe(beta, nu, kappa: float, xi: float, rng: np.random.Generator):
+    """One Gibbs sweep of the horseshoe scales and their auxiliaries.
 
+    beta: current coefficients under the prior beta_j ~ N(0, psi_j^2 kappa^2);
+    nu has one entry per coefficient. Draws in turn
 
-def update_horseshoe(beta: np.ndarray, psi: np.ndarray, kappa: float, rng: np.random.Generator):
-    """One slice-sampling sweep of horseshoe local and global scales.
+        psi_j^2 ~ IG(1, 1/nu_j + beta_j^2/(2 kappa^2)),
+        nu_j    ~ IG(1, 1 + 1/psi_j^2),
+        kappa^2 ~ IG((k+1)/2, 1/xi + sum beta_j^2/(2 psi_j^2)),
+        xi      ~ IG(1, 1 + 1/kappa^2),
 
-    beta: current coefficients under the prior beta_j ~ N(0, psi_j^2 kappa^2).
-    Returns (psi_new, kappa_new). Scales are floored away from zero so the
-    conditionals for the coefficients stay proper.
+    and returns (psi, nu, kappa, xi). The new psi depends on the old state
+    only through nu and kappa, so psi is not an argument. psi^2 and kappa^2
+    are floored away from zero so the coefficients' prior precision
+    1/(psi^2 kappa^2) stays finite.
     """
     beta = np.asarray(beta, dtype=float).ravel()
-    psi = np.asarray(psi, dtype=float).ravel()
+    nu = np.asarray(nu, dtype=float).ravel()
     k = beta.size
-    if psi.size != k:
-        raise ValueError("psi length must match beta")
-
-    # local scales: eta_j = 1/psi_j^2 | - ~ Exp(beta_j^2/(2 kappa^2)) on (0, (1-u_j)/u_j]
-    eta = 1.0 / np.maximum(psi, _TINY) ** 2
-    u = rng.random(k) * (1.0 / (1.0 + eta))
-    u = np.maximum(u, _TINY)
-    ub = (1.0 - u) / u
-    rate = beta**2 / (2.0 * max(kappa, _TINY) ** 2)
-    eta_new = _trunc_exp(rate, ub, rng.random(k))
-    psi_new = 1.0 / np.sqrt(np.maximum(eta_new, _TINY))
-
-    # global scale: eta_g = 1/kappa^2 | - ~ Gamma((k+1)/2, rate sum beta^2/(2 psi^2))
-    # truncated to (0, (1-u)/u]
-    eta_g = 1.0 / max(kappa, _TINY) ** 2
-    ug = rng.uniform(0.0, 1.0 / (1.0 + eta_g))
-    ug = max(ug, _TINY)
-    ub_g = (1.0 - ug) / ug
-    shape_g = (k + 1) / 2.0
-    rate_g = float(np.sum(beta**2 / np.maximum(psi_new, _TINY) ** 2)) / 2.0
-    v = rng.random()
-    if rate_g * ub_g < 1e-12:
-        # flat limit: density ~ x^(shape-1) on (0, ub]
-        eta_g_new = ub_g * v ** (1.0 / shape_g)
-    else:
-        cdf_ub = special.gammainc(shape_g, rate_g * ub_g)
-        eta_g_new = special.gammaincinv(shape_g, v * cdf_ub) / rate_g
-        eta_g_new = min(eta_g_new, ub_g)
-    kappa_new = 1.0 / np.sqrt(max(eta_g_new, _TINY))
-    return psi_new, float(kappa_new)
+    if nu.size != k:
+        raise ValueError("nu length must match beta")
+    e = rng.standard_exponential(2 * k + 1)
+    half_b2 = 0.5 * beta**2
+    psi2 = np.maximum((1.0 / nu + half_b2 / kappa**2) / e[:k], _TINY)
+    nu = (1.0 + 1.0 / psi2) / e[k:-1]
+    kappa2 = (1.0 / xi + np.sum(half_b2 / psi2)) / rng.standard_gamma(0.5 * (k + 1))
+    kappa2 = max(kappa2, _TINY)
+    xi = (1.0 + 1.0 / kappa2) / e[-1]
+    return np.sqrt(psi2), nu, float(np.sqrt(kappa2)), float(xi)

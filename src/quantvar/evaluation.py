@@ -49,16 +49,17 @@ class EventWindow:
 def realizations(panel: TimeSeriesPanel, variable: str):
     """:func:`realized_value` for one panel and variable, its bounds parsed once.
 
-    Returns ``value(origin, horizon)``: the observation at origin+h months,
-    None when it lies beyond the sample end (not yet observed), and an
-    EvaluationError when it precedes the sample start.
+    Returns ``value(origin_month, horizon)``, with the origin as its
+    :func:`month_index`: the observation at origin+h months, None when it
+    lies beyond the sample end (not yet observed), and an EvaluationError
+    when it precedes the sample start.
     """
     first = month_index(panel.dates[0])
     last = month_index(panel.dates[-1])
     column = panel.values[:, panel.names.index(variable)]
 
-    def value(origin: str, horizon: int):
-        target = month_index(origin) + horizon
+    def value(origin_month: int, horizon: int):
+        target = origin_month + horizon
         if target > last:
             return None
         if target < first:
@@ -70,26 +71,29 @@ def realizations(panel: TimeSeriesPanel, variable: str):
 
 def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: int):
     """Observed value at origin+h months, or None when not yet observed."""
-    return realizations(panel, variable)(origin, horizon)
+    return realizations(panel, variable)(month_index(origin), horizon)
 
 
 def score_records(
     fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: str
 ) -> dict:
-    """Per-record pinball scores: (model, origin, h, q) -> (error, score).
+    """Per-record pinball scores: (model, origin, h, q) -> (error, score, month).
 
-    Records whose realization lies beyond the sample end are skipped
-    (they are not yet observable); everything else must resolve.
+    ``month`` is the origin's :func:`month_index`, parsed once here so that
+    window filters need not parse it again. Records whose realization lies
+    beyond the sample end are skipped (they are not yet observable);
+    everything else must resolve.
     """
     col = fset.variable_names.index(variable)
     realized = realizations(panel, variable)
     out = {}
     for (model_id, origin, h, q), values in fset.records.items():
-        y = realized(origin, h)
+        month = month_index(origin)
+        y = realized(month, h)
         if y is None:
             continue
         u = y - float(values[col])
-        out[(model_id, origin, h, q)] = (u, pinball(u, q))
+        out[(model_id, origin, h, q)] = (u, pinball(u, q), month)
     return out
 
 
@@ -144,10 +148,10 @@ def average_qs(
     any_scored = False
     for fset in sets:
         scored = fset if isinstance(fset, dict) else score_records(fset, panel, variable)
-        for (model_id, origin, h, q), (_, score) in scored.items():
+        for (model_id, _, h, q), (_, score, month) in scored.items():
             any_scored = True
             if window is not None:
-                member = month_index(origin) + (0 if by_origin else h)
+                member = month + (0 if by_origin else h)
                 if not lo <= member <= hi:
                     continue
             key = (model_id, q, h)

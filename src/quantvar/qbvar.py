@@ -11,12 +11,15 @@ handled through their exponential location-scale mixture
 
 with z_it ~ Exp(1), u_it ~ N(0,1), theta = (1-2q)/(q(1-q)) and
 tau2 = 2/(q(1-q)), which makes every full conditional a standard draw.
-Coefficient rows carry a horseshoe prior with one global scale per model;
-factor loadings have unit-variance normal priors and factors a standard
-normal prior. Given the other blocks, the coefficient rows, the loading rows
-and the factor vectors f_t are each independent, so every Gibbs step is one
-draw batched over rows. :func:`run_gibbs` drives a chain of this model and of
-the Gaussian benchmark in ``bvar``.
+Coefficient rows carry a horseshoe prior with one global scale per model,
+beta_ij ~ N(0, psi_ij^2 kappa^2) with half-Cauchy(0, 1) scales psi_ij and
+kappa; each scale has an inverse-gamma auxiliary (nu_ij, xi) that makes its
+conditional inverse gamma (Makalic & Schmidt 2016). Factor loadings have
+unit-variance normal priors and factors a standard normal prior. Given the
+other blocks, the coefficient rows, the loading rows and the factor vectors
+f_t are each independent, so every Gibbs step is one draw batched over rows.
+:func:`run_gibbs` drives a chain of this model and of the Gaussian benchmark
+in ``bvar``.
 """
 
 from __future__ import annotations
@@ -120,17 +123,8 @@ class QbvarState:
     sigma: np.ndarray  # (n,) scales
     psi: np.ndarray  # (n, k) horseshoe local scales
     kappa: float  # horseshoe global scale
-
-    def copy(self) -> "QbvarState":
-        return QbvarState(
-            self.Phi.copy(),
-            self.Lam.copy(),
-            self.F.copy(),
-            self.Z.copy(),
-            self.sigma.copy(),
-            self.psi.copy(),
-            self.kappa,
-        )
+    nu: np.ndarray  # (n, k) auxiliaries of the local scales
+    xi: float  # auxiliary of the global scale
 
 
 def weighted_system(X, y, weights, prior_prec_diag):
@@ -234,15 +228,16 @@ def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
 
 
 def step_shrinkage(state, rng) -> None:
-    """Slice-sample the horseshoe scales over all coefficients at once.
+    """Draw the horseshoe scales and their auxiliaries over all coefficients at once.
 
     The global scale is shared by the whole coefficient matrix, so the
     flattened vector goes through a single update.
     """
-    psi_flat, state.kappa = update_horseshoe(
-        state.Phi.ravel(), state.psi.ravel(), state.kappa, rng
+    psi, nu, state.kappa, state.xi = update_horseshoe(
+        state.Phi.ravel(), state.nu, state.kappa, state.xi, rng
     )
-    state.psi = psi_flat.reshape(state.psi.shape)
+    state.psi = psi.reshape(state.psi.shape)
+    state.nu = nu.reshape(state.psi.shape)
 
 
 def init_state(design: LagDesign, config: ModelConfig) -> QbvarState:
@@ -263,6 +258,8 @@ def init_state(design: LagDesign, config: ModelConfig) -> QbvarState:
         sigma=sigma,
         psi=np.ones((n, k)),
         kappa=1.0,
+        nu=np.ones((n, k)),
+        xi=1.0,
     )
 
 

@@ -623,15 +623,44 @@ def test_ingest_roundtrip(tmp_path, capsys):
     assert all(int(c) == 2 for c in clean.tcodes)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # the samplers factor with numpy alone; scipy.linalg would add import
-    # time and resident memory to every run and pool worker
+def _fresh_python(code, *args):
+    """stdout of ``code`` run in a new interpreter that imports quantvar from this tree."""
     import quantvar
 
     src = os.path.dirname(os.path.dirname(quantvar.__file__))
-    code = "import sys, quantvar.cli; print('scipy.linalg' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the package runs on numpy alone; any scipy module would add import
+    # time and resident memory to every run and pool worker
+    code = "import sys, quantvar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_optimal_combine_and_evaluate_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (three modules) on its first call, which
+    # would land inside the first optimal combination of a run
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "tgt,c1", "--target", "tgt"]
+    comb = str(tmp_path / "comb.csv")
+    argvs = [
+        ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",
+         "--window", "3", *data, "--output", comb],
+        ["evaluate", "--forecasts", fa, fb, comb, *data, "--window", "mid:2017-11:2018-02",
+         "--benchmark", "bvar", "--output-dir", str(tmp_path / "ev")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quantvar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(code, json.dumps(argvs)) == "[0, 0] False"

@@ -133,6 +133,39 @@ def test_optimal_weight_interior_kink():
     assert lam == pytest.approx(0.3, abs=1e-12)
 
 
+def _optimal_weight_unique_reference(a, b, y, quantile, S):
+    """optimal_weight's minimizer with its candidates from np.unique."""
+    a, b, y = (np.asarray(v, dtype=float)[-S:] for v in (a, b, y))
+    diff = a - b
+    if np.all(diff == 0.0):
+        return 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = (y - b) / diff
+    kinks = kinks[np.isfinite(kinks)]
+    candidates = np.unique(np.concatenate([[0.0, 1.0], kinks[(kinks > 0.0) & (kinks < 1.0)]]))
+    values = np.array([combination_objective(l, a, b, y, quantile) for l in candidates])
+    vmin = values.min()
+    tied = candidates[values <= vmin + 1e-12 * max(vmin, 1.0)]
+    return min(max(0.5, float(tied.min())), float(tied.max()))
+
+
+def test_optimal_weight_candidates_match_np_unique_bit_for_bit():
+    # histories drawn with replacement from six rows repeat their kinks
+    # exactly; one row has a == b (no kink) and one a kink at 0
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        a, b = rng.normal(size=(2, 6))
+        y = b + rng.uniform(-0.5, 1.5, 6) * (a - b)
+        a[0] = b[0]
+        y[1] = b[1]
+        S = int(rng.integers(1, 40))
+        idx = rng.integers(0, 6, S)
+        q = float(rng.uniform(0.05, 0.95))
+        lam, warm = optimal_weight(a[idx], b[idx], y[idx], q, S)
+        assert not warm
+        assert lam == _optimal_weight_unique_reference(a[idx], b[idx], y[idx], q, S)
+
+
 def test_optimal_weight_tie_interval_resolved_toward_half():
     # two observations with zero-loss kinks at 0.3 and 0.7 at q=0.5:
     # objective is flat... not flat, but symmetric; the convex minimum

@@ -1,14 +1,11 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from quantvar.dist import (
     _cholesky_with_jitter,
-    _trunc_exp,
     derive_rng,
     draw_from_precision_system,
     draw_gig_half,
@@ -255,68 +252,48 @@ def test_precision_draw_factors_only_stacks_the_closed_form_does_not_cover(monke
     assert calls[1] == (2, 1, 1)  # a zero member: back on the Cholesky path
 
 
-def test_trunc_exp_matches_scipy_truncated_exponential():
-    rng = make_rng(31)
-    n = 150_000
-    for rate, ub in [(2.0, 1.5), (0.3, 4.0), (8.0, 0.2)]:
-        d = _trunc_exp(np.full(n, rate), np.full(n, ub), rng.random(n))
-        assert np.all(d > 0) and np.all(d <= ub)
-        ks = stats.kstest(d, stats.truncexpon(b=rate * ub, scale=1 / rate).cdf).statistic
-        assert ks < 0.01, (rate, ub, ks)
-
-
-def test_trunc_exp_huge_rate_times_bound_does_not_overflow():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        d = _trunc_exp(np.array([1e200]), np.array([1e200]), np.array([0.5]))
-    assert np.all(d > 0) and np.all(d <= 1e200)
-
-
-def test_trunc_exp_tiny_rate_is_uniform():
-    rng = make_rng(32)
-    n = 100_000
-    d = _trunc_exp(np.zeros(n), np.full(n, 3.0), rng.random(n))
-    ks = stats.kstest(d, stats.uniform(scale=3.0).cdf).statistic
-    assert ks < 0.01
+def test_horseshoe_conditionals_are_their_inverse_gammas():
+    # one update from a fixed state: psi^2 and nu, then kappa^2 and xi, each
+    # given the values drawn before it in the same sweep, against their exact
+    # IG conditionals by the probability integral transform
+    rng = make_rng(41)
+    k, calls = 6, 5000
+    beta = np.array([0.0, 0.05, -0.3, 1.0, 2.5, -7.0])
+    nu = np.array([0.2, 1.0, 3.0, 0.5, 8.0, 1.5])
+    kappa, xi = 0.7, 2.0
+    psi, nu_new, kappa_new, xi_new = map(
+        np.array, zip(*(update_horseshoe(beta, nu, kappa, xi, rng) for _ in range(calls)))
+    )
+    psi2, kappa2 = psi**2, kappa_new**2
+    u = [
+        stats.invgamma.cdf(psi2, 1.0, scale=1.0 / nu + beta**2 / (2 * kappa**2)),
+        stats.invgamma.cdf(nu_new, 1.0, scale=1.0 + 1.0 / psi2),
+        stats.invgamma.cdf(kappa2, (k + 1) / 2, scale=1.0 / xi + np.sum(beta**2 / (2 * psi2), axis=1)),
+        stats.invgamma.cdf(xi_new, 1.0, scale=1.0 + 1.0 / kappa2),
+    ]
+    for v in u:
+        ks = stats.kstest(v.ravel(), "uniform").statistic
+        assert ks < 1.95 / np.sqrt(v.size), ks  # the 0.1 % critical value
 
 
 def test_horseshoe_prior_gibbs_recovers_half_cauchy_medians():
     # alternating beta ~ N(0, psi^2 kappa^2) with the scale updates leaves
-    # the joint prior invariant; half-Cauchy scales have median 1
+    # the joint prior invariant: psi and kappa are half-Cauchy(0, 1), with
+    # quartiles tan(pi/8), 1 and tan(3 pi/8)
     rng = make_rng(11)
     k = 3
-    psi = np.ones(k)
-    kap = 1.0
+    psi, nu = np.ones(k), np.ones(k)
+    kap, xi = 1.0, 1.0
     psis, kaps = [], []
-    for i in range(20_000):
+    for i in range(40_000):
         beta = rng.standard_normal(k) * psi * kap
-        psi, kap = update_horseshoe(beta, psi, kap, rng)
+        psi, nu, kap, xi = update_horseshoe(beta, nu, kap, xi, rng)
         if i >= 1000:
-            psis.append(psi[0])
+            psis.append(psi)
             kaps.append(kap)
-    assert 0.6 < np.median(psis) < 1.6
-    assert 0.6 < np.median(kaps) < 1.6
-
-
-def test_horseshoe_local_slice_kernel_targets_its_density():
-    # with kappa held at 1 the local update is an MCMC kernel for
-    # p(eta) ∝ exp(-beta^2 eta / 2) / (1 + eta); compare against the
-    # numerically integrated cdf
-    rng = make_rng(12)
-    beta = np.array([0.8])
-    r = beta[0] ** 2 / 2
-    psi = np.ones(1)
-    etas = []
-    for i in range(60_000):
-        psi, _ = update_horseshoe(beta, psi, 1.0, rng)
-        etas.append(1.0 / psi[0] ** 2)
-    etas = np.array(etas[2000:])
-    grid = np.linspace(1e-9, np.quantile(etas, 0.9999) * 3, 200_000)
-    pdf = np.exp(-r * grid) / (1 + grid)
-    cdf = np.cumsum(pdf)
-    cdf /= cdf[-1]
-    ks = stats.kstest(etas, lambda x: np.interp(x, grid, cdf)).statistic
-    assert ks < 0.02
+    expect = np.tan(np.pi * np.array([1, 2, 3]) / 8)
+    np.testing.assert_allclose(np.quantile(psis, [0.25, 0.5, 0.75]), expect, rtol=0.08)
+    np.testing.assert_allclose(np.quantile(kaps, [0.25, 0.5, 0.75]), expect, rtol=0.15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,16 +305,16 @@ def test_horseshoe_local_slice_kernel_targets_its_density():
 def test_horseshoe_update_always_valid(beta, kappa, seed):
     rng = make_rng(seed)
     beta = np.asarray(beta)
-    psi = np.abs(rng.standard_normal(beta.size)) + 0.1
-    psi_new, kappa_new = update_horseshoe(beta, psi, kappa, rng)
-    assert psi_new.shape == beta.shape
-    assert np.all(np.isfinite(psi_new)) and np.all(psi_new > 0)
-    assert np.isfinite(kappa_new) and kappa_new > 0
+    nu = np.abs(rng.standard_normal(beta.size)) + 0.1
+    psi_new, nu_new, kappa_new, xi_new = update_horseshoe(beta, nu, kappa, 1.0, rng)
+    assert psi_new.shape == nu_new.shape == beta.shape
+    for x in (psi_new, nu_new, kappa_new, xi_new):
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
 
 
 def test_horseshoe_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        update_horseshoe(np.zeros(3), np.ones(2), 1.0, make_rng(0))
+        update_horseshoe(np.zeros(3), np.ones(2), 1.0, 1.0, make_rng(0))
 
 
 # Reference copies of the kernels' earlier formulas: the rewrites must keep
@@ -355,36 +332,6 @@ def _gig_half_reference(a, b, rng):
     return np.sqrt(a_safe / b) / np.where(take_minus, x_minus, x_plus)
 
 
-def _trunc_exp_reference(rate, ub, u):
-    r, ubb = np.broadcast_arrays(np.asarray(rate, dtype=float), np.asarray(ub, dtype=float))
-    small = r * ubb < 1e-12
-    with np.errstate(over="ignore"):
-        tail = -np.expm1(-r * ubb)
-    out = -np.log1p(-u * tail) / np.where(small, 1.0, r)
-    return np.minimum(np.where(small, u * ubb, out), ubb)
-
-
-def _horseshoe_reference(beta, psi, kappa, rng):
-    tiny = 1e-300
-    k = beta.size
-    eta = 1.0 / np.maximum(psi, tiny) ** 2
-    u = np.maximum(rng.random(k) * (1.0 / (1.0 + eta)), tiny)
-    rate = beta**2 / (2.0 * max(kappa, tiny) ** 2)
-    eta_new = _trunc_exp_reference(rate, (1.0 - u) / u, rng.random(k))
-    psi_new = 1.0 / np.sqrt(np.maximum(eta_new, tiny))
-    ug = max(rng.uniform(0.0, 1.0 / (1.0 + 1.0 / max(kappa, tiny) ** 2)), tiny)
-    ub_g = (1.0 - ug) / ug
-    shape_g = (k + 1) / 2.0
-    rate_g = float(np.sum(beta**2 / np.maximum(psi_new, tiny) ** 2)) / 2.0
-    v = rng.random()
-    if rate_g * ub_g < 1e-12:
-        eta_g_new = ub_g * v ** (1.0 / shape_g)
-    else:
-        cdf_ub = special.gammainc(shape_g, rate_g * ub_g)
-        eta_g_new = min(special.gammaincinv(shape_g, v * cdf_ub) / rate_g, ub_g)
-    return psi_new, float(1.0 / np.sqrt(max(eta_g_new, tiny)))
-
-
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -399,20 +346,6 @@ def test_draw_gig_half_keeps_stream_and_values(a, b):
     ref = _gig_half_reference(a, b, make_rng(50))
     assert np.shape(mine) == ref.shape
     np.testing.assert_array_equal(mine, ref)
-
-
-def test_update_horseshoe_keeps_stream_and_values():
-    rng, ref_rng, beta_rng = make_rng(60), make_rng(60), make_rng(61)
-    k = 21
-    psi = ref_psi = np.ones(k)
-    kappa = ref_kappa = 1.0
-    for _ in range(500):
-        # some exact zeros take the flat (rate ~ 0) branch of the local draw
-        beta = beta_rng.standard_normal(k) * (beta_rng.random(k) < 0.8) * 3.0
-        psi, kappa = update_horseshoe(beta, psi, kappa, rng)
-        ref_psi, ref_kappa = _horseshoe_reference(beta, ref_psi, ref_kappa, ref_rng)
-        np.testing.assert_array_equal(psi, ref_psi)
-        assert kappa == ref_kappa
 
 
 @pytest.mark.parametrize(

@@ -363,6 +363,8 @@ def test_step_scales_concentrates_on_true_scale():
         sigma=np.ones(n),
         psi=np.ones((n, 1)),
         kappa=1.0,
+        nu=np.ones((n, 1)),
+        xi=1.0,
     )
     kept = []
     E = design.Y - design.X @ state.Phi.T  # the coefficients stay pinned
