@@ -65,8 +65,7 @@ from .evaluation import (
 from .forecast import (
     ForecastError,
     QuantileForecastSet,
-    predictive_quantiles,
-    quantile_forecast,
+    forecast_quantiles,
     random_walk_forecast,
     read_forecasts,
     write_forecasts,
@@ -268,6 +267,16 @@ def config_digest(raw: dict) -> str:
     ).hexdigest()
 
 
+def _load_panel(data_file, tcode_file, variables) -> TimeSeriesPanel:
+    """Read, check, select and transform ``variables`` (every series when None)."""
+    panel = read_panel(data_file, tcode_file)
+    variables = list(variables or panel.names)
+    missing = [v for v in variables if v not in panel.names]
+    if missing:
+        raise ConfigError(f"series not in panel: {missing}")
+    return transform_panel(panel.select(variables))
+
+
 # ---------------------------------------------------------------------------
 # Per-origin work. Top-level so process pools can pickle it.
 
@@ -287,36 +296,25 @@ def _forecast_one_origin(payload):
         cut = dates.index(origin)
         est = values[: cut + 1]
         H = max(cfg.horizons)
-        records: dict = {}
         quantiles = cfg.quantile_set
-
-        if cfg.qbvar:
-            design = build_lag_design(est, cfg.qbvar[0].p, names)
-            for qi, model_cfg in enumerate(cfg.qbvar):
-                rng = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["qbvar"], qi, _STAGE_CHAIN)
-                draws, _ = run_chain(design, model_cfg, rng)
-                rng_fc = derive_rng(
-                    cfg.seed, origin_idx, _MODEL_SEED_INDEX["qbvar"], qi, _STAGE_FORECAST
-                )
-                block = quantile_forecast(draws, est, H, rng_fc)
-                for h in cfg.horizons:
-                    records[("qbvar", h, model_cfg.quantile)] = block[h - 1]
-
+        # qbvar's chains, one per level (stream index = level index), then
+        # bvar's one chain; each model builds its lag design once
+        chains = [("qbvar", qi, m) for qi, m in enumerate(cfg.qbvar)]
         if cfg.bvar is not None:
-            design = build_lag_design(est, cfg.bvar.p, names)
-            rng = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["bvar"], 0, _STAGE_CHAIN)
-            draws, _ = run_bvar_chain(design, cfg.bvar, rng)
-            rng_fc = derive_rng(cfg.seed, origin_idx, _MODEL_SEED_INDEX["bvar"], 0, _STAGE_FORECAST)
-            by_q = predictive_quantiles(draws, est, H, quantiles, rng_fc)
-            for q, block in by_q.items():
-                for h in cfg.horizons:
-                    records[("bvar", h, q)] = block[h - 1]
-
+            chains.append(("bvar", 0, cfg.bvar))
+        blocks, designs = {}, {}  # (model_id, q) -> (H, n) forecasts; model_id -> design
+        for model_id, stream, model_cfg in chains:
+            if model_id not in designs:
+                designs[model_id] = build_lag_design(est, model_cfg.p, names)
+            # read at call time: the benchmark's tracer replaces both runners here
+            runner = run_chain if model_id == "qbvar" else run_bvar_chain
+            key = (cfg.seed, origin_idx, _MODEL_SEED_INDEX[model_id], stream)
+            draws, _ = runner(designs[model_id], model_cfg, derive_rng(*key, _STAGE_CHAIN))
+            by_q = forecast_quantiles(draws, est, H, quantiles, derive_rng(*key, _STAGE_FORECAST))
+            blocks.update({(model_id, q): block for q, block in by_q.items()})
         if cfg.include_rw:
-            block = random_walk_forecast(H, len(names))
-            for q in quantiles:
-                for h in cfg.horizons:
-                    records[("rw", h, q)] = block[h - 1]
+            blocks.update({("rw", q): random_walk_forecast(H, len(names)) for q in quantiles})
+        records = {(m, h, q): b[h - 1] for (m, q), b in blocks.items() for h in cfg.horizons}
         return origin, records, None
     except (ForecastError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # the origin aborts; the run decides whether to fail
@@ -399,11 +397,7 @@ def _safe_label(label: str) -> str:
 
 def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     """Execute the full recursive experiment; returns the manifest dict."""
-    panel = read_panel(cfg.data_file, cfg.tcode_file)
-    missing = [v for v in cfg.variables if v not in panel.names]
-    if missing:
-        raise ConfigError(f"series not in panel: {missing}")
-    tpanel = transform_panel(panel.select(cfg.variables))
+    tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     dates = list(tpanel.dates)
     date_idx = {d: i for i, d in enumerate(dates)}
     last = month_index(dates[-1])
@@ -479,7 +473,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
             for h in fc_q.horizons():
                 # never empty: run_recursive checked every origin has its realizations
                 _, fq, fb, ys = _history(fc_q, "qbvar", fc_b, bench, tpanel, cfg.target, q, h, origins_q)
-                grid, vals, ratios = weight_curve(fq, fb, ys, q, n_points=101)
+                grid, vals, ratios = weight_curve(fq, fb, ys, q)
                 for g, v, rr in zip(grid, vals, ratios):
                     curve_rows.append(
                         [f"{q:.10g}", h, f"{g:.4f}", f"{v:.17g}", f"{rr:.17g}", 0]
@@ -578,8 +572,7 @@ def report(run_dir: str, output_path: str | None = None) -> str:
     if not os.path.isdir(fdir):
         raise RunFailure("run directory has no forecasts/")
     fsets = [read_forecasts(os.path.join(fdir, f)) for f in sorted(os.listdir(fdir))]
-    panel = read_panel(cfg.data_file, cfg.tcode_file)
-    tpanel = transform_panel(panel.select(cfg.variables))
+    tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     text = _emit_tables(fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark)
     if output_path:
         _write_text(output_path, text)
@@ -608,31 +601,22 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _load_system(args) -> tuple[TimeSeriesPanel, list[str]]:
-    panel = read_panel(args.data, args.tcodes)
-    variables = args.variables.split(",") if args.variables else list(panel.names)
-    return transform_panel(panel.select(variables)), variables
-
-
 def _cmd_estimate(args) -> int:
-    tpanel, variables = _load_system(args)
+    tpanel = _load_panel(args.data, args.tcodes, args.variables)
     est = tpanel.through(args.origin) if args.origin else tpanel
-    design = build_lag_design(est.values, args.p, variables)
-    schedule = McmcSchedule(iterations=args.iterations, burn_in=args.burn_in, thin=args.thin)
-    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX[args.model], args.quantile_index, _STAGE_CHAIN)
+    design = build_lag_design(est.values, args.p, tpanel.names)
+    shared = dict(
+        p=args.p, r=args.r, a_sigma=args.a_sigma, b_sigma=args.b_sigma,
+        schedule=McmcSchedule(iterations=args.iterations, burn_in=args.burn_in, thin=args.thin),
+    )
     if args.model == "qbvar":
         if args.quantile is None:
             raise ConfigError("--quantile is required for the qbvar model")
-        cfg = QbvarConfig(
-            p=args.p, r=args.r, quantile=args.quantile, schedule=schedule,
-            a_sigma=args.a_sigma, b_sigma=args.b_sigma,
-        )
-        draws, diag = run_chain(design, cfg, rng)
+        cfg, runner = QbvarConfig(quantile=args.quantile, **shared), run_chain
     else:
-        cfg = BvarConfig(
-            p=args.p, r=args.r, schedule=schedule, a_sigma=args.a_sigma, b_sigma=args.b_sigma
-        )
-        draws, diag = run_bvar_chain(design, cfg, rng)
+        cfg, runner = BvarConfig(**shared), run_bvar_chain
+    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX[args.model], args.quantile_index, _STAGE_CHAIN)
+    draws, diag = runner(design, cfg, rng)
     draws.save(args.output)
     drift = float(np.max(np.abs(diag.phi_first_half_mean - diag.phi_second_half_mean)))
     print(
@@ -644,19 +628,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     draws = PosteriorDrawSet.load(args.draws)
-    tpanel, _ = _load_system(args)
+    tpanel = _load_panel(args.data, args.tcodes, args.variables)
     est = tpanel.through(args.origin) if args.origin else tpanel
     origin = est.dates[-1]
-    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX.get(draws.kind, 0), 0, _STAGE_FORECAST)
+    # stream index 0: a run's first qbvar level, or its bvar chain
+    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX[draws.kind], 0, _STAGE_FORECAST)
+    quantiles = [float(q) for q in args.quantiles.split(",")]
     fset = QuantileForecastSet(variable_names=list(draws.variable_names))
-    if draws.kind == "qbvar":
-        block = quantile_forecast(draws, est.values, args.max_horizon, rng)
-        fset.add_block(args.model_id or "qbvar", origin, draws.quantile, block)
-    else:
-        quantiles = [float(q) for q in args.quantiles.split(",")]
-        by_q = predictive_quantiles(draws, est.values, args.max_horizon, quantiles, rng)
-        for q in quantiles:
-            fset.add_block(args.model_id or "bvar", origin, q, by_q[q])
+    for q, block in forecast_quantiles(draws, est.values, args.max_horizon, quantiles, rng).items():
+        fset.add_block(args.model_id or draws.kind, origin, q, block)
     write_forecasts(fset, args.output)
     print(f"wrote {args.output} ({len(fset.records)} records from origin {origin})")
     return 0
@@ -670,7 +650,7 @@ def _parse_window_arg(spec: str) -> EventWindow:
 
 
 def _cmd_evaluate(args) -> int:
-    tpanel, _ = _load_system(args)
+    tpanel = _load_panel(args.data, args.tcodes, args.variables)
     fsets = [read_forecasts(p) for p in args.forecasts]
     windows = [(None, "full")] + [
         (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
@@ -689,7 +669,7 @@ def _cmd_combine(args) -> int:
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
-        tpanel = _load_system(args)[0]
+        tpanel = _load_panel(args.data, args.tcodes, args.variables)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(
         fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
@@ -743,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _data_args(p):
         p.add_argument("--data", required=True)
         p.add_argument("--tcodes", required=True)
-        p.add_argument("--variables", help="comma-separated system variables in order")
+        p.add_argument("--variables", type=lambda s: s.split(","),
+                       help="comma-separated system variables in order")
 
     g = sub.add_parser("estimate", help="estimate one model on data through an origin")
     _data_args(g)
@@ -791,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--window", type=int)
     g.add_argument("--data")
     g.add_argument("--tcodes")
-    g.add_argument("--variables")
+    g.add_argument("--variables", type=lambda s: s.split(","))
     g.add_argument("--target")
     g.add_argument("--model-id", default="comb")
     g.add_argument("--output", required=True)

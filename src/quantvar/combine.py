@@ -133,13 +133,13 @@ def optimal_weight_grid(fc_a, fc_b, realized, quantile: float, S: int, step: flo
     return float(grid[int(np.argmin(vals))]), float(vals.min())
 
 
-def weight_curve(fc_a, fc_b, realized, quantile: float, n_points: int = 101):
-    """Plot-ready (lam, avg pinball, ratio-to-best-endpoint) table rows.
+def weight_curve(fc_a, fc_b, realized, quantile: float):
+    """Plot-ready (lam, avg pinball, ratio-to-best-endpoint) rows on a 0.01 lam grid.
 
     The ratio column normalizes by the benchmark endpoint lam = 0, so a
     dip below 1 shows where combination beats the benchmark alone.
     """
-    grid = np.linspace(0.0, 1.0, n_points)
+    grid = np.linspace(0.0, 1.0, 101)
     vals = np.array([combination_objective(l, fc_a, fc_b, realized, quantile) for l in grid])
     base = combination_objective(0.0, fc_a, fc_b, realized, quantile)
     ratios = vals / base if base > 0 else np.full_like(vals, np.nan)

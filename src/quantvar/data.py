@@ -252,15 +252,17 @@ def build_lag_design(Y, p: int, variable_names=None) -> LagDesign:
 
 
 # ---------------------------------------------------------------------------
-# Delimiter-separated panel files: first column ISO YYYY-MM dates, header row
+# Comma-separated panel files: first column ISO YYYY-MM dates, header row
 # of series names, JSON sidecar mapping series name -> tcode.
 
 
-def read_panel(csv_path, tcode_path, delimiter: str = ",") -> TimeSeriesPanel:
+def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
     with open(tcode_path) as fh:
         tcode_map = json.load(fh)
+    if not isinstance(tcode_map, dict):
+        raise PanelError("tcode sidecar must be a JSON object mapping series names to tcodes")
     with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+        rows = list(csv.reader(fh))
     if not rows or len(rows[0]) < 2:
         raise PanelError("panel file needs a date column and at least one series")
     names = rows[0][1:]
@@ -274,9 +276,9 @@ def read_panel(csv_path, tcode_path, delimiter: str = ",") -> TimeSeriesPanel:
     return TimeSeriesPanel(dates, values, names, [tcode_map[n] for n in names])
 
 
-def write_panel(panel: TimeSeriesPanel, csv_path, tcode_path=None, delimiter: str = ",") -> None:
+def write_panel(panel: TimeSeriesPanel, csv_path, tcode_path=None) -> None:
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["date"] + panel.names)
         for i, d in enumerate(panel.dates):
             writer.writerow([d] + [f"{v:.17g}" if not np.isnan(v) else "" for v in panel.values[i]])

@@ -63,7 +63,7 @@ def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(a_safe / b) / v
 
 
-def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator, size=None):
+def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator):
     """Inverse-gamma draw: X = 1/G with G ~ Gamma(shape, rate=scale).
 
     scale may be an array; one call then draws one value per element, in
@@ -74,7 +74,7 @@ def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator, size
         raise ValueError("inverse gamma requires positive shape and scale")
     # numpy's gamma is scale * standard_gamma: the same values without its
     # broadcast loop over an array scale
-    g = rng.standard_gamma(shape_param, scale.shape if size is None else size)
+    g = rng.standard_gamma(shape_param, scale.shape)
     return 1.0 / (g * (1.0 / scale))
 
 

@@ -2,11 +2,13 @@
 
 Each retained draw defines a VAR whose future shocks are normal with
 covariance Lam Lam' + diag(sigma); paths are simulated forward horizon by
-horizon, feeding predictions back into the lag vector. A quantile model's
-forecast at its own level is the pointwise median across draws; the
-Gaussian benchmark's q-forecast is the empirical q-quantile of its
-predictive draws. The random-walk benchmark for stationarity-transformed
-series predicts zero change at every horizon and quantile.
+horizon, feeding predictions back into the lag vector. One function,
+:func:`forecast_quantiles`, turns either kind of draw set into quantile
+forecasts: a quantile model's forecast at its own level is the pointwise
+median across draws; the Gaussian benchmark's q-forecast is the empirical
+q-quantile of its predictive draws. The random-walk benchmark for
+stationarity-transformed series predicts zero change at every horizon and
+quantile.
 """
 
 from __future__ import annotations
@@ -76,31 +78,19 @@ def simulate_paths(
     return paths
 
 
-def quantile_forecast(
-    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(horizon, n) forecast of a quantile model: the median across draws.
-
-    The level is fixed at estimation time. A Gaussian draw set is an error;
-    its quantiles come from :func:`predictive_quantiles`.
-    """
-    if draws.kind != "qbvar":
-        raise ValueError(f"quantile_forecast needs a qbvar draw set, got {draws.kind!r}")
-    return np.nanmedian(simulate_paths(draws, history, horizon, rng), axis=0)
-
-
-def predictive_quantiles(
-    draws: PosteriorDrawSet,
-    history: np.ndarray,
-    horizon: int,
-    quantiles,
-    rng: np.random.Generator,
+def forecast_quantiles(
+    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, quantiles, rng: np.random.Generator
 ) -> dict:
-    """Empirical predictive quantiles {q: (horizon, n)} from one simulation.
+    """Quantile forecasts {q: (horizon, n)} read off one simulation of paths.
 
-    All levels are read off the same set of simulated paths, so they are
+    A quantile model was fitted at one level, so it returns only that level:
+    ``{draws.quantile: median across draws}``, and ``quantiles`` is not read.
+    A Gaussian model returns the empirical q-quantile of its paths at every
+    requested level; all levels come from the same paths, so they are
     mutually consistent (monotone in q) up to sampling noise.
     """
+    if draws.kind == "qbvar":
+        return {draws.quantile: np.nanmedian(simulate_paths(draws, history, horizon, rng), axis=0)}
     for q in quantiles:
         if not 0.0 < q < 1.0:
             raise ValueError("quantile must lie in (0, 1)")

@@ -24,7 +24,7 @@ in ``bvar``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -285,6 +285,11 @@ class PosteriorDrawSet:
     sigma: np.ndarray  # (S, n)
     variable_names: list[str]
 
+    def __post_init__(self):
+        # the forecaster reads any kind but "qbvar" as Gaussian
+        if self.kind not in ("qbvar", "bvar"):
+            raise ValueError(f"draw-set kind must be 'qbvar' or 'bvar', got {self.kind!r}")
+
     @property
     def n_draws(self) -> int:
         return self.Phi.shape[0]
@@ -313,6 +318,9 @@ class PosteriorDrawSet:
     @classmethod
     def load(cls, path) -> "PosteriorDrawSet":
         with np.load(path, allow_pickle=False) as d:
+            missing = [k for k in ("format_version", *(f.name for f in fields(cls))) if k not in d]
+            if missing:
+                raise ValueError(f"draw file lacks {missing}")
             version = int(d["format_version"])
             if version != _FORMAT_VERSION:
                 raise ValueError(f"unsupported draw-set format version {version}")

@@ -11,6 +11,7 @@ measures.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -27,7 +28,7 @@ from quantvar.dist import make_rng
 from quantvar.forecast import read_forecasts
 from quantvar.qbvar import McmcSchedule, QbvarConfig
 
-from conftest import make_forecast_pair, make_raw_panel
+from conftest import make_config_dict, make_forecast_pair, make_raw_panel
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _MODULES = (bvar, cli, data, evaluation, forecast, qbvar)
@@ -114,6 +115,32 @@ def test_run_bvar_chain_calls_only_its_own_step_coefficients(monkeypatch):
     sched = McmcSchedule(25, 5, 2)
     bvar.run_bvar_chain(design, BvarConfig(p=1, r=1, schedule=sched), make_rng(2))
     assert calls == {"bvar": sched.iterations, "qbvar": 0}
+
+
+def test_run_looks_up_its_chain_runners_in_cli_at_call_time(tmp_path, monkeypatch):
+    # the tracer times chains by replacing cli.run_chain and cli.run_bvar_chain,
+    # and counts lag designs at cli.build_lag_design: one per sampled model
+    calls = {"run_chain": 0, "run_bvar_chain": 0, "build_lag_design": 0}
+
+    def counting(name):
+        fn = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    make_raw_panel(tmp_path)
+    raw = make_config_dict(origins=("2017-08", "2017-10"), iterations=30, burn_in=10, thin=2,
+                           combinations=[])
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    n_origins, n_levels = 3, len(raw["models"]["qbvar"]["quantiles"])
+    assert calls == {"run_chain": n_levels * n_origins, "run_bvar_chain": n_origins,
+                     "build_lag_design": 2 * n_origins}
 
 
 @pytest.mark.parametrize("strategy", ["performance", "optimal"])

@@ -572,6 +572,78 @@ def test_estimate_forecast_evaluate_pipeline(tmp_path, capsys):
     np.testing.assert_allclose(cset.get("mix", "2018-06", 1, 0.5), 0.5 * (a + b))
 
 
+def test_estimate_and_forecast_reproduce_a_runs_first_origin(tmp_path, capsys):
+    # stream index 0 of each model at origin index 0: the first qbvar level's
+    # records and all of bvar's, bit for bit
+    cfg, raw = _light_cfg(tmp_path, origins=("2017-08", "2017-09"), iterations=60, burn_in=20,
+                          thin=2, combinations=[])
+    run_recursive(cfg, raw)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "tgt,c1"]
+    shared = ["--p", "1", "--origin", "2017-08", "--iterations", "60", "--burn-in", "20",
+              "--thin", "2", "--seed", str(cfg.seed)]
+    levels = ",".join(f"{q:g}" for q in cfg.quantile_set)
+    for model, extra in (("qbvar", ["--quantile", f"{cfg.qbvar[0].quantile:g}"]), ("bvar", [])):
+        draws, fc = str(tmp_path / f"{model}.npz"), str(tmp_path / f"{model}_fc.csv")
+        assert main(["estimate", *data, "--model", model, *shared, *extra, "--output", draws]) == 0
+        assert main(["forecast", *data, "--draws", draws, "--origin", "2017-08", "--max-horizon",
+                     "2", "--quantiles", levels, "--seed", str(cfg.seed), "--output", fc]) == 0
+        mine = read_forecasts(fc).records
+        ran = read_forecasts(os.path.join(cfg.output_dir, "forecasts", f"{model}.csv")).records
+        assert len(mine) == (2 if model == "qbvar" else 4)
+        for key, vals in mine.items():
+            np.testing.assert_array_equal(vals, ran[key])
+
+
+def _draw_file(path, **over):
+    """Save a one-draw VAR(1) draw set of (tgt, c1) with ``over`` replacing fields."""
+    fields = dict(format_version=1, kind="qbvar", quantile=0.5, p=1, Phi=np.zeros((1, 2, 3)),
+                  Lam=np.zeros((1, 2, 0)), sigma=np.ones((1, 2)),
+                  variable_names=np.array(["tgt", "c1"]))
+    fields.update(over)
+    np.savez(path, **{k: v for k, v in fields.items() if v is not None})
+    return str(path)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"format_version": None}, "lacks ['format_version']"),
+    ({"kind": "foo"}, "kind must be 'qbvar' or 'bvar'"),
+], ids=["no_format_version", "unknown_kind"])
+def test_forecast_rejects_a_malformed_draw_file_with_exit_2(tmp_path, capsys, over, message):
+    make_raw_panel(tmp_path)
+    rc = main(["forecast", "--data", str(tmp_path / "panel.csv"), "--tcodes",
+               str(tmp_path / "tcodes.json"), "--variables", "tgt,c1", "--draws",
+               _draw_file(tmp_path / "d.npz", **over), "--output", str(tmp_path / "fc.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError" and message in err["message"]
+    assert not (tmp_path / "fc.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "forecast", "evaluate", "combine", "report"])
+def test_every_command_names_the_series_missing_from_the_panel(tmp_path, capsys, command):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "tgt,nope"]
+    out = str(tmp_path / "out")
+    argv = {
+        "estimate": ["estimate", *data, "--model", "bvar", "--p", "1", "--output", out],
+        "forecast": ["forecast", *data, "--draws", _draw_file(tmp_path / "d.npz"), "--output", out],
+        "evaluate": ["evaluate", *data, "--forecasts", fa, "--target", "tgt", "--output-dir", out],
+        "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",
+                    *data, "--target", "tgt", "--output", out],
+        "report": ["report", "--run-dir", str(tmp_path)],
+    }[command]
+    if command == "report":  # a run directory whose config names a series the panel lacks
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict(companions=("nope",))))
+        os.makedirs(tmp_path / "forecasts")
+        os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"status": "error", "kind": "ConfigError", "message": "series not in panel: ['nope']"}
+
+
 @pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])
 def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, strategy, window):
     make_raw_panel(tmp_path)

@@ -231,3 +231,12 @@ def test_read_panel_requires_tcodes(tmp_path):
     tc_path.write_text("{}")
     with pytest.raises(PanelError):
         read_panel(csv_path, tc_path)
+
+
+def test_read_panel_rejects_a_tcode_sidecar_that_is_not_an_object(tmp_path):
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("date,a\n2001-01,1.0\n2001-02,2.0\n")
+    tc_path = tmp_path / "t.json"
+    tc_path.write_text('["a", 5]')
+    with pytest.raises(PanelError, match="JSON object"):
+        read_panel(csv_path, tc_path)

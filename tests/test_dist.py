@@ -65,7 +65,7 @@ def test_draw_gig_half_validation():
 
 def test_inverse_gamma_moments():
     rng = make_rng(3)
-    x = draw_inverse_gamma(5.0, 2.0, rng, size=200_000)
+    x = draw_inverse_gamma(5.0, np.full(200_000, 2.0), rng)
     assert np.all(x > 0)
     # mean scale/(shape-1) = 0.5; var scale^2/((s-1)^2 (s-2)) = 4/(16*3)
     assert x.mean() == pytest.approx(0.5, rel=0.02)
@@ -353,7 +353,9 @@ def test_draw_gig_half_keeps_stream_and_values(a, b):
     [(2.0, 1000), (np.array([0.7, 2.5, 11.0]), None), (np.array([0.7, 2.5, 11.0]), (4, 3)), (3.0, None)],
 )
 def test_draw_inverse_gamma_keeps_stream_and_values(scale, size):
-    mine = draw_inverse_gamma(4.5, scale, make_rng(70), size=size)
+    # a sized draw is a draw at a scale of that shape
+    shaped = scale if size is None else np.broadcast_to(scale, size)
+    mine = draw_inverse_gamma(4.5, shaped, make_rng(70))
     ref = 1.0 / make_rng(70).gamma(4.5, 1.0 / np.asarray(scale, dtype=float), size=size)
     assert np.shape(mine) == np.shape(ref)
     np.testing.assert_array_equal(mine, ref)

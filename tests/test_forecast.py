@@ -5,8 +5,7 @@ from quantvar.dist import make_rng
 from quantvar.forecast import (
     ForecastError,
     QuantileForecastSet,
-    predictive_quantiles,
-    quantile_forecast,
+    forecast_quantiles,
     random_walk_forecast,
     read_forecasts,
     simulate_paths,
@@ -98,18 +97,18 @@ def test_quantile_forecast_median_across_draws():
     Phi = np.zeros((3, 1, 2))
     Phi[:, 0, 0] = intercepts
     draws = _draw_set(Phi)
-    fc = quantile_forecast(draws, np.array([[0.0]]), 1, make_rng(0))
+    by_q = forecast_quantiles(draws, np.array([[0.0]]), 1, [0.1, 0.9], make_rng(0))
+    assert list(by_q) == [0.5]  # the draw set's own level; the requested ones are not read
+    fc = by_q[0.5]
     assert fc.shape == (1, 1)
     assert fc[0, 0] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_quantile_forecast_level_conflict_and_gaussian_requirements():
-    # a Gaussian draw set takes its quantiles from predictive_quantiles
+    # a Gaussian draw set's requested levels must lie in (0, 1)
     bdraws = _draw_set(np.zeros((2, 1, 2)), kind="bvar")
     with pytest.raises(ValueError):
-        quantile_forecast(bdraws, np.array([[0.0]]), 1, make_rng(0))
-    with pytest.raises(ValueError):
-        predictive_quantiles(bdraws, np.array([[0.0]]), 1, [1.5], make_rng(0))
+        forecast_quantiles(bdraws, np.array([[0.0]]), 1, [1.5], make_rng(0))
 
 
 def test_gaussian_predictive_quantiles_are_monotone():
@@ -118,7 +117,7 @@ def test_gaussian_predictive_quantiles_are_monotone():
     sigma = np.full((S, 2), 0.5)
     Lam = np.ones((S, 2, 1))
     draws = _draw_set(Phi, Lam=Lam, sigma=sigma, kind="bvar")
-    by_q = predictive_quantiles(draws, np.zeros((1, 2)), 4, [0.1, 0.5, 0.9], make_rng(5))
+    by_q = forecast_quantiles(draws, np.zeros((1, 2)), 4, [0.1, 0.5, 0.9], make_rng(5))
     assert set(by_q) == {0.1, 0.5, 0.9}
     assert np.all(by_q[0.1] <= by_q[0.5])
     assert np.all(by_q[0.5] <= by_q[0.9])
