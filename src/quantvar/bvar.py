@@ -9,6 +9,15 @@ This is the quantile sampler at theta = 0, tau2 = 1 with the mixture
 variables pinned at one, plus the conjugate inverse-gamma variance update,
 so its sweep runs through the quantile model's chain driver
 (:func:`quantvar.qbvar.run_gibbs`).
+
+With Z = 1 every observation of series i carries the same weight
+w_i = 1/sigma_i, so X' W X = (X'X) w_i and F' W F = (F'F) w_i, and the
+factor precision sum_i w_i lam_i lam_i' + I is one r x r matrix for every
+period. The sweep therefore passes the (n,) weights to the shared steps:
+they form one k x k product for all series
+(:func:`quantvar.qbvar.weighted_system`) and one factor precision
+broadcast over T, where the quantile model needs a weighted copy of the
+regressors per series and a precision per period.
 """
 
 from __future__ import annotations
@@ -48,12 +57,13 @@ def run_bvar_chain(
 
     def sweep(state):
         # shared terms once per sweep, as in qbvar.run_chain; with theta = 0
-        # and tau2 = 1 the factor target Y - X Phi' - theta Z is D itself
-        W = 1.0 / (state.sigma * state.Z)
-        step_coefficients(design, state, 0.0, W, rng)
+        # and tau2 = 1 the factor target Y - X Phi' - theta Z is D itself,
+        # and Z = 1 leaves one weight per series
+        w = 1.0 / state.sigma
+        step_coefficients(design, state, 0.0, w, rng)
         D = design.Y - design.X @ state.Phi.T
-        step_loadings(state, W, D, rng)
-        step_factors(state, W, D, rng)
+        step_loadings(state, w, D, rng)
+        step_factors(state, w, D, rng)
         E = D - state.F @ state.Lam.T if config.r else D
         step_scales_gaussian(state, E, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)

@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,8 +394,21 @@ def _safe_label(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
+def _threads() -> int:
+    """Worker-process count from ``QUANTVAR_THREADS`` (default 1, serial)."""
+    raw = os.environ.get("QUANTVAR_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"QUANTVAR_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     """Execute the full recursive experiment; returns the manifest dict."""
+    threads = _threads()
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     dates = list(tpanel.dates)
     date_idx = {d: i for i, d in enumerate(dates)}
@@ -424,9 +436,10 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     payloads = [
         (origin, oi, dates, values, names, cfg) for oi, origin in enumerate(origins)
     ]
-    threads = int(os.environ.get("QUANTVAR_THREADS", "1"))
-    results = []
     if threads > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_forecast_one_origin, payloads))
     else:
@@ -628,7 +641,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     draws = PosteriorDrawSet.load(args.draws)
-    tpanel = _load_panel(args.data, args.tcodes, args.variables)
+    names = args.variables or draws.variable_names
+    tpanel = _load_panel(args.data, args.tcodes, names)
+    if names != draws.variable_names:
+        raise ConfigError(
+            f"--variables {names} differ from the draw set's series {draws.variable_names} "
+            "(names and order must match)"
+        )
     est = tpanel.through(args.origin) if args.origin else tpanel
     origin = est.dates[-1]
     # stream index 0: a run's first qbvar level, or its bvar chain

@@ -6,12 +6,17 @@ master seed and a structured key (origin, model, quantile, ...). The
 Gaussian and inverse-gamma draws are batched over rows: one call draws every
 row of a Gibbs block. A Gaussian draw in precision form takes one Cholesky
 factorisation P = L L^T and one solve with two right-hand sides, using
-mean + L^-T z = P^-1 (rhs + L z) (Rue 2001). A stack of positive, finite
-1 x 1 systems (the loadings and factors of a one-factor model) skips
-LAPACK: its draw is (rhs + sqrt(d) z) (1/d) in closed form, bit for bit
-what the factor-and-solve path gives on OpenBLAS. The horseshoe scales
+mean + L^-T z = P^-1 (rhs + L z) (Rue 2001); one P may serve a whole stack
+of right-hand sides (the Gaussian model's factors share one precision over
+all periods). A stack of positive, finite 1 x 1 systems (the loadings and
+factors of a one-factor model) skips LAPACK: its draw is
+(rhs + sqrt(d) z) (1/d) in closed form, bit for bit what the
+factor-and-solve path gives on OpenBLAS. The horseshoe scales
 take the inverse-gamma conditionals of Makalic & Schmidt (2016), drawn from
-numpy's exponential and gamma generators alone.
+numpy's exponential and gamma generators alone. The kernels run once or
+more per Gibbs step, so they work in place where they can: each value is
+still computed by the same operations in the same order, so the draws are
+bit for bit those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -53,14 +58,30 @@ def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("GIG requires a >= 0")
     shape = np.broadcast_shapes(a.shape, b.shape)
     a_safe = np.maximum(a, _TINY)
-    nu = rng.standard_normal(shape) ** 2
-    om = np.sqrt(a_safe * b)
-    x_plus = 1.0 + (nu + np.sqrt(nu * nu + 4.0 * om * nu)) / (2.0 * om)
-    x_minus = 1.0 / x_plus
-    take_minus = rng.random(shape) < 1.0 / (1.0 + x_minus)
-    v = np.where(take_minus, x_minus, x_plus)
-    # v is 1/X scaled by mu = sqrt(b/a) in the IG parameterization; invert back
-    return np.sqrt(a_safe / b) / v
+    # in place on arrays of the broadcast shape (0-d included), each value
+    # by the same operations in the same order as the plain formula
+    #   x+ = 1 + (nu + sqrt(nu^2 + 4 om nu)) / (2 om),  om = sqrt(a b)
+    nu = rng.standard_normal(shape)
+    nu *= nu
+    om = np.multiply(a_safe, b, out=np.empty(shape))
+    np.sqrt(om, out=om)
+    x_plus = np.multiply(om, 4.0, out=np.empty(shape))
+    x_plus *= nu
+    x_plus += nu * nu
+    np.sqrt(x_plus, out=x_plus)
+    x_plus += nu
+    om *= 2.0
+    x_plus /= om
+    x_plus += 1.0
+    x_minus = np.divide(1.0, x_plus, out=om)
+    accept = np.add(x_minus, 1.0, out=nu)
+    np.divide(1.0, accept, out=accept)
+    np.copyto(x_plus, x_minus, where=rng.random(shape) < accept)
+    # x_plus is now 1/X scaled by mu = sqrt(b/a) in the IG parameterization; invert back
+    out = np.divide(a_safe, b, out=x_minus)
+    np.sqrt(out, out=out)
+    out /= x_plus
+    return out
 
 
 def draw_inverse_gamma(shape_param: float, scale, rng: np.random.Generator):
@@ -103,6 +124,8 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
 
     Batched over rows: P is (..., k, k) and rhs (..., k), one independent
     draw per leading index; a single (k, k) system is the unbatched case.
+    P broadcasts against rhs, so one (k, k) precision shared by a stack of
+    rhs (T, k) gives T independent draws from one Cholesky factor.
     Returns (draw, posterior_mean). One Cholesky P = L L^T factors the whole
     stack and one solve with two right-hand sides gives the mean and the
     draw, since mean + L^-T z = P^-1 (rhs + L z); the normals z are taken in
@@ -134,8 +157,10 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
         L, jitter = zip(*map(_cholesky_with_jitter, P.reshape(-1, k, k)))
         L = np.stack(L).reshape(P.shape)
         P = P + np.reshape(jitter, P.shape[:-2])[..., None, None] * np.eye(k)
-    b = rhs[..., None]
-    sol = np.linalg.solve(P, np.concatenate([b, b + L @ z[..., None]], axis=-1))
+    B = np.empty(rhs.shape + (2,))
+    B[..., 0] = rhs
+    np.add(rhs, (L @ z[..., None])[..., 0], out=B[..., 1])
+    sol = np.linalg.solve(P, B)
     return sol[..., 1], sol[..., 0]
 
 
@@ -170,10 +195,17 @@ def update_horseshoe(beta, nu, kappa: float, xi: float, rng: np.random.Generator
     if nu.size != k:
         raise ValueError("nu length must match beta")
     e = rng.standard_exponential(2 * k + 1)
-    half_b2 = 0.5 * beta**2
-    psi2 = np.maximum((1.0 / nu + half_b2 / kappa**2) / e[:k], _TINY)
-    nu = (1.0 + 1.0 / psi2) / e[k:-1]
-    kappa2 = (1.0 / xi + np.sum(half_b2 / psi2)) / rng.standard_gamma(0.5 * (k + 1))
+    half_b2 = beta * beta
+    half_b2 *= 0.5
+    psi2 = np.divide(half_b2, kappa**2)
+    psi2 += 1.0 / nu
+    psi2 /= e[:k]
+    np.maximum(psi2, _TINY, out=psi2)
+    nu = np.divide(1.0, psi2)
+    nu += 1.0
+    nu /= e[k:-1]
+    half_b2 /= psi2
+    kappa2 = (1.0 / xi + np.sum(half_b2)) / rng.standard_gamma(0.5 * (k + 1))
     kappa2 = max(kappa2, _TINY)
     xi = (1.0 + 1.0 / kappa2) / e[-1]
-    return np.sqrt(psi2), nu, float(np.sqrt(kappa2)), float(xi)
+    return np.sqrt(psi2, out=psi2), nu, float(np.sqrt(kappa2)), float(xi)

@@ -134,21 +134,33 @@ def weighted_system(X, y, weights, prior_prec_diag):
     rhs = X' W y, so the conditional is N(P^-1 rhs, P^-1). Batched over
     rows: y and weights (T, n) with prior_prec_diag (n, k) give the n
     systems of columns i, P (n, k, k) and rhs (n, k); (T,) and (k,) give one.
+
+    Weights with one dimension fewer than y, (n,) (or a scalar for one
+    system), are constant down each column, w_ti = w_i, as in the Gaussian
+    model. Then X' W X = (X'X) w_i and X' W y = (y'X) w_i: one k x k product
+    serves all n systems, and no weighted (n, T, k) copy of X is built.
     """
-    Xw = X * np.asarray(weights).T[..., None]  # (T, k) or (n, T, k)
-    P = X.T @ Xw
-    idx = np.arange(X.shape[1])
-    P[..., idx, idx] += prior_prec_diag
-    rhs = (np.asarray(y).T[..., None, :] @ Xw)[..., 0, :]
+    w = np.asarray(weights)
+    y = np.asarray(y)
+    if w.ndim < y.ndim:
+        P = (X.T @ X) * w[..., None, None]
+        rhs = (y.T @ X) * w[..., None]
+    else:
+        Xw = X * w.T[..., None]  # (T, k) or (n, T, k)
+        P = X.T @ Xw
+        rhs = (y.T[..., None, :] @ Xw)[..., 0, :]
+    diagonal = np.einsum("...ii->...i", P)  # a writable view, cheaper than fancy indexing
+    diagonal += prior_prec_diag
     return P, rhs
 
 
 def step_coefficients(design, state, theta, W, rng) -> None:
     """Draw all coefficient rows from their normal full conditionals.
 
-    W holds the observation weights 1/(tau2 sigma_i z_it), (T, n). The rows
-    are independent given the other blocks, so they are drawn in one
-    batched call.
+    W holds the observation weights 1/(tau2 sigma_i z_it), (T, n), or the
+    Gaussian model's per-column weights 1/sigma_i, (n,) (see
+    :func:`weighted_system`). The rows are independent given the other
+    blocks, so they are drawn in one batched call.
     """
     Ytil = design.Y - theta * state.Z
     if state.Lam.shape[1]:
@@ -161,7 +173,8 @@ def step_coefficients(design, state, theta, W, rng) -> None:
 def step_loadings(state, W, R, rng) -> None:
     """Draw all loading rows in one batched call; prior is N(0, I) on every row.
 
-    R is the target of the factor part, Y - X Phi' - theta Z, (T, n).
+    R is the target of the factor part, Y - X Phi' - theta Z, (T, n); W is
+    as in :func:`step_coefficients`.
     """
     r = state.Lam.shape[1]
     if r == 0:
@@ -175,11 +188,13 @@ def factor_precision(Lam, W, R):
 
     Each f_t is N(P_t^-1 rhs_t, P_t^-1), combining the loadings weighted by
     W = 1/(tau2 sigma_i z_it) with the standard-normal prior; R is
-    Y - X Phi' - theta Z.
+    Y - X Phi' - theta Z. Weights constant down each column, W (n,), give
+    one precision P (r, r) shared by every period, which
+    :func:`quantvar.dist.draw_from_precision_system` broadcasts over rhs.
     """
-    r = Lam.shape[1]
-    P = np.einsum("ia,ti,ib->tab", Lam, W, Lam)
-    P[:, np.arange(r), np.arange(r)] += 1.0
+    P = np.einsum("ia,...i,ib->...ab", Lam, W, Lam)
+    diagonal = np.einsum("...ii->...i", P)
+    diagonal += 1.0
     rhs = np.einsum("ia,ti->ta", Lam, W * R)
     return P, rhs
 
@@ -204,10 +219,11 @@ def step_latent(state, E, theta, tau2, rng) -> None:
 
     E holds the regression residuals Y - X Phi' - F Lam', (T, n).
     """
-    s = tau2 * state.sigma[None, :]
-    a = E**2 / s
-    b = theta**2 / s + 2.0
-    state.Z = np.maximum(draw_gig_half(a, b, rng), _Z_FLOOR)
+    s = tau2 * state.sigma
+    a = E * E
+    a /= s
+    z = draw_gig_half(a, theta**2 / s + 2.0, rng)
+    state.Z = np.maximum(z, _Z_FLOOR, out=z)
 
 
 def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
@@ -222,8 +238,11 @@ def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
     anchors intercepts away from the median.
     """
     T = E.shape[0]
-    adj = E - theta * state.Z
-    scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=0)
+    adj = theta * state.Z
+    np.subtract(E, adj, out=adj)
+    adj *= adj
+    adj /= 2.0 * tau2 * state.Z
+    scale = b_sigma + np.sum(adj, axis=0)
     state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
 
 

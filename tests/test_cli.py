@@ -314,6 +314,34 @@ def test_parallel_origins_match_serial(tmp_path, monkeypatch):
     assert m_serial["files"] == m_parallel["files"]
 
 
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_run_rejects_a_bad_thread_count_with_exit_2(tmp_path, capsys, monkeypatch, value):
+    _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2)
+    monkeypatch.setenv("QUANTVAR_THREADS", value)
+    rc = main(["run", "--config", str(tmp_path / "config.json"),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ConfigError" and "QUANTVAR_THREADS" in err["message"]
+    assert not (tmp_path / "out" / "forecasts").exists()
+
+
+def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
+    # the pool module (and multiprocessing with it) is imported only when a
+    # run has more than one worker
+    _light_cfg(tmp_path, origins=("2017-08", "2017-08"), iterations=40, burn_in=10, thin=2)
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from quantvar.cli import main\n"
+        "os.environ['QUANTVAR_THREADS'] = '1'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['run', '--config', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+        "print(rc, 'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    out = _fresh_python(code, str(tmp_path / "config.json"), str(tmp_path / "out"))
+    assert out == "0 False False"
+
+
 def test_abort_accounting_fails_run(tmp_path, monkeypatch):
     cfg, raw = _light_cfg(tmp_path)
     real = cli_mod._forecast_one_origin
@@ -618,6 +646,23 @@ def test_forecast_rejects_a_malformed_draw_file_with_exit_2(tmp_path, capsys, ov
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "ValueError" and message in err["message"]
     assert not (tmp_path / "fc.csv").exists()
+
+
+def test_forecast_rejects_variables_that_differ_from_the_draw_sets(tmp_path, capsys):
+    # draws of (tgt, c1) forecast from a (c1, tgt) history would run silently
+    # on the swapped series; the default is the draw set's own order
+    make_raw_panel(tmp_path)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json")]
+    draws = _draw_file(tmp_path / "d.npz")
+    out = tmp_path / "fc.csv"
+    assert main(["forecast", *data, "--variables", "c1,tgt", "--draws", draws,
+                 "--output", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ConfigError" and "['c1', 'tgt']" in err["message"]
+    assert not out.exists()
+    assert main(["forecast", *data, "--draws", draws, "--max-horizon", "1",
+                 "--output", str(out)]) == 0
+    assert read_forecasts(str(out)).variable_names == ["tgt", "c1"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "forecast", "evaluate", "combine", "report"])

@@ -348,6 +348,34 @@ def test_draw_gig_half_keeps_stream_and_values(a, b):
     np.testing.assert_array_equal(mine, ref)
 
 
+def _horseshoe_reference(beta, nu, kappa, xi, rng):
+    beta = np.asarray(beta, dtype=float).ravel()
+    nu = np.asarray(nu, dtype=float).ravel()
+    k = beta.size
+    e = rng.standard_exponential(2 * k + 1)
+    half_b2 = 0.5 * beta**2
+    psi2 = np.maximum((1.0 / nu + half_b2 / kappa**2) / e[:k], 1e-300)
+    nu = (1.0 + 1.0 / psi2) / e[k:-1]
+    kappa2 = (1.0 / xi + np.sum(half_b2 / psi2)) / rng.standard_gamma(0.5 * (k + 1))
+    kappa2 = max(kappa2, 1e-300)
+    xi = (1.0 + 1.0 / kappa2) / e[-1]
+    return np.sqrt(psi2), nu, float(np.sqrt(kappa2)), float(xi)
+
+
+@pytest.mark.parametrize("k", [1, 21, 392])
+def test_update_horseshoe_keeps_stream_and_values(k):
+    rng = np.random.default_rng(k)
+    beta = rng.normal(size=k) * np.logspace(-8, 1, k)
+    nu = rng.uniform(0.1, 3.0, size=k)
+    before = nu.copy()
+    mine = update_horseshoe(beta, nu, 0.7, 1.3, make_rng(60))
+    ref = _horseshoe_reference(beta, nu, 0.7, 1.3, make_rng(60))
+    np.testing.assert_array_equal(nu, before)  # the input is not written to
+    for m, r in zip(mine, ref):
+        np.testing.assert_array_equal(m, r)
+    assert isinstance(mine[2], float) and isinstance(mine[3], float)
+
+
 @pytest.mark.parametrize(
     "scale, size",
     [(2.0, 1000), (np.array([0.7, 2.5, 11.0]), None), (np.array([0.7, 2.5, 11.0]), (4, 3)), (3.0, None)],

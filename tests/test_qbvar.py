@@ -18,6 +18,7 @@ from quantvar.qbvar import (
     QbvarConfig,
     QbvarState,
     QuantileLevel,
+    factor_precision,
     factor_systems,
     init_state,
     run_chain,
@@ -206,7 +207,9 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
     """One Gibbs sweep in which every step rebuilds the terms it reads.
 
     These are the step formulas from before the sweep shared its terms;
-    the Gaussian model is theta = 0, tau2 = 1 with a conjugate scale draw.
+    the Gaussian model is theta = 0, tau2 = 1 with a conjugate scale draw,
+    and its Z = 1 leaves one weight 1/sigma_i per series, so its systems
+    take the (n,) weight form and one factor precision for every period.
     """
     Y, X = design.Y, design.X
     r = state.Lam.shape[1]
@@ -217,21 +220,21 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
             E = E - state.F @ state.Lam.T
         return E
 
-    W = 1.0 / (tau2 * state.sigma * state.Z)
+    W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma * state.Z)
     Ytil = Y - theta * state.Z
     if r:
         Ytil = Ytil - state.F @ state.Lam.T
     P, rhs = weighted_system(X, Ytil, W, 1.0 / (state.psi**2 * state.kappa**2))
     state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
     if r:
-        W = 1.0 / (tau2 * state.sigma * state.Z)
+        W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma * state.Z)
         Ytil = Y - X @ state.Phi.T - theta * state.Z
         P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
         state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
-        W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)
+        W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma[None, :] * state.Z)
         R = Y - X @ state.Phi.T - theta * state.Z
-        P = np.einsum("ia,ti,ib->tab", state.Lam, W, state.Lam)
-        P[:, np.arange(r), np.arange(r)] += 1.0
+        P = np.einsum("ia,i,ib->ab" if gaussian else "ia,ti,ib->tab", state.Lam, W, state.Lam)
+        P[..., np.arange(r), np.arange(r)] += 1.0
         rhs = np.einsum("ia,ti->ta", state.Lam, W * R)
         state.F, _ = draw_from_precision_system(P, rhs, rng)
     T = Y.shape[0]
@@ -296,6 +299,67 @@ def test_weighted_system_batches_rows():
         P_i, rhs_i = weighted_system(X, Y[:, i], W[:, i], prior[i])
         np.testing.assert_allclose(P[i], P_i, rtol=1e-13)
         np.testing.assert_allclose(rhs[i], rhs_i, rtol=1e-13)
+
+
+def test_weighted_system_takes_constant_column_weights():
+    # (n,) weights are (T, n) weights constant down each column, the Gaussian
+    # model's w_i = 1/sigma_i: P = (X'X) w_i + prior and rhs = (y'X) w_i
+    rng = np.random.default_rng(3)
+    T, k, n = 40, 6, 4
+    X = rng.normal(size=(T, k))
+    Y = rng.normal(size=(T, n))
+    w = rng.uniform(0.1, 5.0, size=n)
+    prior = rng.uniform(0.2, 3.0, size=(n, k))
+    P, rhs = weighted_system(X, Y, w, prior)
+    P_ref, rhs_ref = weighted_system(X, Y, np.broadcast_to(w, (T, n)), prior)
+    assert P.shape == (n, k, k) and rhs.shape == (n, k)
+    np.testing.assert_allclose(P, P_ref, rtol=1e-12)
+    np.testing.assert_allclose(rhs, rhs_ref, rtol=1e-12)
+    # one system: a scalar weight with a (T,) target
+    P_1, rhs_1 = weighted_system(X, Y[:, 2], w[2], prior[2])
+    np.testing.assert_allclose(P_1, P_ref[2], rtol=1e-12)
+    np.testing.assert_allclose(rhs_1, rhs_ref[2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_gaussian_factor_draw_shares_one_precision(r):
+    # with constant column weights every period has the same precision; one
+    # (r, r) system broadcast over the T targets draws what the per-period
+    # systems draw from the same stream
+    design = _toy_design(seed=17, T=50, n=4, p=2)
+    state = _fixed_state(design, r=r, seed=5)
+    w = 1.0 / state.sigma
+    D = design.Y - design.X @ state.Phi.T
+    T = D.shape[0]
+    P, rhs = factor_precision(state.Lam, w, D)
+    P_t, rhs_t = factor_precision(state.Lam, np.broadcast_to(w, D.shape), D)
+    assert P.shape == (r, r) and rhs.shape == (T, r)
+    np.testing.assert_allclose(P_t, np.broadcast_to(P, P_t.shape), rtol=1e-12)
+    np.testing.assert_allclose(rhs, rhs_t, rtol=1e-12)
+    rng = make_rng(44)
+    ref = np.empty_like(state.F)
+    for t in range(T):
+        ref[t], _ = draw_from_precision_system(P_t[t], rhs_t[t], rng)
+    step_factors(state, w, D, make_rng(44))
+    np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("per_column", [False, True])
+def test_factor_systems_without_factors(per_column):
+    # r = 0: empty systems in either weight form, and the factor blocks are
+    # left untouched
+    design = _toy_design(seed=19, T=30, n=3, p=1)
+    state = _fixed_state(design, r=0)
+    W = 1.0 / state.sigma if per_column else 1.0 / (state.sigma * state.Z)
+    D = design.Y - design.X @ state.Phi.T
+    T = D.shape[0]
+    P, rhs = factor_precision(state.Lam, W, D)
+    assert P.shape == ((0, 0) if per_column else (T, 0, 0)) and rhs.shape == (T, 0)
+    rng = make_rng(3)
+    step_loadings(state, W, D, rng)
+    step_factors(state, W, D, rng)
+    assert state.Lam.shape == (3, 0) and state.F.shape == (T, 0)
+    assert rng.bit_generator.state == make_rng(3).bit_generator.state
 
 
 def test_step_latent_respects_floor_and_conditional_moments():
