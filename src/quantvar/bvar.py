@@ -17,7 +17,10 @@ period. The sweep therefore passes the (n,) weights to the shared steps:
 they form one k x k product for all series
 (:func:`quantvar.qbvar.weighted_system`) and one factor precision
 broadcast over T, where the quantile model needs a weighted copy of the
-regressors per series and a precision per period.
+regressors per series and a precision per period. The coefficient draw
+perturbs every observation of series i by u / sqrt(w_i)
+(:func:`quantvar.qbvar.draw_weighted_regression`). Residuals are
+series-major, (n, T), as in the quantile sweep.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class BvarConfig(ModelConfig):
 
 
 def step_scales_gaussian(state: QbvarState, E, a_sigma, b_sigma, rng) -> None:
-    """Conjugate variance draw sigma_i ~ IG(a + T/2, b + sum e^2 / 2); E is (T, n) residuals."""
-    T = E.shape[0]
-    scale = b_sigma + 0.5 * np.sum(E**2, axis=0)
+    """Conjugate variance draw sigma_i ~ IG(a + T/2, b + sum e^2 / 2); E is (n, T) residuals."""
+    T = E.shape[1]
+    scale = b_sigma + 0.5 * np.sum(E**2, axis=1)
     state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, scale, rng)
 
 
@@ -61,10 +64,10 @@ def run_bvar_chain(
         # and Z = 1 leaves one weight per series
         w = 1.0 / state.sigma
         step_coefficients(design, state, 0.0, w, rng)
-        D = design.Y - design.X @ state.Phi.T
+        D = design.YT - state.Phi @ design.XT
         step_loadings(state, w, D, rng)
         step_factors(state, w, D, rng)
-        E = D - state.F @ state.Lam.T if config.r else D
+        E = D - state.Lam @ state.F.T if config.r else D
         step_scales_gaussian(state, E, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)
         return E

@@ -123,16 +123,6 @@ def optimal_weight(fc_a, fc_b, realized, quantile: float, S: int) -> tuple[float
     return min(max(0.5, lo), hi), False
 
 
-def optimal_weight_grid(fc_a, fc_b, realized, quantile: float, S: int, step: float = 1e-4):
-    """Brute-force grid minimizer, kept as an independent cross-check."""
-    a = np.asarray(fc_a, dtype=float)[-S:]
-    b = np.asarray(fc_b, dtype=float)[-S:]
-    y = np.asarray(realized, dtype=float)[-S:]
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    vals = np.array([combination_objective(l, a, b, y, quantile) for l in grid])
-    return float(grid[int(np.argmin(vals))]), float(vals.min())
-
-
 def weight_curve(fc_a, fc_b, realized, quantile: float):
     """Plot-ready (lam, avg pinball, ratio-to-best-endpoint) rows on a 0.01 lam grid.
 

@@ -13,6 +13,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -206,7 +207,12 @@ def transform_panel(panel: TimeSeriesPanel) -> TimeSeriesPanel:
 
 @dataclass
 class LagDesign:
-    """Stacked VAR regression arrays: row t of X is (1, y_{t-1}, ..., y_{t-p})."""
+    """Stacked VAR regression arrays: row t of X is (1, y_{t-1}, ..., y_{t-p}).
+
+    The samplers store their per-observation arrays series-major, (n, T),
+    so they read the transposes ``YT`` (n, T) and ``XT`` (k, T), each made
+    contiguous once on first use.
+    """
 
     Y: np.ndarray
     X: np.ndarray
@@ -217,6 +223,14 @@ class LagDesign:
         T, n = self.Y.shape
         if self.X.shape != (T, n * self.p + 1):
             raise PanelError("design dimensions inconsistent with lag order")
+
+    @cached_property
+    def YT(self) -> np.ndarray:
+        return np.ascontiguousarray(self.Y.T)
+
+    @cached_property
+    def XT(self) -> np.ndarray:
+        return np.ascontiguousarray(self.X.T)
 
     @property
     def n_vars(self) -> int:

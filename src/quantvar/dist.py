@@ -4,7 +4,9 @@ Everything takes an explicit ``numpy.random.Generator``; reproducibility
 comes from :func:`derive_rng`, which spawns independent streams from a
 master seed and a structured key (origin, model, quantile, ...). The
 Gaussian and inverse-gamma draws are batched over rows: one call draws every
-row of a Gibbs block. A Gaussian draw in precision form takes one Cholesky
+row of a Gibbs block. A Gaussian draw in precision form (the loading and
+factor blocks; the coefficient rows are drawn without a factorisation, by
+``quantvar.qbvar.draw_weighted_regression``) takes one Cholesky
 factorisation P = L L^T and one solve with two right-hand sides, using
 mean + L^-T z = P^-1 (rhs + L z) (Rue 2001); one P may serve a whole stack
 of right-hand sides (the Gaussian model's factors share one precision over

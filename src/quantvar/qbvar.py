@@ -18,8 +18,15 @@ conditional inverse gamma (Makalic & Schmidt 2016). Factor loadings have
 unit-variance normal priors and factors a standard normal prior. Given the
 other blocks, the coefficient rows, the loading rows and the factor vectors
 f_t are each independent, so every Gibbs step is one draw batched over rows.
-:func:`run_gibbs` drives a chain of this model and of the Gaussian benchmark
-in ``bvar``.
+The coefficient rows are drawn by perturb-then-solve
+(:func:`draw_weighted_regression`), one solve and no factorisation; the
+r x r loading and factor blocks use
+:func:`quantvar.dist.draw_from_precision_system`. A sweep keeps its
+per-observation arrays (mixture variables, weights, factor target,
+residuals) series-major, (n, T), and reads the design's contiguous
+transposes ``YT`` and ``XT``, so every sum over t runs along contiguous
+memory. :func:`run_gibbs` drives a chain of this model and of the Gaussian
+benchmark in ``bvar``.
 """
 
 from __future__ import annotations
@@ -119,7 +126,7 @@ class QbvarState:
     Phi: np.ndarray  # (n, k) coefficient rows, intercept first
     Lam: np.ndarray  # (n, r) factor loadings
     F: np.ndarray  # (T, r) factors
-    Z: np.ndarray  # (T, n) mixture variables
+    Z: np.ndarray  # (n, T) mixture variables, series-major
     sigma: np.ndarray  # (n,) scales
     psi: np.ndarray  # (n, k) horseshoe local scales
     kappa: float  # horseshoe global scale
@@ -131,49 +138,85 @@ def weighted_system(X, y, weights, prior_prec_diag):
     """Precision and linear term of a heteroskedastic Bayes regression.
 
     Returns (P, rhs) with P = X' W X + diag(prior_prec_diag) and
-    rhs = X' W y, so the conditional is N(P^-1 rhs, P^-1). Batched over
-    rows: y and weights (T, n) with prior_prec_diag (n, k) give the n
-    systems of columns i, P (n, k, k) and rhs (n, k); (T,) and (k,) give one.
+    rhs = X' W y, so the conditional is N(P^-1 rhs, P^-1). X is (T, k).
+    Batched over series, which are stored series-major: y and weights
+    (n, T) with prior_prec_diag (n, k) give the n systems of series i,
+    P (n, k, k) and rhs (n, k); (T,) and (k,) give one. The weighted
+    product X' w_i is formed from each series' contiguous weights, so
+    P = (X' W) X and rhs = (X' W) y.
 
     Weights with one dimension fewer than y, (n,) (or a scalar for one
-    system), are constant down each column, w_ti = w_i, as in the Gaussian
-    model. Then X' W X = (X'X) w_i and X' W y = (y'X) w_i: one k x k product
-    serves all n systems, and no weighted (n, T, k) copy of X is built.
+    system), are constant along each series, w_ti = w_i, as in the Gaussian
+    model. Then X' W X = (X'X) w_i and X' W y = (y X) w_i: one k x k product
+    serves all n systems, and no weighted (n, k, T) copy of X is built.
     """
     w = np.asarray(weights)
     y = np.asarray(y)
     if w.ndim < y.ndim:
         P = (X.T @ X) * w[..., None, None]
-        rhs = (y.T @ X) * w[..., None]
+        rhs = (y @ X) * w[..., None]
     else:
-        Xw = X * w.T[..., None]  # (T, k) or (n, T, k)
-        P = X.T @ Xw
-        rhs = (y.T[..., None, :] @ Xw)[..., 0, :]
+        XtW = X.T * w[..., None, :]  # (k, T) or (n, k, T)
+        P = XtW @ X
+        rhs = (XtW @ y[..., None])[..., 0]
     diagonal = np.einsum("...ii->...i", P)  # a writable view, cheaper than fancy indexing
     diagonal += prior_prec_diag
     return P, rhs
 
 
+def draw_weighted_regression(X, y, weights, prior_prec_diag, rng):
+    """Draw beta ~ N(P^-1 rhs, P^-1) for the system of :func:`weighted_system`.
+
+    Perturb-then-solve (Papandreou & Yuille 2010; Bhattacharya, Chakraborty
+    & Mallick 2016): every observation gets u / sqrt(w) added, u ~ N(0, 1),
+    and the linear term gets sqrt(prior) v, v ~ N(0, 1). The solution
+    beta = P^-1 (X' W (y + u / sqrt(w)) + sqrt(prior) v) then has mean
+    P^-1 rhs and covariance P^-1 (X' W X + diag(prior)) P^-1 = P^-1, from
+    one solve with one right-hand side and no factorisation. Shapes and
+    batching are those of :func:`weighted_system`, in both weight forms.
+    The normals are taken from ``rng`` as u, with y's shape (n T of them
+    when batched), then v, with the prior's shape (n k).
+
+    A weight or prior precision that is not finite and positive makes the
+    system improper; it raises LinAlgError, as a failed factorisation would.
+    """
+    w = np.asarray(weights, dtype=float)
+    prior = np.asarray(prior_prec_diag, dtype=float)
+    for a in (w, prior):
+        if not (0.0 < a.min() and a.max() < np.inf):  # False on a NaN member too
+            raise np.linalg.LinAlgError("weights and prior precisions must be finite and positive")
+    y = np.asarray(y, dtype=float)
+    y_star = rng.standard_normal(y.shape)
+    root_w = np.sqrt(w)
+    y_star /= root_w if w.ndim == y.ndim else root_w[..., None]
+    y_star += y
+    P, rhs = weighted_system(X, y_star, w, prior)
+    v = rng.standard_normal(prior.shape)
+    v *= np.sqrt(prior)
+    rhs += v
+    return np.linalg.solve(P, rhs[..., None])[..., 0]
+
+
 def step_coefficients(design, state, theta, W, rng) -> None:
     """Draw all coefficient rows from their normal full conditionals.
 
-    W holds the observation weights 1/(tau2 sigma_i z_it), (T, n), or the
-    Gaussian model's per-column weights 1/sigma_i, (n,) (see
+    W holds the observation weights 1/(tau2 sigma_i z_it), (n, T), or the
+    Gaussian model's per-series weights 1/sigma_i, (n,) (see
     :func:`weighted_system`). The rows are independent given the other
-    blocks, so they are drawn in one batched call.
+    blocks, so they are drawn in one batched perturb-then-solve call
+    (:func:`draw_weighted_regression`).
     """
-    Ytil = design.Y - theta * state.Z
+    Ytil = design.YT - theta * state.Z
     if state.Lam.shape[1]:
-        Ytil = Ytil - state.F @ state.Lam.T
+        Ytil -= state.Lam @ state.F.T
     prior_prec = 1.0 / (state.psi**2 * state.kappa**2)
-    P, rhs = weighted_system(design.X, Ytil, W, prior_prec)
-    state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
+    state.Phi[:] = draw_weighted_regression(design.X, Ytil, W, prior_prec, rng)
 
 
 def step_loadings(state, W, R, rng) -> None:
     """Draw all loading rows in one batched call; prior is N(0, I) on every row.
 
-    R is the target of the factor part, Y - X Phi' - theta Z, (T, n); W is
+    R is the target of the factor part, Y - X Phi' - theta Z, (n, T); W is
     as in :func:`step_coefficients`.
     """
     r = state.Lam.shape[1]
@@ -187,23 +230,17 @@ def factor_precision(Lam, W, R):
     """Batched precision systems (P (T, r, r), rhs (T, r)) of the factors.
 
     Each f_t is N(P_t^-1 rhs_t, P_t^-1), combining the loadings weighted by
-    W = 1/(tau2 sigma_i z_it) with the standard-normal prior; R is
-    Y - X Phi' - theta Z. Weights constant down each column, W (n,), give
-    one precision P (r, r) shared by every period, which
+    W = 1/(tau2 sigma_i z_it), (n, T), with the standard-normal prior; R is
+    Y - X Phi' - theta Z, (n, T). Weights constant along each series, W (n,),
+    give one precision P (r, r) shared by every period, which
     :func:`quantvar.dist.draw_from_precision_system` broadcasts over rhs.
     """
-    P = np.einsum("ia,...i,ib->...ab", Lam, W, Lam)
+    P = np.einsum("ia,i...,ib->...ab", Lam, W, Lam)
     diagonal = np.einsum("...ii->...i", P)
     diagonal += 1.0
-    rhs = np.einsum("ia,ti->ta", Lam, W * R)
+    WR = (W if W.ndim == R.ndim else W[:, None]) * R
+    rhs = np.einsum("ia,it->ta", Lam, WR)
     return P, rhs
-
-
-def factor_systems(design, state, theta, tau2):
-    """:func:`factor_precision` at the current state: W and R built from it."""
-    W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)  # (T, n)
-    R = design.Y - design.X @ state.Phi.T - theta * state.Z  # (T, n)
-    return factor_precision(state.Lam, W, R)
 
 
 def step_factors(state, W, R, rng) -> None:
@@ -217,9 +254,9 @@ def step_factors(state, W, R, rng) -> None:
 def step_latent(state, E, theta, tau2, rng) -> None:
     """Draw mixture variables z_it ~ GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2).
 
-    E holds the regression residuals Y - X Phi' - F Lam', (T, n).
+    E holds the regression residuals Y - X Phi' - F Lam', (n, T).
     """
-    s = tau2 * state.sigma
+    s = (tau2 * state.sigma)[:, None]
     a = E * E
     a /= s
     z = draw_gig_half(a, theta**2 / s + 2.0, rng)
@@ -237,12 +274,12 @@ def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
     cross term keeps the scale draw centered when theta != 0, which is what
     anchors intercepts away from the median.
     """
-    T = E.shape[0]
+    T = E.shape[1]
     adj = theta * state.Z
     np.subtract(E, adj, out=adj)
     adj *= adj
     adj /= 2.0 * tau2 * state.Z
-    scale = b_sigma + np.sum(adj, axis=0)
+    scale = b_sigma + np.sum(adj, axis=1)
     state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
 
 
@@ -273,7 +310,7 @@ def init_state(design: LagDesign, config: ModelConfig) -> QbvarState:
         Phi=Phi,
         Lam=np.zeros((n, config.r)),
         F=np.zeros((T, config.r)),
-        Z=np.ones((T, n)),
+        Z=np.ones((n, T)),
         sigma=sigma,
         psi=np.ones((n, k)),
         kappa=1.0,
@@ -367,8 +404,8 @@ def run_gibbs(
     # steps bound in its own module: the benchmark's step_ms is the fastest
     # gap between two quantvar.qbvar.step_coefficients calls, and at
     # (T, n, p, r) = (120, 3, 2, 1) on a 2-core Xeon VM the fastest Gaussian
-    # sweep took 155 us against 205 us for a quantile sweep, so one shared
-    # sweep would cut step_ms by a quarter without making anything faster
+    # sweep took 123 us against 177 us for a quantile sweep, so one shared
+    # sweep would cut step_ms by 30 % without making anything faster
     sched = config.schedule
     state = init_state(design, config)
     S = sched.n_draws
@@ -424,13 +461,13 @@ def run_chain(
         # terms shared by the steps, each built once: W until sigma and Z
         # move (latent and scale steps), Y - X Phi' once Phi is drawn, and
         # the residuals E once the factors are drawn
-        W = 1.0 / (tau2 * state.sigma * state.Z)
+        W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
         step_coefficients(design, state, theta, W, rng)
-        D = design.Y - design.X @ state.Phi.T
+        D = design.YT - state.Phi @ design.XT
         R = D - theta * state.Z
         step_loadings(state, W, R, rng)
         step_factors(state, W, R, rng)
-        E = D - state.F @ state.Lam.T if config.r else D
+        E = D - state.Lam @ state.F.T if config.r else D
         step_latent(state, E, theta, tau2, rng)
         step_scales(state, E, theta, tau2, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)

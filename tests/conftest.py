@@ -1,12 +1,14 @@
-"""Shared builders: synthetic raw panels and experiment configs."""
+"""Shared builders (synthetic raw panels and experiment configs) and reference helpers."""
 
 import json
 
 import numpy as np
 import pytest
 
+from quantvar.combine import combination_objective
 from quantvar.data import month_index, month_label
 from quantvar.forecast import QuantileForecastSet, write_forecasts
+from quantvar.qbvar import factor_precision
 
 
 def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
@@ -120,3 +122,20 @@ def experiment_dir(tmp_path):
     cfg = make_config_dict()
     (tmp_path / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
     return tmp_path
+
+
+def factor_systems(design, state, theta, tau2):
+    """``factor_precision`` at the current state, W and R built from it, series-major (n, T)."""
+    W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
+    R = design.YT - state.Phi @ design.XT - theta * state.Z
+    return factor_precision(state.Lam, W, R)
+
+
+def optimal_weight_grid(fc_a, fc_b, realized, quantile: float, S: int, step: float = 1e-4):
+    """Brute-force grid minimizer of the combination objective, an independent cross-check."""
+    a = np.asarray(fc_a, dtype=float)[-S:]
+    b = np.asarray(fc_b, dtype=float)[-S:]
+    y = np.asarray(realized, dtype=float)[-S:]
+    grid = np.arange(0.0, 1.0 + step / 2, step)
+    vals = np.array([combination_objective(l, a, b, y, quantile) for l in grid])
+    return float(grid[int(np.argmin(vals))]), float(vals.min())

@@ -19,7 +19,6 @@ from quantvar.cli import _combine, _forecast_one_origin, main, parse_config
 from quantvar.combine import (
     combination_objective,
     optimal_weight,
-    optimal_weight_grid,
     performance_weight,
 )
 from quantvar.data import build_lag_design, month_index, month_label
@@ -31,13 +30,12 @@ from quantvar.qbvar import (
     QbvarConfig,
     QbvarState,
     QuantileLevel,
-    factor_systems,
     init_state,
     run_chain,
     weighted_system,
 )
 
-from conftest import make_config_dict, make_raw_panel
+from conftest import factor_systems, make_config_dict, make_raw_panel, optimal_weight_grid
 
 
 def _report(name, ok, detail=""):
@@ -201,7 +199,7 @@ def test_04_conjugate_posterior_means():
     Td = design.n_obs
     cfg = QbvarConfig(p=p, r=r, quantile=0.3, schedule=McmcSchedule(10, 2, 1))
     state = init_state(design, cfg)
-    state.Z = np.ones((Td, n))  # z fixed at 1
+    state.Z = np.ones((n, Td))  # z fixed at 1, series-major
     state.psi = rng.uniform(0.5, 2.0, size=(n, k))  # shrinkage fixed
     state.kappa = 0.8
     state.sigma = rng.uniform(0.5, 2.0, size=n)
@@ -215,8 +213,8 @@ def test_04_conjugate_posterior_means():
     X = design.X
     FLt = state.F @ state.Lam.T
     for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = design.Y[:, i] - FLt[:, i] - theta * state.Z[:, i]
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = design.Y[:, i] - FLt[:, i] - theta * state.Z[i]
         prior = 1.0 / (state.psi[i] ** 2 * state.kappa ** 2)
         P, rhs = weighted_system(X, ytil, w, prior)
         _, mean = draw_from_precision_system(P, rhs, np.random.default_rng(0))
@@ -226,8 +224,8 @@ def test_04_conjugate_posterior_means():
     # loading rows: prior I_r
     XPhit = X @ state.Phi.T
     for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = design.Y[:, i] - XPhit[:, i] - theta * state.Z[:, i]
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = design.Y[:, i] - XPhit[:, i] - theta * state.Z[i]
         P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
         _, mean = draw_from_precision_system(P, rhs, np.random.default_rng(0))
         dense = np.linalg.inv(state.F.T @ np.diag(w) @ state.F + np.eye(r)) @ (
@@ -238,8 +236,8 @@ def test_04_conjugate_posterior_means():
     # factor systems: per-t mean (Lam' W_t Lam + I)^-1 Lam' W_t resid_t
     P, rhs = factor_systems(design, state, theta, tau2)
     means = np.linalg.solve(P, rhs[..., None])[..., 0]
-    W = 1.0 / (tau2 * state.sigma[None, :] * state.Z)
-    R = design.Y - X @ state.Phi.T - theta * state.Z
+    W = 1.0 / (tau2 * state.sigma[None, :] * state.Z.T)
+    R = design.Y - X @ state.Phi.T - theta * state.Z.T
     for t in range(Td):
         dense = np.linalg.inv(
             state.Lam.T @ np.diag(W[t]) @ state.Lam + np.eye(r)

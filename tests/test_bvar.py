@@ -32,10 +32,10 @@ def test_gaussian_scale_step_matches_conjugate_moments():
     Y, _ = _gaussian_var_data(40, seed=3)
     design = build_lag_design(Y, 1)
     state = init_state(design, QbvarConfig(p=1, r=0, quantile=0.5))
-    E = design.Y - design.X @ state.Phi.T
-    T = E.shape[0]
+    E = design.YT - state.Phi @ design.XT  # (n, T), series-major
+    T = E.shape[1]
     shape = 3.0 + T / 2.0
-    scale0 = 1.0 + 0.5 * np.sum(E[:, 0] ** 2)
+    scale0 = 1.0 + 0.5 * np.sum(E[0] ** 2)
     rng = make_rng(5)
     draws = []
     for _ in range(6000):

@@ -9,11 +9,12 @@ from quantvar.combine import (
     combination_objective,
     combine_weighted,
     optimal_weight,
-    optimal_weight_grid,
     performance_weight,
     weight_curve,
 )
 from quantvar.forecast import QuantileForecastSet
+
+from conftest import optimal_weight_grid
 
 
 def _fset(model, cells, names=("y0",)):

@@ -18,8 +18,8 @@ from quantvar.qbvar import (
     QbvarConfig,
     QbvarState,
     QuantileLevel,
+    draw_weighted_regression,
     factor_precision,
-    factor_systems,
     init_state,
     run_chain,
     step_coefficients,
@@ -30,6 +30,8 @@ from quantvar.qbvar import (
     step_shrinkage,
     weighted_system,
 )
+
+from conftest import factor_systems
 
 
 def test_quantile_level_constants():
@@ -116,8 +118,8 @@ def test_coefficient_conditional_mean_matches_conjugate_formula():
     theta, tau2 = level.theta, level.tau2
     Y, X = design.Y, design.X
     for i in range(Y.shape[1]):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[:, i]
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[i]
         prior_prec = 1.0 / (state.psi[i] ** 2 * state.kappa**2)
         P, rhs = weighted_system(X, ytil, w, prior_prec)
         _, mean = draw_from_precision_system(P, rhs, make_rng(0))
@@ -133,8 +135,8 @@ def test_loading_conditional_mean_matches_conjugate_formula():
     theta, tau2 = level.theta, level.tau2
     Y, X = design.Y, design.X
     for i in range(Y.shape[1]):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[:, i]
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[i]
         P, rhs = weighted_system(state.F, ytil, w, np.ones(2))
         _, mean = draw_from_precision_system(P, rhs, make_rng(0))
         Dinv = np.diag(w)
@@ -153,8 +155,8 @@ def test_factor_conditional_means_match_per_period_formula():
     mean = np.linalg.solve(P, rhs[..., None])[..., 0]
     Y, X = design.Y, design.X
     for t in range(Y.shape[0]):
-        Dinv = np.diag(1.0 / (tau2 * state.sigma * state.Z[t]))
-        ytil = Y[t] - state.Phi @ X[t] - theta * state.Z[t]
+        Dinv = np.diag(1.0 / (tau2 * state.sigma * state.Z[:, t]))
+        ytil = Y[t] - state.Phi @ X[t] - theta * state.Z[:, t]
         V_bar = np.linalg.inv(state.Lam.T @ Dinv @ state.Lam + np.eye(2))
         np.testing.assert_allclose(mean[t], V_bar @ state.Lam.T @ Dinv @ ytil, atol=1e-8)
 
@@ -162,34 +164,39 @@ def test_factor_conditional_means_match_per_period_formula():
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_batched_steps_match_per_row_reference(r):
     # one batched draw per block equals drawing row by row (coefficients,
-    # loadings) or period by period (factors) from the same stream
+    # loadings) or period by period (factors) from the same stream; the
+    # coefficient rows take their normals from it first for every
+    # observation (n T), then for every prior term (n k)
     design = _toy_design(seed=13, T=50, n=3, p=2)
     state = _fixed_state(design, r=r, seed=4)
     state.Z = np.random.default_rng(6).uniform(0.2, 3.0, size=state.Z.shape)
     level = QuantileLevel(0.25)
     theta, tau2 = level.theta, level.tau2
     Y, X = design.Y, design.X
-    n = Y.shape[1]
+    T, n = Y.shape
 
     rng = make_rng(40)
+    u = rng.standard_normal((n, T))
+    v = rng.standard_normal(state.Phi.shape)
     ref = np.empty_like(state.Phi)
     for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[:, i]
-        P, rhs = weighted_system(X, ytil, w, 1.0 / (state.psi[i] ** 2 * state.kappa**2))
-        ref[i], _ = draw_from_precision_system(P, rhs, rng)
-    W = 1.0 / (tau2 * state.sigma * state.Z)
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[i]
+        prior = 1.0 / (state.psi[i] ** 2 * state.kappa**2)
+        P, rhs = weighted_system(X, ytil + u[i] / np.sqrt(w), w, prior)
+        ref[i] = np.linalg.solve(P, rhs + np.sqrt(prior) * v[i])
+    W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
     step_coefficients(design, state, theta, W, make_rng(40))
     np.testing.assert_allclose(state.Phi, ref, rtol=0, atol=1e-12)
 
     rng = make_rng(41)
     ref = np.empty_like(state.Lam)
     for i in range(n):
-        w = 1.0 / (tau2 * state.sigma[i] * state.Z[:, i])
-        ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[:, i]
+        w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
+        ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[i]
         P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
         ref[i], _ = draw_from_precision_system(P, rhs, rng)
-    R = Y - X @ state.Phi.T - theta * state.Z
+    R = design.YT - state.Phi @ design.XT - theta * state.Z
     step_loadings(state, W, R, make_rng(41))
     np.testing.assert_allclose(state.Lam, ref, rtol=0, atol=1e-12)
 
@@ -203,51 +210,118 @@ def test_batched_steps_match_per_row_reference(r):
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
 
 
+def _regression_inputs(per_column, seed=8, T=8, n=2, k=3):
+    # the prior precisions are as large as the data's, so that both
+    # perturbations shape the draw's covariance
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(T, k))
+    y = rng.normal(size=(n, T))
+    w = rng.uniform(0.2, 1.0, size=n if per_column else (n, T))
+    prior = rng.uniform(2.0, 10.0, size=(n, k))
+    return X, y, w, prior
+
+
+@pytest.mark.parametrize("per_column", [False, True])
+def test_perturbed_draw_has_the_precision_systems_moments(per_column):
+    # perturb-then-solve draws N(P^-1 rhs, P^-1) for every series: whitened
+    # by P's Cholesky factor, z = L'(beta - P^-1 rhs) is N(0, I) per series
+    X, y, w, prior = _regression_inputs(per_column)
+    P, rhs = weighted_system(X, y, w, prior)
+    mean = np.linalg.solve(P, rhs[..., None])[..., 0]
+    L = np.linalg.cholesky(P)
+    N = 20000
+    rng = make_rng(21)
+    draws = np.array([draw_weighted_regression(X, y, w, prior, rng) for _ in range(N)])
+    z = np.einsum("nij,snj->sni", np.swapaxes(L, -1, -2), draws - mean)
+    for i in range(y.shape[0]):
+        # standard errors 1/sqrt(N) for the means, sqrt(2/N) for the variances
+        assert np.max(np.abs(z[:, i].mean(axis=0))) < 4.5 / np.sqrt(N)
+        np.testing.assert_allclose(np.cov(z[:, i].T), np.eye(X.shape[1]), atol=6.0 * np.sqrt(2.0 / N))
+
+
+@pytest.mark.parametrize("per_column", [False, True])
+def test_perturbed_draw_takes_observation_normals_then_prior_normals(per_column):
+    # the stream contract: n T normals (one per observation), then n k (one
+    # per prior term), and nothing else
+    X, y, w, prior = _regression_inputs(per_column, seed=9)
+    rng = make_rng(22)
+    beta = draw_weighted_regression(X, y, w, prior, rng)
+    ref_rng = make_rng(22)
+    u = ref_rng.standard_normal(y.shape)
+    v = ref_rng.standard_normal(prior.shape)
+    w_t = np.broadcast_to(w[:, None], y.shape) if per_column else w
+    P, rhs = weighted_system(X, y + u / np.sqrt(w_t), w_t, prior)
+    np.testing.assert_allclose(beta, np.linalg.solve(P, (rhs + np.sqrt(prior) * v)[..., None])[..., 0],
+                               rtol=0, atol=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "bad", ["nan_weight", "inf_weight", "zero_weight", "negative_weight", "inf_prior", "zero_prior"]
+)
+def test_perturbed_draw_rejects_an_improper_system(bad):
+    X, y, w, prior = _regression_inputs(False, seed=10)
+    value = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad.split("_")[0]]
+    (w if bad.endswith("weight") else prior)[1, 2] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        draw_weighted_regression(X, y, w, prior, make_rng(0))
+
+
 def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian):
     """One Gibbs sweep in which every step rebuilds the terms it reads.
 
-    These are the step formulas from before the sweep shared its terms;
-    the Gaussian model is theta = 0, tau2 = 1 with a conjugate scale draw,
-    and its Z = 1 leaves one weight 1/sigma_i per series, so its systems
-    take the (n,) weight form and one factor precision for every period.
+    These are the step formulas from before the sweep shared its terms, on
+    series-major (n, T) arrays; the Gaussian model is theta = 0, tau2 = 1
+    with a conjugate scale draw, and its Z = 1 leaves one weight 1/sigma_i
+    per series, so its systems take the (n,) weight form and one factor
+    precision for every period. The coefficients are drawn by
+    perturb-then-solve: u / sqrt(w) added to every observation, then
+    sqrt(prior) v to the linear term, then one solve.
     """
-    Y, X = design.Y, design.X
+    YT, XT, X = design.YT, design.XT, design.X
     r = state.Lam.shape[1]
 
     def residuals():
-        E = Y - X @ state.Phi.T
+        E = YT - state.Phi @ XT
         if r:
-            E = E - state.F @ state.Lam.T
+            E = E - state.Lam @ state.F.T
         return E
 
-    W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma * state.Z)
-    Ytil = Y - theta * state.Z
+    def weights():
+        return 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma[:, None] * state.Z)
+
+    W = weights()
+    Ytil = YT - theta * state.Z
     if r:
-        Ytil = Ytil - state.F @ state.Lam.T
-    P, rhs = weighted_system(X, Ytil, W, 1.0 / (state.psi**2 * state.kappa**2))
-    state.Phi[:], _ = draw_from_precision_system(P, rhs, rng)
+        Ytil = Ytil - state.Lam @ state.F.T
+    root_W = np.sqrt(W)[:, None] if gaussian else np.sqrt(W)
+    Ytil = Ytil + rng.standard_normal(Ytil.shape) / root_W
+    prior = 1.0 / (state.psi**2 * state.kappa**2)
+    P, rhs = weighted_system(X, Ytil, W, prior)
+    rhs = rhs + np.sqrt(prior) * rng.standard_normal(prior.shape)
+    state.Phi[:] = np.linalg.solve(P, rhs[..., None])[..., 0]
     if r:
-        W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma * state.Z)
-        Ytil = Y - X @ state.Phi.T - theta * state.Z
+        W = weights()
+        Ytil = YT - state.Phi @ XT - theta * state.Z
         P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
         state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
-        W = 1.0 / state.sigma if gaussian else 1.0 / (tau2 * state.sigma[None, :] * state.Z)
-        R = Y - X @ state.Phi.T - theta * state.Z
-        P = np.einsum("ia,i,ib->ab" if gaussian else "ia,ti,ib->tab", state.Lam, W, state.Lam)
+        W = weights()
+        R = YT - state.Phi @ XT - theta * state.Z
+        P = np.einsum("ia,i,ib->ab" if gaussian else "ia,it,ib->tab", state.Lam, W, state.Lam)
         P[..., np.arange(r), np.arange(r)] += 1.0
-        rhs = np.einsum("ia,ti->ta", state.Lam, W * R)
+        rhs = np.einsum("ia,it->ta", state.Lam, (W[:, None] if gaussian else W) * R)
         state.F, _ = draw_from_precision_system(P, rhs, rng)
-    T = Y.shape[0]
+    T = YT.shape[1]
     if gaussian:
         E = residuals()
-        state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, b_sigma + 0.5 * np.sum(E**2, axis=0), rng)
+        state.sigma[:] = draw_inverse_gamma(a_sigma + T / 2.0, b_sigma + 0.5 * np.sum(E**2, axis=1), rng)
     else:
         E = residuals()
-        s = tau2 * state.sigma[None, :]
+        s = tau2 * state.sigma[:, None]
         state.Z = np.maximum(draw_gig_half(E**2 / s, theta**2 / s + 2.0, rng), 1e-12)
         E = residuals()
         adj = E - theta * state.Z
-        scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=0)
+        scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=1)
         state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
     step_shrinkage(state, rng)
     return float(np.sqrt(np.mean(residuals() ** 2)))
@@ -290,33 +364,33 @@ def test_weighted_system_batches_rows():
     rng = np.random.default_rng(2)
     T, k, n = 30, 5, 4
     X = rng.normal(size=(T, k))
-    Y = rng.normal(size=(T, n))
-    W = rng.uniform(0.1, 5.0, size=(T, n))
+    Y = rng.normal(size=(n, T))
+    W = rng.uniform(0.1, 5.0, size=(n, T))
     prior = rng.uniform(0.2, 3.0, size=(n, k))
     P, rhs = weighted_system(X, Y, W, prior)
     assert P.shape == (n, k, k) and rhs.shape == (n, k)
     for i in range(n):
-        P_i, rhs_i = weighted_system(X, Y[:, i], W[:, i], prior[i])
+        P_i, rhs_i = weighted_system(X, Y[i], W[i], prior[i])
         np.testing.assert_allclose(P[i], P_i, rtol=1e-13)
         np.testing.assert_allclose(rhs[i], rhs_i, rtol=1e-13)
 
 
 def test_weighted_system_takes_constant_column_weights():
-    # (n,) weights are (T, n) weights constant down each column, the Gaussian
-    # model's w_i = 1/sigma_i: P = (X'X) w_i + prior and rhs = (y'X) w_i
+    # (n,) weights are (n, T) weights constant along each series, the
+    # Gaussian model's w_i = 1/sigma_i: P = (X'X) w_i + prior and rhs = (y X) w_i
     rng = np.random.default_rng(3)
     T, k, n = 40, 6, 4
     X = rng.normal(size=(T, k))
-    Y = rng.normal(size=(T, n))
+    Y = rng.normal(size=(n, T))
     w = rng.uniform(0.1, 5.0, size=n)
     prior = rng.uniform(0.2, 3.0, size=(n, k))
     P, rhs = weighted_system(X, Y, w, prior)
-    P_ref, rhs_ref = weighted_system(X, Y, np.broadcast_to(w, (T, n)), prior)
+    P_ref, rhs_ref = weighted_system(X, Y, np.broadcast_to(w[:, None], (n, T)), prior)
     assert P.shape == (n, k, k) and rhs.shape == (n, k)
     np.testing.assert_allclose(P, P_ref, rtol=1e-12)
     np.testing.assert_allclose(rhs, rhs_ref, rtol=1e-12)
     # one system: a scalar weight with a (T,) target
-    P_1, rhs_1 = weighted_system(X, Y[:, 2], w[2], prior[2])
+    P_1, rhs_1 = weighted_system(X, Y[2], w[2], prior[2])
     np.testing.assert_allclose(P_1, P_ref[2], rtol=1e-12)
     np.testing.assert_allclose(rhs_1, rhs_ref[2], rtol=1e-12)
 
@@ -329,10 +403,10 @@ def test_gaussian_factor_draw_shares_one_precision(r):
     design = _toy_design(seed=17, T=50, n=4, p=2)
     state = _fixed_state(design, r=r, seed=5)
     w = 1.0 / state.sigma
-    D = design.Y - design.X @ state.Phi.T
-    T = D.shape[0]
+    D = design.YT - state.Phi @ design.XT
+    T = D.shape[1]
     P, rhs = factor_precision(state.Lam, w, D)
-    P_t, rhs_t = factor_precision(state.Lam, np.broadcast_to(w, D.shape), D)
+    P_t, rhs_t = factor_precision(state.Lam, np.broadcast_to(w[:, None], D.shape), D)
     assert P.shape == (r, r) and rhs.shape == (T, r)
     np.testing.assert_allclose(P_t, np.broadcast_to(P, P_t.shape), rtol=1e-12)
     np.testing.assert_allclose(rhs, rhs_t, rtol=1e-12)
@@ -350,9 +424,9 @@ def test_factor_systems_without_factors(per_column):
     # left untouched
     design = _toy_design(seed=19, T=30, n=3, p=1)
     state = _fixed_state(design, r=0)
-    W = 1.0 / state.sigma if per_column else 1.0 / (state.sigma * state.Z)
-    D = design.Y - design.X @ state.Phi.T
-    T = D.shape[0]
+    W = 1.0 / state.sigma if per_column else 1.0 / (state.sigma[:, None] * state.Z)
+    D = design.YT - state.Phi @ design.XT
+    T = D.shape[1]
     P, rhs = factor_precision(state.Lam, W, D)
     assert P.shape == ((0, 0) if per_column else (T, 0, 0)) and rhs.shape == (T, 0)
     rng = make_rng(3)
@@ -368,17 +442,17 @@ def test_step_latent_respects_floor_and_conditional_moments():
     level = QuantileLevel(0.5)
     # Monte-Carlo check of the GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2)
     # conditional mean for one cell against the closed form
-    E = design.Y - design.X @ state.Phi.T
-    a = E**2 / (level.tau2 * state.sigma[None, :])
+    E = design.YT - state.Phi @ design.XT
+    a = E**2 / (level.tau2 * state.sigma[:, None])
     b = np.full_like(a, level.theta**2 / (level.tau2 * state.sigma[0]) + 2.0)
     i, t = 0, 7
-    om = np.sqrt(max(a[t, i], 1e-300) * b[t, i])
-    expect = np.sqrt(a[t, i] / b[t, i]) * (1 + 1 / om) if a[t, i] > 0 else None
+    om = np.sqrt(max(a[i, t], 1e-300) * b[i, t])
+    expect = np.sqrt(a[i, t] / b[i, t]) * (1 + 1 / om) if a[i, t] > 0 else None
     rng = make_rng(123)
     draws = []
     for _ in range(4000):
         step_latent(state, E, level.theta, level.tau2, rng)
-        draws.append(state.Z[t, i])
+        draws.append(state.Z[i, t])
         state.Z = np.ones_like(state.Z)  # residuals don't depend on Z; reset
     assert np.all(np.array(draws) >= 1e-12)
     if expect is not None:
@@ -390,10 +464,10 @@ def test_step_scales_matches_inverse_gamma_moments():
     state = _fixed_state(design, r=0)
     level = QuantileLevel(0.25)
     theta, tau2 = level.theta, level.tau2
-    E = design.Y - design.X @ state.Phi.T
-    T = E.shape[0]
-    adj = E[:, 0] - theta * state.Z[:, 0]
-    scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[:, 0]))
+    E = design.YT - state.Phi @ design.XT
+    T = E.shape[1]
+    adj = E[0] - theta * state.Z[0]
+    scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[0]))
     shape0 = 3.0 + 0.5 * T
     rng = make_rng(7)
     draws = []
@@ -423,7 +497,7 @@ def test_step_scales_concentrates_on_true_scale():
         Phi=np.zeros((n, 1)),
         Lam=np.zeros((n, 0)),
         F=np.zeros((T, 0)),
-        Z=np.ones((T, n)),
+        Z=np.ones((n, T)),
         sigma=np.ones(n),
         psi=np.ones((n, 1)),
         kappa=1.0,
@@ -431,7 +505,7 @@ def test_step_scales_concentrates_on_true_scale():
         xi=1.0,
     )
     kept = []
-    E = design.Y - design.X @ state.Phi.T  # the coefficients stay pinned
+    E = design.YT - state.Phi @ design.XT  # the coefficients stay pinned
     for it in range(300):
         step_latent(state, E, level.theta, level.tau2, rng)
         step_scales(state, E, level.theta, level.tau2, 3.0, 1.0, rng)
@@ -446,7 +520,7 @@ def test_step_shrinkage_keeps_scales_positive():
     state = _fixed_state(design, r=1)
     rng = make_rng(19)
     for _ in range(50):
-        step_coefficients(design, state, 0.0, 1.0 / (8.0 * state.sigma * state.Z), rng)
+        step_coefficients(design, state, 0.0, 1.0 / (8.0 * state.sigma[:, None] * state.Z), rng)
         step_shrinkage(state, rng)
         assert np.all(state.psi > 0) and np.all(np.isfinite(state.psi))
         assert state.kappa > 0 and np.isfinite(state.kappa)
