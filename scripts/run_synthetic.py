@@ -62,6 +62,9 @@ def main():
     ap.add_argument("--quick", action="store_true", help="8 origins instead of 30")
     args = ap.parse_args()
 
+    # the config resolves relative paths against its own directory, so it
+    # names every file by its absolute path
+    args.outdir = os.path.abspath(args.outdir)
     os.makedirs(args.outdir, exist_ok=True)
     panel = os.path.join(args.outdir, "panel.csv")
     tcodes = os.path.join(args.outdir, "tcodes.json")

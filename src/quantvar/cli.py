@@ -5,8 +5,11 @@ origin in the configured range it re-estimates each model on the expanding
 window of data up to that origin, produces quantile forecasts for horizons
 1..H, scores everything against later realizations, builds forecast
 combinations, and writes score/ratio tables, weight series, weight-vs-lambda
-curves and a hash manifest. The other subcommands expose the individual
-stages for piecemeal use.
+curves and a hash manifest. ``forecast`` makes one origin of the same
+config through the same per-origin worker: any origin of the run, bit for
+bit, or the sample end, which a run cannot reach. ``ingest``, ``evaluate``,
+``combine`` and ``report`` expose the data, scoring and combination stages
+for piecemeal use.
 
 Deterministic by construction: per-(origin, model, quantile, stage) RNG
 streams derived from the master seed, canonical JSON, fixed float
@@ -69,7 +72,7 @@ from .forecast import (
     read_forecasts,
     write_forecasts,
 )
-from .qbvar import McmcSchedule, ModelConfig, PosteriorDrawSet, QbvarConfig, run_chain
+from .qbvar import McmcSchedule, ModelConfig, QbvarConfig, run_chain
 
 # model indices for seed derivation (stable across runs)
 _MODEL_SEED_INDEX = {"qbvar": 0, "bvar": 1, "rw": 2}
@@ -171,6 +174,8 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     tcode_file = _path(raw["tcode_file"])
     target = raw["target"]
     seed = int(raw["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     output_dir = _path(raw["output_dir"])
     companions = list(raw.get("companions", []))
     if target in companions:
@@ -191,8 +196,9 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     if "qbvar" in models:
         m = models["qbvar"]
         p, r, quantiles = int(m["p"]), int(m.get("r", 0)), [float(q) for q in m["quantiles"]]
-        if not quantiles or len(set(quantiles)) != len(quantiles):
-            raise ConfigError("qbvar quantiles must be a non-empty list of distinct levels")
+        # forecast records key a level by its value rounded to 10 digits
+        if not quantiles or len({round(q, 10) for q in quantiles}) != len(quantiles):
+            raise ConfigError(f"qbvar quantiles must be non-empty and distinct to 10 digits: {quantiles}")
         qbvar = tuple(QbvarConfig(p=p, r=r, quantile=q, **shared) for q in sorted(quantiles))
     bvar = None
     if "bvar" in models:
@@ -266,14 +272,32 @@ def config_digest(raw: dict) -> str:
     ).hexdigest()
 
 
-def _load_panel(data_file, tcode_file, variables) -> TimeSeriesPanel:
-    """Read, check, select and transform ``variables`` (every series when None)."""
-    panel = read_panel(data_file, tcode_file)
-    variables = list(variables or panel.names)
-    missing = [v for v in variables if v not in panel.names]
+def _require_series(panel: TimeSeriesPanel, names) -> None:
+    missing = [v for v in names if v not in panel.names]
     if missing:
         raise ConfigError(f"series not in panel: {missing}")
+
+
+def _load_panel(data_file, tcode_file, variables, target=None) -> TimeSeriesPanel:
+    """Read, check, select and transform ``variables`` (every series when None),
+    which must hold ``target`` when one is given."""
+    panel = read_panel(data_file, tcode_file)
+    variables = list(variables or panel.names)
+    _require_series(panel, variables)
+    if target is not None and target not in variables:
+        raise ConfigError(f"target {target!r} is not among the selected series {variables}")
     return transform_panel(panel.select(variables))
+
+
+def _check_origins(cfg: ExperimentConfig, dates: list, first: str, last: str) -> None:
+    """Raise ConfigError unless ``first``..``last`` are sample months with p_max + 20 rows through ``first``."""
+    for o in (first, last):
+        if o not in dates:
+            raise ConfigError(f"origin {o} outside the transformed sample {dates[0]} to {dates[-1]}")
+    p_max = max([m.p for m in (*cfg.qbvar, cfg.bvar) if m is not None], default=1)
+    min_rows = p_max + 20
+    if dates.index(first) + 1 < min_rows:
+        raise ConfigError(f"origin {first} leaves under {min_rows} estimation rows")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +328,7 @@ def _forecast_one_origin(payload):
         blocks, designs = {}, {}  # (model_id, q) -> (H, n) forecasts; model_id -> design
         for model_id, stream, model_cfg in chains:
             if model_id not in designs:
-                designs[model_id] = build_lag_design(est, model_cfg.p, names)
+                designs[model_id] = build_lag_design(est, model_cfg.p)
             # read at call time: the benchmark's tracer replaces both runners here
             runner = run_chain if model_id == "qbvar" else run_bvar_chain
             key = (cfg.seed, origin_idx, _MODEL_SEED_INDEX[model_id], stream)
@@ -368,6 +392,17 @@ def _combine(fc_a, a_id, fc_b, b_id, strategy: str, lambda_or_window, model_id: 
     return combine_weighted(fc_a, fc_b, series, model_id), series
 
 
+def _aborted(results, n_origins: int) -> dict:
+    """{origin: error} of the aborted origins; RunFailure beyond 1 % of ``n_origins``."""
+    aborted = {o: err for o, _, err in results if err is not None}
+    if len(aborted) > 0.01 * n_origins:
+        raise RunFailure(
+            f"{len(aborted)} of {n_origins} origins aborted (limit 1%)",
+            detail={"aborted_origins": aborted},
+        )
+    return aborted
+
+
 def _write_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -411,23 +446,17 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     threads = _threads()
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     dates = list(tpanel.dates)
-    date_idx = {d: i for i, d in enumerate(dates)}
     last = month_index(dates[-1])
     max_h = max(cfg.horizons)
     for w in cfg.evaluation_windows:
         if month_index(w.start) < month_index(dates[0]) or month_index(w.end) > last:
             raise ConfigError(f"evaluation window {w.label!r} outside the transformed sample")
-    if cfg.origins_start not in date_idx or cfg.origins_end not in date_idx:
-        raise ConfigError("origin range outside the transformed sample")
+    _check_origins(cfg, dates, cfg.origins_start, cfg.origins_end)
     if month_index(cfg.origins_end) + max_h > last:
         raise ConfigError(
             "origin range leaves no realizations for the longest horizon; "
             f"last origin must be {max_h} months before {dates[-1]}"
         )
-    p_max = max([m.p for m in (*cfg.qbvar, cfg.bvar) if m is not None], default=1)
-    min_rows = p_max + 20
-    if date_idx[cfg.origins_start] + 1 < min_rows:
-        raise ConfigError(f"first origin leaves under {min_rows} estimation rows")
 
     origins = [d for d in dates if month_index(cfg.origins_start) <= month_index(d) <= month_index(cfg.origins_end)]
 
@@ -445,12 +474,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     else:
         results = [_forecast_one_origin(p) for p in payloads]
 
-    aborted = {o: err for o, _, err in results if err is not None}
-    if len(aborted) > 0.01 * len(origins):
-        raise RunFailure(
-            f"{len(aborted)} of {len(origins)} origins aborted (limit 1%)",
-            detail={"aborted_origins": aborted},
-        )
+    aborted = _aborted(results, len(origins))
 
     fsets: dict[str, QuantileForecastSet] = {
         m: QuantileForecastSet(variable_names=names) for m in cfg.model_ids()
@@ -596,16 +620,23 @@ def report(run_dir: str, output_path: str | None = None) -> str:
 # Subcommand handlers.
 
 
+def _series_pair(panel: TimeSeriesPanel, spec: str) -> tuple[int, np.ndarray]:
+    """(column of the first series, values of the second) for a NAME:NAME spec."""
+    names = spec.split(":")
+    if len(names) != 2:
+        raise ConfigError(f"series pair must be NAME:NAME, got {spec!r}")
+    _require_series(panel, names)
+    return panel.names.index(names[0]), panel.column(names[1])
+
+
 def _cmd_ingest(args) -> int:
     panel = read_panel(args.input, args.tcodes)
     for pair in args.deflate or []:
-        nominal, cpi = pair.split(":")
-        j = panel.names.index(nominal)
-        panel.values[:, j] = deflate(panel.values[:, j], panel.column(cpi))
+        j, cpi = _series_pair(panel, pair)
+        panel.values[:, j] = deflate(panel.values[:, j], cpi)
     for pair in args.splice or []:
-        target, donor = pair.split(":")
-        j = panel.names.index(target)
-        panel.values[:, j] = splice_by_growth(panel.values[:, j], panel.column(donor))
+        j, donor = _series_pair(panel, pair)
+        panel.values[:, j] = splice_by_growth(panel.values[:, j], donor)
     out_panel = panel
     if args.transform:
         out_panel = transform_panel(panel)
@@ -614,48 +645,21 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    tpanel = _load_panel(args.data, args.tcodes, args.variables)
-    est = tpanel.through(args.origin) if args.origin else tpanel
-    design = build_lag_design(est.values, args.p, tpanel.names)
-    shared = dict(
-        p=args.p, r=args.r, a_sigma=args.a_sigma, b_sigma=args.b_sigma,
-        schedule=McmcSchedule(iterations=args.iterations, burn_in=args.burn_in, thin=args.thin),
-    )
-    if args.model == "qbvar":
-        if args.quantile is None:
-            raise ConfigError("--quantile is required for the qbvar model")
-        cfg, runner = QbvarConfig(quantile=args.quantile, **shared), run_chain
-    else:
-        cfg, runner = BvarConfig(**shared), run_bvar_chain
-    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX[args.model], args.quantile_index, _STAGE_CHAIN)
-    draws, diag = runner(design, cfg, rng)
-    draws.save(args.output)
-    drift = float(np.max(np.abs(diag.phi_first_half_mean - diag.phi_second_half_mean)))
-    print(
-        f"wrote {args.output}: {draws.n_draws} draws, {draws.n_vars} variables, "
-        f"residual rms {diag.residual_rms.mean():.4g}, split-half coefficient drift {drift:.4g}"
-    )
-    return 0
-
-
 def _cmd_forecast(args) -> int:
-    draws = PosteriorDrawSet.load(args.draws)
-    names = args.variables or draws.variable_names
-    tpanel = _load_panel(args.data, args.tcodes, names)
-    if names != draws.variable_names:
-        raise ConfigError(
-            f"--variables {names} differ from the draw set's series {draws.variable_names} "
-            "(names and order must match)"
-        )
-    est = tpanel.through(args.origin) if args.origin else tpanel
-    origin = est.dates[-1]
-    # stream index 0: a run's first qbvar level, or its bvar chain
-    rng = derive_rng(args.seed, 0, _MODEL_SEED_INDEX[draws.kind], 0, _STAGE_FORECAST)
-    quantiles = [float(q) for q in args.quantiles.split(",")]
-    fset = QuantileForecastSet(variable_names=list(draws.variable_names))
-    for q, block in forecast_quantiles(draws, est.values, args.max_horizon, quantiles, rng).items():
-        fset.add_block(args.model_id or draws.kind, origin, q, block)
+    cfg, _ = load_config(args.config)
+    tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
+    dates = list(tpanel.dates)
+    origin = args.origin or dates[-1]
+    _check_origins(cfg, dates, origin, origin)
+    # panels are monthly and gap-free, so this is the origin's position in a run
+    origin_idx = month_index(origin) - month_index(cfg.origins_start)
+    if origin_idx < 0:
+        raise ConfigError(f"origin {origin} precedes the config's first origin {cfg.origins_start}")
+    result = _forecast_one_origin((origin, origin_idx, dates, tpanel.values, cfg.variables, cfg))
+    _aborted([result], 1)
+    fset = QuantileForecastSet(variable_names=cfg.variables)
+    for (model_id, h, q), vals in result[1].items():
+        fset.add(model_id, origin, h, q, vals)
     write_forecasts(fset, args.output)
     print(f"wrote {args.output} ({len(fset.records)} records from origin {origin})")
     return 0
@@ -669,8 +673,11 @@ def _parse_window_arg(spec: str) -> EventWindow:
 
 
 def _cmd_evaluate(args) -> int:
-    tpanel = _load_panel(args.data, args.tcodes, args.variables)
+    tpanel = _load_panel(args.data, args.tcodes, args.variables, args.target)
     fsets = [read_forecasts(p) for p in args.forecasts]
+    models = sorted({m for fset in fsets for m in fset.model_ids()})
+    if args.benchmark and args.benchmark not in models:
+        raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")
     windows = [(None, "full")] + [
         (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
     ]
@@ -688,7 +695,7 @@ def _cmd_combine(args) -> int:
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
-        tpanel = _load_panel(args.data, args.tcodes, args.variables)
+        tpanel = _load_panel(args.data, args.tcodes, args.variables, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(
         fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
@@ -739,44 +746,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--transform", action="store_true", help="emit the transformed panel")
     g.set_defaults(func=_cmd_ingest)
 
-    def _data_args(p):
-        p.add_argument("--data", required=True)
-        p.add_argument("--tcodes", required=True)
+    def _data_args(p, required):
+        for flag in ("--data", "--tcodes", "--target"):
+            p.add_argument(flag, required=required)
         p.add_argument("--variables", type=lambda s: s.split(","),
                        help="comma-separated system variables in order")
 
-    g = sub.add_parser("estimate", help="estimate one model on data through an origin")
-    _data_args(g)
-    g.add_argument("--model", choices=["qbvar", "bvar"], required=True)
-    g.add_argument("--origin", help="last estimation month (default: sample end)")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--r", type=int, default=0)
-    g.add_argument("--quantile", type=float)
-    g.add_argument("--quantile-index", type=int, default=0, help="seed-stream index")
-    g.add_argument("--iterations", type=int, default=McmcSchedule.iterations)
-    g.add_argument("--burn-in", type=int, default=McmcSchedule.burn_in)
-    g.add_argument("--thin", type=int, default=McmcSchedule.thin)
-    g.add_argument("--a-sigma", type=float, default=ModelConfig.a_sigma)
-    g.add_argument("--b-sigma", type=float, default=ModelConfig.b_sigma)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--output", required=True)
-    g.set_defaults(func=_cmd_estimate)
-
-    g = sub.add_parser("forecast", help="iterated quantile forecasts from saved draws")
-    _data_args(g)
-    g.add_argument("--draws", required=True)
-    g.add_argument("--origin", help="forecast origin month (default: sample end)")
-    g.add_argument("--max-horizon", type=int, default=12)
-    g.add_argument("--quantiles", default="0.1,0.5,0.9", help="levels for a Gaussian draw set")
-    g.add_argument("--model-id")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--output", required=True)
+    g = sub.add_parser("forecast", help="forecast every configured model from one origin of a run config")
+    g.add_argument("--config", required=True)
+    g.add_argument("--origin", help="last estimation month, a run origin or later (default: sample end)")
+    g.add_argument("--output", required=True, help="forecasts CSV of every model and level")
     g.set_defaults(func=_cmd_forecast)
 
     g = sub.add_parser("evaluate", help="score forecast files against realizations")
-    _data_args(g)
+    _data_args(g, required=True)
     g.add_argument("--forecasts", nargs="+", required=True)
-    g.add_argument("--target", required=True)
     g.add_argument("--window", action="append", metavar="LABEL:START:END")
     g.add_argument("--by-origin", action="store_true", help="window membership by origin date")
     g.add_argument("--benchmark")
@@ -789,10 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--strategy", choices=["fixed", "performance", "optimal"], required=True)
     g.add_argument("--lambda", dest="lam", type=float, default=0.5)
     g.add_argument("--window", type=int)
-    g.add_argument("--data")
-    g.add_argument("--tcodes")
-    g.add_argument("--variables", type=lambda s: s.split(","))
-    g.add_argument("--target")
+    _data_args(g, required=False)
     g.add_argument("--model-id", default="comb")
     g.add_argument("--output", required=True)
     g.add_argument("--weights-output")

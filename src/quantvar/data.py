@@ -12,7 +12,7 @@ import csv
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -164,17 +164,6 @@ class TimeSeriesPanel:
             [self.tcodes[c] for c in cols],
         )
 
-    def through(self, date: str) -> "TimeSeriesPanel":
-        """Rows dated at or before ``date`` (expanding-window slice)."""
-        cut = month_index(date)
-        keep = [i for i, d in enumerate(self.dates) if month_index(d) <= cut]
-        if not keep:
-            raise PanelError(f"no observations at or before {date}")
-        stop = keep[-1] + 1
-        return TimeSeriesPanel(
-            self.dates[:stop], self.values[:stop].copy(), list(self.names), list(self.tcodes)
-        )
-
 
 def transform_panel(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """Apply each column's tcode and align to the latest common start date.
@@ -217,7 +206,6 @@ class LagDesign:
     Y: np.ndarray
     X: np.ndarray
     p: int
-    variable_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         T, n = self.Y.shape
@@ -241,7 +229,7 @@ class LagDesign:
         return self.Y.shape[0]
 
 
-def build_lag_design(Y, p: int, variable_names=None) -> LagDesign:
+def build_lag_design(Y, p: int) -> LagDesign:
     """Build (Y, X) for a VAR(p) with intercept, lag-1 block first.
 
     Y is trimmed to rows p+1..T of the input so that each X row stacks the
@@ -261,8 +249,7 @@ def build_lag_design(Y, p: int, variable_names=None) -> LagDesign:
     X = np.ones((T, n * p + 1))
     for lag in range(1, p + 1):
         X[:, 1 + (lag - 1) * n : 1 + lag * n] = Y[p - lag : T_full - lag]
-    names = list(variable_names) if variable_names is not None else [f"y{j}" for j in range(n)]
-    return LagDesign(Y=Y[p:].copy(), X=X, p=p, variable_names=names)
+    return LagDesign(Y=Y[p:].copy(), X=X, p=p)
 
 
 # ---------------------------------------------------------------------------

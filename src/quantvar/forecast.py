@@ -130,12 +130,6 @@ class QuantileForecastSet:
             raise ValueError(f"duplicate forecast record {key}")
         self.records[key] = values
 
-    def add_block(self, model_id: str, origin: str, quantile: float, block) -> None:
-        """Add an (H, n) block as horizons 1..H."""
-        block = np.asarray(block, dtype=float)
-        for h in range(block.shape[0]):
-            self.add(model_id, origin, h + 1, quantile, block[h])
-
     def get(self, model_id: str, origin: str, horizon: int, quantile: float) -> np.ndarray:
         return self.records[self._key(model_id, origin, horizon, quantile)]
 

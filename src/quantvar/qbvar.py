@@ -31,7 +31,7 @@ benchmark in ``bvar``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .dist import (
 )
 
 _Z_FLOOR = 1e-12
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -339,56 +338,14 @@ class PosteriorDrawSet:
     Phi: np.ndarray  # (S, n, k)
     Lam: np.ndarray  # (S, n, r)
     sigma: np.ndarray  # (S, n)
-    variable_names: list[str]
-
-    def __post_init__(self):
-        # the forecaster reads any kind but "qbvar" as Gaussian
-        if self.kind not in ("qbvar", "bvar"):
-            raise ValueError(f"draw-set kind must be 'qbvar' or 'bvar', got {self.kind!r}")
 
     @property
     def n_draws(self) -> int:
         return self.Phi.shape[0]
 
     @property
-    def n_vars(self) -> int:
-        return self.Phi.shape[1]
-
-    @property
     def n_factors(self) -> int:
         return self.Lam.shape[2]
-
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            format_version=_FORMAT_VERSION,
-            kind=self.kind,
-            quantile=self.quantile,
-            p=self.p,
-            Phi=self.Phi,
-            Lam=self.Lam,
-            sigma=self.sigma,
-            variable_names=np.array(self.variable_names, dtype=str),
-        )
-
-    @classmethod
-    def load(cls, path) -> "PosteriorDrawSet":
-        with np.load(path, allow_pickle=False) as d:
-            missing = [k for k in ("format_version", *(f.name for f in fields(cls))) if k not in d]
-            if missing:
-                raise ValueError(f"draw file lacks {missing}")
-            version = int(d["format_version"])
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"unsupported draw-set format version {version}")
-            return cls(
-                kind=str(d["kind"]),
-                quantile=float(d["quantile"]),
-                p=int(d["p"]),
-                Phi=d["Phi"],
-                Lam=d["Lam"],
-                sigma=d["sigma"],
-                variable_names=[str(s) for s in d["variable_names"]],
-            )
 
 
 def run_gibbs(
@@ -440,7 +397,6 @@ def run_gibbs(
         Phi=Phi_draws,
         Lam=Lam_draws,
         sigma=sigma_draws,
-        variable_names=list(design.variable_names),
     )
     return draws, diag
 

@@ -110,12 +110,17 @@ def test_parse_config_rejections():
         _minimal_raw(evaluation_windows=["main"]),
         _minimal_raw(evaluation_windows=[{"label": 3, "start": "2020-01", "end": "2020-05"}]),
         _minimal_raw(seed=None),
+        _minimal_raw(seed=-1),  # numpy's seed sequences take no negative entropy
         _minimal_raw(data_file=5),
+        # levels that share one 10-digit forecast-record key
+        _minimal_raw(models={"qbvar": {"p": 1, "quantiles": [0.1, 0.1 + 1e-12]}}),
         [],
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             parse_config(raw)
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(_minimal_raw(seed=-1))
     # values only the model configs reject: parsed once, before any chain runs
     bad_values = [
         _minimal_raw(models={"qbvar": {"p": 1, "quantiles": [0.5, 1.5]}}),
@@ -543,44 +548,24 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "env_out" / "manifest.json").exists()
 
 
-def test_estimate_forecast_evaluate_pipeline(tmp_path, capsys):
-    make_raw_panel(tmp_path)
+def _forecast_argv(tmp_path, output, origin=None):
+    return ["forecast", "--config", str(tmp_path / "config.json"), "--output", str(output),
+            *(["--origin", origin] if origin else [])]
+
+
+def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
+    _light_cfg(tmp_path, iterations=80, burn_in=30, thin=2, quantiles=(0.5,), horizons=(1, 2, 3),
+               combinations=[])
+    fc = str(tmp_path / "fc.csv")
+    assert main(_forecast_argv(tmp_path, fc, "2018-06")) == 0
+    fset = read_forecasts(fc)
+    assert fset.model_ids() == ["bvar", "qbvar", "rw"] and fset.horizons() == [1, 2, 3]
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
             "--variables", "tgt,c1"]
-    draws_q = str(tmp_path / "q.npz")
-    rc = main(
-        ["estimate", *data, "--model", "qbvar", "--p", "1", "--quantile", "0.5",
-         "--origin", "2018-06", "--iterations", "80", "--burn-in", "30", "--thin", "2",
-         "--seed", "7", "--output", draws_q]
-    )
-    assert rc == 0 and os.path.exists(draws_q)
-    draws_b = str(tmp_path / "b.npz")
-    rc = main(
-        ["estimate", *data, "--model", "bvar", "--p", "1", "--origin", "2018-06",
-         "--iterations", "80", "--burn-in", "30", "--thin", "2", "--seed", "7",
-         "--output", draws_b]
-    )
-    assert rc == 0
-
-    fq = str(tmp_path / "fq.csv")
-    rc = main(
-        ["forecast", *data, "--draws", draws_q, "--origin", "2018-06",
-         "--max-horizon", "3", "--model-id", "qbvar", "--seed", "7", "--output", fq]
-    )
-    assert rc == 0
-    fb = str(tmp_path / "fb.csv")
-    rc = main(
-        ["forecast", *data, "--draws", draws_b, "--origin", "2018-06",
-         "--max-horizon", "3", "--quantiles", "0.5", "--model-id", "bvar",
-         "--seed", "7", "--output", fb]
-    )
-    assert rc == 0
-    qset = read_forecasts(fq)
-    assert qset.model_ids() == ["qbvar"] and qset.horizons() == [1, 2, 3]
 
     ev_dir = str(tmp_path / "ev")
     rc = main(
-        ["evaluate", *data, "--forecasts", fq, fb, "--target", "tgt",
+        ["evaluate", *data, "--forecasts", fc, "--target", "tgt",
          "--benchmark", "bvar", "--output-dir", ev_dir]
     )
     assert rc == 0
@@ -588,105 +573,154 @@ def test_estimate_forecast_evaluate_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "qbvar" in out and "QS50" in out
 
+    # combine reads one model per file
+    for model_id in ("qbvar", "bvar"):
+        one = QuantileForecastSet(variable_names=fset.variable_names)
+        for key, vals in fset.records.items():
+            if key[0] == model_id:
+                one.add(*key, vals)
+        write_forecasts(one, str(tmp_path / f"{model_id}.csv"))
     comb = str(tmp_path / "comb.csv")
     rc = main(
-        ["combine", "--forecasts-a", fq, "--forecasts-b", fb, "--strategy", "fixed",
-         "--lambda", "0.5", "--model-id", "mix", "--output", comb]
+        ["combine", "--forecasts-a", str(tmp_path / "qbvar.csv"), "--forecasts-b",
+         str(tmp_path / "bvar.csv"), "--strategy", "fixed", "--lambda", "0.5", "--model-id", "mix",
+         "--output", comb]
     )
     assert rc == 0
     cset = read_forecasts(comb)
-    a = qset.get("qbvar", "2018-06", 1, 0.5)
-    b = read_forecasts(fb).get("bvar", "2018-06", 1, 0.5)
+    a = fset.get("qbvar", "2018-06", 1, 0.5)
+    b = fset.get("bvar", "2018-06", 1, 0.5)
     np.testing.assert_allclose(cset.get("mix", "2018-06", 1, 0.5), 0.5 * (a + b))
 
 
-def test_estimate_and_forecast_reproduce_a_runs_first_origin(tmp_path, capsys):
-    # stream index 0 of each model at origin index 0: the first qbvar level's
-    # records and all of bvar's, bit for bit
+def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
+    # origin index 1: every model and level of the run's second origin, bit for bit
     cfg, raw = _light_cfg(tmp_path, origins=("2017-08", "2017-09"), iterations=60, burn_in=20,
                           thin=2, combinations=[])
     run_recursive(cfg, raw)
-    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,c1"]
-    shared = ["--p", "1", "--origin", "2017-08", "--iterations", "60", "--burn-in", "20",
-              "--thin", "2", "--seed", str(cfg.seed)]
-    levels = ",".join(f"{q:g}" for q in cfg.quantile_set)
-    for model, extra in (("qbvar", ["--quantile", f"{cfg.qbvar[0].quantile:g}"]), ("bvar", [])):
-        draws, fc = str(tmp_path / f"{model}.npz"), str(tmp_path / f"{model}_fc.csv")
-        assert main(["estimate", *data, "--model", model, *shared, *extra, "--output", draws]) == 0
-        assert main(["forecast", *data, "--draws", draws, "--origin", "2017-08", "--max-horizon",
-                     "2", "--quantiles", levels, "--seed", str(cfg.seed), "--output", fc]) == 0
-        mine = read_forecasts(fc).records
-        ran = read_forecasts(os.path.join(cfg.output_dir, "forecasts", f"{model}.csv")).records
-        assert len(mine) == (2 if model == "qbvar" else 4)
-        for key, vals in mine.items():
-            np.testing.assert_array_equal(vals, ran[key])
+    fc = str(tmp_path / "fc.csv")
+    assert main(_forecast_argv(tmp_path, fc, "2017-09")) == 0
+    mine = read_forecasts(fc).records
+    ran = {}
+    for model_id in cfg.model_ids():
+        path = os.path.join(cfg.output_dir, "forecasts", f"{model_id}.csv")
+        ran.update({k: v for k, v in read_forecasts(path).records.items() if k[1] == "2017-09"})
+    # 3 models x 2 levels x 2 horizons
+    assert sorted(mine) == sorted(ran) and len(mine) == 12
+    for key, vals in mine.items():
+        np.testing.assert_array_equal(vals, ran[key])
 
 
-def _draw_file(path, **over):
-    """Save a one-draw VAR(1) draw set of (tgt, c1) with ``over`` replacing fields."""
-    fields = dict(format_version=1, kind="qbvar", quantile=0.5, p=1, Phi=np.zeros((1, 2, 3)),
-                  Lam=np.zeros((1, 2, 0)), sigma=np.ones((1, 2)),
-                  variable_names=np.array(["tgt", "c1"]))
-    fields.update(over)
-    np.savez(path, **{k: v for k, v in fields.items() if v is not None})
-    return str(path)
+def test_forecast_defaults_to_the_sample_end(tmp_path, capsys):
+    cfg, _ = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2, combinations=[])
+    fc = str(tmp_path / "fc.csv")
+    assert main(_forecast_argv(tmp_path, fc)) == 0
+    fset = read_forecasts(fc)
+    assert fset.origins() == ["2020-04"]  # the panel's last month, past every realization
+    for model_id in ("qbvar", "bvar", "rw"):
+        for q in cfg.quantile_set:
+            cells = sorted(h for m, _, h, level in fset.records if (m, level) == (model_id, q))
+            assert cells == cfg.horizons, (model_id, q)
+    assert len(fset.records) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
 
 
-@pytest.mark.parametrize("over, message", [
-    ({"format_version": None}, "lacks ['format_version']"),
-    ({"kind": "foo"}, "kind must be 'qbvar' or 'bvar'"),
-], ids=["no_format_version", "unknown_kind"])
-def test_forecast_rejects_a_malformed_draw_file_with_exit_2(tmp_path, capsys, over, message):
-    make_raw_panel(tmp_path)
-    rc = main(["forecast", "--data", str(tmp_path / "panel.csv"), "--tcodes",
-               str(tmp_path / "tcodes.json"), "--variables", "tgt,c1", "--draws",
-               _draw_file(tmp_path / "d.npz", **over), "--output", str(tmp_path / "fc.csv")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["kind"] == "ValueError" and message in err["message"]
-    assert not (tmp_path / "fc.csv").exists()
-
-
-def test_forecast_rejects_variables_that_differ_from_the_draw_sets(tmp_path, capsys):
-    # draws of (tgt, c1) forecast from a (c1, tgt) history would run silently
-    # on the swapped series; the default is the draw set's own order
-    make_raw_panel(tmp_path)
-    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json")]
-    draws = _draw_file(tmp_path / "d.npz")
+@pytest.mark.parametrize("origin, message", [
+    ("2017-07", "precedes the config's first origin 2017-08"),
+    ("2015-01", "outside the transformed sample"),  # the raw first month, lost to differencing
+    ("2020-05", "outside the transformed sample"),
+    ("2020-4", "outside the transformed sample"),
+])
+def test_forecast_rejects_an_origin_before_the_runs_or_outside_the_sample(tmp_path, capsys, origin, message):
+    _light_cfg(tmp_path)
     out = tmp_path / "fc.csv"
-    assert main(["forecast", *data, "--variables", "c1,tgt", "--draws", draws,
-                 "--output", str(out)]) == 2
+    assert main(_forecast_argv(tmp_path, out, origin)) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["kind"] == "ConfigError" and "['c1', 'tgt']" in err["message"]
+    assert err["kind"] == "ConfigError" and message in err["message"]
     assert not out.exists()
-    assert main(["forecast", *data, "--draws", draws, "--max-horizon", "1",
-                 "--output", str(out)]) == 0
-    assert read_forecasts(str(out)).variable_names == ["tgt", "c1"]
 
 
-@pytest.mark.parametrize("command", ["estimate", "forecast", "evaluate", "combine", "report"])
+def test_forecast_exits_1_with_runs_failure_when_its_origin_aborts(tmp_path, capsys, monkeypatch):
+    _light_cfg(tmp_path, iterations=20, burn_in=10, thin=2, combinations=[])
+
+    def singular(design, config, rng):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(cli_mod, "run_bvar_chain", singular)
+    out = tmp_path / "fc.csv"
+    assert main(_forecast_argv(tmp_path, out, "2017-09")) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "RunFailure", "message": "1 of 1 origins aborted (limit 1%)",
+        "detail": {"aborted_origins": {"2017-09": "LinAlgError: not positive definite"}},
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "forecast", "evaluate", "combine", "report"])
 def test_every_command_names_the_series_missing_from_the_panel(tmp_path, capsys, command):
     make_raw_panel(tmp_path)
     fa, fb = make_forecast_pair(tmp_path)
-    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,nope"]
+    panel, tcodes = str(tmp_path / "panel.csv"), str(tmp_path / "tcodes.json")
+    data = ["--data", panel, "--tcodes", tcodes, "--variables", "tgt,nope"]
     out = str(tmp_path / "out")
     argv = {
-        "estimate": ["estimate", *data, "--model", "bvar", "--p", "1", "--output", out],
-        "forecast": ["forecast", *data, "--draws", _draw_file(tmp_path / "d.npz"), "--output", out],
+        "ingest": ["ingest", "--input", panel, "--tcodes", tcodes, "--output", out,
+                   "--output-tcodes", str(tmp_path / "out.json"), "--deflate", "tgt:nope"],
+        "forecast": _forecast_argv(tmp_path, out),
         "evaluate": ["evaluate", *data, "--forecasts", fa, "--target", "tgt", "--output-dir", out],
         "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",
                     *data, "--target", "tgt", "--output", out],
         "report": ["report", "--run-dir", str(tmp_path)],
     }[command]
-    if command == "report":  # a run directory whose config names a series the panel lacks
-        (tmp_path / "config.json").write_text(json.dumps(make_config_dict(companions=("nope",))))
+    # a config (of a run directory, for report) that names a series the panel lacks
+    (tmp_path / "config.json").write_text(json.dumps(make_config_dict(companions=("nope",))))
+    if command == "report":
         os.makedirs(tmp_path / "forecasts")
         os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"status": "error", "kind": "ConfigError", "message": "series not in panel: ['nope']"}
+
+
+@pytest.mark.parametrize("flag", ["--deflate", "--splice"])
+def test_ingest_names_a_series_pair_without_a_colon(tmp_path, capsys, flag):
+    make_raw_panel(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["ingest", "--input", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+                 "--output", str(out), "--output-tcodes", str(tmp_path / "out.json"), flag, "tgt"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ConfigError" and "'tgt'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "combine"])
+def test_evaluate_and_combine_name_a_target_outside_the_selection(tmp_path, capsys, command):
+    # tgt is in the panel but not among the selected series
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+            "--variables", "c1", "--target", "tgt"]
+    out = str(tmp_path / "out")
+    argv = {
+        "evaluate": ["evaluate", *data, "--forecasts", fa, "--output-dir", out],
+        "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "performance",
+                    *data, "--output", out],
+    }[command]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"status": "error", "kind": "ConfigError",
+                   "message": "target 'tgt' is not among the selected series ['c1']"}
+
+
+def test_evaluate_names_a_benchmark_that_no_forecast_file_holds(tmp_path, capsys):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    rc = main(["evaluate", "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+               "--forecasts", fa, fb, "--target", "tgt", "--benchmark", "rw",
+               "--output-dir", str(tmp_path / "ev")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ConfigError"
+    assert err["message"] == "benchmark 'rw' is not a model of the forecast files ['bvar', 'qbvar']"
 
 
 @pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])

@@ -144,14 +144,13 @@ def test_panel_validation():
         TimeSeriesPanel(dates, bad, ["a", "b"], [2, 2])
 
 
-def test_panel_head_missing_allowed_and_through():
+def test_panel_head_missing_allowed():
     dates = _dates("2001-01", 5)
     vals = np.arange(10.0).reshape(5, 2)
     vals[:2, 1] = np.nan
     panel = TimeSeriesPanel(dates, vals, ["a", "b"], [2, 2])
-    cut = panel.through("2001-03")
-    assert cut.dates == dates[:3]
-    assert cut.values.shape == (3, 2)
+    assert panel.dates == dates
+    np.testing.assert_array_equal(panel.column("b"), vals[:, 1])
 
 
 def test_transform_panel_aligns_to_latest_common_start():

@@ -28,7 +28,6 @@ def _draw_set(Phi, Lam=None, sigma=None, kind="qbvar", quantile=0.5, p=1):
         Phi=Phi,
         Lam=np.asarray(Lam, dtype=float),
         sigma=np.asarray(sigma, dtype=float),
-        variable_names=[f"y{j}" for j in range(n)],
     )
 
 
@@ -147,13 +146,6 @@ def test_forecast_set_add_get_merge():
     assert fset.model_ids() == ["m", "m2"]
     assert fset.origins("m") == ["2010-05"]
     assert fset.quantiles() == [0.1, 0.5]
-
-
-def test_forecast_set_add_block():
-    fset = QuantileForecastSet(variable_names=["a"])
-    fset.add_block("m", "2011-01", 0.5, np.array([[1.0], [2.0], [3.0]]))
-    assert fset.horizons() == [1, 2, 3]
-    assert fset.get("m", "2011-01", 2, 0.5)[0] == 2.0
 
 
 def test_forecast_csv_roundtrip(tmp_path):

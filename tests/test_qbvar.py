@@ -14,7 +14,6 @@ from quantvar.dist import (
 )
 from quantvar.qbvar import (
     McmcSchedule,
-    PosteriorDrawSet,
     QbvarConfig,
     QbvarState,
     QuantileLevel,
@@ -562,22 +561,6 @@ def test_run_chain_without_factors():
     draws, _ = run_chain(design, cfg, make_rng(0))
     assert draws.Lam.shape == (10, 2, 0)
     assert np.all(np.isfinite(draws.Phi))
-
-
-def test_posterior_draw_set_roundtrip(tmp_path):
-    design = _toy_design(seed=37, T=40)
-    cfg = QbvarConfig(p=1, r=1, quantile=0.1, schedule=McmcSchedule(30, 10, 2))
-    draws, _ = run_chain(design, cfg, make_rng(3))
-    path = tmp_path / "draws.npz"
-    draws.save(path)
-    back = PosteriorDrawSet.load(path)
-    assert back.kind == draws.kind
-    assert back.quantile == draws.quantile
-    assert back.p == draws.p
-    assert back.variable_names == draws.variable_names
-    np.testing.assert_array_equal(back.Phi, draws.Phi)
-    np.testing.assert_array_equal(back.Lam, draws.Lam)
-    np.testing.assert_array_equal(back.sigma, draws.sigma)
 
 
 def _mixture_var_data(q, Phi_true, sigma, T, seed):
