@@ -146,11 +146,14 @@ class QuantileForecastSet:
         return sorted({k[3] for k in self.records})
 
 
+_COLUMNS = ["model_id", "origin", "horizon", "quantile", "variable", "value"]
+
+
 def write_forecasts(fset: QuantileForecastSet, path) -> None:
     """Write one row per (model, origin, horizon, quantile, variable)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model_id", "origin", "horizon", "quantile", "variable", "value"])
+        writer.writerow(_COLUMNS)
         for key in sorted(fset.records):
             model_id, origin, horizon, quantile = key
             vals = fset.records[key]
@@ -159,21 +162,61 @@ def write_forecasts(fset: QuantileForecastSet, path) -> None:
 
 
 def read_forecasts(path) -> QuantileForecastSet:
+    """Read a forecasts CSV in one streaming pass.
+
+    Rows may come in any order. Variables take their order of first
+    appearance, and each (model, origin, horizon, quantile) record needs
+    every variable exactly once. A malformed or duplicate row raises
+    ValueError naming the file and line; a record that lacks a variable
+    raises it naming the record. Model ids and origins share one string
+    object per distinct value, and each distinct horizon and quantile
+    string is parsed once.
+    """
+    fset = QuantileForecastSet(variable_names=[])
+    names, records = fset.variable_names, fset.records
+    slots: dict[str, int] = {}
+    filled: dict = {}  # record key -> bitmask of the variable slots read
+    shared: dict[str, str] = {}
+    horizons: dict[str, int] = {}
+    quantiles: dict[str, float] = {}
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:6] != ["model_id", "origin", "horizon", "quantile", "variable", "value"]:
-        raise ValueError("not a forecast file (bad header)")
-    by_key: dict = {}
-    var_order: list[str] = []
-    for model_id, origin, horizon, quantile, variable, value in rows[1:]:
-        if variable not in var_order:
-            var_order.append(variable)
-        by_key.setdefault((model_id, origin, int(horizon), round(float(quantile), 10)), {})[
-            variable
-        ] = float(value)
-    fset = QuantileForecastSet(variable_names=var_order)
-    for key, vals in by_key.items():
-        if set(vals) != set(var_order):
+        reader = csv.reader(fh)
+        if next(reader, [])[:6] != _COLUMNS:
+            raise ValueError("not a forecast file (bad header)")
+        for row in reader:
+            try:
+                model_id, origin, horizon, quantile, variable, value = row
+                h = horizons.get(horizon)
+                if h is None:
+                    h = horizons[horizon] = int(horizon)
+                q = quantiles.get(quantile)
+                if q is None:
+                    q = quantiles[quantile] = round(float(quantile), 10)
+                value = float(value)
+            except ValueError as exc:
+                problem = f"expected 6 fields, got {len(row)}" if len(row) != 6 else exc
+                raise ValueError(f"{path}, line {reader.line_num}: {problem}") from None
+            slot = slots.get(variable)
+            if slot is None:
+                slot = slots[variable] = len(names)
+                names.append(variable)
+                for key in records:  # records read so far gain the new slot
+                    records[key] = np.append(records[key], 0.0)
+            key = (model_id, origin, h, q)
+            vals = records.get(key)
+            if vals is None:
+                key = (shared.setdefault(model_id, model_id), shared.setdefault(origin, origin), h, q)
+                vals = records[key] = np.empty(len(names))
+                filled[key] = 0
+            mask, bit = filled[key], 1 << slot
+            if mask & bit:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: duplicate row for record {key}, variable {variable!r}"
+                )
+            filled[key] = mask | bit
+            vals[slot] = value
+    full = (1 << len(names)) - 1
+    for key, mask in filled.items():
+        if mask != full:
             raise ValueError(f"incomplete variable set for record {key}")
-        fset.records[key] = np.array([vals[n] for n in var_order])
     return fset

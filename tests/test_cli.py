@@ -723,6 +723,62 @@ def test_evaluate_names_a_benchmark_that_no_forecast_file_holds(tmp_path, capsys
     assert err["message"] == "benchmark 'rw' is not a model of the forecast files ['bvar', 'qbvar']"
 
 
+def _edit_third_line(path, edit):
+    """Replace the file's third line (its second data row) by edit(row, previous row)."""
+    lines = open(path).read().splitlines()
+    lines[2] = edit(lines[2], lines[1])
+    open(path, "w").write("\n".join(line for line in lines if line is not None) + "\n")
+
+
+def _with_field(row, i, text):
+    fields = row.split(",")
+    fields[i] = text
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda row, prev: "", "line 3: expected 6 fields, got 0"),
+    (lambda row, prev: row.rsplit(",", 1)[0], "line 3: expected 6 fields, got 5"),
+    (lambda row, prev: _with_field(row, 2, "x"), "line 3: invalid literal for int() with base 10: 'x'"),
+    (lambda row, prev: _with_field(row, 3, "x"), "line 3: could not convert string to float: 'x'"),
+    (lambda row, prev: _with_field(row, 5, "x"), "line 3: could not convert string to float: 'x'"),
+    (lambda row, prev: prev, "line 3: duplicate row for record ('qbvar', '2017-08', 1, 0.25), variable 'tgt'"),
+    (lambda row, prev: None, "incomplete variable set for record ('qbvar', '2017-08', 1, 0.25)"),
+], ids=["blank", "five-fields", "horizon", "quantile", "value", "duplicate", "incomplete"])
+def test_evaluate_names_the_line_of_a_malformed_forecast_row(tmp_path, capsys, edit, message):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    _edit_third_line(fa, edit)
+    rc = main(["evaluate", "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+               "--forecasts", fa, fb, "--target", "tgt", "--output-dir", str(tmp_path / "ev")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError"
+    assert err["message"] == (message if message.startswith("incomplete") else f"{fa}, {message}")
+
+
+@pytest.mark.parametrize("command", ["combine", "report"])
+def test_a_duplicate_forecast_row_exits_2_from_combine_and_report(tmp_path, capsys, command):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    if command == "report":
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+        os.makedirs(tmp_path / "forecasts")
+        os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
+        fa = str(tmp_path / "forecasts" / "qbvar.csv")
+    _edit_third_line(fa, lambda row, prev: prev)
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt"]
+    argv = {
+        "combine": ["combine", *data, "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",
+                    "--output", str(tmp_path / "comb.csv")],
+        "report": ["report", "--run-dir", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"status": "error", "kind": "ValueError",
+                   "message": f"{fa}, line 3: duplicate row for record ('qbvar', '2017-08', 1, 0.25), variable 'tgt'"}
+
+
 @pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])
 def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, strategy, window):
     make_raw_panel(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,40 @@ def test_read_forecasts_rejects_bad_header(tmp_path):
     path.write_text("nope,origin\n")
     with pytest.raises(ValueError):
         read_forecasts(path)
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(["model_id,origin,horizon,quantile,variable,value", *rows]) + "\n")
+
+
+def test_read_forecasts_accepts_rows_in_any_order(tmp_path):
+    # b first appears in the second record, so the first record's vector widens
+    path = tmp_path / "fc.csv"
+    _write_rows(path, ["m,2010-02,1,0.5,a,1.5", "m,2010-01,2,0.25,b,4.0", "m,2010-01,2,0.25,a,3.0",
+                       "m,2010-02,1,0.5,b,2.5"])
+    fset = read_forecasts(path)
+    assert fset.variable_names == ["a", "b"]
+    assert list(fset.records) == [("m", "2010-02", 1, 0.5), ("m", "2010-01", 2, 0.25)]
+    np.testing.assert_array_equal(fset.get("m", "2010-02", 1, 0.5), [1.5, 2.5])
+    np.testing.assert_array_equal(fset.get("m", "2010-01", 2, 0.25), [3.0, 4.0])
+
+
+def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
+    # a reader that holds every row as a list before building the set peaks at about 5x
+    rng = np.random.default_rng(0)
+    fset = QuantileForecastSet(variable_names=["a", "b", "c"])
+    for o in range(40):
+        for h in range(1, 13):
+            for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+                fset.add("qbvar", f"{2000 + o // 12}-{o % 12 + 1:02d}", h, q, rng.normal(size=3))
+    path = tmp_path / "fc.csv"
+    write_forecasts(fset, path)
+    del fset
+    tracemalloc.start()
+    try:
+        back = read_forecasts(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.records) == 2400
+    assert peak <= 3.5 * size

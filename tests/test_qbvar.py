@@ -85,8 +85,17 @@ def test_weighted_system_matches_explicit_formula(seed):
     w = rng.uniform(0.1, 5.0, size=T)
     prior = rng.uniform(0.2, 3.0, size=k)
     P, rhs = weighted_system(X, y, w, prior)
-    np.testing.assert_allclose(P, X.T @ np.diag(w) @ X + np.diag(prior), rtol=1e-12)
-    np.testing.assert_allclose(rhs, X.T @ np.diag(w) @ y, rtol=1e-12)
+    # each element within the error bound of a floating-point sum,
+    # 1e-12·|ref| + 1e-12·Σ_t|term|: a near-cancelling sum of large terms
+    # cannot match its reference to a relative 1e-12
+    _assert_sum_close(P, X.T @ np.diag(w) @ X + np.diag(prior),
+                      np.abs(X).T @ np.diag(w) @ np.abs(X) + np.diag(prior))
+    _assert_sum_close(rhs, X.T @ np.diag(w) @ y, np.abs(X).T @ np.diag(w) @ np.abs(y))
+
+
+def _assert_sum_close(actual, ref, abs_terms):
+    bad = np.abs(actual - ref) > 1e-12 * np.abs(ref) + 1e-12 * abs_terms
+    assert not bad.any(), f"elements {np.argwhere(bad).tolist()} differ: {actual[bad]} vs {ref[bad]}"
 
 
 def _toy_design(seed=0, T=60, n=2, p=1):
