@@ -257,6 +257,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         seed=seed,
         output_dir=output_dir,
     )
+    _check_window_names([label for _, label in cfg.labelled_windows()])
     if cfg.benchmark not in cfg.model_ids():
         raise ConfigError(f"benchmark {cfg.benchmark!r} is not a configured model")
     if combos and "qbvar" not in cfg.model_ids():
@@ -278,14 +279,10 @@ def _require_series(panel: TimeSeriesPanel, names) -> None:
         raise ConfigError(f"series not in panel: {missing}")
 
 
-def _load_panel(data_file, tcode_file, variables, target=None) -> TimeSeriesPanel:
-    """Read, check, select and transform ``variables`` (every series when None),
-    which must hold ``target`` when one is given."""
+def _load_panel(data_file, tcode_file, variables) -> TimeSeriesPanel:
+    """Read, check, select and transform ``variables``."""
     panel = read_panel(data_file, tcode_file)
-    variables = list(variables or panel.names)
     _require_series(panel, variables)
-    if target is not None and target not in variables:
-        raise ConfigError(f"target {target!r} is not among the selected series {variables}")
     return transform_panel(panel.select(variables))
 
 
@@ -381,11 +378,12 @@ def _combine(fc_a, a_id, fc_b, b_id, strategy: str, lambda_or_window, model_id: 
             origins, fa, fb, ys = _history(fc_a, a_id, fc_b, b_id, tpanel, target, q, h, origins_a)
             # origins are sorted, so the realizations known at t form a prefix
             known_at = [month_of[o] + h for o in origins]
+            if strategy == "performance":
+                scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
             for t in origins_a:
                 n = bisect.bisect_right(known_at, month_of[t])
                 if strategy == "performance":
-                    scores_a, scores_b = pinball(ys[:n] - fa[:n], q), pinball(ys[:n] - fb[:n], q)
-                    lam, warm = performance_weight(scores_a, scores_b, S)
+                    lam, warm = performance_weight(scores_a[:n], scores_b[:n], S)
                 else:
                     lam, warm = optimal_weight(fa[:n], fb[:n], ys[:n], q, S)
                 series.set_weight(t, q, h, lam, warm)
@@ -427,6 +425,16 @@ def _sha256_file(path) -> str:
 
 def _safe_label(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
+
+
+def _check_window_names(labels) -> None:
+    """Raise ConfigError when two window labels would write the same table files."""
+    by_slug = {}
+    for label in labels:
+        same = by_slug.setdefault(_safe_label(label), [])
+        same.append(label)
+        if len(same) > 1:
+            raise ConfigError(f"window labels {same} map to the same table files")
 
 
 def _threads() -> int:
@@ -580,7 +588,7 @@ def _emit_tables(
     scored = [score_records(fset, tpanel, target) for fset in fsets]
     chunks = []
     for window, label in windows:
-        table = average_qs(scored, tpanel, target, window=window, by_origin=by_origin, window_label=label)
+        table = average_qs(scored, target, window=window, by_origin=by_origin, window_label=label)
         slug = _safe_label(label)
         if not table.entries:
             note = f"window {label}: no covered realizations (n/a)\n"
@@ -673,14 +681,15 @@ def _parse_window_arg(spec: str) -> EventWindow:
 
 
 def _cmd_evaluate(args) -> int:
-    tpanel = _load_panel(args.data, args.tcodes, args.variables, args.target)
+    windows = [(None, "full")] + [
+        (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
+    ]
+    _check_window_names([label for _, label in windows])
+    tpanel = _load_panel(args.data, args.tcodes, [args.target])
     fsets = [read_forecasts(p) for p in args.forecasts]
     models = sorted({m for fset in fsets for m in fset.model_ids()})
     if args.benchmark and args.benchmark not in models:
         raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")
-    windows = [(None, "full")] + [
-        (w, w.label) for w in (_parse_window_arg(s) for s in args.window or [])
-    ]
     os.makedirs(args.output_dir, exist_ok=True)
     print(_emit_tables(fsets, tpanel, args.target, windows, args.benchmark, args.output_dir, args.by_origin))
     return 0
@@ -695,7 +704,7 @@ def _cmd_combine(args) -> int:
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
-        tpanel = _load_panel(args.data, args.tcodes, args.variables, args.target)
+        tpanel = _load_panel(args.data, args.tcodes, [args.target])
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(
         fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
@@ -710,9 +719,8 @@ def _cmd_combine(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg, raw = load_config(args.config)
-    override = args.output_dir or os.environ.get("QUANTVAR_OUTPUT")
-    if override:
-        cfg.output_dir = override
+    if args.output_dir:
+        cfg.output_dir = args.output_dir
     os.makedirs(cfg.output_dir, exist_ok=True)
     manifest = run_recursive(cfg, raw)
     print(
@@ -749,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _data_args(p, required):
         for flag in ("--data", "--tcodes", "--target"):
             p.add_argument(flag, required=required)
-        p.add_argument("--variables", type=lambda s: s.split(","),
-                       help="comma-separated system variables in order")
 
     g = sub.add_parser("forecast", help="forecast every configured model from one origin of a run config")
     g.add_argument("--config", required=True)

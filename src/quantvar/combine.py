@@ -142,7 +142,7 @@ class CombinationWeightSeries:
 
     strategy: str  # "fixed" | "performance" | "optimal"
     window: int | None  # S, None for fixed
-    weights: dict = field(default_factory=dict)  # (origin, q, h) -> lam
+    weights: dict = field(default_factory=dict)  # (origin, q, h) -> lam, q and h as the forecast set keys them
     warmup: set = field(default_factory=set)  # origins still in fallback
 
     def __post_init__(self):
@@ -152,13 +152,10 @@ class CombinationWeightSeries:
     def set_weight(self, origin: str, q: float, h: int, lam: float, warmup: bool) -> None:
         if not 0.0 <= lam <= 1.0:
             raise CombinationError(f"weight must lie in [0, 1], got {lam}")
-        key = (origin, round(float(q), 10), int(h))
+        key = (origin, q, h)
         self.weights[key] = lam
         if warmup:
             self.warmup.add(key)
-
-    def weight(self, origin: str, q: float, h: int) -> float:
-        return self.weights[(origin, round(float(q), 10), int(h))]
 
     def rows(self) -> list[list]:
         out = [["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]]
@@ -187,7 +184,7 @@ def combine_weighted(
     a_id, b_id, cells = _aligned_cells(fc_a, fc_b)
     out = QuantileForecastSet(variable_names=list(fc_a.variable_names))
     for origin, h, q in cells:
-        lam = series.weight(origin, q, h)
+        lam = series.weights[(origin, q, h)]
         va = fc_a.get(a_id, origin, h, q)
         vb = fc_b.get(b_id, origin, h, q)
         out.add(model_id, origin, h, q, lam * va + (1.0 - lam) * vb)

@@ -77,7 +77,7 @@ def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: 
 def score_records(
     fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: str
 ) -> dict:
-    """Per-record pinball scores: (model, origin, h, q) -> (error, score, month).
+    """Per-record pinball scores: (model, origin, h, q) -> (score, month).
 
     ``month`` is the origin's :func:`month_index`, parsed once here so that
     window filters need not parse it again. Records whose realization lies
@@ -92,8 +92,7 @@ def score_records(
         y = realized(month, h)
         if y is None:
             continue
-        u = y - float(values[col])
-        out[(model_id, origin, h, q)] = (u, pinball(u, q), month)
+        out[(model_id, origin, h, q)] = (pinball(y - float(values[col]), q), month)
     return out
 
 
@@ -106,12 +105,6 @@ class ScoreTable:
     entries: dict = field(default_factory=dict)  # (model, q, h) -> mean score
     counts: dict = field(default_factory=dict)  # (model, q, h) -> evaluated origins
 
-    def score(self, model: str, q: float, h: int) -> float:
-        return self.entries[(model, round(float(q), 10), int(h))]
-
-    def count(self, model: str, q: float, h: int) -> int:
-        return self.counts[(model, round(float(q), 10), int(h))]
-
     def models(self) -> list[str]:
         return sorted({k[0] for k in self.entries})
 
@@ -123,8 +116,7 @@ class ScoreTable:
 
 
 def average_qs(
-    forecasts,
-    panel: TimeSeriesPanel,
+    scored,
     variable: str,
     window: EventWindow | None = None,
     by_origin: bool = False,
@@ -132,23 +124,17 @@ def average_qs(
 ) -> ScoreTable:
     """Mean pinball loss per (model, q, h), optionally within a date window.
 
-    ``forecasts`` is a QuantileForecastSet or a sequence of them; an element
-    may also be the :func:`score_records` dict of a set, so that a caller
-    averaging over several windows scores each set once. Window membership
-    is decided by the realization date t+h unless ``by_origin``.
+    ``scored`` is a sequence of :func:`score_records` dicts, so that a
+    caller averaging over several windows scores each set once. Window
+    membership is decided by the realization date t+h unless ``by_origin``.
     """
-    if isinstance(forecasts, QuantileForecastSet):
-        sets = [forecasts]
-    else:
-        sets = list(forecasts)
     if window is not None:
         lo, hi = month_index(window.start), month_index(window.end)
     sums: dict = {}
     counts: dict = {}
     any_scored = False
-    for fset in sets:
-        scored = fset if isinstance(fset, dict) else score_records(fset, panel, variable)
-        for (model_id, _, h, q), (_, score, month) in scored.items():
+    for records in scored:
+        for (model_id, _, h, q), (score, month) in records.items():
             any_scored = True
             if window is not None:
                 member = month + (0 if by_origin else h)
@@ -178,9 +164,6 @@ class RatioTable:
     entries: dict = field(default_factory=dict)  # (q, h) -> ratio (NaN if flagged)
     flagged: set = field(default_factory=set)  # benchmark-zero cells
 
-    def ratio(self, q: float, h: int) -> float:
-        return self.entries[(round(float(q), 10), int(h))]
-
     def quantiles(self) -> list[float]:
         return sorted({k[0] for k in self.entries})
 
@@ -205,10 +188,10 @@ def qs_ratio(table: ScoreTable, numerator: str, benchmark: str) -> RatioTable:
         benchmark=benchmark,
     )
     for q, h in sorted(num_cells):
-        if table.count(numerator, q, h) != table.count(benchmark, q, h):
+        if table.counts[(numerator, q, h)] != table.counts[(benchmark, q, h)]:
             raise EvaluationError(f"evaluated-origin counts differ at (q={q}, h={h})")
-        num = table.score(numerator, q, h)
-        den = table.score(benchmark, q, h)
+        num = table.entries[(numerator, q, h)]
+        den = table.entries[(benchmark, q, h)]
         if den == 0.0:
             out.entries[(q, h)] = float("nan")
             out.flagged.add((q, h))
@@ -237,11 +220,9 @@ def render_score_table(table: ScoreTable) -> str:
         for h in hs:
             cells = []
             for q in qs:
-                try:
-                    cells.append(f"{table.score(m, q, h):>10.4f}")
-                except KeyError:
-                    cells.append(f"{'n/a':>10}")
-            counts = {table.counts.get((m, round(float(q), 10), h)) for q in qs}
+                score = table.entries.get((m, q, h))
+                cells.append(f"{'n/a':>10}" if score is None else f"{score:>10.4f}")
+            counts = {table.counts.get((m, q, h)) for q in qs}
             counts.discard(None)
             p = str(counts.pop()) if len(counts) == 1 else "mixed"
             lines.append(f"{h:>4} " + "".join(cells) + f"{p:>8}")
@@ -260,7 +241,7 @@ def render_ratio_table(table: RatioTable) -> str:
         cells = []
         better = []
         for q in qs:
-            key = (round(float(q), 10), h)
+            key = (q, h)
             if key not in table.entries:
                 cells.append(f"{'n/a':>10}")
                 continue

@@ -23,7 +23,7 @@ from quantvar.combine import (
 )
 from quantvar.data import build_lag_design, month_index, month_label
 from quantvar.dist import derive_rng, draw_from_precision_system, draw_gig_half
-from quantvar.evaluation import average_qs, pinball
+from quantvar.evaluation import average_qs, pinball, score_records
 from quantvar.forecast import QuantileForecastSet, read_forecasts
 from quantvar.qbvar import (
     McmcSchedule,
@@ -275,7 +275,7 @@ def test_05_pinball_loss_and_averages():
                 v = float(rng.normal())
                 preds[(o, h, q)] = v
                 fset.add("m", o, h, q, np.array([v]))
-    table = average_qs(fset, panel, "v")
+    table = average_qs([score_records(fset, panel, "v")], "v")
     worst = 0.0
     for h in (1, 4):
         for q in (0.1, 0.5, 0.9):
@@ -283,7 +283,7 @@ def test_05_pinball_loss_and_averages():
             for o in origins:
                 u = y[month_index(o) + h - start] - preds[(o, h, q)]
                 brute.append(u * (q - 1.0) if u < 0 else u * q)
-            worst = max(worst, abs(table.score("m", q, h) - float(np.mean(brute))))
+            worst = max(worst, abs(table.entries[("m", q, h)] - float(np.mean(brute))))
     _report(
         "5 pinball loss exactness",
         exact and worst <= 1e-14,

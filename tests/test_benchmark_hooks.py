@@ -165,7 +165,7 @@ def test_combine_calls_its_weight_function_once_per_cell(tmp_path, monkeypatch, 
     rc = cli.main(
         ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
          "--window", "3", "--data", str(tmp_path / "panel.csv"), "--tcodes",
-         str(tmp_path / "tcodes.json"), "--variables", "tgt,c1", "--target", "tgt",
+         str(tmp_path / "tcodes.json"), "--target", "tgt",
          "--output", str(tmp_path / "comb.csv")]
     )
     assert rc == 0

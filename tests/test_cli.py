@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,9 +164,8 @@ def test_any_json_config_exits_cleanly(raw):
         with open(path, "w") as fh:
             json.dump(raw, fh)
         err = io.StringIO()
-        with mock.patch.dict(os.environ, {"QUANTVAR_OUTPUT": os.path.join(d, "out")}), \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(["run", "--config", path])
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", path, "--output-dir", os.path.join(d, "out")])
     assert rc in (0, 1, 2)
     if rc:
         lines = err.getvalue().splitlines()
@@ -433,7 +431,7 @@ def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys
     out = cfg.output_dir
     fdir = os.path.join(out, "forecasts")
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,c1", "--target", "tgt"]
+            "--target", "tgt"]
 
     for spec in raw["combinations"][1:]:
         model_id = {"performance": "comb_perf", "optimal": "comb_opt"}[spec["strategy"]]
@@ -481,7 +479,7 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
             partial.add(model_id, origin, h, q, values)
     write_forecasts(partial, str(tmp_path / "partial.csv"))
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,c1", "--target", "tgt", "--output-dir", str(tmp_path / "ev")]
+            "--target", "tgt", "--output-dir", str(tmp_path / "ev")]
     rc = main(["evaluate", "--forecasts", str(tmp_path / "partial.csv"),
                os.path.join(fdir, "bvar.csv"), *data, "--benchmark", "bvar"])
     assert rc == 2  # qbvar lacks the first origin: evaluated-origin counts differ from bvar's
@@ -538,16 +536,6 @@ def test_main_error_exits(tmp_path, capsys):
     assert err["kind"] == "ConfigError"
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
-    make_raw_panel(tmp_path)
-    raw = make_config_dict(iterations=60, burn_in=20, thin=2, quantiles=(0.5,), horizons=(1,), combinations=[])
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(raw))
-    monkeypatch.setenv("QUANTVAR_OUTPUT", str(tmp_path / "env_out"))
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "env_out" / "manifest.json").exists()
-
-
 def _forecast_argv(tmp_path, output, origin=None):
     return ["forecast", "--config", str(tmp_path / "config.json"), "--output", str(output),
             *(["--origin", origin] if origin else [])]
@@ -560,8 +548,7 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
     assert main(_forecast_argv(tmp_path, fc, "2018-06")) == 0
     fset = read_forecasts(fc)
     assert fset.model_ids() == ["bvar", "qbvar", "rw"] and fset.horizons() == [1, 2, 3]
-    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,c1"]
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json")]
 
     ev_dir = str(tmp_path / "ev")
     rc = main(
@@ -660,15 +647,15 @@ def test_every_command_names_the_series_missing_from_the_panel(tmp_path, capsys,
     make_raw_panel(tmp_path)
     fa, fb = make_forecast_pair(tmp_path)
     panel, tcodes = str(tmp_path / "panel.csv"), str(tmp_path / "tcodes.json")
-    data = ["--data", panel, "--tcodes", tcodes, "--variables", "tgt,nope"]
+    data = ["--data", panel, "--tcodes", tcodes, "--target", "nope"]
     out = str(tmp_path / "out")
     argv = {
         "ingest": ["ingest", "--input", panel, "--tcodes", tcodes, "--output", out,
                    "--output-tcodes", str(tmp_path / "out.json"), "--deflate", "tgt:nope"],
         "forecast": _forecast_argv(tmp_path, out),
-        "evaluate": ["evaluate", *data, "--forecasts", fa, "--target", "tgt", "--output-dir", out],
+        "evaluate": ["evaluate", *data, "--forecasts", fa, "--output-dir", out],
         "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",
-                    *data, "--target", "tgt", "--output", out],
+                    *data, "--output", out],
         "report": ["report", "--run-dir", str(tmp_path)],
     }[command]
     # a config (of a run directory, for report) that names a series the panel lacks
@@ -692,23 +679,68 @@ def test_ingest_names_a_series_pair_without_a_colon(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "combine"])
-def test_evaluate_and_combine_name_a_target_outside_the_selection(tmp_path, capsys, command):
-    # tgt is in the panel but not among the selected series
+def _blank_before(panel_path, series, month):
+    """Blank ``series`` in the panel CSV at every date before ``month``."""
+    lines = open(panel_path).read().splitlines()
+    j = lines[0].split(",").index(series)
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if month_index(fields[0]) < month_index(month):
+            fields[j] = ""
+            lines[i] = ",".join(fields)
+    open(panel_path, "w").write("\n".join(lines) + "\n")
+
+
+def test_evaluate_and_combine_read_only_the_target_series(tmp_path, capsys):
+    # c1 starts in 2018-01, after the first realizations (2017-09); evaluate
+    # and combine score tgt alone, so their outputs equal those on the full panel
+    outputs = {}
+    for name in ("full", "late"):
+        d = tmp_path / name
+        d.mkdir()
+        make_raw_panel(d)
+        fa, fb = make_forecast_pair(d)
+        if name == "late":
+            _blank_before(d / "panel.csv", "c1", "2018-01")
+        data = ["--data", str(d / "panel.csv"), "--tcodes", str(d / "tcodes.json"), "--target", "tgt"]
+        out = d / "out"
+        argvs = [["evaluate", "--forecasts", fa, fb, *data, "--window", "mid:2017-11:2018-02",
+                  "--benchmark", "bvar", "--output-dir", str(out)]]
+        argvs += [["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
+                   "--window", "3", *data, "--model-id", strategy, "--output", str(out / f"{strategy}.csv"),
+                   "--weights-output", str(out / f"w_{strategy}.csv")] for strategy in ("performance", "optimal")]
+        assert [main(argv) for argv in argvs] == [0, 0, 0]
+        outputs[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    # per window a score and a ratio table, per strategy forecasts and weights
+    assert len(outputs["full"]) == 2 * 4 + 2 * 2
+    assert outputs["late"] == outputs["full"]
+
+
+@pytest.mark.parametrize("case", ["slug", "event", "evaluate-full"])
+def test_window_labels_that_name_the_same_table_files_exit_2(tmp_path, capsys, case):
     make_raw_panel(tmp_path)
-    fa, fb = make_forecast_pair(tmp_path)
-    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "c1", "--target", "tgt"]
-    out = str(tmp_path / "out")
-    argv = {
-        "evaluate": ["evaluate", *data, "--forecasts", fa, "--output-dir", out],
-        "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "performance",
-                    *data, "--output", out],
-    }[command]
+    all_window = {"label": "all", "start": "2015-03", "end": "2020-04"}
+    if case == "evaluate-full":
+        fa, _ = make_forecast_pair(tmp_path)
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--forecasts", fa, "--data", str(tmp_path / "panel.csv"),
+                "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt",
+                "--window", "full:2018-01:2018-03", "--output-dir", str(out)]
+        labels = ["full", "full"]
+    else:
+        windows = {
+            "slug": dict(eval_windows=(dict(all_window, label="a b"), dict(all_window, label="a_b"))),
+            "event": dict(eval_windows=(all_window, dict(all_window, label="event_x")),
+                          event_windows=(dict(all_window, label="x"),)),
+        }[case]
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict(**windows)))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]
+        labels = {"slug": ["a b", "a_b"], "event": ["event_x", "event_x"]}[case]
     assert main(argv) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"status": "error", "kind": "ConfigError",
-                   "message": "target 'tgt' is not among the selected series ['c1']"}
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError", "message": f"window labels {labels} map to the same table files"}
+    assert not out.exists()
 
 
 def test_evaluate_names_a_benchmark_that_no_forecast_file_holds(tmp_path, capsys):
@@ -787,7 +819,7 @@ def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, str
     rc = main(
         ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
          "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-         "--variables", "tgt,c1", "--target", "tgt", "--output", str(tmp_path / "o.csv"),
+         "--target", "tgt", "--output", str(tmp_path / "o.csv"),
          "--weights-output", str(weights)]
     )
     assert rc == 0
@@ -855,7 +887,7 @@ def test_optimal_combine_and_evaluate_leave_numpy_ma_unloaded(tmp_path):
     make_raw_panel(tmp_path)
     fa, fb = make_forecast_pair(tmp_path)
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
-            "--variables", "tgt,c1", "--target", "tgt"]
+            "--target", "tgt"]
     comb = str(tmp_path / "comb.csv")
     argvs = [
         ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "optimal",

@@ -237,7 +237,7 @@ def test_weight_series_rows_and_validation():
     s = CombinationWeightSeries(strategy="performance", window=50)
     s.set_weight("2010-01", 0.5, 1, 0.75, warmup=False)
     s.set_weight("2010-02", 0.5, 1, 0.5, warmup=True)
-    assert s.weight("2010-01", 0.5, 1) == 0.75
+    assert s.weights[("2010-01", 0.5, 1)] == 0.75
     rows = s.rows()
     assert rows[0][0] == "strategy"
     warm_flags = {r[2]: r[6] for r in rows[1:]}

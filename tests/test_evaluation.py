@@ -131,6 +131,11 @@ def _one_model_set(preds, origins, h=1, q=0.5, model="m", names=("y0",)):
     return fset
 
 
+def _average(sets, panel, variable, **kw):
+    """average_qs over the score records of each set."""
+    return average_qs([score_records(fset, panel, variable) for fset in sets], variable, **kw)
+
+
 def test_average_qs_matches_brute_force():
     rng = np.random.default_rng(7)
     T = 40
@@ -146,7 +151,7 @@ def test_average_qs_matches_brute_force():
                 p = rng.normal()
                 preds[(o, h, q)] = p
                 fset.add("m", o, h, q, np.array([p]))
-    table = average_qs(fset, panel, "y0")
+    table = _average([fset], panel, "y0")
     for h in (1, 3):
         for q in qs:
             scores = []
@@ -154,10 +159,10 @@ def test_average_qs_matches_brute_force():
                 t = _mi(o) + h - _mi("2000-01")
                 u = y[t] - preds[(o, h, q)]
                 scores.append(u * (q - (1 if u < 0 else 0)))
-            assert table.score("m", q, h) == pytest.approx(
+            assert table.entries[("m", q, h)] == pytest.approx(
                 float(np.mean(scores)), abs=1e-14
             )
-            assert table.count("m", q, h) == len(origins)
+            assert table.counts[("m", q, h)] == len(origins)
 
 
 def test_average_qs_symmetric_errors_at_median():
@@ -166,8 +171,8 @@ def test_average_qs_symmetric_errors_at_median():
     origins = [_m(j) for j in range(0, 10)]
     preds = [(-1.0) ** j for j in range(10)]  # error = 0 - pred = ∓1
     fset = _one_model_set(preds, origins)
-    table = average_qs(fset, panel, "y0")
-    assert table.score("m", 0.5, 1) == pytest.approx(0.5)
+    table = _average([fset], panel, "y0")
+    assert table.entries[("m", 0.5, 1)] == pytest.approx(0.5)
 
 
 def test_window_by_realization_date_vs_origin():
@@ -177,15 +182,15 @@ def test_window_by_realization_date_vs_origin():
     # realizations land at months 2..9; window [2000-04, 2000-06] covers
     # realizations of origins 2000-02..2000-04 (3 of them)
     w = EventWindow("mid", "2000-04", "2000-06")
-    t_real = average_qs(fset, panel, "y0", window=w)
-    assert t_real.count("m", 0.5, 2) == 3
+    t_real = _average([fset], panel, "y0", window=w)
+    assert t_real.counts[("m", 0.5, 2)] == 3
     # by origin date the same window covers origins 2000-04..2000-06
-    t_orig = average_qs(fset, panel, "y0", window=w, by_origin=True)
-    assert t_orig.count("m", 0.5, 2) == 3
+    t_orig = _average([fset], panel, "y0", window=w, by_origin=True)
+    assert t_orig.counts[("m", 0.5, 2)] == 3
     # all-covering window must agree with the unconditional table exactly
     wide = EventWindow("all", "1999-01", "2001-12")
-    t_all = average_qs(fset, panel, "y0", window=wide)
-    t_unc = average_qs(fset, panel, "y0")
+    t_all = _average([fset], panel, "y0", window=wide)
+    t_unc = _average([fset], panel, "y0")
     assert t_all.entries == t_unc.entries and t_all.counts == t_unc.counts
 
 
@@ -196,8 +201,8 @@ def test_unobserved_realizations_are_skipped():
     recs = score_records(fset, panel, "y0")
     # origins 2000-04 and 2000-05 have undated realizations -> skipped
     assert len(recs) == 3
-    table = average_qs(fset, panel, "y0")
-    assert table.count("m", 0.5, 2) == 3
+    table = _average([fset], panel, "y0")
+    assert table.counts[("m", 0.5, 2)] == 3
 
 
 def test_empty_window_table_is_empty_not_error():
@@ -205,7 +210,7 @@ def test_empty_window_table_is_empty_not_error():
     origins = [_m(j) for j in range(0, 8)]
     fset = _one_model_set([1.0] * len(origins), origins)
     w = EventWindow("off", "2011-01", "2012-01")
-    table = average_qs(fset, panel, "y0", window=w)
+    table = _average([fset], panel, "y0", window=w)
     assert table.entries == {}
 
 
@@ -213,7 +218,7 @@ def test_window_with_nothing_scorable_raises():
     panel = _panel([[0.0]] * 3)
     fset = _one_model_set([1.0], ["2000-02"], h=5)  # realization beyond sample
     with pytest.raises(EvaluationError):
-        average_qs(fset, panel, "y0", window=EventWindow("w", "2000-01", "2000-12"))
+        _average([fset], panel, "y0", window=EventWindow("w", "2000-01", "2000-12"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +230,16 @@ def _two_model_table(num_scale=1.0):
     origins = [_m(j) for j in range(0, 15)]
     a = _one_model_set([num_scale] * 15, origins, model="a")
     b = _one_model_set([1.0] * 15, origins, model="b")
-    return average_qs([a, b], panel, "y0")
+    return _average([a, b], panel, "y0")
 
 
 def test_qs_ratio_self_is_one_and_halving():
     table = _two_model_table()
     same = qs_ratio(table, "a", "a")
-    assert same.ratio(0.5, 1) == 1.0
+    assert same.entries[(0.5, 1)] == 1.0
     # numerator errors half the benchmark's -> ratio 0.5 exactly
     half = qs_ratio(_two_model_table(num_scale=0.5), "a", "b")
-    assert half.ratio(0.5, 1) == pytest.approx(0.5, abs=1e-15)
+    assert half.entries[(0.5, 1)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_qs_ratio_scale_invariance():
@@ -254,10 +259,10 @@ def test_qs_ratio_zero_benchmark_flagged():
     origins = [_m(j) for j in range(0, 5)]
     a = _one_model_set([1.0] * 5, origins, model="a")
     b = _one_model_set([0.0] * 5, origins, model="b")  # perfect -> QS 0
-    table = average_qs([a, b], panel, "y0")
+    table = _average([a, b], panel, "y0")
     ratio = qs_ratio(table, "a", "b")
     assert (0.5, 1) in ratio.flagged
-    assert np.isnan(ratio.ratio(0.5, 1))
+    assert np.isnan(ratio.entries[(0.5, 1)])
 
 
 def test_qs_ratio_coverage_mismatch_rejected():
@@ -265,7 +270,7 @@ def test_qs_ratio_coverage_mismatch_rejected():
     origins = [_m(j) for j in range(0, 5)]
     a = _one_model_set([1.0] * 5, origins, model="a")
     b = _one_model_set([1.0] * 5, origins, model="b", q=0.9)
-    table = average_qs([a, b], panel, "y0")
+    table = _average([a, b], panel, "y0")
     with pytest.raises(EvaluationError):
         qs_ratio(table, "a", "b")
     with pytest.raises(EvaluationError):
@@ -295,7 +300,7 @@ def test_render_ratio_table_marks_na_and_favorable():
         b.add("b", o, 1, 0.5, np.array([1.0]))
         a.add("a", o, 2, 0.5, np.array([1.0]))
         b.add("b", o, 2, 0.5, np.array([0.0]))  # zero benchmark at h=2
-    table = average_qs([a, b], panel, "y0")
+    table = _average([a, b], panel, "y0")
     ratio = qs_ratio(table, "a", "b")
     text = render_ratio_table(ratio)
     assert "n/a" in text  # flagged cell
