@@ -437,8 +437,32 @@ def _check_window_names(labels) -> None:
             raise ConfigError(f"window labels {same} map to the same table files")
 
 
+def _sample_shared(payloads, workers: int) -> list:
+    """``_forecast_one_origin`` of every payload, in payload order, over workers + 1 processes.
+
+    This process runs every (workers + 1)-th payload and a pool of
+    ``workers`` forked processes the rest. Each origin draws from its own
+    streams, so the results do not depend on which process ran it.
+    """
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    stride = workers + 1
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            # the pool forks every worker at its first submit, so submitting
+            # first leaves this process's sampling state out of the workers
+            futures = {i: pool.submit(_forecast_one_origin, p) for i, p in enumerate(payloads) if i % stride}
+            own = {i: _forecast_one_origin(payloads[i]) for i in range(0, len(payloads), stride)}
+            return [own[i] if i in own else futures[i].result() for i in range(len(payloads))]
+        except BaseException:
+            # a code bug should not wait for every queued origin
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _threads() -> int:
-    """Worker-process count from ``QUANTVAR_THREADS`` (default 1, serial)."""
+    """Sampling-process count from ``QUANTVAR_THREADS`` (default 1, serial)."""
     raw = os.environ.get("QUANTVAR_THREADS", "1")
     try:
         threads = int(raw)
@@ -473,12 +497,9 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     payloads = [
         (origin, oi, dates, values, names, cfg) for oi, origin in enumerate(origins)
     ]
-    if threads > 1:
-        # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_forecast_one_origin, payloads))
+    workers = min(threads, len(payloads)) - 1  # this process samples too
+    if workers:
+        results = _sample_shared(payloads, workers)
     else:
         results = [_forecast_one_origin(p) for p in payloads]
 
@@ -607,6 +628,19 @@ def _emit_tables(
     return "\n".join(chunks)
 
 
+def _read_forecast_files(paths) -> list[QuantileForecastSet]:
+    """Read each forecasts CSV; ConfigError when two of them hold the same model."""
+    fsets, file_of = [], {}  # model id -> the file that holds it
+    for path in paths:
+        fset = read_forecasts(path)
+        for m in fset.model_ids():
+            if m in file_of:
+                raise ConfigError(f"model {m!r} is held by two forecast files: {file_of[m]} and {path}")
+            file_of[m] = path
+        fsets.append(fset)
+    return fsets
+
+
 def report(run_dir: str, output_path: str | None = None) -> str:
     """Re-render every table from a completed run's forecast files."""
     cfg_path = os.path.join(run_dir, "config.json")
@@ -616,7 +650,7 @@ def report(run_dir: str, output_path: str | None = None) -> str:
     fdir = os.path.join(run_dir, "forecasts")
     if not os.path.isdir(fdir):
         raise RunFailure("run directory has no forecasts/")
-    fsets = [read_forecasts(os.path.join(fdir, f)) for f in sorted(os.listdir(fdir))]
+    fsets = _read_forecast_files([os.path.join(fdir, f) for f in sorted(os.listdir(fdir))])
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     text = _emit_tables(fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark)
     if output_path:
@@ -686,7 +720,7 @@ def _cmd_evaluate(args) -> int:
     ]
     _check_window_names([label for _, label in windows])
     tpanel = _load_panel(args.data, args.tcodes, [args.target])
-    fsets = [read_forecasts(p) for p in args.forecasts]
+    fsets = _read_forecast_files(args.forecasts)
     models = sorted({m for fset in fsets for m in fset.model_ids()})
     if args.benchmark and args.benchmark not in models:
         raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")

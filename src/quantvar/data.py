@@ -263,17 +263,28 @@ def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
     if not isinstance(tcode_map, dict):
         raise PanelError("tcode sidecar must be a JSON object mapping series names to tcodes")
     with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2:
-        raise PanelError("panel file needs a date column and at least one series")
-    names = rows[0][1:]
-    dates = [r[0] for r in rows[1:]]
-    values = np.array(
-        [[float(c) if c not in ("", "NA", "NaN", "nan") else np.nan for c in r[1:]] for r in rows[1:]]
-    )
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(header) < 2:
+            raise PanelError("panel file needs a date column and at least one series")
+        names, dates, rows = header[1:], [], []
+        for r in reader:
+            try:
+                if len(r) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(r)}")
+                rows.append([float(c) if c not in ("", "NA", "NaN", "nan") else np.nan for c in r[1:]])
+            except ValueError as exc:
+                raise PanelError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+            dates.append(r[0])
+    values = np.array(rows)
     missing = [n for n in names if n not in tcode_map]
     if missing:
         raise PanelError(f"tcode sidecar missing series: {missing}")
+    # a blank cell is a missing value; an infinite one is a bad value
+    bad = np.argwhere(np.isinf(values))
+    if bad.size:
+        t, j = bad[0]
+        raise PanelError(f"series {names[j]!r} has a non-finite value at {dates[t]}")
     return TimeSeriesPanel(dates, values, names, [tcode_map[n] for n in names])
 
 

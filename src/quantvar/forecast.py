@@ -87,15 +87,21 @@ def forecast_quantiles(
     ``{draws.quantile: median across draws}``, and ``quantiles`` is not read.
     A Gaussian model returns the empirical q-quantile of its paths at every
     requested level; all levels come from the same paths, so they are
-    mutually consistent (monotone in q) up to sampling noise.
+    mutually consistent (monotone in q) up to sampling noise. Paths that
+    ``simulate_paths`` replaced by NaN are left out.
     """
-    if draws.kind == "qbvar":
-        return {draws.quantile: np.nanmedian(simulate_paths(draws, history, horizon, rng), axis=0)}
-    for q in quantiles:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must lie in (0, 1)")
+    if draws.kind != "qbvar":
+        for q in quantiles:
+            if not 0.0 < q < 1.0:
+                raise ValueError("quantile must lie in (0, 1)")
     paths = simulate_paths(draws, history, horizon, rng)
-    return {q: np.nanquantile(paths, q, axis=0) for q in quantiles}
+    # the NaN-aware reductions are several times slower and give the same
+    # bits when every path is finite, the usual case
+    finite = not np.isnan(paths).any()
+    if draws.kind == "qbvar":
+        return {draws.quantile: (np.median if finite else np.nanmedian)(paths, axis=0)}
+    levels = (np.quantile if finite else np.nanquantile)(paths, list(quantiles), axis=0)
+    return dict(zip(quantiles, levels))
 
 
 def random_walk_forecast(horizon: int, n_vars: int) -> np.ndarray:

@@ -307,14 +307,59 @@ def test_run_determinism_via_cli(tmp_path, capsys):
         assert b1 == b2, f"{rel} differs between identical runs"
 
 
+def _record_pools(monkeypatch) -> list:
+    """Record each process pool a run makes: {"max_workers": ..., "cancel_futures": [per shutdown]}."""
+    import concurrent.futures
+
+    pools, real = [], concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers=None, **kwargs):
+            self.record = {"max_workers": max_workers, "cancel_futures": []}
+            pools.append(self.record)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.record["cancel_futures"].append(cancel_futures)
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
+
+
 def test_parallel_origins_match_serial(tmp_path, monkeypatch):
+    # N sampling processes are this one plus N - 1 workers, never more than
+    # the 8 origins; every N writes the serial run's files
     cfg, raw = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2)
     cfg.output_dir = str(tmp_path / "serial")
     m_serial = run_recursive(cfg, raw)
+    pools = _record_pools(monkeypatch)
+    for threads, workers in [(2, 1), (3, 2), (9, 7)]:
+        monkeypatch.setenv("QUANTVAR_THREADS", str(threads))
+        cfg.output_dir = str(tmp_path / f"parallel{threads}")
+        assert run_recursive(cfg, raw)["files"] == m_serial["files"], threads
+        assert pools.pop() == {"max_workers": workers, "cancel_futures": [False]}, threads
+    assert pools == []
+
+
+@pytest.mark.parametrize("where", ["this process", "a worker"])
+def test_a_code_bug_in_a_parallel_run_propagates_and_cancels_the_pool(tmp_path, monkeypatch, where):
+    # this process runs origins 0, 2, ... and the one worker 1, 3, ...
+    cfg, raw = _light_cfg(tmp_path)
+    pools = _record_pools(monkeypatch)
+    real, parent = cli_mod.run_chain, os.getpid()
+
+    def failing(design, config, rng):
+        if (os.getpid() == parent) == (where == "this process"):
+            raise TypeError("unsupported operand")
+        return real(design, config, rng)
+
+    monkeypatch.setattr(cli_mod, "run_chain", failing)
     monkeypatch.setenv("QUANTVAR_THREADS", "2")
-    cfg.output_dir = str(tmp_path / "parallel")
-    m_parallel = run_recursive(cfg, raw)
-    assert m_serial["files"] == m_parallel["files"]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_recursive(cfg, raw)
+    assert [pool["max_workers"] for pool in pools] == [1]
+    assert pools[0]["cancel_futures"][0] is True
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
@@ -331,18 +376,19 @@ def test_run_rejects_a_bad_thread_count_with_exit_2(tmp_path, capsys, monkeypatc
 
 def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
     # the pool module (and multiprocessing with it) is imported only when a
-    # run has more than one worker
+    # run has a worker: at N = 2 a one-origin run has none
     _light_cfg(tmp_path, origins=("2017-08", "2017-08"), iterations=40, burn_in=10, thin=2)
     code = (
         "import contextlib, io, os, sys\n"
         "from quantvar.cli import main\n"
-        "os.environ['QUANTVAR_THREADS'] = '1'\n"
+        "os.environ['QUANTVAR_THREADS'] = sys.argv[3]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = main(['run', '--config', sys.argv[1], '--output-dir', sys.argv[2]])\n"
         "print(rc, 'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
     )
-    out = _fresh_python(code, str(tmp_path / "config.json"), str(tmp_path / "out"))
-    assert out == "0 False False"
+    for threads in ("1", "2"):
+        out = _fresh_python(code, str(tmp_path / "config.json"), str(tmp_path / f"out{threads}"), threads)
+        assert out == "0 False False", threads
 
 
 def test_abort_accounting_fails_run(tmp_path, monkeypatch):
@@ -753,6 +799,65 @@ def test_evaluate_names_a_benchmark_that_no_forecast_file_holds(tmp_path, capsys
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "ConfigError"
     assert err["message"] == "benchmark 'rw' is not a model of the forecast files ['bvar', 'qbvar']"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "evaluate-benchmark", "report"])
+def test_a_model_that_two_forecast_files_hold_exits_2(tmp_path, capsys, command):
+    # its records used to be scored twice, or to fail the coverage check
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    out = tmp_path / "ev"
+    if command == "report":
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+        os.makedirs(tmp_path / "forecasts")
+        for path in (fa, fb):
+            os.replace(path, tmp_path / "forecasts" / os.path.basename(path))
+        fa, copy = str(tmp_path / "forecasts" / "qbvar.csv"), str(tmp_path / "forecasts" / "qbvar_copy.csv")
+        open(copy, "w").write(open(fa).read())
+        argv, second = ["report", "--run-dir", str(tmp_path), "--output", str(out)], copy
+    else:
+        argv = ["evaluate", "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+                "--forecasts", fa, fb, fa, "--target", "tgt", "--output-dir", str(out)]
+        argv += ["--benchmark", "bvar"] if command == "evaluate-benchmark" else []
+        second = fa
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError",
+        "message": f"model 'qbvar' is held by two forecast files: {fa} and {second}"}
+    assert not out.exists()
+
+
+def _edit_panel_row(panel_path, month, edit):
+    """Replace the panel CSV's row of ``month`` by edit(fields); returns its line number."""
+    lines = open(panel_path).read().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(month + ","))
+    lines[i] = ",".join(edit(lines[i].split(",")))
+    open(panel_path, "w").write("\n".join(lines) + "\n")
+    return i + 1
+
+
+@pytest.mark.parametrize("case", ["inf", "short-row"])
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_a_bad_panel_cell_exits_2_before_any_forecast(tmp_path, capsys, command, case):
+    # an infinite cell used to reach the samplers and abort every origin
+    _light_cfg(tmp_path)
+    panel = tmp_path / "panel.csv"
+    if case == "inf":
+        _edit_panel_row(panel, "2016-05", lambda f: [f[0], "inf", *f[2:]])
+        message = "series 'tgt' has a non-finite value at 2016-05"
+    else:
+        line = _edit_panel_row(panel, "2016-05", lambda f: f[:-1])
+        message = f"{panel}, line {line}: expected 3 fields, got 2"
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]
+    else:
+        fa, fb = make_forecast_pair(tmp_path)
+        argv = ["evaluate", "--data", str(panel), "--tcodes", str(tmp_path / "tcodes.json"),
+                "--forecasts", fa, fb, "--target", "tgt", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"status": "error", "kind": "PanelError", "message": message}
+    assert not (out / "forecasts").exists() and not (out / "scores__full.csv").exists()
 
 
 def _edit_third_line(path, edit):

@@ -128,6 +128,30 @@ def test_gaussian_predictive_quantiles_are_monotone():
     np.testing.assert_allclose(spread, expect, rtol=0.15)
 
 
+@pytest.mark.parametrize("n_bad", [0, 1])
+@pytest.mark.parametrize("S", [100, 101])
+@pytest.mark.parametrize("kind", ["qbvar", "bvar"])
+def test_forecast_quantiles_equal_the_nan_aware_reductions_bit_for_bit(kind, S, n_bad):
+    # finite paths take np.quantile / np.median; a path replaced by NaN takes
+    # the NaN-aware path; both must give nanquantile's / nanmedian's bits
+    rng = np.random.default_rng(S + n_bad)
+    Phi = 0.2 * rng.standard_normal((S, 3, 7))
+    Phi[:n_bad] = 1e80  # overflows within a few steps
+    draws = _draw_set(Phi, sigma=np.ones((S, 3)), kind=kind, p=2)
+    history = rng.standard_normal((5, 3))
+    levels = [0.1, 0.25, 0.5, 0.75, 0.9]
+    paths = simulate_paths(draws, history, 12, make_rng(9))
+    assert np.isnan(paths).any() == bool(n_bad)
+    if kind == "qbvar":
+        expected = {0.5: np.nanmedian(paths, axis=0)}
+    else:
+        expected = {q: np.nanquantile(paths, q, axis=0) for q in levels}
+    got = forecast_quantiles(draws, history, 12, levels, make_rng(9))
+    assert list(got) == list(expected)
+    for q, value in expected.items():
+        assert np.isfinite(value).all() and got[q].tobytes() == value.tobytes(), q
+
+
 def test_random_walk_forecast_is_zero():
     fc = random_walk_forecast(12, 3)
     assert fc.shape == (12, 3)
