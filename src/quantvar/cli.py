@@ -442,7 +442,9 @@ def _sample_shared(payloads, workers: int) -> list:
 
     This process runs every (workers + 1)-th payload and a pool of
     ``workers`` forked processes the rest. Each origin draws from its own
-    streams, so the results do not depend on which process ran it.
+    streams, so the results do not depend on which process ran it. An
+    exception raised in a worker is seen before this process starts its
+    next origin, and any exception cancels the origins still queued.
     """
     # imported here so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -453,7 +455,12 @@ def _sample_shared(payloads, workers: int) -> list:
             # the pool forks every worker at its first submit, so submitting
             # first leaves this process's sampling state out of the workers
             futures = {i: pool.submit(_forecast_one_origin, p) for i, p in enumerate(payloads) if i % stride}
-            own = {i: _forecast_one_origin(payloads[i]) for i in range(0, len(payloads), stride)}
+            own = {}
+            for i in range(0, len(payloads), stride):
+                failed = next((f for f in futures.values() if f.done() and f.exception()), None)
+                if failed is not None:
+                    raise failed.exception()
+                own[i] = _forecast_one_origin(payloads[i])
             return [own[i] if i in own else futures[i].result() for i in range(len(payloads))]
         except BaseException:
             # a code bug should not wait for every queued origin

@@ -142,6 +142,11 @@ class TimeSeriesPanel:
             raise PanelError("dates must be strictly increasing, monthly, gap-free")
         for j, name in enumerate(self.names):
             col = self.values[:, j]
+            # a blank cell is a missing value; an infinite one is a bad value
+            inf = np.isinf(col)
+            if inf.any():
+                at = self.dates[int(np.argmax(inf))]
+                raise PanelError(f"series {name!r} has a non-finite value at {at}")
             missing = np.isnan(col)
             if missing.any():
                 fv = int(np.argmax(~missing))
@@ -280,11 +285,6 @@ def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
     missing = [n for n in names if n not in tcode_map]
     if missing:
         raise PanelError(f"tcode sidecar missing series: {missing}")
-    # a blank cell is a missing value; an infinite one is a bad value
-    bad = np.argwhere(np.isinf(values))
-    if bad.size:
-        t, j = bad[0]
-        raise PanelError(f"series {names[j]!r} has a non-finite value at {dates[t]}")
     return TimeSeriesPanel(dates, values, names, [tcode_map[n] for n in names])
 
 

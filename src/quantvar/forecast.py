@@ -95,12 +95,11 @@ def forecast_quantiles(
             if not 0.0 < q < 1.0:
                 raise ValueError("quantile must lie in (0, 1)")
     paths = simulate_paths(draws, history, horizon, rng)
-    # the NaN-aware reductions are several times slower and give the same
-    # bits when every path is finite, the usual case
-    finite = not np.isnan(paths).any()
+    # a bad path is NaN throughout, every other path finite throughout
+    paths = paths[~np.isnan(paths[:, 0, 0])]
     if draws.kind == "qbvar":
-        return {draws.quantile: (np.median if finite else np.nanmedian)(paths, axis=0)}
-    levels = (np.quantile if finite else np.nanquantile)(paths, list(quantiles), axis=0)
+        return {draws.quantile: np.median(paths, axis=0)}
+    levels = np.quantile(paths, list(quantiles), axis=0)
     return dict(zip(quantiles, levels))
 
 

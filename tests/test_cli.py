@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -344,14 +345,23 @@ def test_parallel_origins_match_serial(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("where", ["this process", "a worker"])
 def test_a_code_bug_in_a_parallel_run_propagates_and_cancels_the_pool(tmp_path, monkeypatch, where):
-    # this process runs origins 0, 2, ... and the one worker 1, 3, ...
+    # this process runs origins 0, 2, 4, 6 and the one worker 1, 3, 5, 7,
+    # each origin with two qbvar chains
     cfg, raw = _light_cfg(tmp_path)
     pools = _record_pools(monkeypatch)
     real, parent = cli_mod.run_chain, os.getpid()
+    marker, own_chains = tmp_path / "worker_failed", []
 
     def failing(design, config, rng):
         if (os.getpid() == parent) == (where == "this process"):
+            marker.touch()
             raise TypeError("unsupported operand")
+        if os.getpid() == parent:
+            own_chains.append(1)
+            # hold this process's first chain until the worker has raised
+            deadline = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
         return real(design, config, rng)
 
     monkeypatch.setattr(cli_mod, "run_chain", failing)
@@ -360,6 +370,8 @@ def test_a_code_bug_in_a_parallel_run_propagates_and_cancels_the_pool(tmp_path, 
         run_recursive(cfg, raw)
     assert [pool["max_workers"] for pool in pools] == [1]
     assert pools[0]["cancel_futures"][0] is True
+    # a worker's bug stops this process before the last of its 4 origins
+    assert len(own_chains) < 2 * 3 + 1
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])

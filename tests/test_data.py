@@ -144,6 +144,15 @@ def test_panel_validation():
         TimeSeriesPanel(dates, bad, ["a", "b"], [2, 2])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_panel_rejects_an_infinite_value_with_series_and_month(value):
+    # a panel built in code is checked like one read from a file
+    vals = np.arange(8.0).reshape(4, 2)
+    vals[2, 1] = value
+    with pytest.raises(PanelError, match="series 'b' has a non-finite value at 2001-03"):
+        TimeSeriesPanel(_dates("2001-01", 4), vals, ["a", "b"], [2, 2])
+
+
 def test_panel_head_missing_allowed():
     dates = _dates("2001-01", 5)
     vals = np.arange(10.0).reshape(5, 2)

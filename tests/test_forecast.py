@@ -132,8 +132,8 @@ def test_gaussian_predictive_quantiles_are_monotone():
 @pytest.mark.parametrize("S", [100, 101])
 @pytest.mark.parametrize("kind", ["qbvar", "bvar"])
 def test_forecast_quantiles_equal_the_nan_aware_reductions_bit_for_bit(kind, S, n_bad):
-    # finite paths take np.quantile / np.median; a path replaced by NaN takes
-    # the NaN-aware path; both must give nanquantile's / nanmedian's bits
+    # np.quantile / np.median over the finite paths must give the bits of
+    # nanquantile / nanmedian over all paths, a path replaced by NaN or not
     rng = np.random.default_rng(S + n_bad)
     Phi = 0.2 * rng.standard_normal((S, 3, 7))
     Phi[:n_bad] = 1e80  # overflows within a few steps
