@@ -3,7 +3,8 @@
 Builds a small monthly panel (a log-level target plus stationary and
 cumulated companions), writes an experiment config, then drives the CLI:
 recursive estimation over ~30 origins, score/ratio tables, combination
-weights, and a rerender via `report`. Everything lands under --outdir.
+weights, and a rerender via `report`. Everything lands under --outdir;
+a rerun first removes the previous run's <outdir>/run.
 
 Usage:
     python3 scripts/run_synthetic.py --outdir runs/demo
@@ -13,6 +14,7 @@ Usage:
 import argparse
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -115,6 +117,8 @@ def main():
     with open(config_path, "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
 
+    # `run` refuses a directory that already holds a run
+    shutil.rmtree(config["output_dir"], ignore_errors=True)
     rc = cli_main(["run", "--config", config_path])
     if rc != 0:
         return rc

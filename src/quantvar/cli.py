@@ -33,6 +33,7 @@ from . import __version__
 from .bvar import BvarConfig, run_bvar_chain
 from .combine import (
     CombinationWeightSeries,
+    aligned_models,
     combination_objective,
     combine_weighted,
     optimal_weight,
@@ -114,7 +115,7 @@ class ExperimentConfig:
     origins_end: str
     evaluation_windows: list[EventWindow]
     event_windows: list[EventWindow]
-    combinations: list[dict]
+    combinations: list[tuple]  # (model_id, strategy, lambda or window S), model ids distinct
     benchmark: str
     seed: int
     output_dir: str
@@ -149,6 +150,14 @@ def _parse_window(d: dict) -> EventWindow:
     return EventWindow(label=d["label"], start=d["start"], end=d["end"])
 
 
+def _integer(name: str, value) -> int:
+    """``value`` of the integer field ``name``; ConfigError for a bool or a non-integral number."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse and validate a config file; returns (config, raw dict)."""
     with open(path) as fh:
@@ -173,7 +182,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     data_file = _path(raw["data_file"])
     tcode_file = _path(raw["tcode_file"])
     target = raw["target"]
-    seed = int(raw["seed"])
+    seed = _integer("seed", raw["seed"])
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     output_dir = _path(raw["output_dir"])
@@ -184,9 +193,9 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     mc = raw.get("mcmc", {})
     shared = dict(
         schedule=McmcSchedule(
-            iterations=int(mc.get("iterations", McmcSchedule.iterations)),
-            burn_in=int(mc.get("burn_in", McmcSchedule.burn_in)),
-            thin=int(mc.get("thin", McmcSchedule.thin)),
+            iterations=_integer("iterations", mc.get("iterations", McmcSchedule.iterations)),
+            burn_in=_integer("burn_in", mc.get("burn_in", McmcSchedule.burn_in)),
+            thin=_integer("thin", mc.get("thin", McmcSchedule.thin)),
         ),
         a_sigma=float(raw.get("a_sigma", ModelConfig.a_sigma)),
         b_sigma=float(raw.get("b_sigma", ModelConfig.b_sigma)),
@@ -195,7 +204,8 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     qbvar = ()
     if "qbvar" in models:
         m = models["qbvar"]
-        p, r, quantiles = int(m["p"]), int(m.get("r", 0)), [float(q) for q in m["quantiles"]]
+        p, r = _integer("p", m["p"]), _integer("r", m.get("r", 0))
+        quantiles = [float(q) for q in m["quantiles"]]
         # forecast records key a level by its value rounded to 10 digits
         if not quantiles or len({round(q, 10) for q in quantiles}) != len(quantiles):
             raise ConfigError(f"qbvar quantiles must be non-empty and distinct to 10 digits: {quantiles}")
@@ -203,12 +213,12 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     bvar = None
     if "bvar" in models:
         m = models["bvar"]
-        bvar = BvarConfig(p=int(m["p"]), r=int(m.get("r", 0)), **shared)
+        bvar = BvarConfig(p=_integer("p", m["p"]), r=_integer("r", m.get("r", 0)), **shared)
     include_rw = bool(models.get("rw", False))
     if not qbvar and bvar is None and not include_rw:
         raise ConfigError("no models configured")
 
-    horizons = [int(h) for h in raw.get("horizons", list(range(1, 13)))]
+    horizons = [_integer("horizons", h) for h in raw.get("horizons", list(range(1, 13)))]
     if not horizons or sorted(set(horizons)) != sorted(horizons) or min(horizons) < 1:
         raise ConfigError("horizons must be distinct positive integers")
 
@@ -226,17 +236,20 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     for c in raw.get("combinations", []):
         strategy = c.get("strategy")
         if strategy == "fixed":
-            lam = float(c.get("lambda", 0.5))
-            if not 0.0 <= lam <= 1.0:
+            setting = float(c.get("lambda", 0.5))
+            if not 0.0 <= setting <= 1.0:
                 raise ConfigError("fixed combination weight must lie in [0, 1]")
-            combos.append({"strategy": "fixed", "lambda": lam})
-        elif strategy in ("performance", "optimal"):
-            window = int(c.get("window", _DEFAULT_COMBINATION_WINDOWS[strategy]))
-            if window < 1:
+            model_id = f"comb_fixed_{setting:g}"
+        elif strategy in _COMBINATION_IDS:
+            setting = _integer("window", c.get("window", _DEFAULT_COMBINATION_WINDOWS[strategy]))
+            if setting < 1:
                 raise ConfigError("combination window must be >= 1")
-            combos.append({"strategy": strategy, "window": window})
+            model_id = _COMBINATION_IDS[strategy]
         else:
             raise ConfigError(f"unknown combination strategy {strategy!r}")
+        if any(model_id == taken for taken, _, _ in combos):
+            raise ConfigError(f"two combinations write the model {model_id!r}")
+        combos.append((model_id, strategy, setting))
 
     benchmark = raw.get("benchmark", "bvar" if bvar is not None else "rw")
     cfg = ExperimentConfig(
@@ -341,52 +354,61 @@ def _forecast_one_origin(payload):
         return origin, None, f"{type(exc).__name__}: {exc}"
 
 
-def _history(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str, q: float, h: int, origins):
-    """The ``origins`` (sorted origins of ``a_id``) whose h-step realization is observed.
+def _histories(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str) -> dict:
+    """{(q, h): (origins, a, b, realizations)} for every level and horizon of ``fc_a``, sorted.
 
-    Returns (origins, target forecasts of a, target forecasts of b,
-    realizations) at level q, the last three as float arrays.
+    ``origins`` are the sorted origins of ``a_id`` whose h-step realization
+    is observed; the other three are float arrays of the target's forecasts
+    by a and by b at (q, h) and of its realizations. Each realization is
+    looked up once per (origin, h).
     """
     col = fc_a.variable_names.index(target)
-    rows = []
-    for o in origins:
-        y = realized_value(tpanel, target, o, h)
-        if y is not None:
-            rows.append((o, float(fc_a.get(a_id, o, h, q)[col]), float(fc_b.get(b_id, o, h, q)[col]), y))
-    origins = [r[0] for r in rows]
-    return (origins, *(np.array([r[i] for r in rows], dtype=float) for i in (1, 2, 3)))
+    origins_a = fc_a.origins(a_id)
+    observed = {}  # h -> (origins, realizations)
+    for h in fc_a.horizons():
+        pairs = [(o, realized_value(tpanel, target, o, h)) for o in origins_a]
+        pairs = [(o, y) for o, y in pairs if y is not None]
+        observed[h] = ([o for o, _ in pairs], np.array([y for _, y in pairs], dtype=float))
+    return {
+        (q, h): (
+            origins,
+            np.array([fc_a.get(a_id, o, h, q)[col] for o in origins], dtype=float),
+            np.array([fc_b.get(b_id, o, h, q)[col] for o in origins], dtype=float),
+            ys,
+        )
+        for q in fc_a.quantiles()
+        for h, (origins, ys) in observed.items()
+    }
 
 
-def _combine(fc_a, a_id, fc_b, b_id, strategy: str, lambda_or_window, model_id: str, tpanel, target):
+def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
     """Combine a with b under one strategy; returns (combined set, weight series).
 
-    ``fixed`` puts ``lambda_or_window`` on a in every cell. The adaptive
-    strategies weigh a at origin t on the trailing ``lambda_or_window``
-    origins whose realizations are observed by t (see combine.py).
+    ``fixed`` puts ``setting`` (lambda) on a in every cell. The adaptive
+    strategies weigh a at origin t on the trailing ``setting`` (S) origins
+    of ``histories`` (from :func:`_histories`) whose realizations are
+    observed by t (see combine.py).
     """
     if strategy == "fixed":
         series = CombinationWeightSeries(strategy="fixed", window=None)
         for o, h, q in sorted({k[1:] for k in fc_a.records}):
-            series.set_weight(o, q, h, lambda_or_window, False)
+            series.set_weight(o, q, h, setting, False)
         return combine_weighted(fc_a, fc_b, series, model_id), series
-    S = lambda_or_window
-    series = CombinationWeightSeries(strategy=strategy, window=S)
-    origins_a = fc_a.origins(a_id)
+    series = CombinationWeightSeries(strategy=strategy, window=setting)
+    origins_a = fc_a.origins()
     month_of = {o: month_index(o) for o in origins_a}
-    for q in fc_a.quantiles():
-        for h in fc_a.horizons():
-            origins, fa, fb, ys = _history(fc_a, a_id, fc_b, b_id, tpanel, target, q, h, origins_a)
-            # origins are sorted, so the realizations known at t form a prefix
-            known_at = [month_of[o] + h for o in origins]
+    for (q, h), (origins, fa, fb, ys) in histories.items():
+        # origins are sorted, so the realizations known at t form a prefix
+        known_at = [month_of[o] + h for o in origins]
+        if strategy == "performance":
+            scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
+        for t in origins_a:
+            n = bisect.bisect_right(known_at, month_of[t])
             if strategy == "performance":
-                scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
-            for t in origins_a:
-                n = bisect.bisect_right(known_at, month_of[t])
-                if strategy == "performance":
-                    lam, warm = performance_weight(scores_a[:n], scores_b[:n], S)
-                else:
-                    lam, warm = optimal_weight(fa[:n], fb[:n], ys[:n], q, S)
-                series.set_weight(t, q, h, lam, warm)
+                lam, warm = performance_weight(scores_a[:n], scores_b[:n], setting)
+            else:
+                lam, warm = optimal_weight(fa[:n], fb[:n], ys[:n], q, setting)
+            series.set_weight(t, q, h, lam, warm)
     return combine_weighted(fc_a, fc_b, series, model_id), series
 
 
@@ -482,6 +504,8 @@ def _threads() -> int:
 
 def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     """Execute the full recursive experiment; returns the manifest dict."""
+    if os.path.exists(os.path.join(cfg.output_dir, "manifest.json")):
+        raise ConfigError(f"output directory {cfg.output_dir} already holds a run's manifest.json")
     threads = _threads()
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     dates = list(tpanel.dates)
@@ -528,36 +552,23 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
     # combinations: qbvar against the configured benchmark
     if cfg.combinations:
-        fc_q, fc_b, bench = fsets["qbvar"], fsets[cfg.benchmark], cfg.benchmark
-        for spec in cfg.combinations:
-            if spec["strategy"] == "fixed":
-                model_id, setting = f"comb_fixed_{spec['lambda']:g}", spec["lambda"]
-            else:
-                model_id, setting = _COMBINATION_IDS[spec["strategy"]], spec["window"]
-            fsets[model_id], series = _combine(
-                fc_q, "qbvar", fc_b, bench, spec["strategy"], setting, model_id, tpanel, cfg.target
-            )
+        fc_q, fc_b = fsets["qbvar"], fsets[cfg.benchmark]
+        histories = _histories(fc_q, "qbvar", fc_b, cfg.benchmark, tpanel, cfg.target)
+        for model_id, strategy, setting in cfg.combinations:
+            fsets[model_id], series = _combine(fc_q, fc_b, strategy, setting, model_id, histories)
             _write_csv(os.path.join(out, "combination", f"weights_{model_id}.csv"), series.rows())
 
         # weight-vs-lambda curves for the plain qbvar/benchmark pair
         curve_rows = [["quantile", "horizon", "lambda", "avg_qs", "ratio_to_benchmark", "optimal"]]
-        origins_q = fc_q.origins("qbvar")
-        for q in fc_q.quantiles():
-            for h in fc_q.horizons():
-                # never empty: run_recursive checked every origin has its realizations
-                _, fq, fb, ys = _history(fc_q, "qbvar", fc_b, bench, tpanel, cfg.target, q, h, origins_q)
-                grid, vals, ratios = weight_curve(fq, fb, ys, q)
-                for g, v, rr in zip(grid, vals, ratios):
-                    curve_rows.append(
-                        [f"{q:.10g}", h, f"{g:.4f}", f"{v:.17g}", f"{rr:.17g}", 0]
-                    )
-                lam_star, _ = optimal_weight(fq, fb, ys, q, S=len(ys))
-                v_star = combination_objective(lam_star, fq, fb, ys, q)
-                base = combination_objective(0.0, fq, fb, ys, q)
-                rr = v_star / base if base > 0 else float("nan")
-                curve_rows.append(
-                    [f"{q:.10g}", h, f"{lam_star:.17g}", f"{v_star:.17g}", f"{rr:.17g}", 1]
-                )
+        # never empty: every origin's realizations were checked above
+        for (q, h), (_, fq, fb, ys) in histories.items():
+            grid, vals, ratios = weight_curve(fq, fb, ys, q)
+            curve_rows += [[f"{q:.10g}", h, f"{g:.4f}", f"{v:.17g}", f"{rr:.17g}", 0]
+                           for g, v, rr in zip(grid, vals, ratios)]
+            lam_star, _ = optimal_weight(fq, fb, ys, q, S=len(ys))
+            v_star = combination_objective(lam_star, fq, fb, ys, q)
+            rr = v_star / vals[0] if vals[0] > 0 else float("nan")
+            curve_rows.append([f"{q:.10g}", h, f"{lam_star:.17g}", f"{v_star:.17g}", f"{rr:.17g}", 1])
         _write_csv(os.path.join(out, "combination", "weight_curves.csv"), curve_rows)
 
     # forecast files
@@ -601,9 +612,7 @@ def _ratio_name(slug: str, ratios) -> str:
     return f"ratios__{slug}__{_safe_label(ratios.numerator)}_vs_{_safe_label(ratios.benchmark)}"
 
 
-def _emit_tables(
-    fsets, tpanel, target: str, windows, benchmark: str | None, out_dir=None, by_origin=False
-) -> str:
+def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out_dir=None) -> str:
     """Score and ratio tables per (window, label); returns their text.
 
     Every set is scored once and each window averages those scores. With
@@ -616,7 +625,7 @@ def _emit_tables(
     scored = [score_records(fset, tpanel, target) for fset in fsets]
     chunks = []
     for window, label in windows:
-        table = average_qs(scored, target, window=window, by_origin=by_origin, window_label=label)
+        table = average_qs(scored, target, window=window, window_label=label)
         slug = _safe_label(label)
         if not table.entries:
             note = f"window {label}: no covered realizations (n/a)\n"
@@ -732,25 +741,22 @@ def _cmd_evaluate(args) -> int:
     if args.benchmark and args.benchmark not in models:
         raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")
     os.makedirs(args.output_dir, exist_ok=True)
-    print(_emit_tables(fsets, tpanel, args.target, windows, args.benchmark, args.output_dir, args.by_origin))
+    print(_emit_tables(fsets, tpanel, args.target, windows, args.benchmark, args.output_dir))
     return 0
 
 
 def _cmd_combine(args) -> int:
     fc_a = read_forecasts(args.forecasts_a)
     fc_b = read_forecasts(args.forecasts_b)
-    if len(fc_a.model_ids()) != 1 or len(fc_b.model_ids()) != 1:
-        raise ConfigError("each forecast file must hold exactly one model")
-    tpanel, setting = None, args.lam
+    a_id, b_id = aligned_models(fc_a, fc_b)
+    histories, setting = None, args.lam
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
         tpanel = _load_panel(args.data, args.tcodes, [args.target])
+        histories = _histories(fc_a, a_id, fc_b, b_id, tpanel, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
-    out, series = _combine(
-        fc_a, fc_a.model_ids()[0], fc_b, fc_b.model_ids()[0], args.strategy, setting,
-        args.model_id, tpanel, args.target,
-    )
+    out, series = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)
     write_forecasts(out, args.output)
     if args.weights_output:
         _write_csv(args.weights_output, series.rows())
@@ -809,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     _data_args(g, required=True)
     g.add_argument("--forecasts", nargs="+", required=True)
     g.add_argument("--window", action="append", metavar="LABEL:START:END")
-    g.add_argument("--by-origin", action="store_true", help="window membership by origin date")
     g.add_argument("--benchmark")
     g.add_argument("--output-dir", required=True)
     g.set_defaults(func=_cmd_evaluate)

@@ -36,16 +36,21 @@ def _single_model(fset: QuantileForecastSet) -> str:
     return ids[0]
 
 
-def _aligned_cells(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet):
+def aligned_models(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> tuple[str, str]:
+    """(a's model id, b's model id) of two sets to combine.
+
+    Raises CombinationError unless each set holds one model and both cover
+    the same variables and (origin, h, q) cells.
+    """
     if fc_a.variable_names != fc_b.variable_names:
         raise CombinationError("forecast sets cover different variables")
     a_id, b_id = _single_model(fc_a), _single_model(fc_b)
-    cells_a = {k[1:] for k in fc_a.records}
-    cells_b = {k[1:] for k in fc_b.records}
-    if cells_a != cells_b:
-        missing = cells_a.symmetric_difference(cells_b)
-        raise CombinationError(f"forecast sets misaligned on {len(missing)} cells")
-    return a_id, b_id, sorted(cells_a)
+    # keys are unique, so equal counts and every cell of a in b make equal cell sets
+    missing = sum((b_id, *key[1:]) not in fc_b.records for key in fc_a.records)
+    if missing or len(fc_a.records) != len(fc_b.records):
+        differing = 2 * missing + len(fc_b.records) - len(fc_a.records)
+        raise CombinationError(f"forecast sets misaligned on {differing} cells")
+    return a_id, b_id
 
 
 def performance_weight(scores_a, scores_b, S: int) -> tuple[float, bool]:
@@ -131,8 +136,7 @@ def weight_curve(fc_a, fc_b, realized, quantile: float):
     """
     grid = np.linspace(0.0, 1.0, 101)
     vals = np.array([combination_objective(l, fc_a, fc_b, realized, quantile) for l in grid])
-    base = combination_objective(0.0, fc_a, fc_b, realized, quantile)
-    ratios = vals / base if base > 0 else np.full_like(vals, np.nan)
+    ratios = vals / vals[0] if vals[0] > 0 else np.full_like(vals, np.nan)
     return grid, vals, ratios
 
 
@@ -144,10 +148,6 @@ class CombinationWeightSeries:
     window: int | None  # S, None for fixed
     weights: dict = field(default_factory=dict)  # (origin, q, h) -> lam, q and h as the forecast set keys them
     warmup: set = field(default_factory=set)  # origins still in fallback
-
-    def __post_init__(self):
-        if self.strategy not in ("fixed", "performance", "optimal"):
-            raise CombinationError(f"unknown strategy {self.strategy!r}")
 
     def set_weight(self, origin: str, q: float, h: int, lam: float, warmup: bool) -> None:
         if not 0.0 <= lam <= 1.0:
@@ -181,9 +181,9 @@ def combine_weighted(
     model_id: str,
 ) -> QuantileForecastSet:
     """Cellwise combination with per-(origin, q, h) weights."""
-    a_id, b_id, cells = _aligned_cells(fc_a, fc_b)
+    a_id, b_id = aligned_models(fc_a, fc_b)
     out = QuantileForecastSet(variable_names=list(fc_a.variable_names))
-    for origin, h, q in cells:
+    for _, origin, h, q in sorted(fc_a.records):
         lam = series.weights[(origin, q, h)]
         va = fc_a.get(a_id, origin, h, q)
         vb = fc_b.get(b_id, origin, h, q)

@@ -2,8 +2,7 @@
 
 A forecast made at origin t for horizon h is scored against the
 realization dated t+h. Date-window conditioning (evaluation windows,
-event episodes) selects records by that realization date; ``by_origin``
-switches to the origin date instead.
+event episodes) selects records by that realization date.
 """
 
 from __future__ import annotations
@@ -119,14 +118,13 @@ def average_qs(
     scored,
     variable: str,
     window: EventWindow | None = None,
-    by_origin: bool = False,
     window_label: str | None = None,
 ) -> ScoreTable:
     """Mean pinball loss per (model, q, h), optionally within a date window.
 
     ``scored`` is a sequence of :func:`score_records` dicts, so that a
     caller averaging over several windows scores each set once. Window
-    membership is decided by the realization date t+h unless ``by_origin``.
+    membership is decided by the realization date t+h.
     """
     if window is not None:
         lo, hi = month_index(window.start), month_index(window.end)
@@ -136,10 +134,8 @@ def average_qs(
     for records in scored:
         for (model_id, _, h, q), (score, month) in records.items():
             any_scored = True
-            if window is not None:
-                member = month + (0 if by_origin else h)
-                if not lo <= member <= hi:
-                    continue
+            if window is not None and not lo <= month + h <= hi:
+                continue
             key = (model_id, q, h)
             sums[key] = sums.get(key, 0.0) + score
             counts[key] = counts.get(key, 0) + 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -171,11 +172,12 @@ def read_forecasts(path) -> QuantileForecastSet:
 
     Rows may come in any order. Variables take their order of first
     appearance, and each (model, origin, horizon, quantile) record needs
-    every variable exactly once. A malformed or duplicate row raises
+    every variable exactly once. A malformed or duplicate row, a horizon
+    below 1, a quantile outside (0, 1) and a non-finite value raise
     ValueError naming the file and line; a record that lacks a variable
     raises it naming the record. Model ids and origins share one string
     object per distinct value, and each distinct horizon and quantile
-    string is parsed once.
+    string is parsed and checked once.
     """
     fset = QuantileForecastSet(variable_names=[])
     names, records = fset.variable_names, fset.records
@@ -194,10 +196,16 @@ def read_forecasts(path) -> QuantileForecastSet:
                 h = horizons.get(horizon)
                 if h is None:
                     h = horizons[horizon] = int(horizon)
+                    if h < 1:
+                        raise ValueError(f"horizon must be >= 1, got {h}")
                 q = quantiles.get(quantile)
                 if q is None:
                     q = quantiles[quantile] = round(float(quantile), 10)
+                    if not 0.0 < q < 1.0:
+                        raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
                 value = float(value)
+                if not isfinite(value):
+                    raise ValueError(f"value must be finite, got {value}")
             except ValueError as exc:
                 problem = f"expected 6 fields, got {len(row)}" if len(row) != 6 else exc
                 raise ValueError(f"{path}, line {reader.line_num}: {problem}") from None

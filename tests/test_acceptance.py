@@ -304,8 +304,8 @@ def test_06_combination_strategies():
         fa.add("a", o, h, q, np.array([v]))
         fb.add("b", o, h, q, np.array([10.0 - v]))
     # the fixed-weight path of `run` and `quantvar combine`
-    at_one = _combine(fa, "a", fb, "b", "fixed", 1.0, "comb_fixed", None, None)[0]
-    at_zero = _combine(fa, "a", fb, "b", "fixed", 0.0, "comb_fixed", None, None)[0]
+    at_one = _combine(fa, fb, "fixed", 1.0, "comb_fixed")[0]
+    at_zero = _combine(fa, fb, "fixed", 0.0, "comb_fixed")[0]
     end_ok = all(
         np.array_equal(at_one.get("comb_fixed", o, h, q), fa.get("a", o, h, q))
         and np.array_equal(at_zero.get("comb_fixed", o, h, q), fb.get("b", o, h, q))

@@ -69,8 +69,7 @@ def test_parse_config_combination_window_defaults():
         combinations=[{"strategy": "performance"}, {"strategy": "optimal"}],
     )
     cfg = parse_config(raw)
-    assert cfg.combinations[0] == {"strategy": "performance", "window": 50}
-    assert cfg.combinations[1] == {"strategy": "optimal", "window": 75}
+    assert cfg.combinations == [("comb_perf", "performance", 50), ("comb_opt", "optimal", 75)]
     assert cfg.quantile_set == [0.1, 0.5, 0.9]
 
 
@@ -491,13 +490,13 @@ def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
             "--target", "tgt"]
 
-    for spec in raw["combinations"][1:]:
-        model_id = {"performance": "comb_perf", "optimal": "comb_opt"}[spec["strategy"]]
+    assert [strategy for _, strategy, _ in cfg.combinations] == ["fixed", "performance", "optimal"]
+    for model_id, strategy, setting in cfg.combinations:
         got, weights = str(tmp_path / f"{model_id}.csv"), str(tmp_path / f"w_{model_id}.csv")
         rc = main(
             ["combine", "--forecasts-a", os.path.join(fdir, "qbvar.csv"),
-             "--forecasts-b", os.path.join(fdir, "bvar.csv"), "--strategy", spec["strategy"],
-             "--window", str(spec["window"]), *data, "--model-id", model_id,
+             "--forecasts-b", os.path.join(fdir, "bvar.csv"), "--strategy", strategy,
+             "--lambda" if strategy == "fixed" else "--window", str(setting), *data, "--model-id", model_id,
              "--output", got, "--weights-output", weights]
         )
         assert rc == 0
@@ -551,6 +550,72 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
                "--window", "late:2020-01:2020-06"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "EvaluationError"
+
+
+@pytest.mark.parametrize("combinations, model_id", [
+    ([{"strategy": "performance", "window": 2}, {"strategy": "performance", "window": 3}], "comb_perf"),
+    ([{"strategy": "fixed", "lambda": 0.5}, {"strategy": "fixed", "lambda": 0.5000001}], "comb_fixed_0.5"),
+], ids=["two-windows", "two-lambdas"])
+def test_two_combinations_with_one_model_id_exit_2(tmp_path, capsys, combinations, model_id):
+    # the later one used to overwrite the earlier one's forecasts and weights
+    make_raw_panel(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(make_config_dict(combinations=combinations)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError", "message": f"two combinations write the model {model_id!r}"}
+    assert not out.exists()
+
+
+def _set_field(raw, path, value):
+    """Set the field at ``path`` of a nested config; returns its old value."""
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    old, raw[last] = raw[last], value
+    return old
+
+
+@pytest.mark.parametrize("path, value", [
+    (("seed",), 1.9), (("seed",), True), (("models", "qbvar", "p"), 1.5), (("models", "bvar", "r"), False),
+    (("mcmc", "iterations"), 60.5), (("mcmc", "burn_in"), "20"), (("mcmc", "thin"), 2.5),
+    (("horizons", 1), 2.7), (("combinations", 1, "window"), 2.5),
+], ids=["seed-1.9", "seed-true", "p-1.5", "r-false", "iterations-60.5", "burn_in-string", "thin-2.5",
+        "horizons-2.7", "window-2.5"])
+def test_a_non_integer_in_an_integer_field_exits_2(tmp_path, capsys, path, value):
+    # "seed": 1.9 used to run as seed 1, and "horizons": [1, 2.7] as [1, 2]
+    make_raw_panel(tmp_path)
+    raw = make_config_dict()
+    valid = _set_field(raw, path, value)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    name = [key for key in path if isinstance(key, str)][-1]
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError",
+        "message": f"config field {name!r} must be an integer, got {value!r}"}
+    assert not out.exists()
+    # an integral float is that integer
+    _set_field(raw, path, float(valid))
+    assert parse_config(raw) == parse_config(make_config_dict())
+
+
+def test_run_into_a_previous_runs_directory_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # a rerun used to hash and report the earlier run's comb_* files beside its own
+    _light_cfg(tmp_path, combinations=[])
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+
+    def no_chain(design, config, rng):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli_mod, "run_chain", no_chain)
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError",
+        "message": f"output directory {out} already holds a run's manifest.json"}
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_origin_range_validation(tmp_path):
@@ -891,9 +956,16 @@ def _with_field(row, i, text):
     (lambda row, prev: _with_field(row, 2, "x"), "line 3: invalid literal for int() with base 10: 'x'"),
     (lambda row, prev: _with_field(row, 3, "x"), "line 3: could not convert string to float: 'x'"),
     (lambda row, prev: _with_field(row, 5, "x"), "line 3: could not convert string to float: 'x'"),
+    (lambda row, prev: _with_field(row, 2, "-2"), "line 3: horizon must be >= 1, got -2"),
+    (lambda row, prev: _with_field(row, 2, "0"), "line 3: horizon must be >= 1, got 0"),
+    (lambda row, prev: _with_field(row, 3, "1.5"), "line 3: quantile must lie in (0, 1), got 1.5"),
+    (lambda row, prev: _with_field(row, 3, "0"), "line 3: quantile must lie in (0, 1), got 0"),
+    (lambda row, prev: _with_field(row, 5, "inf"), "line 3: value must be finite, got inf"),
+    (lambda row, prev: _with_field(row, 5, "nan"), "line 3: value must be finite, got nan"),
     (lambda row, prev: prev, "line 3: duplicate row for record ('qbvar', '2017-08', 1, 0.25), variable 'tgt'"),
     (lambda row, prev: None, "incomplete variable set for record ('qbvar', '2017-08', 1, 0.25)"),
-], ids=["blank", "five-fields", "horizon", "quantile", "value", "duplicate", "incomplete"])
+], ids=["blank", "five-fields", "horizon", "quantile", "value", "horizon-below-1", "horizon-0",
+        "quantile-above-1", "quantile-0", "value-inf", "value-nan", "duplicate", "incomplete"])
 def test_evaluate_names_the_line_of_a_malformed_forecast_row(tmp_path, capsys, edit, message):
     make_raw_panel(tmp_path)
     fa, fb = make_forecast_pair(tmp_path)
@@ -928,6 +1000,52 @@ def test_a_duplicate_forecast_row_exits_2_from_combine_and_report(tmp_path, caps
                    "message": f"{fa}, line 3: duplicate row for record ('qbvar', '2017-08', 1, 0.25), variable 'tgt'"}
 
 
+@pytest.mark.parametrize("command", ["combine", "report"])
+def test_a_quantile_outside_0_1_exits_2_from_combine_and_report(tmp_path, capsys, command):
+    # a fixed combine used to write the quantile-1.5 record and exit 0
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    if command == "report":
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+        os.makedirs(tmp_path / "forecasts")
+        os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
+        fa = str(tmp_path / "forecasts" / "qbvar.csv")
+    _edit_third_line(fa, lambda row, prev: _with_field(row, 3, "1.5"))
+    out = tmp_path / "comb.csv"
+    argv = {
+        "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "fixed",
+                    "--output", str(out)],
+        "report": ["report", "--run-dir", str(tmp_path), "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ValueError", "message": f"{fa}, line 3: quantile must lie in (0, 1), got 1.5"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["performance", "optimal"])
+def test_combine_looks_up_each_realization_once_per_origin_and_horizon(tmp_path, monkeypatch, strategy):
+    # both strategies read one (q, h) history built from one lookup per
+    # (origin, h), not one per (origin, q, h)
+    calls = []
+    real = cli_mod.realized_value
+
+    def counted(panel, variable, origin, horizon):
+        calls.append((origin, horizon))
+        return real(panel, variable, origin, horizon)
+
+    monkeypatch.setattr(cli_mod, "realized_value", counted)
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    rc = main(["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy, "--window", "3",
+               "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+               "--target", "tgt", "--output", str(tmp_path / "comb.csv")])
+    assert rc == 0
+    fset = read_forecasts(fa)
+    assert sorted(calls) == sorted((o, h) for o in fset.origins() for h in fset.horizons())
+    assert len(calls) == 8 * 2
+
+
 @pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])
 def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, strategy, window):
     make_raw_panel(tmp_path)
@@ -960,6 +1078,23 @@ def test_combine_adaptive_requires_data_args(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "adaptive" in err["message"]
+
+
+@pytest.mark.parametrize("strategy", ["fixed", "optimal"])
+def test_combine_of_misaligned_files_exits_2(tmp_path, capsys, strategy):
+    # an adaptive strategy used to look up the missing cell and raise KeyError (exit 1)
+    make_raw_panel(tmp_path)
+    fa, _ = make_forecast_pair(tmp_path)
+    os.replace(fa, tmp_path / "a.csv")
+    _, fb = make_forecast_pair(tmp_path, origins=("2017-09", "2018-03"))
+    out = tmp_path / "comb.csv"
+    rc = main(["combine", "--forecasts-a", str(tmp_path / "a.csv"), "--forecasts-b", fb, "--strategy", strategy,
+               "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+               "--target", "tgt", "--output", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "CombinationError", "message": "forecast sets misaligned on 4 cells"}
+    assert not out.exists()
 
 
 def test_ingest_roundtrip(tmp_path, capsys):

@@ -30,7 +30,7 @@ def _fset(model, cells, names=("y0",)):
 
 def _fixed(a, b, lam, model_id="comb_fixed"):
     # the fixed-weight path of `run` and `quantvar combine`: a constant weight series
-    return _combine(a, "a", b, "b", "fixed", lam, model_id, None, None)[0]
+    return _combine(a, b, "fixed", lam, model_id)[0]
 
 
 def test_combine_fixed_endpoints_and_midpoint():
@@ -244,8 +244,6 @@ def test_weight_series_rows_and_validation():
     assert warm_flags == {"2010-01": 0, "2010-02": 1}
     with pytest.raises(CombinationError):
         s.set_weight("2010-03", 0.5, 1, 1.2, warmup=False)
-    with pytest.raises(CombinationError):
-        CombinationWeightSeries(strategy="magic", window=None)
 
 
 def test_combine_weighted_uses_per_cell_weights():

@@ -184,9 +184,6 @@ def test_window_by_realization_date_vs_origin():
     w = EventWindow("mid", "2000-04", "2000-06")
     t_real = _average([fset], panel, "y0", window=w)
     assert t_real.counts[("m", 0.5, 2)] == 3
-    # by origin date the same window covers origins 2000-04..2000-06
-    t_orig = _average([fset], panel, "y0", window=w, by_origin=True)
-    assert t_orig.counts[("m", 0.5, 2)] == 3
     # all-covering window must agree with the unconditional table exactly
     wide = EventWindow("all", "1999-01", "2001-12")
     t_all = _average([fset], panel, "y0", window=wide)
