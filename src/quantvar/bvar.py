@@ -14,11 +14,11 @@ With Z = 1 every observation of series i carries the same weight
 w_i = 1/sigma_i, so X' W X = (X'X) w_i and F' W F = (F'F) w_i, and the
 factor precision sum_i w_i lam_i lam_i' + I is one r x r matrix for every
 period. The sweep therefore passes the (n,) weights to the shared steps:
-they form one k x k product for all series
-(:func:`quantvar.qbvar.weighted_system`) and one factor precision
-broadcast over T, where the quantile model needs a weighted copy of the
-regressors per series and a precision per period. The coefficient draw
-perturbs every observation of series i by u / sqrt(w_i)
+they scale one k x k product X'X, computed once per chain, for all series
+(:func:`quantvar.qbvar.weighted_system`) and form one factor precision
+broadcast over T, where the quantile model weighs every observation's
+regressor products per series and needs a precision per period. The
+coefficient draw perturbs every observation of series i by u / sqrt(w_i)
 (:func:`quantvar.qbvar.draw_weighted_regression`). Residuals are
 series-major, (n, T), as in the quantile sweep.
 """
@@ -57,13 +57,14 @@ def run_bvar_chain(
     design: LagDesign, config: BvarConfig, rng: np.random.Generator
 ) -> tuple[PosteriorDrawSet, ChainDiagnostics]:
     """Gibbs sampler for the Gaussian benchmark; thinned post-burn-in draws."""
+    XtX = design.X.T @ design.X
 
     def sweep(state):
         # shared terms once per sweep, as in qbvar.run_chain; with theta = 0
         # and tau2 = 1 the factor target Y - X Phi' - theta Z is D itself,
         # and Z = 1 leaves one weight per series
         w = 1.0 / state.sigma
-        step_coefficients(design, state, 0.0, w, rng)
+        step_coefficients(design, state, 0.0, w, rng, XtX)
         D = design.YT - state.Phi @ design.XT
         step_loadings(state, w, D, rng)
         step_factors(state, w, D, rng)

@@ -158,6 +158,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` of the real-valued field ``name``; ConfigError for a bool (float(True) is 1.0)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"config field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse and validate a config file; returns (config, raw dict)."""
     with open(path) as fh:
@@ -197,15 +204,15 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
             burn_in=_integer("burn_in", mc.get("burn_in", McmcSchedule.burn_in)),
             thin=_integer("thin", mc.get("thin", McmcSchedule.thin)),
         ),
-        a_sigma=float(raw.get("a_sigma", ModelConfig.a_sigma)),
-        b_sigma=float(raw.get("b_sigma", ModelConfig.b_sigma)),
+        a_sigma=_real("a_sigma", raw.get("a_sigma", ModelConfig.a_sigma)),
+        b_sigma=_real("b_sigma", raw.get("b_sigma", ModelConfig.b_sigma)),
     )
     models = raw.get("models", {})
     qbvar = ()
     if "qbvar" in models:
         m = models["qbvar"]
         p, r = _integer("p", m["p"]), _integer("r", m.get("r", 0))
-        quantiles = [float(q) for q in m["quantiles"]]
+        quantiles = [_real("quantiles", q) for q in m["quantiles"]]
         # forecast records key a level by its value rounded to 10 digits
         if not quantiles or len({round(q, 10) for q in quantiles}) != len(quantiles):
             raise ConfigError(f"qbvar quantiles must be non-empty and distinct to 10 digits: {quantiles}")
@@ -214,7 +221,9 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     if "bvar" in models:
         m = models["bvar"]
         bvar = BvarConfig(p=_integer("p", m["p"]), r=_integer("r", m.get("r", 0)), **shared)
-    include_rw = bool(models.get("rw", False))
+    include_rw = models.get("rw", False)
+    if not isinstance(include_rw, bool):
+        raise ConfigError(f"config field 'rw' must be true or false, got {include_rw!r}")
     if not qbvar and bvar is None and not include_rw:
         raise ConfigError("no models configured")
 
@@ -236,7 +245,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     for c in raw.get("combinations", []):
         strategy = c.get("strategy")
         if strategy == "fixed":
-            setting = float(c.get("lambda", 0.5))
+            setting = _real("lambda", c.get("lambda", 0.5))
             if not 0.0 <= setting <= 1.0:
                 raise ConfigError("fixed combination weight must lie in [0, 1]")
             model_id = f"comb_fixed_{setting:g}"

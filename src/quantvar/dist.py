@@ -58,14 +58,15 @@ def draw_gig_half(a, b, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("GIG requires b > 0")
     if (a < 0).any():
         raise ValueError("GIG requires a >= 0")
-    shape = np.broadcast_shapes(a.shape, b.shape)
     a_safe = np.maximum(a, _TINY)
-    # in place on arrays of the broadcast shape (0-d included), each value
-    # by the same operations in the same order as the plain formula
+    # in place on arrays of the broadcast shape, which the first product
+    # gives (0-d included), each value by the same operations in the same
+    # order as the plain formula
     #   x+ = 1 + (nu + sqrt(nu^2 + 4 om nu)) / (2 om),  om = sqrt(a b)
+    om = np.asarray(a_safe * b)
+    shape = om.shape
     nu = rng.standard_normal(shape)
     nu *= nu
-    om = np.multiply(a_safe, b, out=np.empty(shape))
     np.sqrt(om, out=om)
     x_plus = np.multiply(om, 4.0, out=np.empty(shape))
     x_plus *= nu
@@ -151,7 +152,11 @@ def draw_from_precision_system(P: np.ndarray, rhs: np.ndarray, rng: np.random.Ge
         d = P[..., 0]
         if 0 < d.min() and d.max() < np.inf:  # False on a NaN member too
             inv = 1.0 / d
-            return (rhs + np.sqrt(d) * z) * inv, rhs * inv
+            # (rhs + sqrt(d) z) (1/d), formed in z's buffer
+            z *= np.sqrt(d)
+            z += rhs
+            z *= inv
+            return z, rhs * inv
     try:
         L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
@@ -207,7 +212,7 @@ def update_horseshoe(beta, nu, kappa: float, xi: float, rng: np.random.Generator
     nu += 1.0
     nu /= e[k:-1]
     half_b2 /= psi2
-    kappa2 = (1.0 / xi + np.sum(half_b2)) / rng.standard_gamma(0.5 * (k + 1))
+    kappa2 = (1.0 / xi + half_b2.sum()) / rng.standard_gamma(0.5 * (k + 1))
     kappa2 = max(kappa2, _TINY)
     xi = (1.0 + 1.0 / kappa2) / e[-1]
     return np.sqrt(psi2, out=psi2), nu, float(np.sqrt(kappa2)), float(xi)

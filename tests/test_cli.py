@@ -600,6 +600,43 @@ def test_a_non_integer_in_an_integer_field_exits_2(tmp_path, capsys, path, value
     assert parse_config(raw) == parse_config(make_config_dict())
 
 
+@pytest.mark.parametrize("path, value", [
+    (("a_sigma",), True), (("b_sigma",), False), (("models", "qbvar", "quantiles", 1), True),
+    (("combinations", 0, "lambda"), True),
+], ids=["a_sigma-true", "b_sigma-false", "quantiles-true", "lambda-true"])
+def test_a_bool_in_a_real_field_exits_2(tmp_path, capsys, path, value):
+    # float(True) is 1.0: "lambda": true used to run as the combination comb_fixed_1
+    make_raw_panel(tmp_path)
+    raw = make_config_dict()
+    raw.update(a_sigma=3.0, b_sigma=1.0)
+    _set_field(raw, path, value)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    name = [key for key in path if isinstance(key, str)][-1]
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError",
+        "message": f"config field {name!r} must be a number, got {value!r}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_rw_other_than_true_or_false_exits_2(tmp_path, capsys, value):
+    # bool("false") is True: "rw": "false" used to turn the random walk on
+    make_raw_panel(tmp_path)
+    raw = make_config_dict()
+    raw["models"]["rw"] = value
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError",
+        "message": f"config field 'rw' must be true or false, got {value!r}"}
+    assert not out.exists()
+    raw["models"]["rw"] = False
+    assert parse_config(raw).include_rw is False
+
+
 def test_run_into_a_previous_runs_directory_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     # a rerun used to hash and report the earlier run's comb_* files beside its own
     _light_cfg(tmp_path, combinations=[])

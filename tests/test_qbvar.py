@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantvar.qbvar as qbvar
 from quantvar.bvar import BvarConfig, run_bvar_chain
 from quantvar.data import LagDesign, build_lag_design
 from quantvar.dist import (
@@ -19,6 +20,7 @@ from quantvar.qbvar import (
     QuantileLevel,
     draw_weighted_regression,
     factor_precision,
+    gram_table,
     init_state,
     run_chain,
     step_coefficients,
@@ -401,6 +403,72 @@ def test_weighted_system_takes_constant_column_weights():
     P_1, rhs_1 = weighted_system(X, Y[2], w[2], prior[2])
     np.testing.assert_allclose(P_1, P_ref[2], rtol=1e-12)
     np.testing.assert_allclose(rhs_1, rhs_ref[2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_weighted_system_reads_the_table_of_regressor_products(batched):
+    # P = (W @ products).take(index) is sum_t w_t x_t x_t' + diag(prior);
+    # the regressors are positive, so every term is and any order of the
+    # sum agrees with the reference to a relative T eps
+    rng = np.random.default_rng(4)
+    T, k, n = 50, 6, 3
+    X = rng.uniform(0.5, 2.0, size=(T, k))
+    Y = rng.normal(size=(n, T))
+    W = rng.uniform(0.1, 5.0, size=(n, T))
+    prior = rng.uniform(0.2, 3.0, size=(n, k))
+    if not batched:
+        Y, W, prior = Y[1], W[1], prior[1]
+    table = gram_table(X)
+    products, index = table
+    assert products.shape == (T, k * (k + 1) // 2)
+    for a in range(k):
+        for b in range(k):
+            np.testing.assert_array_equal(products[:, index[a, b]], X[:, a] * X[:, b])
+    P, rhs = weighted_system(X, Y, W, prior, table)
+    ref = sum(W[..., t, None, None] * np.outer(X[t], X[t]) for t in range(T))
+    ref += prior[..., None] * np.eye(k)
+    np.testing.assert_allclose(P, ref, rtol=1e-13)
+    np.testing.assert_array_equal(P, np.swapaxes(P, -1, -2))
+    _assert_sum_close(rhs, np.einsum("...t,tk->...k", W * Y, X), np.einsum("...t,tk->...k", np.abs(W * Y), X))
+    # without a table the system builds the same one
+    P_own, rhs_own = weighted_system(X, Y, W, prior)
+    np.testing.assert_array_equal(P_own, P)
+    np.testing.assert_array_equal(rhs_own, rhs)
+
+
+def test_constant_weights_read_a_cached_gram_matrix_bit_for_bit():
+    # the Gaussian chain computes X'X once and passes it as the table
+    rng = np.random.default_rng(5)
+    T, k, n = 40, 6, 4
+    X = rng.normal(size=(T, k))
+    Y = rng.normal(size=(n, T))
+    w = rng.uniform(0.1, 5.0, size=n)
+    prior = rng.uniform(0.2, 3.0, size=(n, k))
+    XtX = X.T @ X
+    for args in ((X, Y, w, prior), (X, Y[2], w[2], prior[2])):
+        P, rhs = weighted_system(*args, XtX)
+        P_own, rhs_own = weighted_system(*args)
+        np.testing.assert_array_equal(P, P_own)
+        np.testing.assert_array_equal(rhs, rhs_own)
+    np.testing.assert_array_equal(XtX, X.T @ X)  # the cached matrix is not written to
+
+
+def test_run_chain_builds_the_designs_table_once(monkeypatch):
+    # the design's table once per chain; the loading block's table of the
+    # factors, which change every sweep, once per sweep
+    calls = []
+    build = qbvar.gram_table
+
+    def counted(X):
+        calls.append(X)
+        return build(X)
+
+    monkeypatch.setattr(qbvar, "gram_table", counted)
+    design = build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
+    sched = McmcSchedule(25, 5, 2)
+    run_chain(design, QbvarConfig(p=1, r=1, quantile=0.25, schedule=sched), make_rng(2))
+    assert sum(X is design.X for X in calls) == 1
+    assert len(calls) == 1 + sched.iterations
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
