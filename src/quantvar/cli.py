@@ -56,10 +56,12 @@ from .evaluation import (
     EvaluationError,
     EventWindow,
     average_qs,
+    origin_months,
     pinball,
     qs_ratio,
     ratio_table_rows,
-    realized_value,
+    realizations,
+    realized_value,  # unused here; the benchmark's tracer counts its calls in this namespace
     render_ratio_table,
     render_score_table,
     score_records,
@@ -327,11 +329,12 @@ def _forecast_one_origin(payload):
     """Estimate every model on data through one origin and forecast ahead.
 
     payload: (origin, origin_idx, dates, values, names, cfg).
-    Returns (origin, records, error) where records maps
-    (model_id, horizon, quantile) -> value vector. Only an expected
-    numerical failure (ForecastError, LinAlgError, FloatingPointError)
-    aborts the origin, with records None and the error text; any other
-    exception, a bad model value or a code bug among them, propagates.
+    Returns (origin, blocks, error) where blocks maps (model_id, quantile)
+    to a (len(cfg.horizons), n) array, one row per configured horizon.
+    Only an expected numerical failure (ForecastError, LinAlgError,
+    FloatingPointError) aborts the origin, with blocks None and the error
+    text; any other exception, a bad model value or a code bug among them,
+    propagates.
     """
     origin, origin_idx, dates, values, names, cfg = payload
     try:
@@ -356,38 +359,42 @@ def _forecast_one_origin(payload):
             blocks.update({(model_id, q): block for q, block in by_q.items()})
         if cfg.include_rw:
             blocks.update({("rw", q): random_walk_forecast(H, len(names)) for q in quantiles})
-        records = {(m, h, q): b[h - 1] for (m, q), b in blocks.items() for h in cfg.horizons}
-        return origin, records, None
+        rows = [h - 1 for h in cfg.horizons]
+        return origin, {key: block[rows] for key, block in blocks.items()}, None
     except (ForecastError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # the origin aborts; the run decides whether to fail
         return origin, None, f"{type(exc).__name__}: {exc}"
 
 
-def _histories(fc_a, a_id, fc_b, b_id, tpanel: TimeSeriesPanel, target: str) -> dict:
-    """{(q, h): (origins, a, b, realizations)} for every level and horizon of ``fc_a``, sorted.
+def _origin_blocks(results) -> list:
+    """(model_id, origin, quantile, block) of every origin of ``results`` that did not abort."""
+    return [(m, origin, q, block) for origin, blocks, err in results if err is None
+            for (m, q), block in blocks.items()]
 
-    ``origins`` are the sorted origins of ``a_id`` whose h-step realization
-    is observed; the other three are float arrays of the target's forecasts
-    by a and by b at (q, h) and of its realizations. Each realization is
-    looked up once per (origin, h).
+
+def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
+    """{(q, h): (rows, months, known_at, a, b, realizations)} for every level and horizon of ``fc_a``.
+
+    The two sets must be aligned, which :func:`aligned_models` checks here,
+    so that their records pair up row by row. ``rows`` are the records of the (q, h)
+    cell in origin order and ``months`` their origins' :func:`month_index`.
+    The other four cover the records whose h-step realization is observed:
+    ``known_at`` holds the months they are observed in, and the last three
+    the target's forecasts by a and by b and its realizations. All six are
+    arrays, and one :func:`realizations` lookup serves every record.
     """
+    aligned_models(fc_a, fc_b)
     col = fc_a.variable_names.index(target)
-    origins_a = fc_a.origins(a_id)
-    observed = {}  # h -> (origins, realizations)
-    for h in fc_a.horizons():
-        pairs = [(o, realized_value(tpanel, target, o, h)) for o in origins_a]
-        pairs = [(o, y) for o, y in pairs if y is not None]
-        observed[h] = ([o for o, _ in pairs], np.array([y for _, y in pairs], dtype=float))
-    return {
-        (q, h): (
-            origins,
-            np.array([fc_a.get(a_id, o, h, q)[col] for o in origins], dtype=float),
-            np.array([fc_b.get(b_id, o, h, q)[col] for o in origins], dtype=float),
-            ys,
-        )
-        for q in fc_a.quantiles()
-        for h, (origins, ys) in observed.items()
-    }
+    months = origin_months(fc_a)
+    observed, realized = realizations(tpanel, target)(months, fc_a.horizon)
+    histories = {}
+    for q in fc_a.quantiles():
+        for h in fc_a.horizons():
+            rows = np.flatnonzero((fc_a.quantile == q) & (fc_a.horizon == h))
+            seen = rows[observed[rows]]
+            histories[(q, h)] = (rows, months[rows], months[seen] + h,
+                                 fc_a.values[seen, col], fc_b.values[seen, col], realized[seen])
+    return histories
 
 
 def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
@@ -396,28 +403,31 @@ def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
     ``fixed`` puts ``setting`` (lambda) on a in every cell. The adaptive
     strategies weigh a at origin t on the trailing ``setting`` (S) origins
     of ``histories`` (from :func:`_histories`) whose realizations are
-    observed by t (see combine.py).
+    observed by t (see combine.py), one weight call per (q, h, origin) cell.
     """
+    n = len(fc_a)
+    warmup = np.zeros(n, dtype=bool)
     if strategy == "fixed":
-        series = CombinationWeightSeries(strategy="fixed", window=None)
-        for o, h, q in sorted({k[1:] for k in fc_a.records}):
-            series.set_weight(o, q, h, setting, False)
+        series = CombinationWeightSeries("fixed", None, fc_a, np.full(n, setting, dtype=float), warmup)
         return combine_weighted(fc_a, fc_b, series, model_id), series
-    series = CombinationWeightSeries(strategy=strategy, window=setting)
-    origins_a = fc_a.origins()
-    month_of = {o: month_index(o) for o in origins_a}
-    for (q, h), (origins, fa, fb, ys) in histories.items():
-        # origins are sorted, so the realizations known at t form a prefix
-        known_at = [month_of[o] + h for o in origins]
+    rows, lams, warms = [np.empty(0, dtype=np.intp)], [], []
+    for (q, h), (cell, months, known_at, fa, fb, ys) in histories.items():
         if strategy == "performance":
             scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
-        for t in origins_a:
-            n = bisect.bisect_right(known_at, month_of[t])
+        known_at = known_at.tolist()  # bisect and the loop read Python ints
+        for t in months.tolist():
+            # origins are sorted, so the realizations known at t form a prefix
+            k = bisect.bisect_right(known_at, t)
             if strategy == "performance":
-                lam, warm = performance_weight(scores_a[:n], scores_b[:n], setting)
+                lam, warm = performance_weight(scores_a[:k], scores_b[:k], setting)
             else:
-                lam, warm = optimal_weight(fa[:n], fb[:n], ys[:n], q, setting)
-            series.set_weight(t, q, h, lam, warm)
+                lam, warm = optimal_weight(fa[:k], fb[:k], ys[:k], q, setting)
+            lams.append(lam)
+            warms.append(warm)
+        rows.append(cell)
+    lam, cells = np.full(n, np.nan), np.concatenate(rows)
+    lam[cells], warmup[cells] = lams, warms
+    series = CombinationWeightSeries(strategy, setting, fc_a, lam, warmup)
     return combine_weighted(fc_a, fc_b, series, model_id), series
 
 
@@ -545,14 +555,11 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
     aborted = _aborted(results, len(origins))
 
+    blocks = _origin_blocks(results)
     fsets: dict[str, QuantileForecastSet] = {
-        m: QuantileForecastSet(variable_names=names) for m in cfg.model_ids()
+        m: QuantileForecastSet.from_blocks(names, cfg.horizons, [b for b in blocks if b[0] == m])
+        for m in cfg.model_ids()
     }
-    for origin, records, err in sorted(results, key=lambda r: r[0]):
-        if err is not None:
-            continue
-        for (model_id, h, q), vals in records.items():
-            fsets[model_id].add(model_id, origin, h, q, vals)
 
     out = cfg.output_dir
     os.makedirs(os.path.join(out, "forecasts"), exist_ok=True)
@@ -562,7 +569,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     # combinations: qbvar against the configured benchmark
     if cfg.combinations:
         fc_q, fc_b = fsets["qbvar"], fsets[cfg.benchmark]
-        histories = _histories(fc_q, "qbvar", fc_b, cfg.benchmark, tpanel, cfg.target)
+        histories = _histories(fc_q, fc_b, tpanel, cfg.target)
         for model_id, strategy, setting in cfg.combinations:
             fsets[model_id], series = _combine(fc_q, fc_b, strategy, setting, model_id, histories)
             _write_csv(os.path.join(out, "combination", f"weights_{model_id}.csv"), series.rows())
@@ -570,7 +577,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         # weight-vs-lambda curves for the plain qbvar/benchmark pair
         curve_rows = [["quantile", "horizon", "lambda", "avg_qs", "ratio_to_benchmark", "optimal"]]
         # never empty: every origin's realizations were checked above
-        for (q, h), (_, fq, fb, ys) in histories.items():
+        for (q, h), (_, _, _, fq, fb, ys) in histories.items():
             grid, vals, ratios = weight_curve(fq, fb, ys, q)
             curve_rows += [[f"{q:.10g}", h, f"{g:.4f}", f"{v:.17g}", f"{rr:.17g}", 0]
                            for g, v, rr in zip(grid, vals, ratios)]
@@ -653,11 +660,17 @@ def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out
     return "\n".join(chunks)
 
 
-def _read_forecast_files(paths) -> list[QuantileForecastSet]:
-    """Read each forecasts CSV; ConfigError when two of them hold the same model."""
+def _require_target(fset: QuantileForecastSet, target: str, path) -> None:
+    if target not in fset.variable_names:
+        raise ConfigError(f"forecast file {path} has no variable {target!r}")
+
+
+def _read_forecast_files(paths, target: str) -> list[QuantileForecastSet]:
+    """Read each forecasts CSV; ConfigError when one lacks ``target`` or two of them hold the same model."""
     fsets, file_of = [], {}  # model id -> the file that holds it
     for path in paths:
         fset = read_forecasts(path)
+        _require_target(fset, target, path)
         for m in fset.model_ids():
             if m in file_of:
                 raise ConfigError(f"model {m!r} is held by two forecast files: {file_of[m]} and {path}")
@@ -675,7 +688,7 @@ def report(run_dir: str, output_path: str | None = None) -> str:
     fdir = os.path.join(run_dir, "forecasts")
     if not os.path.isdir(fdir):
         raise RunFailure("run directory has no forecasts/")
-    fsets = _read_forecast_files([os.path.join(fdir, f) for f in sorted(os.listdir(fdir))])
+    fsets = _read_forecast_files([os.path.join(fdir, f) for f in sorted(os.listdir(fdir))], cfg.target)
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
     text = _emit_tables(fsets, tpanel, cfg.target, cfg.labelled_windows(), cfg.benchmark)
     if output_path:
@@ -724,11 +737,9 @@ def _cmd_forecast(args) -> int:
         raise ConfigError(f"origin {origin} precedes the config's first origin {cfg.origins_start}")
     result = _forecast_one_origin((origin, origin_idx, dates, tpanel.values, cfg.variables, cfg))
     _aborted([result], 1)
-    fset = QuantileForecastSet(variable_names=cfg.variables)
-    for (model_id, h, q), vals in result[1].items():
-        fset.add(model_id, origin, h, q, vals)
+    fset = QuantileForecastSet.from_blocks(cfg.variables, cfg.horizons, _origin_blocks([result]))
     write_forecasts(fset, args.output)
-    print(f"wrote {args.output} ({len(fset.records)} records from origin {origin})")
+    print(f"wrote {args.output} ({len(fset)} records from origin {origin})")
     return 0
 
 
@@ -745,7 +756,7 @@ def _cmd_evaluate(args) -> int:
     ]
     _check_window_names([label for _, label in windows])
     tpanel = _load_panel(args.data, args.tcodes, [args.target])
-    fsets = _read_forecast_files(args.forecasts)
+    fsets = _read_forecast_files(args.forecasts, args.target)
     models = sorted({m for fset in fsets for m in fset.model_ids()})
     if args.benchmark and args.benchmark not in models:
         raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")
@@ -757,19 +768,20 @@ def _cmd_evaluate(args) -> int:
 def _cmd_combine(args) -> int:
     fc_a = read_forecasts(args.forecasts_a)
     fc_b = read_forecasts(args.forecasts_b)
-    a_id, b_id = aligned_models(fc_a, fc_b)
+    aligned_models(fc_a, fc_b)
     histories, setting = None, args.lam
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
         tpanel = _load_panel(args.data, args.tcodes, [args.target])
-        histories = _histories(fc_a, a_id, fc_b, b_id, tpanel, args.target)
+        _require_target(fc_a, args.target, args.forecasts_a)  # aligned, so b has a's variables
+        histories = _histories(fc_a, fc_b, tpanel, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)
     write_forecasts(out, args.output)
     if args.weights_output:
         _write_csv(args.weights_output, series.rows())
-    print(f"wrote {args.output} ({len(out.records)} combined records)")
+    print(f"wrote {args.output} ({len(out)} combined records)")
     return 0
 
 
@@ -855,7 +867,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`report ... | head -1`): stop quietly, with
+        # stdout on devnull so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ConfigError, PanelError, EvaluationError, ForecastError, ValueError, OSError) as exc:
         print(json.dumps({"status": "error", "kind": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

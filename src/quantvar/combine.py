@@ -12,17 +12,19 @@ Three weighting strategies for q_comb = lam * q_a + (1 - lam) * q_b:
 Until S scored origins have accumulated, both adaptive strategies fall
 back to lam = 0.5 and flag the origin as warm-up. Every strategy is applied
 by :func:`combine_weighted` from a :class:`CombinationWeightSeries`; a fixed
-weight is a series that holds lam in every cell.
+weight is a series that holds lam in every cell. A series holds its weights
+as an array aligned with the records of the sets it combines, so that the
+combination is one broadcast over their value arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluation import pinball
-from .forecast import QuantileForecastSet
+from .forecast import QuantileForecastSet, column_rows, group_starts
 
 
 class CombinationError(ValueError):
@@ -36,19 +38,33 @@ def _single_model(fset: QuantileForecastSet) -> str:
     return ids[0]
 
 
+def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> int:
+    """How many (origin, h, q) cells one of two single-model sets holds and the other lacks."""
+    columns = [[s.origin, s.horizon, s.quantile] for s in (fc_a, fc_b)]
+    if fc_a.origin_labels == fc_b.origin_labels and all(map(np.array_equal, *columns)):
+        return 0
+    code = {o: i for i, o in enumerate(sorted({*fc_a.origin_labels, *fc_b.origin_labels}))}
+    for s, cols in zip((fc_a, fc_b), columns):
+        cols[0] = np.array([code[o] for o in s.origin_labels], dtype=np.int64)[s.origin]
+    both = [np.concatenate(pair) for pair in zip(*columns)]
+    order = np.lexsort(both[::-1])
+    # cells are unique within a set, so a repeated cell is one that both sets hold
+    shared = np.count_nonzero(~group_starts([column[order] for column in both]))
+    return len(fc_a) + len(fc_b) - 2 * shared
+
+
 def aligned_models(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> tuple[str, str]:
     """(a's model id, b's model id) of two sets to combine.
 
     Raises CombinationError unless each set holds one model and both cover
-    the same variables and (origin, h, q) cells.
+    the same variables and (origin, h, q) cells. Their records then pair
+    up row by row.
     """
     if fc_a.variable_names != fc_b.variable_names:
         raise CombinationError("forecast sets cover different variables")
     a_id, b_id = _single_model(fc_a), _single_model(fc_b)
-    # keys are unique, so equal counts and every cell of a in b make equal cell sets
-    missing = sum((b_id, *key[1:]) not in fc_b.records for key in fc_a.records)
-    if missing or len(fc_a.records) != len(fc_b.records):
-        differing = 2 * missing + len(fc_b.records) - len(fc_a.records)
+    differing = _cell_difference(fc_a, fc_b)
+    if differing:
         raise CombinationError(f"forecast sets misaligned on {differing} cells")
     return a_id, b_id
 
@@ -142,36 +158,32 @@ def weight_curve(fc_a, fc_b, realized, quantile: float):
 
 @dataclass
 class CombinationWeightSeries:
-    """Per-(origin, q, h) weights under one strategy."""
+    """Weights on model a under one strategy: lam[i] and warmup[i] belong to record i of ``cells``."""
 
     strategy: str  # "fixed" | "performance" | "optimal"
     window: int | None  # S, None for fixed
-    weights: dict = field(default_factory=dict)  # (origin, q, h) -> lam, q and h as the forecast set keys them
-    warmup: set = field(default_factory=set)  # origins still in fallback
+    cells: QuantileForecastSet  # the single-model set the weights combine
+    lam: np.ndarray
+    warmup: np.ndarray  # True where the origin was still in fallback
 
-    def set_weight(self, origin: str, q: float, h: int, lam: float, warmup: bool) -> None:
-        if not 0.0 <= lam <= 1.0:
-            raise CombinationError(f"weight must lie in [0, 1], got {lam}")
-        key = (origin, q, h)
-        self.weights[key] = lam
-        if warmup:
-            self.warmup.add(key)
+    def __post_init__(self):
+        self.lam = np.asarray(self.lam, dtype=float)
+        self.warmup = np.asarray(self.warmup, dtype=bool)
+        if not self.lam.shape == self.warmup.shape == (len(self.cells),):
+            raise CombinationError("a weight series needs one weight and one warm-up flag per cell")
+        outside = ~((self.lam >= 0.0) & (self.lam <= 1.0))
+        if outside.any():
+            raise CombinationError(f"weight must lie in [0, 1], got {self.lam[outside][0]}")
 
-    def rows(self) -> list[list]:
-        out = [["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]]
-        for (origin, q, h) in sorted(self.weights):
-            out.append(
-                [
-                    self.strategy,
-                    self.window if self.window is not None else "",
-                    origin,
-                    f"{q:.10g}",
-                    h,
-                    f"{self.weights[(origin, q, h)]:.17g}",
-                    int((origin, q, h) in self.warmup),
-                ]
-            )
-        return out
+    def rows(self):
+        """The weight file's header, then one row per (origin, q, h) cell in that order."""
+        yield ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]
+        c = self.cells
+        window = self.window if self.window is not None else ""
+        order = np.lexsort((c.horizon, c.quantile, c.origin))
+        columns = (c.origin, c.quantile, c.horizon, self.lam, self.warmup)
+        for o, q, h, lam, warm in column_rows(*(column[order] for column in columns)):
+            yield [self.strategy, window, c.origin_labels[o], f"{q:.10g}", h, f"{lam:.17g}", int(warm)]
 
 
 def combine_weighted(
@@ -180,12 +192,11 @@ def combine_weighted(
     series: CombinationWeightSeries,
     model_id: str,
 ) -> QuantileForecastSet:
-    """Cellwise combination with per-(origin, q, h) weights."""
-    a_id, b_id = aligned_models(fc_a, fc_b)
-    out = QuantileForecastSet(variable_names=list(fc_a.variable_names))
-    for _, origin, h, q in sorted(fc_a.records):
-        lam = series.weights[(origin, q, h)]
-        va = fc_a.get(a_id, origin, h, q)
-        vb = fc_b.get(b_id, origin, h, q)
-        out.add(model_id, origin, h, q, lam * va + (1.0 - lam) * vb)
-    return out
+    """Cellwise lam * a + (1 - lam) * b with the series' per-(origin, q, h) weights."""
+    aligned_models(fc_a, fc_b)
+    if _cell_difference(series.cells, fc_a):
+        raise CombinationError("weight series and forecast sets cover different cells")
+    lam = series.lam[:, None]
+    values = lam * fc_a.values + (1.0 - lam) * fc_b.values
+    return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.origin_labels, fc_a.model, fc_a.origin,
+                               fc_a.horizon, fc_a.quantile, values)

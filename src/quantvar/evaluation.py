@@ -2,7 +2,9 @@
 
 A forecast made at origin t for horizon h is scored against the
 realization dated t+h. Date-window conditioning (evaluation windows,
-event episodes) selects records by that realization date.
+event episodes) selects records by that realization date. Scoring works on
+a forecast set's columns: one :func:`realizations` lookup serves every
+record, and each origin label is parsed once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesPanel, month_index, month_label
-from .forecast import QuantileForecastSet
+from .forecast import QuantileForecastSet, column_rows
 
 
 class EvaluationError(ValueError):
@@ -46,53 +48,74 @@ class EventWindow:
 
 
 def realizations(panel: TimeSeriesPanel, variable: str):
-    """:func:`realized_value` for one panel and variable, its bounds parsed once.
+    """The realizations of ``variable`` in ``panel``, its bounds parsed once.
 
-    Returns ``value(origin_month, horizon)``, with the origin as its
-    :func:`month_index`: the observation at origin+h months, None when it
-    lies beyond the sample end (not yet observed), and an EvaluationError
-    when it precedes the sample start.
+    Returns ``value(origin_months, horizons)``, which looks up the
+    observations at origin+h months for arrays of origins (as their
+    :func:`month_index`) and horizons, and returns (observed, values):
+    ``observed`` is False where origin+h lies beyond the sample end (not yet
+    observed), and ``values`` holds the observations there and NaN
+    elsewhere. A date before the sample start raises EvaluationError.
     """
     first = month_index(panel.dates[0])
     last = month_index(panel.dates[-1])
     column = panel.values[:, panel.names.index(variable)]
 
-    def value(origin_month: int, horizon: int):
-        target = origin_month + horizon
-        if target > last:
-            return None
-        if target < first:
-            raise EvaluationError(f"realization date {month_label(target)} precedes the sample")
-        return float(column[target - first])
+    def value(origin_months, horizons):
+        target = np.add(origin_months, horizons)
+        if target.size and target.min() < first:
+            raise EvaluationError(f"realization date {month_label(int(target.min()))} precedes the sample")
+        observed = target <= last
+        return observed, np.where(observed, column[np.minimum(target, last) - first], np.nan)
 
     return value
 
 
 def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: int):
     """Observed value at origin+h months, or None when not yet observed."""
-    return realizations(panel, variable)(month_index(origin), horizon)
+    observed, values = realizations(panel, variable)([month_index(origin)], horizon)
+    return float(values[0]) if observed[0] else None
 
 
-def score_records(
-    fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: str
-) -> dict:
-    """Per-record pinball scores: (model, origin, h, q) -> (score, month).
+def origin_months(fset: QuantileForecastSet) -> np.ndarray:
+    """The :func:`month_index` of each of ``fset``'s records' origins, each label parsed once."""
+    return np.array([month_index(o) for o in fset.origin_labels], dtype=np.int64)[fset.origin]
 
-    ``month`` is the origin's :func:`month_index`, parsed once here so that
-    window filters need not parse it again. Records whose realization lies
-    beyond the sample end are skipped (they are not yet observable);
-    everything else must resolve.
+
+@dataclass
+class ScoredRecords:
+    """Pinball scores of a forecast set's observable records, as columns in the set's order."""
+
+    model_labels: list[str]
+    model: np.ndarray  # code into model_labels
+    quantile: np.ndarray
+    horizon: np.ndarray
+    realized_month: np.ndarray  # month_index of the realization date t+h
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+
+def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: str) -> ScoredRecords:
+    """Pinball scores of every record of ``fset`` whose realization is observed.
+
+    Records whose realization lies beyond the sample end are skipped (they
+    are not yet observable); everything else must resolve. The realization
+    month t+h is kept so that window filters need not parse dates again.
     """
     col = fset.variable_names.index(variable)
-    realized = realizations(panel, variable)
-    out = {}
-    for (model_id, origin, h, q), values in fset.records.items():
-        month = month_index(origin)
-        y = realized(month, h)
-        if y is None:
-            continue
-        out[(model_id, origin, h, q)] = (pinball(y - float(values[col]), q), month)
-    return out
+    origins = origin_months(fset)
+    observed, realized = realizations(panel, variable)(origins, fset.horizon)
+    u = realized[observed] - fset.values[observed, col]
+    quantile = fset.quantile[observed]
+    score = np.empty_like(u)
+    for q in fset.quantiles():
+        at = quantile == q
+        score[at] = pinball(u[at], q)
+    horizon = fset.horizon[observed]
+    return ScoredRecords(fset.model_labels, fset.model[observed], quantile, horizon,
+                         origins[observed] + horizon, score)
 
 
 @dataclass
@@ -122,25 +145,27 @@ def average_qs(
 ) -> ScoreTable:
     """Mean pinball loss per (model, q, h), optionally within a date window.
 
-    ``scored`` is a sequence of :func:`score_records` dicts, so that a
+    ``scored`` is a sequence of :func:`score_records` results, so that a
     caller averaging over several windows scores each set once. Window
-    membership is decided by the realization date t+h.
+    membership is decided by the realization date t+h. Each cell's scores
+    are summed one after another in record (origin) order, so the table
+    does not depend on numpy's summation order.
     """
     if window is not None:
         lo, hi = month_index(window.start), month_index(window.end)
     sums: dict = {}
     counts: dict = {}
-    any_scored = False
+    if window is not None and not any(len(records) for records in scored):
+        raise EvaluationError("no scorable forecasts (all realizations unobserved)")
     for records in scored:
-        for (model_id, _, h, q), (score, month) in records.items():
-            any_scored = True
-            if window is not None and not lo <= month + h <= hi:
-                continue
-            key = (model_id, q, h)
+        keep = slice(None)
+        if window is not None:
+            keep = (lo <= records.realized_month) & (records.realized_month <= hi)
+        columns = (records.model[keep], records.quantile[keep], records.horizon[keep], records.score[keep])
+        for m, q, h, score in column_rows(*columns):
+            key = (records.model_labels[m], q, h)
             sums[key] = sums.get(key, 0.0) + score
             counts[key] = counts.get(key, 0) + 1
-    if window is not None and not any_scored:
-        raise EvaluationError("no scorable forecasts (all realizations unobserved)")
     label = window_label or (window.label if window is not None else "full")
     table = ScoreTable(variable=variable, window_label=label)
     for key, total in sums.items():

@@ -9,12 +9,18 @@ median across draws; the Gaussian benchmark's q-forecast is the empirical
 q-quantile of its predictive draws. The random-walk benchmark for
 stationarity-transformed series predicts zero change at every horizon and
 quantile.
+
+A :class:`QuantileForecastSet` holds forecasts as columns: one
+(records, variables) value array and key columns (model and origin codes,
+horizons, levels), sorted by key, with no Python object per record. The
+forecasts CSV is read into typed buffers that one lexsort groups into
+records, and written a batch of rows at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from array import array
 from math import isfinite
 
 import numpy as np
@@ -111,81 +117,278 @@ def random_walk_forecast(horizon: int, n_vars: int) -> np.ndarray:
     return np.zeros((horizon, n_vars))
 
 
-@dataclass
+def _level(quantile) -> float:
+    """A quantile level as record keys hold it: rounded to 10 digits."""
+    return round(float(quantile), 10)
+
+
+def group_starts(keys, order=None) -> np.ndarray:
+    """True at row 0 and where a row's key differs from the row before.
+
+    The rows are sorted by the columns ``keys``, or are taken in ``order``
+    (which sorts them); one sorted column exists at a time.
+    """
+    start = np.zeros(len(keys[0]) if order is None else len(order), dtype=bool)
+    start[:1] = True
+    for column in keys:
+        if order is not None:
+            column = column[order]
+        start[1:] |= column[1:] != column[:-1]
+    return start
+
+
+def _ranked(labels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """(the labels that ``codes`` use, sorted; ``codes`` renumbered into that list)."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
+    used.sort(key=labels.__getitem__)
+    rank = np.zeros(len(labels), dtype=np.int32)
+    rank[used] = np.arange(len(used), dtype=np.int32)
+    return [labels[i] for i in used], rank[codes]
+
+
+def _intern(values: list, value) -> int:
+    """``value``'s index in ``values``, appending it when absent."""
+    if value not in values:
+        values.append(value)
+    return values.index(value)
+
+
 class QuantileForecastSet:
-    """Forecast values keyed by (model_id, origin, horizon, quantile).
+    """Forecast values keyed by (model_id, origin, horizon, quantile), stored as columns.
 
     ``origin`` is the ISO month of the last observation used for
-    estimation; ``horizon`` is months ahead; values are per target
-    variable, stored as a vector in variable order.
+    estimation; ``horizon`` is months ahead; ``quantile`` is the level
+    rounded to 10 digits. Record i has the key (model_labels[model[i]],
+    origin_labels[origin[i]], horizon[i], quantile[i]) and one value per
+    variable, values[i], in ``variable_names`` order. Records are sorted by
+    key and unique. Each label list holds the labels in use, sorted, so the
+    codes sort as their labels do.
     """
 
-    variable_names: list[str]
-    records: dict = field(default_factory=dict)
+    def __init__(self, variable_names, model_labels=(), origin_labels=(), model=(), origin=(),
+                 horizon=(), quantile=(), values=None):
+        """A set of columns already in the layout above; by default an empty set."""
+        self.variable_names = list(variable_names)
+        self.model_labels = list(model_labels)
+        self.origin_labels = list(origin_labels)
+        self.model = np.asarray(model, dtype=np.int32)
+        self.origin = np.asarray(origin, dtype=np.int32)
+        self.horizon = np.asarray(horizon, dtype=np.int64)
+        self.quantile = np.asarray(quantile, dtype=float)
+        if values is None:
+            values = np.empty((0, len(self.variable_names)))
+        self.values = np.asarray(values, dtype=float)
 
-    @staticmethod
-    def _key(model_id: str, origin: str, horizon: int, quantile: float):
-        return (model_id, origin, int(horizon), round(float(quantile), 10))
+    @classmethod
+    def from_columns(cls, variable_names, model_labels, origin_labels, model, origin, horizon, quantile, values):
+        """A set of the constructor's columns with records in any order and label lists in any order.
+
+        ``quantile`` holds levels rounded as keys hold them. A duplicate key
+        raises ValueError.
+        """
+        model_labels, model = _ranked(list(model_labels), np.asarray(model, dtype=np.int32))
+        origin_labels, origin = _ranked(list(origin_labels), np.asarray(origin, dtype=np.int32))
+        horizon, quantile = np.asarray(horizon, dtype=np.int64), np.asarray(quantile, dtype=float)
+        order = np.lexsort((quantile, horizon, origin, model))
+        fset = cls(variable_names, model_labels, origin_labels, model[order], origin[order],
+                   horizon[order], quantile[order], np.asarray(values, dtype=float)[order])
+        new = group_starts([fset.model, fset.origin, fset.horizon, fset.quantile])
+        if not new.all():
+            raise ValueError(f"duplicate forecast record {fset.key(int(np.argmin(new)))}")
+        return fset
+
+    @classmethod
+    def from_blocks(cls, variable_names, horizons, blocks):
+        """The set of (model_id, origin, quantile, block) entries; a block's row j holds horizon ``horizons[j]``."""
+        models, origins = {}, {}
+        model = [models.setdefault(m, len(models)) for m, _, _, _ in blocks]
+        origin = [origins.setdefault(o, len(origins)) for _, o, _, _ in blocks]
+        H = len(horizons)
+        return cls.from_columns(
+            variable_names, list(models), list(origins), np.repeat(model, H), np.repeat(origin, H),
+            np.tile(horizons, len(blocks)), np.repeat([_level(q) for _, _, q, _ in blocks], H),
+            np.concatenate([b for _, _, _, b in blocks]) if blocks else np.empty((0, len(variable_names))),
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def key(self, i: int) -> tuple:
+        """The (model_id, origin, horizon, quantile) key of record ``i``."""
+        return (self.model_labels[self.model[i]], self.origin_labels[self.origin[i]],
+                int(self.horizon[i]), float(self.quantile[i]))
+
+    def items(self):
+        """(key, values) of every record, in key order."""
+        for i in range(len(self)):
+            yield self.key(i), self.values[i]
 
     def add(self, model_id: str, origin: str, horizon: int, quantile: float, values) -> None:
         values = np.asarray(values, dtype=float).ravel()
         if values.size != len(self.variable_names):
             raise ValueError("value vector length does not match variables")
-        key = self._key(model_id, origin, horizon, quantile)
-        if key in self.records:
-            raise ValueError(f"duplicate forecast record {key}")
-        self.records[key] = values
+        models, origins = list(self.model_labels), list(self.origin_labels)
+        m, o = _intern(models, model_id), _intern(origins, origin)
+        merged = self.from_columns(
+            self.variable_names, models, origins, np.append(self.model, m), np.append(self.origin, o),
+            np.append(self.horizon, int(horizon)), np.append(self.quantile, _level(quantile)),
+            np.vstack([self.values, values]),
+        )
+        vars(self).update(vars(merged))
 
     def get(self, model_id: str, origin: str, horizon: int, quantile: float) -> np.ndarray:
-        return self.records[self._key(model_id, origin, horizon, quantile)]
+        """The values of one record; KeyError when the set lacks it."""
+        key = (model_id, origin, int(horizon), _level(quantile))
+        if model_id in self.model_labels and origin in self.origin_labels:
+            lo, hi = 0, len(self)
+            codes = (self.model_labels.index(model_id), self.origin_labels.index(origin), *key[2:])
+            for column, code in zip((self.model, self.origin, self.horizon, self.quantile), codes):
+                part = column[lo:hi]  # sorted, since the columns before it are constant here
+                lo, hi = lo + int(part.searchsorted(code, "left")), lo + int(part.searchsorted(code, "right"))
+            if hi > lo:
+                return self.values[lo]
+        raise KeyError(key)
 
     def model_ids(self) -> list[str]:
-        return sorted({k[0] for k in self.records})
+        return list(self.model_labels)
 
     def origins(self, model_id: str | None = None) -> list[str]:
-        return sorted({k[1] for k in self.records if model_id is None or k[0] == model_id})
+        if model_id is None:
+            return list(self.origin_labels)
+        if model_id not in self.model_labels:
+            return []
+        codes = self.origin[self.model == self.model_labels.index(model_id)]
+        return [self.origin_labels[c] for c in np.flatnonzero(np.bincount(codes, minlength=len(self.origin_labels)))]
 
     def horizons(self) -> list[int]:
-        return sorted({k[2] for k in self.records})
+        return _distinct(self.horizon)
 
     def quantiles(self) -> list[float]:
-        return sorted({k[3] for k in self.records})
+        return _distinct(self.quantile)
+
+
+def _distinct(column: np.ndarray) -> list:
+    """The distinct values of ``column``, ascending, as Python numbers (np.unique would import numpy.ma)."""
+    ordered = np.sort(column)
+    return ordered[group_starts([ordered])].tolist()
 
 
 _COLUMNS = ["model_id", "origin", "horizon", "quantile", "variable", "value"]
+# rows converted to Python values per batch, so that no whole column is ever held as Python numbers
+_ROW_BATCH = 1024
+
+
+def column_rows(*columns):
+    """Tuples of Python values, one per row of equally long arrays, converted a batch at a time."""
+    for start in range(0, len(columns[0]), _ROW_BATCH):
+        yield from zip(*(column[start:start + _ROW_BATCH].tolist() for column in columns))
 
 
 def write_forecasts(fset: QuantileForecastSet, path) -> None:
-    """Write one row per (model, origin, horizon, quantile, variable)."""
+    """Write one row per (model, origin, horizon, quantile, variable), in key order."""
+    names = fset.variable_names
+    levels = {q: f"{q:.10g}" for q in fset.quantiles()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for key in sorted(fset.records):
-            model_id, origin, horizon, quantile = key
-            vals = fset.records[key]
-            for name, v in zip(fset.variable_names, vals):
-                writer.writerow([model_id, origin, horizon, f"{quantile:.10g}", name, f"{v:.17g}"])
+        for m, o, h, q, vals in column_rows(fset.model, fset.origin, fset.horizon, fset.quantile, fset.values):
+            head = (fset.model_labels[m], fset.origin_labels[o], h, levels[q])
+            writer.writerows([*head, name, f"{v:.17g}"] for name, v in zip(names, vals))
+
+
+class _Rows:
+    """A forecasts CSV's rows as typed buffers: codes of the key fields and variable, the value and the line."""
+
+    def __init__(self):
+        # model id, origin, horizon field, quantile field, variable -> code; the
+        # codes of ids, origins and variables follow their first appearance
+        self.codes = ({}, {}, {}, {}, {})
+        self.horizons, self.levels = [], []  # the parsed value of each horizon and level code
+        self.columns = tuple(array("i") for _ in self.codes)
+        self.value, self.line = array("d"), array("i")
+
+    def to_set(self, path, complete: bool = True) -> QuantileForecastSet | None:
+        """The set of the rows; ValueError naming the earliest duplicate row.
+
+        One stable lexsort of the code columns groups the rows into records.
+        With ``complete``, a record that lacks a variable raises ValueError
+        too (the earliest-starting such record); without it, nothing is
+        built. The row buffers are released once the records are known.
+        """
+        models, origins, _, _, variables = (list(c) for c in self.codes)
+        columns = [np.frombuffer(c, dtype=np.intc) for c in self.columns]
+
+        def key(row):
+            m, o, h, q = (int(column[row]) for column in columns[:4])
+            return models[m], origins[o], self.horizons[h], self.levels[q]
+
+        # stable, so the rows of one (record, variable) keep their file order
+        order = np.lexsort(columns[::-1])
+        new = group_starts(columns[:4], order)
+        row = _first_repeat(columns[4], order, new)
+        if row is not None:
+            raise ValueError(f"{path}, line {self.line[row]}: duplicate row for record {key(row)}, "
+                             f"variable {variables[columns[4][row]]!r}")
+        if not complete:
+            return None
+        self.line = None
+        starts = np.flatnonzero(new)
+        del new
+        short = np.diff(starts, append=len(order)) != len(variables)
+        if short.any():
+            row = int(np.minimum.reduceat(order, starts)[short].min())
+            raise ValueError(f"incomplete variable set for record {key(row)}")
+        if not len(order):
+            return QuantileForecastSet(variables)
+        first = order[starts]
+        model, origin, horizon, quantile = (column[first] for column in columns[:4])
+        del columns, first
+        self.columns = None
+        model_labels, model = _ranked(models, model)
+        origin_labels, origin = _ranked(origins, origin)
+        horizon = np.array(self.horizons, dtype=np.int64)[horizon]
+        quantile = np.array(self.levels, dtype=float)[quantile]
+        records = np.lexsort((quantile, horizon, origin, model))
+        # a complete record's rows hold slots 0..V-1, once each and in slot order
+        rows = order.reshape(len(starts), len(variables))[records]
+        del order
+        return QuantileForecastSet(variables, model_labels, origin_labels, model[records], origin[records],
+                                   horizon[records], quantile[records], np.frombuffer(self.value)[rows])
+
+
+def _first_repeat(slot: np.ndarray, order: np.ndarray, new: np.ndarray) -> int | None:
+    """The earliest row that repeats the record and variable of a row before it, or None.
+
+    ``order`` sorts the rows by record, then variable ``slot``, and ``new``
+    marks the first sorted row of each record.
+    """
+    slot = slot[order]
+    repeat = ~new
+    repeat[1:] &= slot[1:] == slot[:-1]
+    return int(order[repeat].min()) if repeat.any() else None
 
 
 def read_forecasts(path) -> QuantileForecastSet:
-    """Read a forecasts CSV in one streaming pass.
+    """Read a forecasts CSV in one streaming pass into typed column buffers.
 
-    Rows may come in any order. Variables take their order of first
-    appearance, and each (model, origin, horizon, quantile) record needs
-    every variable exactly once. A malformed or duplicate row, a horizon
-    below 1, a quantile outside (0, 1) and a non-finite value raise
-    ValueError naming the file and line; a record that lacks a variable
-    raises it naming the record. Model ids and origins share one string
-    object per distinct value, and each distinct horizon and quantile
-    string is parsed and checked once.
+    Rows may come in any order; one lexsort groups them into records.
+    Variables take their order of first appearance, and each (model,
+    origin, horizon, quantile) record needs every variable exactly once. A
+    malformed or duplicate row, a horizon below 1, a quantile outside
+    (0, 1) and a non-finite value raise ValueError naming the file and
+    line, the earliest such line first; a record that lacks a variable
+    raises it naming the record. Each distinct horizon and quantile string
+    is parsed and checked once.
     """
-    fset = QuantileForecastSet(variable_names=[])
-    names, records = fset.variable_names, fset.records
-    slots: dict[str, int] = {}
-    filled: dict = {}  # record key -> bitmask of the variable slots read
-    shared: dict[str, str] = {}
-    horizons: dict[str, int] = {}
-    quantiles: dict[str, float] = {}
+    return _read_rows(path).to_set(path)
+
+
+def _read_rows(path) -> _Rows:
+    """The rows of a forecasts CSV, parsed and checked field by field (see :func:`read_forecasts`)."""
+    rows = _Rows()
+    models, origins, horizons, levels, slots = rows.codes
+    add_model, add_origin, add_horizon, add_level, add_slot = (c.append for c in rows.columns)
+    add_value, add_line = rows.value.append, rows.line.append
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:6] != _COLUMNS:
@@ -195,41 +398,30 @@ def read_forecasts(path) -> QuantileForecastSet:
                 model_id, origin, horizon, quantile, variable, value = row
                 h = horizons.get(horizon)
                 if h is None:
-                    h = horizons[horizon] = int(horizon)
-                    if h < 1:
-                        raise ValueError(f"horizon must be >= 1, got {h}")
-                q = quantiles.get(quantile)
+                    parsed = int(horizon)
+                    if parsed < 1:
+                        raise ValueError(f"horizon must be >= 1, got {parsed}")
+                    if parsed >= 2**31:  # origin month + horizon must not overflow the int64 columns
+                        raise ValueError(f"horizon must be below 2**31, got {parsed}")
+                    h = horizons[horizon] = _intern(rows.horizons, parsed)
+                q = levels.get(quantile)
                 if q is None:
-                    q = quantiles[quantile] = round(float(quantile), 10)
-                    if not 0.0 < q < 1.0:
+                    parsed = _level(quantile)
+                    if not 0.0 < parsed < 1.0:
                         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
+                    q = levels[quantile] = _intern(rows.levels, parsed)
                 value = float(value)
                 if not isfinite(value):
                     raise ValueError(f"value must be finite, got {value}")
             except ValueError as exc:
+                rows.to_set(path, complete=False)  # a duplicate on an earlier line comes first
                 problem = f"expected 6 fields, got {len(row)}" if len(row) != 6 else exc
                 raise ValueError(f"{path}, line {reader.line_num}: {problem}") from None
-            slot = slots.get(variable)
-            if slot is None:
-                slot = slots[variable] = len(names)
-                names.append(variable)
-                for key in records:  # records read so far gain the new slot
-                    records[key] = np.append(records[key], 0.0)
-            key = (model_id, origin, h, q)
-            vals = records.get(key)
-            if vals is None:
-                key = (shared.setdefault(model_id, model_id), shared.setdefault(origin, origin), h, q)
-                vals = records[key] = np.empty(len(names))
-                filled[key] = 0
-            mask, bit = filled[key], 1 << slot
-            if mask & bit:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: duplicate row for record {key}, variable {variable!r}"
-                )
-            filled[key] = mask | bit
-            vals[slot] = value
-    full = (1 << len(names)) - 1
-    for key, mask in filled.items():
-        if mask != full:
-            raise ValueError(f"incomplete variable set for record {key}")
-    return fset
+            add_model(models.setdefault(model_id, len(models)))
+            add_origin(origins.setdefault(origin, len(origins)))
+            add_horizon(h)
+            add_level(q)
+            add_slot(slots.setdefault(variable, len(slots)))
+            add_value(value)
+            add_line(reader.line_num)
+    return rows

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,7 +232,7 @@ def test_full_run_outputs_and_manifest(tmp_path):
         assert os.path.exists(path), m
         fset = read_forecasts(path)
         # full coverage: every (origin, horizon, quantile) cell present
-        assert len(fset.records) == n_origins * 2 * 2, m
+        assert len(fset) == n_origins * 2 * 2, m
 
     for rel in [
         "config.json",
@@ -531,7 +533,7 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
     qset = read_forecasts(os.path.join(fdir, "qbvar.csv"))
     first = qset.origins()[0]
     partial = QuantileForecastSet(variable_names=qset.variable_names)
-    for (model_id, origin, h, q), values in qset.records.items():
+    for (model_id, origin, h, q), values in qset.items():
         if origin != first:
             partial.add(model_id, origin, h, q, values)
     write_forecasts(partial, str(tmp_path / "partial.csv"))
@@ -723,7 +725,7 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
     # combine reads one model per file
     for model_id in ("qbvar", "bvar"):
         one = QuantileForecastSet(variable_names=fset.variable_names)
-        for key, vals in fset.records.items():
+        for key, vals in fset.items():
             if key[0] == model_id:
                 one.add(*key, vals)
         write_forecasts(one, str(tmp_path / f"{model_id}.csv"))
@@ -747,11 +749,11 @@ def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
     run_recursive(cfg, raw)
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc, "2017-09")) == 0
-    mine = read_forecasts(fc).records
+    mine = dict(read_forecasts(fc).items())
     ran = {}
     for model_id in cfg.model_ids():
         path = os.path.join(cfg.output_dir, "forecasts", f"{model_id}.csv")
-        ran.update({k: v for k, v in read_forecasts(path).records.items() if k[1] == "2017-09"})
+        ran.update({k: v for k, v in read_forecasts(path).items() if k[1] == "2017-09"})
     # 3 models x 2 levels x 2 horizons
     assert sorted(mine) == sorted(ran) and len(mine) == 12
     for key, vals in mine.items():
@@ -766,9 +768,9 @@ def test_forecast_defaults_to_the_sample_end(tmp_path, capsys):
     assert fset.origins() == ["2020-04"]  # the panel's last month, past every realization
     for model_id in ("qbvar", "bvar", "rw"):
         for q in cfg.quantile_set:
-            cells = sorted(h for m, _, h, level in fset.records if (m, level) == (model_id, q))
+            cells = sorted(h for (m, _, h, level), _ in fset.items() if (m, level) == (model_id, q))
             assert cells == cfg.horizons, (model_id, q)
-    assert len(fset.records) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
+    assert len(fset) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
 
 
 @pytest.mark.parametrize("origin, message", [
@@ -1061,26 +1063,33 @@ def test_a_quantile_outside_0_1_exits_2_from_combine_and_report(tmp_path, capsys
 
 
 @pytest.mark.parametrize("strategy", ["performance", "optimal"])
-def test_combine_looks_up_each_realization_once_per_origin_and_horizon(tmp_path, monkeypatch, strategy):
-    # both strategies read one (q, h) history built from one lookup per
-    # (origin, h), not one per (origin, q, h)
+def test_combine_looks_up_realizations_in_one_call(tmp_path, monkeypatch, strategy):
+    # both strategies read one (q, h) history built from one array lookup of
+    # every record's realization, not one scalar lookup per cell
     calls = []
-    real = cli_mod.realized_value
+    real = cli_mod.realizations
 
-    def counted(panel, variable, origin, horizon):
-        calls.append((origin, horizon))
-        return real(panel, variable, origin, horizon)
+    def counted(panel, variable):
+        value = real(panel, variable)
 
-    monkeypatch.setattr(cli_mod, "realized_value", counted)
+        def lookup(months, horizons):
+            calls.append(len(months))
+            return value(months, horizons)
+
+        return lookup
+
+    def per_cell(*args):
+        raise AssertionError("realized_value called per cell")
+
+    monkeypatch.setattr(cli_mod, "realizations", counted)
+    monkeypatch.setattr(cli_mod, "realized_value", per_cell)
     make_raw_panel(tmp_path)
     fa, fb = make_forecast_pair(tmp_path)
     rc = main(["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy, "--window", "3",
                "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
                "--target", "tgt", "--output", str(tmp_path / "comb.csv")])
     assert rc == 0
-    fset = read_forecasts(fa)
-    assert sorted(calls) == sorted((o, h) for o in fset.origins() for h in fset.horizons())
-    assert len(calls) == 8 * 2
+    assert calls == [8 * 2 * 2]  # origins x horizons x levels
 
 
 @pytest.mark.parametrize("strategy,window", [("performance", "50"), ("optimal", "75")])
@@ -1192,3 +1201,98 @@ def test_optimal_combine_and_evaluate_leave_numpy_ma_unloaded(tmp_path):
         "print(codes, 'numpy.ma' in sys.modules)"
     )
     assert _fresh_python(code, json.dumps(argvs)) == "[0, 0] False"
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # `evaluate ... | head -1`: the reader leaves after one line while the
+    # command still has more tables to print than a pipe holds
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path, horizons=tuple(range(1, 25)),
+                                quantiles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+    windows = [arg for i in range(20) for arg in ("--window", f"w{i}:2017-09:2020-03")]
+    argv = ["evaluate", "--forecasts", fa, fb, "--data", str(tmp_path / "panel.csv"),
+            "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt", "--benchmark", "bvar",
+            "--output-dir", str(tmp_path / "ev"), *windows]
+    import quantvar
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quantvar.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "quantvar.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith("Average quantile scores".encode())
+    assert (rc, err) == (0, b"")
+
+
+def _without_target(path, out):
+    """Write the forecasts of ``path`` with its target column (the first) dropped to ``out``."""
+    s = read_forecasts(path)
+    kept = QuantileForecastSet(s.variable_names[1:], s.model_labels, s.origin_labels, s.model, s.origin,
+                               s.horizon, s.quantile, s.values[:, 1:])
+    write_forecasts(kept, out)
+    return str(out)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report", "combine"])
+def test_a_forecast_file_without_the_target_is_named_with_the_variable(tmp_path, capsys, command):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("model_id,origin,horizon,quantile,variable,value\n")
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt"]
+    bad = str(empty)
+    if command == "evaluate":
+        argv = ["evaluate", "--forecasts", bad, fb, *data, "--output-dir", str(tmp_path / "ev")]
+    elif command == "report":
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+        os.makedirs(tmp_path / "forecasts")
+        bad = str(tmp_path / "forecasts" / "qbvar.csv")
+        os.replace(empty, bad)
+        argv = ["report", "--run-dir", str(tmp_path)]
+    else:
+        # combine reads two aligned files, so both lack the target
+        bad = _without_target(fa, tmp_path / "qbvar_c1.csv")
+        argv = ["combine", "--forecasts-a", bad, "--forecasts-b", _without_target(fb, tmp_path / "bvar_c1.csv"),
+                "--strategy", "performance", *data, "--output", str(tmp_path / "comb.csv")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError", "message": f"forecast file {bad} has no variable 'tgt'"}
+
+
+def test_optimal_combine_at_the_papers_shape_peaks_under_5_mb(tmp_path, capsys):
+    # 206 origins x 12 horizons x 5 levels x 3 variables per file, the paper's
+    # shape; a dict entry and a small array per record would take over 15 MB
+    make_raw_panel(tmp_path, T=243, start="2006-01", n_companions=2)
+    origins = [month_label(month_index("2008-01") + i) for i in range(206)]
+    rng = np.random.default_rng(5)
+    paths = []
+    for model_id in ("qbvar", "bvar"):
+        path = str(tmp_path / f"{model_id}.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["model_id", "origin", "horizon", "quantile", "variable", "value"])
+            for o in origins:
+                for h in range(1, 13):
+                    for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+                        writer.writerows([model_id, o, h, q, v, f"{x:.17g}"]
+                                         for v, x in zip(("tgt", "c1", "c2"), 0.05 * rng.standard_normal(3)))
+        paths.append(path)
+    # a short window keeps the traced weight calls quick; memory does not depend on it
+    argv = ["combine", "--forecasts-a", paths[0], "--forecasts-b", paths[1], "--strategy", "optimal",
+            "--window", "3", "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt",
+            "--model-id", "comb_opt", "--output", str(tmp_path / "comb.csv"),
+            "--weights-output", str(tmp_path / "weights.csv")]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert peak < 5 * 2**20, peak
+    assert len(read_forecasts(str(tmp_path / "comb.csv"))) == 206 * 12 * 5

@@ -234,25 +234,31 @@ def test_weight_curve_shape_and_normalization():
 
 
 def test_weight_series_rows_and_validation():
-    s = CombinationWeightSeries(strategy="performance", window=50)
-    s.set_weight("2010-01", 0.5, 1, 0.75, warmup=False)
-    s.set_weight("2010-02", 0.5, 1, 0.5, warmup=True)
-    assert s.weights[("2010-01", 0.5, 1)] == 0.75
-    rows = s.rows()
-    assert rows[0][0] == "strategy"
-    warm_flags = {r[2]: r[6] for r in rows[1:]}
-    assert warm_flags == {"2010-01": 0, "2010-02": 1}
+    cells = _fset("a", {("2010-02", 1, 0.5): 0.0, ("2010-01", 2, 0.5): 0.0, ("2010-01", 1, 0.9): 0.0})
+    # cells hold (origin, h, q) order; rows list (origin, q, h) order
+    s = CombinationWeightSeries("performance", 50, cells, lam=[0.75, 0.25, 0.5], warmup=[False, False, True])
+    rows = list(s.rows())
+    assert rows == [
+        ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"],
+        ["performance", 50, "2010-01", "0.5", 2, "0.25", 0],
+        ["performance", 50, "2010-01", "0.9", 1, "0.75", 0],
+        ["performance", 50, "2010-02", "0.5", 1, "0.5", 1],
+    ]
     with pytest.raises(CombinationError):
-        s.set_weight("2010-03", 0.5, 1, 1.2, warmup=False)
+        CombinationWeightSeries("performance", 50, cells, lam=[0.5, 1.2, 0.5], warmup=[False] * 3)
+    with pytest.raises(CombinationError):
+        CombinationWeightSeries("performance", 50, cells, lam=[0.5, 0.5], warmup=[False] * 2)
 
 
 def test_combine_weighted_uses_per_cell_weights():
     cells = {("2010-01", 1, 0.5): 2.0, ("2010-02", 1, 0.5): 2.0}
     a = _fset("a", cells)
     b = _fset("b", {k: 10.0 for k in cells})
-    s = CombinationWeightSeries(strategy="optimal", window=75)
-    s.set_weight("2010-01", 0.5, 1, 1.0, warmup=False)
-    s.set_weight("2010-02", 0.5, 1, 0.25, warmup=True)
+    s = CombinationWeightSeries("optimal", 75, a, lam=[1.0, 0.25], warmup=[False, True])
     out = combine_weighted(a, b, s, "comb_opt")
     assert out.get("comb_opt", "2010-01", 1, 0.5)[0] == 2.0
     assert out.get("comb_opt", "2010-02", 1, 0.5)[0] == pytest.approx(8.0)
+    # weights over other cells than the sets' are refused
+    other = _fset("a", {("2010-01", 1, 0.5): 2.0, ("2010-03", 1, 0.5): 2.0})
+    with pytest.raises(CombinationError):
+        combine_weighted(a, b, CombinationWeightSeries("optimal", 75, other, [1.0, 0.25], [False] * 2), "c")

@@ -1,7 +1,13 @@
+import csv
+import io
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantvar.dist import make_rng
 from quantvar.forecast import (
@@ -185,9 +191,8 @@ def test_forecast_csv_roundtrip(tmp_path):
     write_forecasts(fset, path)
     back = read_forecasts(path)
     assert back.variable_names == fset.variable_names
-    assert set(back.records) == set(fset.records)
-    for key, vals in fset.records.items():
-        np.testing.assert_array_equal(back.records[key], vals)  # 17g is lossless
+    assert [k for k, _ in back.items()] == [k for k, _ in fset.items()]
+    np.testing.assert_array_equal(back.values, fset.values)  # 17g is lossless
 
 
 def test_read_forecasts_rejects_bad_header(tmp_path):
@@ -202,15 +207,22 @@ def _write_rows(path, rows):
 
 
 def test_read_forecasts_accepts_rows_in_any_order(tmp_path):
-    # b first appears in the second record, so the first record's vector widens
+    # b first appears in the second record; records come out sorted by key
     path = tmp_path / "fc.csv"
     _write_rows(path, ["m,2010-02,1,0.5,a,1.5", "m,2010-01,2,0.25,b,4.0", "m,2010-01,2,0.25,a,3.0",
                        "m,2010-02,1,0.5,b,2.5"])
     fset = read_forecasts(path)
     assert fset.variable_names == ["a", "b"]
-    assert list(fset.records) == [("m", "2010-02", 1, 0.5), ("m", "2010-01", 2, 0.25)]
+    assert [k for k, _ in fset.items()] == [("m", "2010-01", 2, 0.25), ("m", "2010-02", 1, 0.5)]
     np.testing.assert_array_equal(fset.get("m", "2010-02", 1, 0.5), [1.5, 2.5])
     np.testing.assert_array_equal(fset.get("m", "2010-01", 2, 0.25), [3.0, 4.0])
+
+
+def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
+    path = tmp_path / "fc.csv"
+    _write_rows(path, ["m,2010-01,1,0.5,a,1.0", f"m,2010-01,{2**31},0.5,a,1.0"])
+    with pytest.raises(ValueError, match=r"fc.csv, line 3: horizon must be below 2\*\*31, got 2147483648"):
+        read_forecasts(path)
 
 
 def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
@@ -230,5 +242,49 @@ def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(back.records) == 2400
+    assert len(back) == 2400
     assert peak <= 3.5 * size
+
+
+_LEVELS = (0.1, 0.25, 0.5, 0.9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_read_then_write_gives_the_sorted_file_byte_for_byte(data):
+    # random cells of several models, 1-3 variables, rows in shuffled order:
+    # the read set holds the cells sorted by key, and writing it gives the
+    # same rows sorted (variables in their order of first appearance)
+    names = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    models = data.draw(st.lists(st.sampled_from(["bvar", "comb", "qbvar", "rw"]), min_size=1, max_size=3,
+                                unique=True))
+    cells = sorted(data.draw(st.sets(
+        st.tuples(st.sampled_from(models), st.sampled_from(["2009-12", "2010-01", "2010-02", "2011-07"]),
+                  st.integers(1, 4), st.sampled_from(_LEVELS)),
+        min_size=1, max_size=30)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array([[data.draw(finite) for _ in names] for _ in cells]).reshape(len(cells), len(names))
+    rows = [[m, o, h, f"{q:.10g}", name, f"{v:.17g}"]
+            for (m, o, h, q), vals in zip(cells, values) for name, v in zip(names, vals)]
+    shuffled = data.draw(st.permutations(rows))
+    first_seen = list(dict.fromkeys(row[4] for row in shuffled))
+    slot = [names.index(name) for name in first_seen]
+
+    def csv_bytes(body):
+        fh = io.StringIO(newline="")
+        csv.writer(fh).writerows([["model_id", "origin", "horizon", "quantile", "variable", "value"], *body])
+        return fh.getvalue().encode()
+
+    expected = [[m, o, h, f"{q:.10g}", name, f"{v:.17g}"]
+                for (m, o, h, q), vals in zip(cells, values) for name, v in zip(first_seen, vals[slot])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, back = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+        with open(path, "wb") as fh:
+            fh.write(csv_bytes(shuffled))
+        fset = read_forecasts(path)
+        assert fset.variable_names == first_seen
+        assert [key for key, _ in fset.items()] == cells
+        assert fset.values.tobytes() == values[:, slot].tobytes()
+        write_forecasts(fset, back)
+        with open(back, "rb") as fh:
+            assert fh.read() == csv_bytes(expected)
