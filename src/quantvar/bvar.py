@@ -11,14 +11,19 @@ so its sweep runs through the quantile model's chain driver
 (:func:`quantvar.qbvar.run_gibbs`).
 
 With Z = 1 every observation of series i carries the same weight
-w_i = 1/sigma_i, so X' W X = (X'X) w_i and F' W F = (F'F) w_i, and the
-factor precision sum_i w_i lam_i lam_i' + I is one r x r matrix for every
-period. The sweep therefore passes the (n,) weights to the shared steps:
-they scale one k x k product X'X, computed once per chain, for all series
+w_i = 1/sigma_i, so X' W X = (X'X) w_i, and the factor precision
+sum_i w_i lam_i lam_i' + I is one r x r matrix for every period. The sweep
+therefore passes the (n,) weights to the shared steps: they scale one
+k x k product X'X, computed once per chain, for all series
 (:func:`quantvar.qbvar.weighted_system`) and form one factor precision
-broadcast over T, where the quantile model weighs every observation's
-regressor products per series and needs a precision per period. The
-coefficient draw perturbs every observation of series i by u / sqrt(w_i)
+w @ (Lam ⊗ Lam) + I broadcast over T (:func:`quantvar.qbvar.factor_system`),
+where the quantile model weighs every observation's regressor products per
+series and needs a precision per period. The loading systems repeat each
+w_i along t and take the quantile model's form; the weighted target w D,
+D = Y - X Phi', is formed once per sweep for both factor blocks, and
+Lam F' once after the factor draw, for the residuals and the next sweep's
+coefficient target Y - Lam F'. The coefficient draw perturbs every
+observation of series i by u / sqrt(w_i)
 (:func:`quantvar.qbvar.draw_weighted_regression`). Residuals are
 series-major, (n, T), as in the quantile sweep.
 """
@@ -58,17 +63,23 @@ def run_bvar_chain(
 ) -> tuple[PosteriorDrawSet, ChainDiagnostics]:
     """Gibbs sampler for the Gaussian benchmark; thinned post-burn-in draws."""
     XtX = design.X.T @ design.X
+    LF = None  # Lam F' of the last factor draw
 
     def sweep(state):
         # shared terms once per sweep, as in qbvar.run_chain; with theta = 0
         # and tau2 = 1 the factor target Y - X Phi' - theta Z is D itself,
         # and Z = 1 leaves one weight per series
+        nonlocal LF
+        if LF is None:
+            LF = state.Lam.dot(state.F.T)
         w = 1.0 / state.sigma
-        step_coefficients(design, state, 0.0, w, rng, XtX)
-        D = design.YT - state.Phi @ design.XT
-        step_loadings(state, w, D, rng)
-        step_factors(state, w, D, rng)
-        E = D - state.Lam @ state.F.T if config.r else D
+        step_coefficients(design, state, design.YT - LF, w, rng, XtX)
+        D = design.YT - state.Phi.dot(design.XT)
+        wD = w[:, None] * D
+        step_loadings(state, w, wD, rng)
+        step_factors(state, w, wD, rng)
+        LF = state.Lam.dot(state.F.T)
+        E = D - LF
         step_scales_gaussian(state, E, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)
         return E

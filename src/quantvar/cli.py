@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -292,6 +291,9 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
 
 
 def config_digest(raw: dict) -> str:
+    # imported here so that only run, which hashes its files, loads OpenSSL
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -376,15 +378,17 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
     """{(q, h): (rows, months, known_at, a, b, realizations)} for every level and horizon of ``fc_a``.
 
     The two sets must be aligned, which :func:`aligned_models` checks here,
-    so that their records pair up row by row. ``rows`` are the records of the (q, h)
-    cell in origin order and ``months`` their origins' :func:`month_index`.
+    so that their records pair up row by row; each set's target column is
+    its own, since b may list a's variables in another order. ``rows`` are
+    the records of the (q, h) cell in origin order and ``months`` their
+    origins' :func:`month_index`.
     The other four cover the records whose h-step realization is observed:
     ``known_at`` holds the months they are observed in, and the last three
     the target's forecasts by a and by b and its realizations. All six are
     arrays, and one :func:`realizations` lookup serves every record.
     """
     aligned_models(fc_a, fc_b)
-    col = fc_a.variable_names.index(target)
+    col_a, col_b = (fset.variable_names.index(target) for fset in (fc_a, fc_b))
     months = origin_months(fc_a)
     observed, realized = realizations(tpanel, target)(months, fc_a.horizon)
     histories = {}
@@ -393,7 +397,7 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
             rows = np.flatnonzero((fc_a.quantile == q) & (fc_a.horizon == h))
             seen = rows[observed[rows]]
             histories[(q, h)] = (rows, months[rows], months[seen] + h,
-                                 fc_a.values[seen, col], fc_b.values[seen, col], realized[seen])
+                                 fc_a.values[seen, col_a], fc_b.values[seen, col_b], realized[seen])
     return histories
 
 
@@ -457,6 +461,9 @@ def _write_json(path, obj) -> None:
 
 
 def _sha256_file(path) -> str:
+    # imported here so that only run, which hashes its files, loads OpenSSL
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -489,6 +496,11 @@ def _sample_shared(payloads, workers: int) -> list:
     """
     # imported here so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    # a chain's first derive_rng imports numpy.random, and with it secrets,
+    # hmac and hashlib's OpenSSL; imported before the pool forks, they are
+    # built once and shared with the workers rather than once per process
+    import numpy.random  # noqa: F401
 
     stride = workers + 1
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -57,16 +57,24 @@ def aligned_models(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> tupl
     """(a's model id, b's model id) of two sets to combine.
 
     Raises CombinationError unless each set holds one model and both cover
-    the same variables and (origin, h, q) cells. Their records then pair
-    up row by row.
+    the same variables, in any order, and the same (origin, h, q) cells.
+    Their records then pair up row by row, and their value columns by
+    variable name (:func:`values_in_order`).
     """
-    if fc_a.variable_names != fc_b.variable_names:
+    if sorted(fc_a.variable_names) != sorted(fc_b.variable_names):
         raise CombinationError("forecast sets cover different variables")
     a_id, b_id = _single_model(fc_a), _single_model(fc_b)
     differing = _cell_difference(fc_a, fc_b)
     if differing:
         raise CombinationError(f"forecast sets misaligned on {differing} cells")
     return a_id, b_id
+
+
+def values_in_order(fset: QuantileForecastSet, names) -> np.ndarray:
+    """``fset.values`` with its columns in the order of ``names``, a permutation of its variables."""
+    if fset.variable_names == list(names):
+        return fset.values
+    return fset.values[:, [fset.variable_names.index(name) for name in names]]
 
 
 def performance_weight(scores_a, scores_b, S: int) -> tuple[float, bool]:
@@ -192,11 +200,11 @@ def combine_weighted(
     series: CombinationWeightSeries,
     model_id: str,
 ) -> QuantileForecastSet:
-    """Cellwise lam * a + (1 - lam) * b with the series' per-(origin, q, h) weights."""
+    """Cellwise lam * a + (1 - lam) * b with the series' per-(origin, q, h) weights, in a's variable order."""
     aligned_models(fc_a, fc_b)
     if _cell_difference(series.cells, fc_a):
         raise CombinationError("weight series and forecast sets cover different cells")
     lam = series.lam[:, None]
-    values = lam * fc_a.values + (1.0 - lam) * fc_b.values
+    values = lam * fc_a.values + (1.0 - lam) * values_in_order(fc_b, fc_a.variable_names)
     return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.origin_labels, fc_a.model, fc_a.origin,
                                fc_a.horizon, fc_a.quantile, values)

@@ -19,15 +19,25 @@ unit-variance normal priors and factors a standard normal prior. Given the
 other blocks, the coefficient rows, the loading rows and the factor vectors
 f_t are each independent, so every Gibbs step is one draw batched over rows.
 The coefficient rows are drawn by perturb-then-solve
-(:func:`draw_weighted_regression`), one solve and no factorisation; the
-r x r loading and factor blocks use
-:func:`quantvar.dist.draw_from_precision_system`. Each series' precision
-X' W_i X = sum_t w_it x_t x_t' is read from one table of the regressor
-products x_ta x_tb, a <= b, that a chain builds once (:func:`gram_table`,
-T k(k+1)/2 8 bytes: 1.9 MB at (T, k) = (200, 49), about 23 MB at
-(600, 97)), as P = (W @ products).take(index) for all n series at once.
-A sweep keeps its per-observation arrays (mixture variables, weights,
-factor target, residuals) series-major, (n, T), and reads the design's
+(:func:`draw_weighted_regression`), one solve and no factorisation. Each
+series' precision X' W_i X = sum_t w_it x_t x_t' is read from one table of
+the regressor products x_ta x_tb, a <= b, that a chain builds once
+(:func:`gram_table`, T k(k+1)/2 8 bytes: 1.9 MB at (T, k) = (200, 49),
+about 23 MB at (600, 97)), as P = (W @ products).take(index) for all n
+series at once. The r x r loading and factor blocks use
+:func:`quantvar.dist.draw_from_precision_system` on systems of one product
+form (:func:`factor_system`), built from the row-wise outer products of
+their regressors and the weighted factor target W R, R = Y - X Phi' - theta Z:
+
+    loadings  P = W @ (F ⊗ F) + I,     rhs = (W R) @ F,
+    factors   P = W' @ (Lam ⊗ Lam) + I, rhs = (W R)' @ Lam,
+
+one matrix product each for every row or period at once. A sweep builds
+each term its steps share once: tau2 sigma (the weights and the latent
+step), theta Z (the coefficient and factor targets), W R (both factor
+blocks) and Lam F' after the factor draw (the residuals and the next
+sweep's coefficient target Y - theta Z - Lam F'). It keeps its
+per-observation arrays series-major, (n, T), and reads the design's
 contiguous transposes ``YT`` and ``XT``, so every sum over t runs along
 contiguous memory. :func:`run_gibbs` drives a chain of this model and of
 the Gaussian benchmark in ``bvar``.
@@ -188,13 +198,15 @@ def weighted_system(X, y, weights, prior_prec_diag, table=None):
     if w.ndim < y.ndim:
         XtX = X.T @ X if table is None else table
         P = XtX * w[..., None, None]
-        rhs = (y @ X) * w[..., None]
+        rhs = y.dot(X) * w[..., None]
     else:
         products, index = gram_table(X) if table is None else table
-        P = (w @ products).take(index, axis=-1)
-        rhs = (w * y) @ X
-    diagonal = np.einsum("...ii->...i", P)  # a writable view, cheaper than fancy indexing
-    diagonal += prior_prec_diag
+        P = w.dot(products).take(index, axis=-1)
+        rhs = (w * y).dot(X)
+    # the diagonals, a strided view of the flattened stack, which is a view
+    # of the new P; einsum's "...ii->...i" view costs about 3 us a call
+    k = P.shape[-1]
+    P.reshape(P.shape[:-2] + (k * k,))[..., :: k + 1] += prior_prec_diag
     return P, rhs
 
 
@@ -232,66 +244,78 @@ def draw_weighted_regression(X, y, weights, prior_prec_diag, rng, table=None):
     return np.linalg.solve(P, rhs[..., None])[..., 0]
 
 
-def step_coefficients(design, state, theta, W, rng, table=None) -> None:
+def step_coefficients(design, state, target, W, rng, table=None) -> None:
     """Draw all coefficient rows from their normal full conditionals.
 
-    W holds the observation weights 1/(tau2 sigma_i z_it), (n, T), or the
-    Gaussian model's per-series weights 1/sigma_i, (n,) (see
+    ``target`` is the coefficient part of the data, Y - theta Z - Lam F',
+    (n, T). W holds the observation weights 1/(tau2 sigma_i z_it), (n, T),
+    or the Gaussian model's per-series weights 1/sigma_i, (n,) (see
     :func:`weighted_system`); ``table`` is the chain's table of the design's
     regressor products for that weight form. The rows are independent given
     the other blocks, so they are drawn in one batched perturb-then-solve
     call (:func:`draw_weighted_regression`).
     """
-    Ytil = design.YT - theta * state.Z
-    if state.Lam.shape[1]:
-        Ytil -= state.Lam @ state.F.T
     prior_prec = 1.0 / (state.psi**2 * state.kappa**2)
-    state.Phi[:] = draw_weighted_regression(design.X, Ytil, W, prior_prec, rng, table)
+    state.Phi[:] = draw_weighted_regression(design.X, target, W, prior_prec, rng, table)
 
 
-def step_loadings(state, W, R, rng) -> None:
+def factor_system(A, W, WR):
+    """Precision and linear term of a stack of r x r systems with prior N(0, I).
+
+    A (m, r) holds the regressors of the m terms each system sums over,
+    W (..., m) their weights and WR (..., m) their weighted targets, W times
+    the target. Then P = W @ (A ⊗ A) + I, where A ⊗ A (m, r r) holds the
+    row-wise outer products a_j a_j', and rhs = WR @ A: one matrix product
+    each for the whole stack, P exactly symmetric. The loadings are
+    factor_system(F, W, WR), summing over t, with P (n, r, r); the factors
+    factor_system(Lam, W.T, WR.T), summing over series, with P (T, r, r).
+    Weights constant along each series, W (n,), give the factors one
+    precision P (r, r) shared by every period, which
+    :func:`quantvar.dist.draw_from_precision_system` broadcasts over rhs.
+    """
+    # a.dot(b) is the BLAS product of a @ b, bit for bit, with half a
+    # microsecond less call overhead
+    m, r = A.shape
+    P = W.dot((A[:, :, None] * A[:, None, :]).reshape(m, r * r))
+    P[..., :: r + 1] += 1.0  # the diagonals of the flattened stack
+    return P.reshape(P.shape[:-1] + (r, r)), WR.dot(A)
+
+
+def step_loadings(state, W, WR, rng) -> None:
     """Draw all loading rows in one batched call; prior is N(0, I) on every row.
 
-    R is the target of the factor part, Y - X Phi' - theta Z, (n, T); W is
-    as in :func:`step_coefficients`.
+    W is as in :func:`step_coefficients` and WR is W times the target of the
+    factor part, Y - X Phi' - theta Z, (n, T). The systems are
+    :func:`factor_system` of the factors; weights constant along each
+    series, W (n,), are repeated along t.
     """
     if state.Lam.shape[1] == 0:
         return
-    P, rhs = weighted_system(state.F, R, W, 1.0)
+    if W.ndim < WR.ndim:
+        W = W[:, None].repeat(WR.shape[1], axis=1)
+    P, rhs = factor_system(state.F, W, WR)
     state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
 
 
-def factor_precision(Lam, W, R):
-    """Batched precision systems (P (T, r, r), rhs (T, r)) of the factors.
+def step_factors(state, W, WR, rng) -> None:
+    """Draw all factor vectors jointly across t (batched r x r systems).
 
-    Each f_t is N(P_t^-1 rhs_t, P_t^-1), combining the loadings weighted by
-    W = 1/(tau2 sigma_i z_it), (n, T), with the standard-normal prior; R is
-    Y - X Phi' - theta Z, (n, T). Weights constant along each series, W (n,),
-    give one precision P (r, r) shared by every period, which
-    :func:`quantvar.dist.draw_from_precision_system` broadcasts over rhs.
+    W and WR are those of :func:`step_loadings`: the systems are
+    :func:`factor_system` of the loadings, summed over series.
     """
-    P = np.einsum("ia,i...,ib->...ab", Lam, W, Lam)
-    diagonal = np.einsum("...ii->...i", P)
-    diagonal += 1.0
-    WR = (W if W.ndim == R.ndim else W[:, None]) * R
-    rhs = np.einsum("ia,it->ta", Lam, WR)
-    return P, rhs
-
-
-def step_factors(state, W, R, rng) -> None:
-    """Draw all factor vectors jointly across t (batched r x r systems)."""
     if state.Lam.shape[1] == 0:
         return
-    P, rhs = factor_precision(state.Lam, W, R)
+    P, rhs = factor_system(state.Lam, W.T, WR.T)
     state.F, _ = draw_from_precision_system(P, rhs, rng)
 
 
-def step_latent(state, E, theta, tau2, rng) -> None:
-    """Draw mixture variables z_it ~ GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2).
+def step_latent(state, E, theta, s, rng) -> None:
+    """Draw mixture variables z_it ~ GIG(1/2, e^2/s_i, theta^2/s_i + 2), s_i = tau2 sigma_i.
 
-    E holds the regression residuals Y - X Phi' - F Lam', (n, T).
+    E holds the regression residuals Y - X Phi' - F Lam', (n, T), and s the
+    scales tau2 sigma_i as a column, (n, 1), which the sweep's weights
+    1/(s_i z_it) share.
     """
-    s = (tau2 * state.sigma)[:, None]
     a = E * E
     a /= s
     z = draw_gig_half(a, theta**2 / s + 2.0, rng)
@@ -443,26 +467,38 @@ def run_chain(
     """Run the six-step Gibbs sampler and return thinned post-burn-in draws.
 
     Sweep order per iteration: coefficients, loadings, factors, mixture
-    variables, scales, shrinkage. The weights, the factor target and the
-    residuals are computed once per sweep and passed to the steps that
+    variables, scales, shrinkage. The terms the steps share (see the module
+    docstring) are computed once per sweep and passed to the steps that
     read them; the table of the design's regressor products
     (:func:`gram_table`) once per chain.
     """
     theta, tau2 = config.level.theta, config.level.tau2
     table = gram_table(design.X)
+    LF = None  # Lam F' of the last factor draw
 
     def sweep(state):
-        # terms shared by the steps, each built once: W until sigma and Z
-        # move (latent and scale steps), Y - X Phi' once Phi is drawn, and
-        # the residuals E once the factors are drawn
-        W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
-        step_coefficients(design, state, theta, W, rng, table)
-        D = design.YT - state.Phi @ design.XT
-        R = D - theta * state.Z
-        step_loadings(state, W, R, rng)
-        step_factors(state, W, R, rng)
-        E = D - state.Lam @ state.F.T if config.r else D
-        step_latent(state, E, theta, tau2, rng)
+        # terms shared by the steps, each built once: tau2 sigma, W and
+        # theta Z until sigma and Z move (latent and scale steps), Y - X Phi'
+        # once Phi is drawn, W R for both factor blocks, and Lam F' once the
+        # factors are drawn, for the residuals E and the next sweep's
+        # coefficient target
+        nonlocal LF
+        if LF is None:
+            LF = state.Lam.dot(state.F.T)
+        s = tau2 * state.sigma[:, None]
+        W = 1.0 / (s * state.Z)
+        thetaZ = theta * state.Z
+        target = design.YT - thetaZ
+        target -= LF
+        step_coefficients(design, state, target, W, rng, table)
+        D = design.YT - state.Phi.dot(design.XT)
+        WR = D - thetaZ
+        WR *= W
+        step_loadings(state, W, WR, rng)
+        step_factors(state, W, WR, rng)
+        LF = state.Lam.dot(state.F.T)
+        E = D - LF
+        step_latent(state, E, theta, s, rng)
         step_scales(state, E, theta, tau2, config.a_sigma, config.b_sigma, rng)
         step_shrinkage(state, rng)
         return E

@@ -8,7 +8,7 @@ import pytest
 from quantvar.combine import combination_objective
 from quantvar.data import month_index, month_label
 from quantvar.forecast import QuantileForecastSet, write_forecasts
-from quantvar.qbvar import factor_precision
+from quantvar.qbvar import factor_system
 
 
 def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
@@ -125,10 +125,10 @@ def experiment_dir(tmp_path):
 
 
 def factor_systems(design, state, theta, tau2):
-    """``factor_precision`` at the current state, W and R built from it, series-major (n, T)."""
+    """The factors' ``factor_system`` at the current state, W and R built from it, series-major (n, T)."""
     W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
     R = design.YT - state.Phi @ design.XT - theta * state.Z
-    return factor_precision(state.Lam, W, R)
+    return factor_system(state.Lam, W.T, (W * R).T)
 
 
 def optimal_weight_grid(fc_a, fc_b, realized, quantile: float, S: int, step: float = 1e-4):

@@ -526,6 +526,29 @@ def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys
     assert capsys.readouterr().out == report(out) + "\n"
 
 
+def test_combine_reads_b_with_its_variables_in_another_order(tmp_path):
+    # b's body rows reversed also reverse its variable order, since variables
+    # take their order of first appearance; combine pairs the columns by name
+    # and writes the run's combination byte for byte
+    cfg, raw = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2)
+    run_recursive(cfg, raw)
+    fdir = os.path.join(cfg.output_dir, "forecasts")
+    header, *body = open(os.path.join(fdir, "bvar.csv")).read().splitlines(keepends=True)
+    reversed_b = tmp_path / "bvar_reversed.csv"
+    reversed_b.write_text(header + "".join(body[::-1]))
+    assert read_forecasts(str(reversed_b)).variable_names == ["c1", "tgt"]
+    model_id, _, window = next(c for c in cfg.combinations if c[1] == "performance")
+    got = tmp_path / "comb.csv"
+    rc = main(
+        ["combine", "--forecasts-a", os.path.join(fdir, "qbvar.csv"), "--forecasts-b", str(reversed_b),
+         "--strategy", "performance", "--window", str(window), "--data", str(tmp_path / "panel.csv"),
+         "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt", "--model-id", model_id,
+         "--output", str(got)]
+    )
+    assert rc == 0
+    assert got.read_bytes() == open(os.path.join(fdir, f"{model_id}.csv"), "rb").read()
+
+
 def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, capsys):
     cfg, raw = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2, combinations=[])
     run_recursive(cfg, raw)
@@ -1201,6 +1224,25 @@ def test_optimal_combine_and_evaluate_leave_numpy_ma_unloaded(tmp_path):
         "print(codes, 'numpy.ma' in sys.modules)"
     )
     assert _fresh_python(code, json.dumps(argvs)) == "[0, 0] False"
+
+
+def test_evaluate_leaves_openssl_unloaded(tmp_path):
+    # only run hashes files (its manifest), so only run imports hashlib, whose
+    # OpenSSL library adds about 3.4 MB to a process's resident memory
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    argv = ["evaluate", "--forecasts", fa, fb, "--data", str(tmp_path / "panel.csv"),
+            "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt",
+            "--window", "mid:2017-11:2018-02", "--benchmark", "bvar",
+            "--output-dir", str(tmp_path / "ev")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quantvar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(json.loads(sys.argv[1]))\n"
+        "print(rc, '_hashlib' in sys.modules)"
+    )
+    assert _fresh_python(code, json.dumps(argv)) == "0 False"
 
 
 def test_a_closed_stdout_ends_the_command_quietly(tmp_path):

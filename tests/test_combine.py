@@ -60,6 +60,22 @@ def test_combine_fixed_validation():
         _fixed(two, b, 0.5)
 
 
+def test_combine_pairs_variables_by_name():
+    # b may list a's variables in another order: the values pair up by name
+    # and the output keeps a's order; another set of variables is refused
+    def one_record(model, names, values):
+        fset = QuantileForecastSet(variable_names=names)
+        fset.add(model, "2010-01", 1, 0.5, np.array(values))
+        return fset
+
+    a = one_record("a", ["x", "y"], [1.0, 2.0])
+    out = _fixed(a, one_record("b", ["y", "x"], [20.0, 10.0]), 0.5)
+    assert out.variable_names == ["x", "y"]
+    np.testing.assert_array_equal(out.get("comb_fixed", "2010-01", 1, 0.5), [5.5, 11.0])
+    with pytest.raises(CombinationError):
+        _fixed(a, one_record("b", ["y", "z"], [20.0, 10.0]), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # performance weights
 

@@ -19,7 +19,7 @@ from quantvar.qbvar import (
     QbvarState,
     QuantileLevel,
     draw_weighted_regression,
-    factor_precision,
+    factor_system,
     gram_table,
     init_state,
     run_chain,
@@ -196,7 +196,8 @@ def test_batched_steps_match_per_row_reference(r):
         P, rhs = weighted_system(X, ytil + u[i] / np.sqrt(w), w, prior)
         ref[i] = np.linalg.solve(P, rhs + np.sqrt(prior) * v[i])
     W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
-    step_coefficients(design, state, theta, W, make_rng(40))
+    target = design.YT - theta * state.Z - state.Lam @ state.F.T
+    step_coefficients(design, state, target, W, make_rng(40))
     np.testing.assert_allclose(state.Phi, ref, rtol=0, atol=1e-12)
 
     rng = make_rng(41)
@@ -207,7 +208,7 @@ def test_batched_steps_match_per_row_reference(r):
         P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
         ref[i], _ = draw_from_precision_system(P, rhs, rng)
     R = design.YT - state.Phi @ design.XT - theta * state.Z
-    step_loadings(state, W, R, make_rng(41))
+    step_loadings(state, W, W * R, make_rng(41))
     np.testing.assert_allclose(state.Lam, ref, rtol=0, atol=1e-12)
 
     rng = make_rng(42)
@@ -216,7 +217,7 @@ def test_batched_steps_match_per_row_reference(r):
     if r:
         for t in range(Y.shape[0]):
             ref[t], _ = draw_from_precision_system(P[t], rhs[t], rng)
-    step_factors(state, W, R, make_rng(42))
+    step_factors(state, W, W * R, make_rng(42))
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
 
 
@@ -283,8 +284,8 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
     These are the step formulas from before the sweep shared its terms, on
     series-major (n, T) arrays; the Gaussian model is theta = 0, tau2 = 1
     with a conjugate scale draw, and its Z = 1 leaves one weight 1/sigma_i
-    per series, so its systems take the (n,) weight form and one factor
-    precision for every period. The coefficients are drawn by
+    per series, so its systems take the (n,) weight form (the loadings
+    repeat it along t) and one factor precision for every period. The coefficients are drawn by
     perturb-then-solve: u / sqrt(w) added to every observation, then
     sqrt(prior) v to the linear term, then one solve.
     """
@@ -312,14 +313,17 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
     state.Phi[:] = np.linalg.solve(P, rhs[..., None])[..., 0]
     if r:
         W = weights()
-        Ytil = YT - state.Phi @ XT - theta * state.Z
-        P, rhs = weighted_system(state.F, Ytil, W, np.ones(r))
-        state.Lam[:], _ = draw_from_precision_system(P, rhs, rng)
+        T = YT.shape[1]
+        W_t = np.repeat(W[:, None], T, axis=1) if gaussian else W
+        R = YT - state.Phi @ XT - theta * state.Z
+        FF = (state.F[:, :, None] * state.F[:, None, :]).reshape(T, r * r)
+        P = (W_t @ FF).reshape(-1, r, r) + np.eye(r)
+        state.Lam[:], _ = draw_from_precision_system(P, (W_t * R) @ state.F, rng)
         W = weights()
         R = YT - state.Phi @ XT - theta * state.Z
-        P = np.einsum("ia,i,ib->ab" if gaussian else "ia,it,ib->tab", state.Lam, W, state.Lam)
-        P[..., np.arange(r), np.arange(r)] += 1.0
-        rhs = np.einsum("ia,it->ta", state.Lam, (W[:, None] if gaussian else W) * R)
+        LL = (state.Lam[:, :, None] * state.Lam[:, None, :]).reshape(-1, r * r)
+        P = (W.T @ LL).reshape(W.T.shape[:-1] + (r, r)) + np.eye(r)
+        rhs = ((W[:, None] if gaussian else W) * R).T @ state.Lam
         state.F, _ = draw_from_precision_system(P, rhs, rng)
     T = YT.shape[1]
     if gaussian:
@@ -454,8 +458,8 @@ def test_constant_weights_read_a_cached_gram_matrix_bit_for_bit():
 
 
 def test_run_chain_builds_the_designs_table_once(monkeypatch):
-    # the design's table once per chain; the loading block's table of the
-    # factors, which change every sweep, once per sweep
+    # the design's table once per chain, and no other: the loading block
+    # sums the factors' products with one matrix product (factor_system)
     calls = []
     build = qbvar.gram_table
 
@@ -467,8 +471,7 @@ def test_run_chain_builds_the_designs_table_once(monkeypatch):
     design = build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
     sched = McmcSchedule(25, 5, 2)
     run_chain(design, QbvarConfig(p=1, r=1, quantile=0.25, schedule=sched), make_rng(2))
-    assert sum(X is design.X for X in calls) == 1
-    assert len(calls) == 1 + sched.iterations
+    assert len(calls) == 1 and calls[0] is design.X
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -481,8 +484,9 @@ def test_gaussian_factor_draw_shares_one_precision(r):
     w = 1.0 / state.sigma
     D = design.YT - state.Phi @ design.XT
     T = D.shape[1]
-    P, rhs = factor_precision(state.Lam, w, D)
-    P_t, rhs_t = factor_precision(state.Lam, np.broadcast_to(w[:, None], D.shape), D)
+    wD = w[:, None] * D
+    P, rhs = factor_system(state.Lam, w, wD.T)
+    P_t, rhs_t = factor_system(state.Lam, np.broadcast_to(w[:, None], D.shape).T, wD.T)
     assert P.shape == (r, r) and rhs.shape == (T, r)
     np.testing.assert_allclose(P_t, np.broadcast_to(P, P_t.shape), rtol=1e-12)
     np.testing.assert_allclose(rhs, rhs_t, rtol=1e-12)
@@ -490,8 +494,48 @@ def test_gaussian_factor_draw_shares_one_precision(r):
     ref = np.empty_like(state.F)
     for t in range(T):
         ref[t], _ = draw_from_precision_system(P_t[t], rhs_t[t], rng)
-    step_factors(state, w, D, make_rng(44))
+    step_factors(state, w, wD, make_rng(44))
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("per_column", [False, True])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_factor_blocks_draw_from_the_plain_sums(monkeypatch, r, per_column):
+    # the systems both steps pass to the draw, in both weight forms, against
+    # the plain sums; every term is positive, so any order of a sum agrees
+    # with them to a relative (number of terms) eps
+    systems = []
+
+    def capture(P, rhs, rng):
+        systems.append((P, rhs))
+        return draw_from_precision_system(P, rhs, rng)
+
+    monkeypatch.setattr(qbvar, "draw_from_precision_system", capture)
+    design = _toy_design(seed=29, T=50, n=4, p=1)
+    state = _fixed_state(design, r=r)
+    g = np.random.default_rng(r)
+    n, T = design.YT.shape
+    F, Lam = g.uniform(0.5, 2.0, size=(T, r)), g.uniform(0.5, 2.0, size=(n, r))
+    R = g.uniform(0.5, 2.0, size=(n, T))
+    W = g.uniform(0.1, 5.0, size=n if per_column else (n, T))
+    W_t = np.repeat(W[:, None], T, axis=1) if per_column else W
+    state.F, state.Lam = F.copy(), Lam.copy()
+    step_loadings(state, W, W_t * R, make_rng(0))
+    state.Lam = Lam.copy()
+    step_factors(state, W, W_t * R, make_rng(1))
+    (P_load, rhs_load), (P_fac, rhs_fac) = systems
+    eye = np.eye(r)
+    np.testing.assert_allclose(
+        P_load, [sum(W_t[i, t] * np.outer(F[t], F[t]) for t in range(T)) + eye for i in range(n)], rtol=1e-13)
+    np.testing.assert_allclose(
+        rhs_load, [sum(W_t[i, t] * R[i, t] * F[t] for t in range(T)) for i in range(n)], rtol=1e-13)
+    # constant weights give every period the same factor precision, passed once
+    assert P_fac.shape == ((r, r) if per_column else (T, r, r))
+    np.testing.assert_allclose(
+        np.broadcast_to(P_fac, (T, r, r)),
+        [sum(W_t[i, t] * np.outer(Lam[i], Lam[i]) for i in range(n)) + eye for t in range(T)], rtol=1e-13)
+    np.testing.assert_allclose(
+        rhs_fac, [sum(W_t[i, t] * R[i, t] * Lam[i] for i in range(n)) for t in range(T)], rtol=1e-13)
 
 
 @pytest.mark.parametrize("per_column", [False, True])
@@ -503,11 +547,12 @@ def test_factor_systems_without_factors(per_column):
     W = 1.0 / state.sigma if per_column else 1.0 / (state.sigma[:, None] * state.Z)
     D = design.YT - state.Phi @ design.XT
     T = D.shape[1]
-    P, rhs = factor_precision(state.Lam, W, D)
+    WD = (W[:, None] if per_column else W) * D
+    P, rhs = factor_system(state.Lam, W.T, WD.T)
     assert P.shape == ((0, 0) if per_column else (T, 0, 0)) and rhs.shape == (T, 0)
     rng = make_rng(3)
-    step_loadings(state, W, D, rng)
-    step_factors(state, W, D, rng)
+    step_loadings(state, W, WD, rng)
+    step_factors(state, W, WD, rng)
     assert state.Lam.shape == (3, 0) and state.F.shape == (T, 0)
     assert rng.bit_generator.state == make_rng(3).bit_generator.state
 
@@ -527,7 +572,7 @@ def test_step_latent_respects_floor_and_conditional_moments():
     rng = make_rng(123)
     draws = []
     for _ in range(4000):
-        step_latent(state, E, level.theta, level.tau2, rng)
+        step_latent(state, E, level.theta, level.tau2 * state.sigma[:, None], rng)
         draws.append(state.Z[i, t])
         state.Z = np.ones_like(state.Z)  # residuals don't depend on Z; reset
     assert np.all(np.array(draws) >= 1e-12)
@@ -583,7 +628,7 @@ def test_step_scales_concentrates_on_true_scale():
     kept = []
     E = design.YT - state.Phi @ design.XT  # the coefficients stay pinned
     for it in range(300):
-        step_latent(state, E, level.theta, level.tau2, rng)
+        step_latent(state, E, level.theta, level.tau2 * state.sigma[:, None], rng)
         step_scales(state, E, level.theta, level.tau2, 3.0, 1.0, rng)
         if it >= 100:
             kept.append(state.sigma.copy())
@@ -596,7 +641,8 @@ def test_step_shrinkage_keeps_scales_positive():
     state = _fixed_state(design, r=1)
     rng = make_rng(19)
     for _ in range(50):
-        step_coefficients(design, state, 0.0, 1.0 / (8.0 * state.sigma[:, None] * state.Z), rng)
+        step_coefficients(design, state, design.YT - state.Lam @ state.F.T,
+                          1.0 / (8.0 * state.sigma[:, None] * state.Z), rng)
         step_shrinkage(state, rng)
         assert np.all(state.psi > 0) and np.all(np.isfinite(state.psi))
         assert state.kappa > 0 and np.isfinite(state.kappa)
