@@ -32,7 +32,7 @@ from . import __version__
 from .bvar import BvarConfig, run_bvar_chain
 from .combine import (
     CombinationWeightSeries,
-    aligned_models,
+    aligned_values,
     combination_objective,
     combine_weighted,
     optimal_weight,
@@ -377,18 +377,16 @@ def _origin_blocks(results) -> list:
 def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
     """{(q, h): (rows, months, known_at, a, b, realizations)} for every level and horizon of ``fc_a``.
 
-    The two sets must be aligned, which :func:`aligned_models` checks here,
-    so that their records pair up row by row; each set's target column is
-    its own, since b may list a's variables in another order. ``rows`` are
-    the records of the (q, h) cell in origin order and ``months`` their
-    origins' :func:`month_index`.
+    :func:`aligned_values` pairs b's records and variables with a's, and
+    refuses two sets that cannot be paired. ``rows`` are the records of the
+    (q, h) cell in origin order and ``months`` their origins' :func:`month_index`.
     The other four cover the records whose h-step realization is observed:
     ``known_at`` holds the months they are observed in, and the last three
     the target's forecasts by a and by b and its realizations. All six are
     arrays, and one :func:`realizations` lookup serves every record.
     """
-    aligned_models(fc_a, fc_b)
-    col_a, col_b = (fset.variable_names.index(target) for fset in (fc_a, fc_b))
+    b_values = aligned_values(fc_a, fc_b)
+    col = fc_a.variable_names.index(target)
     months = origin_months(fc_a)
     observed, realized = realizations(tpanel, target)(months, fc_a.horizon)
     histories = {}
@@ -397,7 +395,7 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
             rows = np.flatnonzero((fc_a.quantile == q) & (fc_a.horizon == h))
             seen = rows[observed[rows]]
             histories[(q, h)] = (rows, months[rows], months[seen] + h,
-                                 fc_a.values[seen, col_a], fc_b.values[seen, col_b], realized[seen])
+                                 fc_a.values[seen, col], b_values[seen, col], realized[seen])
     return histories
 
 
@@ -409,11 +407,12 @@ def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
     of ``histories`` (from :func:`_histories`) whose realizations are
     observed by t (see combine.py), one weight call per (q, h, origin) cell.
     """
+    b_values = aligned_values(fc_a, fc_b)
     n = len(fc_a)
     warmup = np.zeros(n, dtype=bool)
     if strategy == "fixed":
         series = CombinationWeightSeries("fixed", None, fc_a, np.full(n, setting, dtype=float), warmup)
-        return combine_weighted(fc_a, fc_b, series, model_id), series
+        return combine_weighted(fc_a, b_values, series.lam, model_id), series
     rows, lams, warms = [np.empty(0, dtype=np.intp)], [], []
     for (q, h), (cell, months, known_at, fa, fb, ys) in histories.items():
         if strategy == "performance":
@@ -432,7 +431,7 @@ def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
     lam, cells = np.full(n, np.nan), np.concatenate(rows)
     lam[cells], warmup[cells] = lams, warms
     series = CombinationWeightSeries(strategy, setting, fc_a, lam, warmup)
-    return combine_weighted(fc_a, fc_b, series, model_id), series
+    return combine_weighted(fc_a, b_values, series.lam, model_id), series
 
 
 def _aborted(results, n_origins: int) -> dict:
@@ -780,13 +779,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_combine(args) -> int:
     fc_a = read_forecasts(args.forecasts_a)
     fc_b = read_forecasts(args.forecasts_b)
-    aligned_models(fc_a, fc_b)
     histories, setting = None, args.lam
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
         tpanel = _load_panel(args.data, args.tcodes, [args.target])
-        _require_target(fc_a, args.target, args.forecasts_a)  # aligned, so b has a's variables
+        _require_target(fc_a, args.target, args.forecasts_a)  # _histories checks that b has a's variables
         histories = _histories(fc_a, fc_b, tpanel, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)

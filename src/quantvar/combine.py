@@ -11,10 +11,11 @@ Three weighting strategies for q_comb = lam * q_a + (1 - lam) * q_b:
 
 Until S scored origins have accumulated, both adaptive strategies fall
 back to lam = 0.5 and flag the origin as warm-up. Every strategy is applied
-by :func:`combine_weighted` from a :class:`CombinationWeightSeries`; a fixed
-weight is a series that holds lam in every cell. A series holds its weights
-as an array aligned with the records of the sets it combines, so that the
-combination is one broadcast over their value arrays.
+by :func:`combine_weighted` from the weights of a
+:class:`CombinationWeightSeries`; a fixed weight is a series that holds lam
+in every cell. A series holds its weights as an array aligned with a's
+records, and :func:`aligned_values` gives b's values in the same order, so
+that the combination is one broadcast over the two value arrays.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ from .forecast import QuantileForecastSet, column_rows, group_starts
 
 class CombinationError(ValueError):
     pass
-
-
-def _single_model(fset: QuantileForecastSet) -> str:
-    ids = fset.model_ids()
-    if len(ids) != 1:
-        raise CombinationError(f"expected exactly one model id, found {ids}")
-    return ids[0]
 
 
 def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> int:
@@ -53,28 +47,24 @@ def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> in
     return len(fc_a) + len(fc_b) - 2 * shared
 
 
-def aligned_models(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> tuple[str, str]:
-    """(a's model id, b's model id) of two sets to combine.
+def aligned_values(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> np.ndarray:
+    """b's values paired with a's: in a's record order and a's variable order.
 
     Raises CombinationError unless each set holds one model and both cover
-    the same variables, in any order, and the same (origin, h, q) cells.
-    Their records then pair up row by row, and their value columns by
-    variable name (:func:`values_in_order`).
+    the same variables, in any order, and the same (origin, h, q) cells;
+    their records, each sorted by key, then pair up row by row.
     """
     if sorted(fc_a.variable_names) != sorted(fc_b.variable_names):
         raise CombinationError("forecast sets cover different variables")
-    a_id, b_id = _single_model(fc_a), _single_model(fc_b)
+    for fset in (fc_a, fc_b):
+        if len(fset.model_labels) != 1:
+            raise CombinationError(f"expected exactly one model id, found {fset.model_labels}")
     differing = _cell_difference(fc_a, fc_b)
     if differing:
         raise CombinationError(f"forecast sets misaligned on {differing} cells")
-    return a_id, b_id
-
-
-def values_in_order(fset: QuantileForecastSet, names) -> np.ndarray:
-    """``fset.values`` with its columns in the order of ``names``, a permutation of its variables."""
-    if fset.variable_names == list(names):
-        return fset.values
-    return fset.values[:, [fset.variable_names.index(name) for name in names]]
+    if fc_b.variable_names == fc_a.variable_names:
+        return fc_b.values
+    return fc_b.values[:, [fc_b.variable_names.index(name) for name in fc_a.variable_names]]
 
 
 def performance_weight(scores_a, scores_b, S: int) -> tuple[float, bool]:
@@ -194,17 +184,9 @@ class CombinationWeightSeries:
             yield [self.strategy, window, c.origin_labels[o], f"{q:.10g}", h, f"{lam:.17g}", int(warm)]
 
 
-def combine_weighted(
-    fc_a: QuantileForecastSet,
-    fc_b: QuantileForecastSet,
-    series: CombinationWeightSeries,
-    model_id: str,
-) -> QuantileForecastSet:
-    """Cellwise lam * a + (1 - lam) * b with the series' per-(origin, q, h) weights, in a's variable order."""
-    aligned_models(fc_a, fc_b)
-    if _cell_difference(series.cells, fc_a):
-        raise CombinationError("weight series and forecast sets cover different cells")
-    lam = series.lam[:, None]
-    values = lam * fc_a.values + (1.0 - lam) * values_in_order(fc_b, fc_a.variable_names)
+def combine_weighted(fc_a: QuantileForecastSet, b_values: np.ndarray, lam: np.ndarray,
+                     model_id: str) -> QuantileForecastSet:
+    """Cellwise lam * a + (1 - lam) * b: ``lam`` and ``b_values`` (from :func:`aligned_values`) follow a's records."""
+    lam = lam[:, None]
     return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.origin_labels, fc_a.model, fc_a.origin,
-                               fc_a.horizon, fc_a.quantile, values)
+                               fc_a.horizon, fc_a.quantile, lam * fc_a.values + (1.0 - lam) * b_values)

@@ -127,7 +127,7 @@ class TimeSeriesPanel:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.tcodes = [TransformCode(c) for c in self.tcodes]
+        self.tcodes = list(self.tcodes)
         if self.values.ndim != 2:
             raise PanelError("panel values must be a 2-d array")
         T, n = self.values.shape
@@ -141,6 +141,11 @@ class TimeSeriesPanel:
         if np.any(np.diff(idx) != 1):
             raise PanelError("dates must be strictly increasing, monthly, gap-free")
         for j, name in enumerate(self.names):
+            code = self.tcodes[j]
+            # a boolean is no code, though True equals 1
+            if isinstance(code, (bool, np.bool_)) or code not in list(TransformCode):
+                raise PanelError(f"series {name!r} has an invalid transformation code {code!r}")
+            self.tcodes[j] = TransformCode(code)
             col = self.values[:, j]
             # a blank cell is a missing value; an infinite one is a bad value
             inf = np.isinf(col)

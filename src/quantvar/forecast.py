@@ -296,132 +296,109 @@ def write_forecasts(fset: QuantileForecastSet, path) -> None:
             writer.writerows([*head, name, f"{v:.17g}"] for name, v in zip(names, vals))
 
 
-class _Rows:
-    """A forecasts CSV's rows as typed buffers: codes of the key fields and variable, the value and the line."""
-
-    def __init__(self):
-        # model id, origin, horizon field, quantile field, variable -> code; the
-        # codes of ids, origins and variables follow their first appearance
-        self.codes = ({}, {}, {}, {}, {})
-        self.horizons, self.levels = [], []  # the parsed value of each horizon and level code
-        self.columns = tuple(array("i") for _ in self.codes)
-        self.value, self.line = array("d"), array("i")
-
-    def to_set(self, path, complete: bool = True) -> QuantileForecastSet | None:
-        """The set of the rows; ValueError naming the earliest duplicate row.
-
-        One stable lexsort of the code columns groups the rows into records.
-        With ``complete``, a record that lacks a variable raises ValueError
-        too (the earliest-starting such record); without it, nothing is
-        built. The row buffers are released once the records are known.
-        """
-        models, origins, _, _, variables = (list(c) for c in self.codes)
-        columns = [np.frombuffer(c, dtype=np.intc) for c in self.columns]
-
-        def key(row):
-            m, o, h, q = (int(column[row]) for column in columns[:4])
-            return models[m], origins[o], self.horizons[h], self.levels[q]
-
-        # stable, so the rows of one (record, variable) keep their file order
-        order = np.lexsort(columns[::-1])
-        new = group_starts(columns[:4], order)
-        row = _first_repeat(columns[4], order, new)
-        if row is not None:
-            raise ValueError(f"{path}, line {self.line[row]}: duplicate row for record {key(row)}, "
-                             f"variable {variables[columns[4][row]]!r}")
-        if not complete:
-            return None
-        self.line = None
-        starts = np.flatnonzero(new)
-        del new
-        short = np.diff(starts, append=len(order)) != len(variables)
-        if short.any():
-            row = int(np.minimum.reduceat(order, starts)[short].min())
-            raise ValueError(f"incomplete variable set for record {key(row)}")
-        if not len(order):
-            return QuantileForecastSet(variables)
-        first = order[starts]
-        model, origin, horizon, quantile = (column[first] for column in columns[:4])
-        del columns, first
-        self.columns = None
-        model_labels, model = _ranked(models, model)
-        origin_labels, origin = _ranked(origins, origin)
-        horizon = np.array(self.horizons, dtype=np.int64)[horizon]
-        quantile = np.array(self.levels, dtype=float)[quantile]
-        records = np.lexsort((quantile, horizon, origin, model))
-        # a complete record's rows hold slots 0..V-1, once each and in slot order
-        rows = order.reshape(len(starts), len(variables))[records]
-        del order
-        return QuantileForecastSet(variables, model_labels, origin_labels, model[records], origin[records],
-                                   horizon[records], quantile[records], np.frombuffer(self.value)[rows])
-
-
-def _first_repeat(slot: np.ndarray, order: np.ndarray, new: np.ndarray) -> int | None:
-    """The earliest row that repeats the record and variable of a row before it, or None.
-
-    ``order`` sorts the rows by record, then variable ``slot``, and ``new``
-    marks the first sorted row of each record.
-    """
-    slot = slot[order]
-    repeat = ~new
-    repeat[1:] &= slot[1:] == slot[:-1]
-    return int(order[repeat].min()) if repeat.any() else None
-
-
 def read_forecasts(path) -> QuantileForecastSet:
     """Read a forecasts CSV in one streaming pass into typed column buffers.
 
-    Rows may come in any order; one lexsort groups them into records.
+    Rows may come in any order; one stable lexsort groups them into
+    records, which :meth:`QuantileForecastSet.from_columns` sorts by key.
     Variables take their order of first appearance, and each (model,
-    origin, horizon, quantile) record needs every variable exactly once. A
-    malformed or duplicate row, a horizon below 1, a quantile outside
-    (0, 1) and a non-finite value raise ValueError naming the file and
-    line, the earliest such line first; a record that lacks a variable
-    raises it naming the record. Each distinct horizon and quantile string
-    is parsed and checked once.
+    origin, horizon, quantile) record needs every variable exactly once.
+    A bad header raises ValueError naming the file. A malformed row, a
+    horizon below 1, a quantile outside (0, 1) and a non-finite value end
+    the parse and raise ValueError naming the file and line, unless a
+    duplicate row comes before that line: the earliest duplicate is raised
+    first. A record that lacks a variable raises it last, naming the
+    earliest-starting such record. Each distinct horizon and quantile
+    string is parsed and checked once.
     """
-    return _read_rows(path).to_set(path)
+    labels, horizons, levels, columns, value, line, fault = _parse_rows(path)
+    models, origins, _, _, variables = (list(c) for c in labels)
+    columns = [np.frombuffer(c, dtype=np.intc) for c in columns]
+
+    def key(row):
+        m, o, h, q = (int(column[row]) for column in columns[:4])
+        return models[m], origins[o], horizons[h], levels[q]
+
+    # stable, so the rows of one (record, variable) keep their file order
+    order = np.lexsort(columns[::-1])
+    new = group_starts(columns[:4], order)
+    repeat = ~new
+    slot = columns[4][order]
+    repeat[1:] &= slot[1:] == slot[:-1]
+    if repeat.any():
+        row = int(order[repeat].min())
+        raise ValueError(f"{path}, line {line[row]}: duplicate row for record {key(row)}, "
+                         f"variable {variables[columns[4][row]]!r}")
+    if fault:
+        raise ValueError(fault)
+    del line, repeat, slot
+    starts = np.flatnonzero(new)
+    del new
+    short = np.diff(starts, append=len(order)) != len(variables)
+    if short.any():
+        row = int(np.minimum.reduceat(order, starts)[short].min())
+        raise ValueError(f"incomplete variable set for record {key(row)}")
+    first = order[starts]
+    model, origin, horizon, quantile = (column[first] for column in columns[:4])
+    del columns, first
+    # a complete record's rows hold slots 0..V-1, once each and in slot order
+    values = np.frombuffer(value)[order.reshape(len(starts), len(variables))]
+    del order, value
+    return QuantileForecastSet.from_columns(
+        variables, models, origins, model, origin, np.array(horizons, dtype=np.int64)[horizon],
+        np.array(levels, dtype=float)[quantile], values)
 
 
-def _read_rows(path) -> _Rows:
-    """The rows of a forecasts CSV, parsed and checked field by field (see :func:`read_forecasts`)."""
-    rows = _Rows()
-    models, origins, horizons, levels, slots = rows.codes
-    add_model, add_origin, add_horizon, add_level, add_slot = (c.append for c in rows.columns)
-    add_value, add_line = rows.value.append, rows.line.append
+def _parse_rows(path) -> tuple:
+    """Parse a forecasts CSV's rows up to its first bad line into typed buffers (see :func:`read_forecasts`).
+
+    Returns the code maps of model id, origin, horizon field, quantile field
+    and variable (codes in order of first appearance), the parsed horizons
+    and levels by code, the five code columns, the values, the line numbers
+    and the bad line's message or None. The buffers' bound ``append``
+    methods end with this frame, so the caller can release the buffers.
+    """
+    labels = ({}, {}, {}, {}, {})
+    models, origins, horizon_codes, level_codes, slots = labels
+    horizons, levels = [], []
+    columns = tuple(array("i") for _ in labels)
+    value, line = array("d"), array("i")
+    add_model, add_origin, add_horizon, add_level, add_slot = (c.append for c in columns)
+    add_value, add_line = value.append, line.append
+    fault = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:6] != _COLUMNS:
-            raise ValueError("not a forecast file (bad header)")
+            raise ValueError(f"{path}: not a forecast file (bad header)")
         for row in reader:
             try:
-                model_id, origin, horizon, quantile, variable, value = row
-                h = horizons.get(horizon)
+                model_id, origin, horizon, quantile, variable, value_field = row
+                h = horizon_codes.get(horizon)
                 if h is None:
                     parsed = int(horizon)
                     if parsed < 1:
                         raise ValueError(f"horizon must be >= 1, got {parsed}")
                     if parsed >= 2**31:  # origin month + horizon must not overflow the int64 columns
                         raise ValueError(f"horizon must be below 2**31, got {parsed}")
-                    h = horizons[horizon] = _intern(rows.horizons, parsed)
-                q = levels.get(quantile)
+                    h = horizon_codes[horizon] = _intern(horizons, parsed)
+                q = level_codes.get(quantile)
                 if q is None:
                     parsed = _level(quantile)
                     if not 0.0 < parsed < 1.0:
                         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
-                    q = levels[quantile] = _intern(rows.levels, parsed)
-                value = float(value)
-                if not isfinite(value):
-                    raise ValueError(f"value must be finite, got {value}")
+                    q = level_codes[quantile] = _intern(levels, parsed)
+                v = float(value_field)
+                if not isfinite(v):
+                    raise ValueError(f"value must be finite, got {v}")
             except ValueError as exc:
-                rows.to_set(path, complete=False)  # a duplicate on an earlier line comes first
                 problem = f"expected 6 fields, got {len(row)}" if len(row) != 6 else exc
-                raise ValueError(f"{path}, line {reader.line_num}: {problem}") from None
+                fault = f"{path}, line {reader.line_num}: {problem}"
+                break
             add_model(models.setdefault(model_id, len(models)))
             add_origin(origins.setdefault(origin, len(origins)))
             add_horizon(h)
             add_level(q)
             add_slot(slots.setdefault(variable, len(slots)))
-            add_value(value)
+            add_value(v)
             add_line(reader.line_num)
-    return rows
+    return labels, horizons, levels, columns, value, line, fault

@@ -1040,6 +1040,38 @@ def test_evaluate_names_the_line_of_a_malformed_forecast_row(tmp_path, capsys, e
     assert err["message"] == (message if message.startswith("incomplete") else f"{fa}, {message}")
 
 
+def test_evaluate_names_the_forecast_file_with_a_bad_header(tmp_path, capsys):
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    with open(fb, "w") as fh:
+        fh.write("nope,origin\n")
+    rc = main(["evaluate", "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
+               "--forecasts", fa, fb, "--target", "tgt", "--output-dir", str(tmp_path / "ev")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ValueError", "message": f"{fb}: not a forecast file (bad header)"}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ingest"])
+def test_a_boolean_tcode_exits_2_naming_the_series(tmp_path, capsys, command):
+    # true equals code 1: the target was read as first differences and scored on that scale
+    make_raw_panel(tmp_path)
+    fa, _ = make_forecast_pair(tmp_path)
+    panel, tcodes = str(tmp_path / "panel.csv"), tmp_path / "tcodes.json"
+    tcodes.write_text(json.dumps({**json.loads(tcodes.read_text()), "tgt": True}))
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--data", panel, "--tcodes", str(tcodes), "--forecasts", fa, "--target", "tgt",
+                     "--output-dir", str(out)],
+        "ingest": ["ingest", "--input", panel, "--tcodes", str(tcodes), "--output", str(out),
+                   "--output-tcodes", str(tmp_path / "out.json")],
+    }[command]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "PanelError", "message": "series 'tgt' has an invalid transformation code True"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["combine", "report"])
 def test_a_duplicate_forecast_row_exits_2_from_combine_and_report(tmp_path, capsys, command):
     make_raw_panel(tmp_path)

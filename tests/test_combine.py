@@ -6,6 +6,7 @@ from quantvar.cli import _combine
 from quantvar.combine import (
     CombinationError,
     CombinationWeightSeries,
+    aligned_values,
     combination_objective,
     combine_weighted,
     optimal_weight,
@@ -270,11 +271,6 @@ def test_combine_weighted_uses_per_cell_weights():
     cells = {("2010-01", 1, 0.5): 2.0, ("2010-02", 1, 0.5): 2.0}
     a = _fset("a", cells)
     b = _fset("b", {k: 10.0 for k in cells})
-    s = CombinationWeightSeries("optimal", 75, a, lam=[1.0, 0.25], warmup=[False, True])
-    out = combine_weighted(a, b, s, "comb_opt")
+    out = combine_weighted(a, aligned_values(a, b), np.array([1.0, 0.25]), "comb_opt")
     assert out.get("comb_opt", "2010-01", 1, 0.5)[0] == 2.0
     assert out.get("comb_opt", "2010-02", 1, 0.5)[0] == pytest.approx(8.0)
-    # weights over other cells than the sets' are refused
-    other = _fset("a", {("2010-01", 1, 0.5): 2.0, ("2010-03", 1, 0.5): 2.0})
-    with pytest.raises(CombinationError):
-        combine_weighted(a, b, CombinationWeightSeries("optimal", 75, other, [1.0, 0.25], [False] * 2), "c")

@@ -215,6 +215,14 @@ def test_lag_design_reconstruction(p, n, seed):
         np.testing.assert_array_equal(d.Y[t], Y[t + p])
 
 
+@pytest.mark.parametrize("code", [True, False, 3, "1", None])
+def test_panel_names_the_series_of_an_invalid_tcode(code):
+    # True equals 1 and would be read as a first difference
+    with pytest.raises(PanelError) as info:
+        TimeSeriesPanel(_dates("1995-06", 3), np.ones((3, 2)), ["x", "y"], [2, code])
+    assert str(info.value) == f"series 'y' has an invalid transformation code {code!r}"
+
+
 def test_panel_csv_roundtrip(tmp_path):
     dates = _dates("1995-06", 4)
     vals = np.array([[np.nan, 1.5], [2.0, 2.5], [3.0, 3.5], [4.0, 4.5]])

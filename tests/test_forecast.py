@@ -198,8 +198,9 @@ def test_forecast_csv_roundtrip(tmp_path):
 def test_read_forecasts_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope,origin\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_forecasts(path)
+    assert str(info.value) == f"{path}: not a forecast file (bad header)"
 
 
 def _write_rows(path, rows):
@@ -223,6 +224,25 @@ def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
     _write_rows(path, ["m,2010-01,1,0.5,a,1.0", f"m,2010-01,{2**31},0.5,a,1.0"])
     with pytest.raises(ValueError, match=r"fc.csv, line 3: horizon must be below 2\*\*31, got 2147483648"):
         read_forecasts(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a duplicate before a bad line comes first
+    (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,a,2.0", "m,2010-01,1,0.5,b,1.0", "m,2010-01,2,0.5,a,x"],
+     "line 3: duplicate row for record ('m', '2010-01', 1, 0.5), variable 'a'"),
+    # a bad line before a duplicate ends the parse
+    (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,b,x", "m,2010-01,2,0.5,a,1.0", "m,2010-01,1,0.5,a,2.0"],
+     "line 3: could not convert string to float: 'x'"),
+    # a duplicate comes before an incomplete record, wherever each sits
+    (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,b,1.0", "m,2010-01,2,0.5,a,1.0", "m,2010-01,1,0.5,b,2.0"],
+     "line 5: duplicate row for record ('m', '2010-01', 1, 0.5), variable 'b'"),
+], ids=["duplicate-then-bad-line", "bad-line-then-duplicate", "incomplete-and-duplicate"])
+def test_read_forecasts_reports_the_first_fault(tmp_path, rows, message):
+    path = tmp_path / "fc.csv"
+    _write_rows(path, rows)
+    with pytest.raises(ValueError) as info:
+        read_forecasts(path)
+    assert str(info.value) == f"{path}, {message}"
 
 
 def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
