@@ -55,7 +55,6 @@ from .evaluation import (
     EvaluationError,
     EventWindow,
     average_qs,
-    origin_months,
     pinball,
     qs_ratio,
     ratio_table_rows,
@@ -70,6 +69,7 @@ from .forecast import (
     ForecastError,
     QuantileForecastSet,
     forecast_quantiles,
+    level_key,
     random_walk_forecast,
     read_forecasts,
     write_forecasts,
@@ -215,7 +215,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         p, r = _integer("p", m["p"]), _integer("r", m.get("r", 0))
         quantiles = [_real("quantiles", q) for q in m["quantiles"]]
         # forecast records key a level by its value rounded to 10 digits
-        if not quantiles or len({round(q, 10) for q in quantiles}) != len(quantiles):
+        if not quantiles or len({level_key(q) for q in quantiles}) != len(quantiles):
             raise ConfigError(f"qbvar quantiles must be non-empty and distinct to 10 digits: {quantiles}")
         qbvar = tuple(QbvarConfig(p=p, r=r, quantile=q, **shared) for q in sorted(quantiles))
     bvar = None
@@ -387,7 +387,7 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
     """
     b_values = aligned_values(fc_a, fc_b)
     col = fc_a.variable_names.index(target)
-    months = origin_months(fc_a)
+    months = fc_a.origin
     observed, realized = realizations(tpanel, target)(months, fc_a.horizon)
     histories = {}
     for q in fc_a.quantiles():

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import pinball
-from .forecast import QuantileForecastSet, column_rows, group_starts
+from .data import month_label
+from .forecast import QuantileForecastSet, column_rows, distinct, group_starts
 
 
 class CombinationError(ValueError):
@@ -35,11 +36,8 @@ class CombinationError(ValueError):
 def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> int:
     """How many (origin, h, q) cells one of two single-model sets holds and the other lacks."""
     columns = [[s.origin, s.horizon, s.quantile] for s in (fc_a, fc_b)]
-    if fc_a.origin_labels == fc_b.origin_labels and all(map(np.array_equal, *columns)):
+    if all(map(np.array_equal, *columns)):
         return 0
-    code = {o: i for i, o in enumerate(sorted({*fc_a.origin_labels, *fc_b.origin_labels}))}
-    for s, cols in zip((fc_a, fc_b), columns):
-        cols[0] = np.array([code[o] for o in s.origin_labels], dtype=np.int64)[s.origin]
     both = [np.concatenate(pair) for pair in zip(*columns)]
     order = np.lexsort(both[::-1])
     # cells are unique within a set, so a repeated cell is one that both sets hold
@@ -178,15 +176,16 @@ class CombinationWeightSeries:
         yield ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]
         c = self.cells
         window = self.window if self.window is not None else ""
+        origins = {o: month_label(o) for o in distinct(c.origin)}
         order = np.lexsort((c.horizon, c.quantile, c.origin))
         columns = (c.origin, c.quantile, c.horizon, self.lam, self.warmup)
         for o, q, h, lam, warm in column_rows(*(column[order] for column in columns)):
-            yield [self.strategy, window, c.origin_labels[o], f"{q:.10g}", h, f"{lam:.17g}", int(warm)]
+            yield [self.strategy, window, origins[o], f"{q:.10g}", h, f"{lam:.17g}", int(warm)]
 
 
 def combine_weighted(fc_a: QuantileForecastSet, b_values: np.ndarray, lam: np.ndarray,
                      model_id: str) -> QuantileForecastSet:
     """Cellwise lam * a + (1 - lam) * b: ``lam`` and ``b_values`` (from :func:`aligned_values`) follow a's records."""
     lam = lam[:, None]
-    return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.origin_labels, fc_a.model, fc_a.origin,
-                               fc_a.horizon, fc_a.quantile, lam * fc_a.values + (1.0 - lam) * b_values)
+    return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.model, fc_a.origin, fc_a.horizon,
+                               fc_a.quantile, lam * fc_a.values + (1.0 - lam) * b_values)

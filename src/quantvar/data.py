@@ -153,6 +153,8 @@ class TimeSeriesPanel:
                 at = self.dates[int(np.argmax(inf))]
                 raise PanelError(f"series {name!r} has a non-finite value at {at}")
             missing = np.isnan(col)
+            if missing.all():
+                raise PanelError(f"series {name!r} has no observed values")
             if missing.any():
                 fv = int(np.argmax(~missing))
                 if not missing[:fv].all() or missing[fv:].any():
@@ -286,6 +288,8 @@ def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
             except ValueError as exc:
                 raise PanelError(f"{csv_path}, line {reader.line_num}: {exc}") from None
             dates.append(r[0])
+    if not rows:
+        raise PanelError(f"{csv_path}: no data rows")
     values = np.array(rows)
     missing = [n for n in names if n not in tcode_map]
     if missing:

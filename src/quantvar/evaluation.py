@@ -3,8 +3,8 @@
 A forecast made at origin t for horizon h is scored against the
 realization dated t+h. Date-window conditioning (evaluation windows,
 event episodes) selects records by that realization date. Scoring works on
-a forecast set's columns: one :func:`realizations` lookup serves every
-record, and each origin label is parsed once.
+a forecast set's columns, whose origins are already month indices: one
+:func:`realizations` lookup serves every record.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: 
     return float(values[0]) if observed[0] else None
 
 
-def origin_months(fset: QuantileForecastSet) -> np.ndarray:
-    """The :func:`month_index` of each of ``fset``'s records' origins, each label parsed once."""
-    return np.array([month_index(o) for o in fset.origin_labels], dtype=np.int64)[fset.origin]
-
-
 @dataclass
 class ScoredRecords:
     """Pinball scores of a forecast set's observable records, as columns in the set's order."""
@@ -105,8 +100,7 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
     month t+h is kept so that window filters need not parse dates again.
     """
     col = fset.variable_names.index(variable)
-    origins = origin_months(fset)
-    observed, realized = realizations(panel, variable)(origins, fset.horizon)
+    observed, realized = realizations(panel, variable)(fset.origin, fset.horizon)
     u = realized[observed] - fset.values[observed, col]
     quantile = fset.quantile[observed]
     score = np.empty_like(u)
@@ -115,7 +109,7 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
         score[at] = pinball(u[at], q)
     horizon = fset.horizon[observed]
     return ScoredRecords(fset.model_labels, fset.model[observed], quantile, horizon,
-                         origins[observed] + horizon, score)
+                         fset.origin[observed] + horizon, score)
 
 
 @dataclass

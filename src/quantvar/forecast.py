@@ -11,10 +11,11 @@ stationarity-transformed series predicts zero change at every horizon and
 quantile.
 
 A :class:`QuantileForecastSet` holds forecasts as columns: one
-(records, variables) value array and key columns (model and origin codes,
-horizons, levels), sorted by key, with no Python object per record. The
-forecasts CSV is read into typed buffers that one lexsort groups into
-records, and written a batch of rows at a time.
+(records, variables) value array and key columns (model codes, origin
+months, horizons, levels), sorted by key, with no Python object per record.
+The forecasts CSV, the one place an origin is a ``YYYY-MM`` label, is read
+into typed buffers that one lexsort groups into records, and written a
+batch of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from math import isfinite
 
 import numpy as np
 
+from .data import month_index, month_label
 from .qbvar import PosteriorDrawSet
 
 # an origin is abandoned when more than this share of simulated paths
@@ -117,7 +119,7 @@ def random_walk_forecast(horizon: int, n_vars: int) -> np.ndarray:
     return np.zeros((horizon, n_vars))
 
 
-def _level(quantile) -> float:
+def level_key(quantile) -> float:
     """A quantile level as record keys hold it: rounded to 10 digits."""
     return round(float(quantile), 10)
 
@@ -156,21 +158,20 @@ def _intern(values: list, value) -> int:
 class QuantileForecastSet:
     """Forecast values keyed by (model_id, origin, horizon, quantile), stored as columns.
 
-    ``origin`` is the ISO month of the last observation used for
+    ``origin`` is the :func:`month_index` of the last observation used for
     estimation; ``horizon`` is months ahead; ``quantile`` is the level
     rounded to 10 digits. Record i has the key (model_labels[model[i]],
-    origin_labels[origin[i]], horizon[i], quantile[i]) and one value per
+    month_label(origin[i]), horizon[i], quantile[i]) and one value per
     variable, values[i], in ``variable_names`` order. Records are sorted by
-    key and unique. Each label list holds the labels in use, sorted, so the
-    codes sort as their labels do.
+    key and unique. ``model_labels`` holds the ids in use, sorted, so the
+    codes sort as their ids do. Methods take and give origins as labels.
     """
 
-    def __init__(self, variable_names, model_labels=(), origin_labels=(), model=(), origin=(),
-                 horizon=(), quantile=(), values=None):
+    def __init__(self, variable_names, model_labels=(), model=(), origin=(), horizon=(), quantile=(),
+                 values=None):
         """A set of columns already in the layout above; by default an empty set."""
         self.variable_names = list(variable_names)
         self.model_labels = list(model_labels)
-        self.origin_labels = list(origin_labels)
         self.model = np.asarray(model, dtype=np.int32)
         self.origin = np.asarray(origin, dtype=np.int32)
         self.horizon = np.asarray(horizon, dtype=np.int64)
@@ -180,18 +181,17 @@ class QuantileForecastSet:
         self.values = np.asarray(values, dtype=float)
 
     @classmethod
-    def from_columns(cls, variable_names, model_labels, origin_labels, model, origin, horizon, quantile, values):
-        """A set of the constructor's columns with records in any order and label lists in any order.
+    def from_columns(cls, variable_names, model_labels, model, origin, horizon, quantile, values):
+        """A set of the constructor's columns with records in any order and model ids in any order.
 
         ``quantile`` holds levels rounded as keys hold them. A duplicate key
         raises ValueError.
         """
         model_labels, model = _ranked(list(model_labels), np.asarray(model, dtype=np.int32))
-        origin_labels, origin = _ranked(list(origin_labels), np.asarray(origin, dtype=np.int32))
-        horizon, quantile = np.asarray(horizon, dtype=np.int64), np.asarray(quantile, dtype=float)
-        order = np.lexsort((quantile, horizon, origin, model))
-        fset = cls(variable_names, model_labels, origin_labels, model[order], origin[order],
-                   horizon[order], quantile[order], np.asarray(values, dtype=float)[order])
+        fset = cls(variable_names, model_labels, model, origin, horizon, quantile, values)
+        keys = (fset.model, fset.origin, fset.horizon, fset.quantile)
+        order = np.lexsort(keys[::-1])
+        fset = cls(variable_names, model_labels, *(column[order] for column in (*keys, fset.values)))
         new = group_starts([fset.model, fset.origin, fset.horizon, fset.quantile])
         if not new.all():
             raise ValueError(f"duplicate forecast record {fset.key(int(np.argmin(new)))}")
@@ -200,13 +200,13 @@ class QuantileForecastSet:
     @classmethod
     def from_blocks(cls, variable_names, horizons, blocks):
         """The set of (model_id, origin, quantile, block) entries; a block's row j holds horizon ``horizons[j]``."""
-        models, origins = {}, {}
+        models = {}
         model = [models.setdefault(m, len(models)) for m, _, _, _ in blocks]
-        origin = [origins.setdefault(o, len(origins)) for _, o, _, _ in blocks]
+        origin = [month_index(o) for _, o, _, _ in blocks]
         H = len(horizons)
         return cls.from_columns(
-            variable_names, list(models), list(origins), np.repeat(model, H), np.repeat(origin, H),
-            np.tile(horizons, len(blocks)), np.repeat([_level(q) for _, _, q, _ in blocks], H),
+            variable_names, list(models), np.repeat(model, H), np.repeat(origin, H),
+            np.tile(horizons, len(blocks)), np.repeat([level_key(q) for _, _, q, _ in blocks], H),
             np.concatenate([b for _, _, _, b in blocks]) if blocks else np.empty((0, len(variable_names))),
         )
 
@@ -215,7 +215,7 @@ class QuantileForecastSet:
 
     def key(self, i: int) -> tuple:
         """The (model_id, origin, horizon, quantile) key of record ``i``."""
-        return (self.model_labels[self.model[i]], self.origin_labels[self.origin[i]],
+        return (self.model_labels[self.model[i]], month_label(int(self.origin[i])),
                 int(self.horizon[i]), float(self.quantile[i]))
 
     def items(self):
@@ -227,21 +227,21 @@ class QuantileForecastSet:
         values = np.asarray(values, dtype=float).ravel()
         if values.size != len(self.variable_names):
             raise ValueError("value vector length does not match variables")
-        models, origins = list(self.model_labels), list(self.origin_labels)
-        m, o = _intern(models, model_id), _intern(origins, origin)
+        models = list(self.model_labels)
+        m = _intern(models, model_id)
         merged = self.from_columns(
-            self.variable_names, models, origins, np.append(self.model, m), np.append(self.origin, o),
-            np.append(self.horizon, int(horizon)), np.append(self.quantile, _level(quantile)),
+            self.variable_names, models, np.append(self.model, m), np.append(self.origin, month_index(origin)),
+            np.append(self.horizon, int(horizon)), np.append(self.quantile, level_key(quantile)),
             np.vstack([self.values, values]),
         )
         vars(self).update(vars(merged))
 
     def get(self, model_id: str, origin: str, horizon: int, quantile: float) -> np.ndarray:
         """The values of one record; KeyError when the set lacks it."""
-        key = (model_id, origin, int(horizon), _level(quantile))
-        if model_id in self.model_labels and origin in self.origin_labels:
+        key = (model_id, origin, int(horizon), level_key(quantile))
+        if model_id in self.model_labels:
             lo, hi = 0, len(self)
-            codes = (self.model_labels.index(model_id), self.origin_labels.index(origin), *key[2:])
+            codes = (self.model_labels.index(model_id), month_index(origin), *key[2:])
             for column, code in zip((self.model, self.origin, self.horizon, self.quantile), codes):
                 part = column[lo:hi]  # sorted, since the columns before it are constant here
                 lo, hi = lo + int(part.searchsorted(code, "left")), lo + int(part.searchsorted(code, "right"))
@@ -253,21 +253,20 @@ class QuantileForecastSet:
         return list(self.model_labels)
 
     def origins(self, model_id: str | None = None) -> list[str]:
-        if model_id is None:
-            return list(self.origin_labels)
-        if model_id not in self.model_labels:
-            return []
-        codes = self.origin[self.model == self.model_labels.index(model_id)]
-        return [self.origin_labels[c] for c in np.flatnonzero(np.bincount(codes, minlength=len(self.origin_labels)))]
+        months = self.origin
+        if model_id is not None:
+            code = self.model_labels.index(model_id) if model_id in self.model_labels else -1
+            months = months[self.model == code]
+        return [month_label(o) for o in distinct(months)]
 
     def horizons(self) -> list[int]:
-        return _distinct(self.horizon)
+        return distinct(self.horizon)
 
     def quantiles(self) -> list[float]:
-        return _distinct(self.quantile)
+        return distinct(self.quantile)
 
 
-def _distinct(column: np.ndarray) -> list:
+def distinct(column: np.ndarray) -> list:
     """The distinct values of ``column``, ascending, as Python numbers (np.unique would import numpy.ma)."""
     ordered = np.sort(column)
     return ordered[group_starts([ordered])].tolist()
@@ -287,12 +286,13 @@ def column_rows(*columns):
 def write_forecasts(fset: QuantileForecastSet, path) -> None:
     """Write one row per (model, origin, horizon, quantile, variable), in key order."""
     names = fset.variable_names
+    origins = {o: month_label(o) for o in distinct(fset.origin)}
     levels = {q: f"{q:.10g}" for q in fset.quantiles()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
         for m, o, h, q, vals in column_rows(fset.model, fset.origin, fset.horizon, fset.quantile, fset.values):
-            head = (fset.model_labels[m], fset.origin_labels[o], h, levels[q])
+            head = (fset.model_labels[m], origins[o], h, levels[q])
             writer.writerows([*head, name, f"{v:.17g}"] for name, v in zip(names, vals))
 
 
@@ -303,21 +303,21 @@ def read_forecasts(path) -> QuantileForecastSet:
     records, which :meth:`QuantileForecastSet.from_columns` sorts by key.
     Variables take their order of first appearance, and each (model,
     origin, horizon, quantile) record needs every variable exactly once.
-    A bad header raises ValueError naming the file. A malformed row, a
-    horizon below 1, a quantile outside (0, 1) and a non-finite value end
-    the parse and raise ValueError naming the file and line, unless a
-    duplicate row comes before that line: the earliest duplicate is raised
-    first. A record that lacks a variable raises it last, naming the
-    earliest-starting such record. Each distinct horizon and quantile
-    string is parsed and checked once.
+    A bad header raises ValueError naming the file. A malformed row, a bad
+    month label, a horizon below 1, a quantile outside (0, 1) and a
+    non-finite value end the parse and raise ValueError naming the file and
+    line, unless a duplicate row comes before that line: the earliest
+    duplicate is raised first. A record that lacks a variable raises it
+    last, naming the earliest-starting such record. Each distinct origin,
+    horizon and quantile string is parsed and checked once.
     """
-    labels, horizons, levels, columns, value, line, fault = _parse_rows(path)
-    models, origins, _, _, variables = (list(c) for c in labels)
+    labels, months, horizons, levels, columns, value, line, fault = _parse_rows(path)
+    models, _, _, _, variables = (list(c) for c in labels)
     columns = [np.frombuffer(c, dtype=np.intc) for c in columns]
 
     def key(row):
         m, o, h, q = (int(column[row]) for column in columns[:4])
-        return models[m], origins[o], horizons[h], levels[q]
+        return models[m], month_label(months[o]), horizons[h], levels[q]
 
     # stable, so the rows of one (record, variable) keep their file order
     order = np.lexsort(columns[::-1])
@@ -345,22 +345,22 @@ def read_forecasts(path) -> QuantileForecastSet:
     values = np.frombuffer(value)[order.reshape(len(starts), len(variables))]
     del order, value
     return QuantileForecastSet.from_columns(
-        variables, models, origins, model, origin, np.array(horizons, dtype=np.int64)[horizon],
-        np.array(levels, dtype=float)[quantile], values)
+        variables, models, model, np.array(months, dtype=np.int32)[origin],
+        np.array(horizons, dtype=np.int64)[horizon], np.array(levels, dtype=float)[quantile], values)
 
 
 def _parse_rows(path) -> tuple:
     """Parse a forecasts CSV's rows up to its first bad line into typed buffers (see :func:`read_forecasts`).
 
-    Returns the code maps of model id, origin, horizon field, quantile field
-    and variable (codes in order of first appearance), the parsed horizons
-    and levels by code, the five code columns, the values, the line numbers
-    and the bad line's message or None. The buffers' bound ``append``
+    Returns the code maps of model id, origin, horizon and quantile field
+    and variable (codes in order of first appearance), the parsed months,
+    horizons and levels by code, the five code columns, the values, the line
+    numbers and the bad line's message or None. The buffers' bound ``append``
     methods end with this frame, so the caller can release the buffers.
     """
     labels = ({}, {}, {}, {}, {})
-    models, origins, horizon_codes, level_codes, slots = labels
-    horizons, levels = [], []
+    models, origin_codes, horizon_codes, level_codes, slots = labels
+    months, horizons, levels = [], [], []
     columns = tuple(array("i") for _ in labels)
     value, line = array("d"), array("i")
     add_model, add_origin, add_horizon, add_level, add_slot = (c.append for c in columns)
@@ -373,6 +373,8 @@ def _parse_rows(path) -> tuple:
         for row in reader:
             try:
                 model_id, origin, horizon, quantile, variable, value_field = row
+                if origin not in origin_codes:
+                    origin_codes[origin] = _intern(months, month_index(origin))
                 h = horizon_codes.get(horizon)
                 if h is None:
                     parsed = int(horizon)
@@ -383,7 +385,7 @@ def _parse_rows(path) -> tuple:
                     h = horizon_codes[horizon] = _intern(horizons, parsed)
                 q = level_codes.get(quantile)
                 if q is None:
-                    parsed = _level(quantile)
+                    parsed = level_key(quantile)
                     if not 0.0 < parsed < 1.0:
                         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
                     q = level_codes[quantile] = _intern(levels, parsed)
@@ -395,10 +397,10 @@ def _parse_rows(path) -> tuple:
                 fault = f"{path}, line {reader.line_num}: {problem}"
                 break
             add_model(models.setdefault(model_id, len(models)))
-            add_origin(origins.setdefault(origin, len(origins)))
+            add_origin(origin_codes[origin])
             add_horizon(h)
             add_level(q)
             add_slot(slots.setdefault(variable, len(slots)))
             add_value(v)
             add_line(reader.line_num)
-    return labels, horizons, levels, columns, value, line, fault
+    return labels, months, horizons, levels, columns, value, line, fault

@@ -864,6 +864,25 @@ def test_ingest_names_a_series_pair_without_a_colon(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["no-data-rows", "blank-series"])
+def test_ingest_names_a_panel_without_rows_and_a_series_without_values(tmp_path, capsys, case):
+    # these said "panel values must be a 2-d array" and "has interior missing values"
+    make_raw_panel(tmp_path)
+    panel = tmp_path / "panel.csv"
+    header, *rows = panel.read_text().splitlines()
+    if case == "no-data-rows":
+        panel.write_text(header + "\n")
+        message = f"{panel}: no data rows"
+    else:
+        panel.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + "," for row in rows)]) + "\n")
+        message = "series 'c1' has no observed values"
+    out = tmp_path / "out.csv"
+    assert main(["ingest", "--input", str(panel), "--tcodes", str(tmp_path / "tcodes.json"),
+                 "--output", str(out), "--output-tcodes", str(tmp_path / "out.json")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"status": "error", "kind": "PanelError", "message": message}
+    assert not out.exists()
+
+
 def _blank_before(panel_path, series, month):
     """Blank ``series`` in the panel CSV at every date before ``month``."""
     lines = open(panel_path).read().splitlines()
@@ -1117,6 +1136,42 @@ def test_a_quantile_outside_0_1_exits_2_from_combine_and_report(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("origin, problem", [
+    ("2018-3", "not an ISO month label: '2018-3'"),
+    ("2018-13", "month out of range in '2018-13'"),
+    ("18-03", "not an ISO month label: '18-03'"),
+], ids=["one-digit-month", "month-13", "two-digit-year"])
+@pytest.mark.parametrize("command", ["combine-fixed", "combine-performance", "combine-optimal", "evaluate", "report"])
+def test_a_malformed_origin_exits_2_naming_the_file_and_line(tmp_path, capsys, command, origin, problem):
+    # with the origin in both files, a fixed combine used to write it back out
+    # and exit 0, and evaluate named neither the file nor the line
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    if command == "report":
+        (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+        os.makedirs(tmp_path / "forecasts")
+        os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
+        fa = str(tmp_path / "forecasts" / "qbvar.csv")
+    for path in (fa, fb):
+        text = open(path).read()
+        open(path, "w").write(text.replace(",2018-03,", f",{origin},"))
+    rows = open(fa).read().splitlines()
+    line = 1 + next(i for i, row in enumerate(rows) if f",{origin}," in row)
+    out = tmp_path / "out"
+    data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt"]
+    command, _, strategy = command.partition("-")
+    argv = {
+        "combine": ["combine", *data, "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", strategy,
+                    "--output", str(out)],
+        "evaluate": ["evaluate", *data, "--forecasts", fa, fb, "--output-dir", str(out)],
+        "report": ["report", "--run-dir", str(tmp_path), "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ValueError", "message": f"{fa}, line {line}: {problem}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy", ["performance", "optimal"])
 def test_combine_looks_up_realizations_in_one_call(tmp_path, monkeypatch, strategy):
     # both strategies read one (q, h) history built from one array lookup of
@@ -1306,8 +1361,8 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
 def _without_target(path, out):
     """Write the forecasts of ``path`` with its target column (the first) dropped to ``out``."""
     s = read_forecasts(path)
-    kept = QuantileForecastSet(s.variable_names[1:], s.model_labels, s.origin_labels, s.model, s.origin,
-                               s.horizon, s.quantile, s.values[:, 1:])
+    kept = QuantileForecastSet(s.variable_names[1:], s.model_labels, s.model, s.origin, s.horizon, s.quantile,
+                               s.values[:, 1:])
     write_forecasts(kept, out)
     return str(out)
 

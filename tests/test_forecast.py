@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantvar.data import month_index, month_label
 from quantvar.dist import make_rng
 from quantvar.forecast import (
     ForecastError,
@@ -170,6 +171,9 @@ def test_forecast_set_add_get_merge():
     fset = QuantileForecastSet(variable_names=["a", "b"])
     fset.add("m", "2010-05", 1, 0.1, [1.0, 2.0])
     np.testing.assert_array_equal(fset.get("m", "2010-05", 1, 0.1), [1.0, 2.0])
+    for model, origin in [("m", "2010-06"), ("other", "2010-05")]:
+        with pytest.raises(KeyError):
+            fset.get(model, origin, 1, 0.1)
     with pytest.raises(ValueError):
         fset.add("m", "2010-05", 1, 0.1, [9.0, 9.0])  # duplicate
     with pytest.raises(ValueError):
@@ -236,7 +240,10 @@ def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
     # a duplicate comes before an incomplete record, wherever each sits
     (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,b,1.0", "m,2010-01,2,0.5,a,1.0", "m,2010-01,1,0.5,b,2.0"],
      "line 5: duplicate row for record ('m', '2010-01', 1, 0.5), variable 'b'"),
-], ids=["duplicate-then-bad-line", "bad-line-then-duplicate", "incomplete-and-duplicate"])
+    # an origin that is not a YYYY-MM month is a bad line
+    (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,b,1.0", "m,2018-3,1,0.5,a,1.0", "m,2010-01,1,0.5,a,2.0"],
+     "line 4: not an ISO month label: '2018-3'"),
+], ids=["duplicate-then-bad-line", "bad-line-then-duplicate", "incomplete-and-duplicate", "bad-origin"])
 def test_read_forecasts_reports_the_first_fault(tmp_path, rows, message):
     path = tmp_path / "fc.csv"
     _write_rows(path, rows)
@@ -278,9 +285,10 @@ def test_read_then_write_gives_the_sorted_file_byte_for_byte(data):
     names = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
     models = data.draw(st.lists(st.sampled_from(["bvar", "comb", "qbvar", "rw"]), min_size=1, max_size=3,
                                 unique=True))
+    # any month of a four-digit year, so that labels sort as their months do
+    origins = st.integers(month_index("1000-01"), month_index("9999-12")).map(month_label)
     cells = sorted(data.draw(st.sets(
-        st.tuples(st.sampled_from(models), st.sampled_from(["2009-12", "2010-01", "2010-02", "2011-07"]),
-                  st.integers(1, 4), st.sampled_from(_LEVELS)),
+        st.tuples(st.sampled_from(models), origins, st.integers(1, 4), st.sampled_from(_LEVELS)),
         min_size=1, max_size=30)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = np.array([[data.draw(finite) for _ in names] for _ in cells]).reshape(len(cells), len(names))
