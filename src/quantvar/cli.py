@@ -45,6 +45,7 @@ from .data import (
     build_lag_design,
     deflate,
     month_index,
+    month_label,
     read_panel,
     splice_by_growth,
     transform_panel,
@@ -112,8 +113,8 @@ class ExperimentConfig:
     bvar: BvarConfig | None
     include_rw: bool
     horizons: list[int]
-    origins_start: str
-    origins_end: str
+    origins_start: int  # month_index of the first origin
+    origins_end: int  # and of the last
     evaluation_windows: list[EventWindow]
     event_windows: list[EventWindow]
     combinations: list[tuple]  # (model_id, strategy, lambda or window S), model ids distinct
@@ -148,7 +149,7 @@ class ExperimentConfig:
 def _parse_window(d: dict) -> EventWindow:
     if not isinstance(d["label"], str):
         raise ConfigError(f"window label must be a string, got {d['label']!r}")
-    return EventWindow(label=d["label"], start=d["start"], end=d["end"])
+    return EventWindow(label=d["label"], start=month_index(d["start"]), end=month_index(d["end"]))
 
 
 def _integer(name: str, value) -> int:
@@ -190,11 +191,15 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     data_file = _path(raw["data_file"])
     tcode_file = _path(raw["tcode_file"])
     target = raw["target"]
+    if not isinstance(target, str):
+        raise ConfigError(f"config field 'target' must be a string, got {target!r}")
     seed = _integer("seed", raw["seed"])
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     output_dir = _path(raw["output_dir"])
-    companions = list(raw.get("companions", []))
+    companions = raw.get("companions", [])
+    if not isinstance(companions, list) or not all(isinstance(c, str) for c in companions):
+        raise ConfigError(f"config field 'companions' must be a list of strings, got {companions!r}")
     if target in companions:
         raise ConfigError("target listed among companions; exactly one target")
 
@@ -237,9 +242,12 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         raise ConfigError("at least one evaluation window required")
     event_windows = [_parse_window(w) for w in raw.get("event_windows", [])]
     origins = raw.get("origins", {})
-    origins_start = origins.get("start", eval_windows[0].start)
-    origins_end = origins.get("end", eval_windows[0].end)
-    if month_index(origins_start) > month_index(origins_end):
+    if not isinstance(origins, dict):
+        raise ConfigError(f"config field 'origins' must be an object, got {origins!r}")
+    # by default the origins span the first evaluation window
+    origins_start = month_index(origins["start"]) if "start" in origins else eval_windows[0].start
+    origins_end = month_index(origins["end"]) if "end" in origins else eval_windows[0].end
+    if origins_start > origins_end:
         raise ConfigError("empty origin range")
 
     combos = []
@@ -312,15 +320,19 @@ def _load_panel(data_file, tcode_file, variables) -> TimeSeriesPanel:
     return transform_panel(panel.select(variables))
 
 
-def _check_origins(cfg: ExperimentConfig, dates: list, first: str, last: str) -> None:
-    """Raise ConfigError unless ``first``..``last`` are sample months with p_max + 20 rows through ``first``."""
+def _sample_span(panel: TimeSeriesPanel) -> str:
+    return f"the transformed sample {month_label(panel.start)} to {month_label(panel.end)}"
+
+
+def _check_origins(cfg: ExperimentConfig, panel: TimeSeriesPanel, first: int, last: int) -> None:
+    """Raise ConfigError unless months ``first``..``last`` are in ``panel`` with p_max + 20 rows through ``first``."""
     for o in (first, last):
-        if o not in dates:
-            raise ConfigError(f"origin {o} outside the transformed sample {dates[0]} to {dates[-1]}")
+        if not panel.start <= o <= panel.end:
+            raise ConfigError(f"origin {month_label(o)} outside {_sample_span(panel)}")
     p_max = max([m.p for m in (*cfg.qbvar, cfg.bvar) if m is not None], default=1)
     min_rows = p_max + 20
-    if dates.index(first) + 1 < min_rows:
-        raise ConfigError(f"origin {first} leaves under {min_rows} estimation rows")
+    if first - panel.start + 1 < min_rows:
+        raise ConfigError(f"origin {month_label(first)} leaves under {min_rows} estimation rows")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,8 @@ def _check_origins(cfg: ExperimentConfig, dates: list, first: str, last: str) ->
 def _forecast_one_origin(payload):
     """Estimate every model on data through one origin and forecast ahead.
 
-    payload: (origin, origin_idx, dates, values, names, cfg).
+    payload: (origin, origin_idx, est, cfg), with ``origin`` the month of
+    the last estimation row and ``est`` the (rows, n) data through it.
     Returns (origin, blocks, error) where blocks maps (model_id, quantile)
     to a (len(cfg.horizons), n) array, one row per configured horizon.
     Only an expected numerical failure (ForecastError, LinAlgError,
@@ -338,10 +351,8 @@ def _forecast_one_origin(payload):
     text; any other exception, a bad model value or a code bug among them,
     propagates.
     """
-    origin, origin_idx, dates, values, names, cfg = payload
+    origin, origin_idx, est, cfg = payload
     try:
-        cut = dates.index(origin)
-        est = values[: cut + 1]
         H = max(cfg.horizons)
         quantiles = cfg.quantile_set
         # qbvar's chains, one per level (stream index = level index), then
@@ -360,12 +371,17 @@ def _forecast_one_origin(payload):
             by_q = forecast_quantiles(draws, est, H, quantiles, derive_rng(*key, _STAGE_FORECAST))
             blocks.update({(model_id, q): block for q, block in by_q.items()})
         if cfg.include_rw:
-            blocks.update({("rw", q): random_walk_forecast(H, len(names)) for q in quantiles})
+            blocks.update({("rw", q): random_walk_forecast(H, est.shape[1]) for q in quantiles})
         rows = [h - 1 for h in cfg.horizons]
         return origin, {key: block[rows] for key, block in blocks.items()}, None
     except (ForecastError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # the origin aborts; the run decides whether to fail
         return origin, None, f"{type(exc).__name__}: {exc}"
+
+
+def _payload(cfg: ExperimentConfig, panel: TimeSeriesPanel, origin: int, origin_idx: int) -> tuple:
+    """The :func:`_forecast_one_origin` payload of month ``origin``: its rows end at that month."""
+    return origin, origin_idx, panel.values[: origin - panel.start + 1], cfg
 
 
 def _origin_blocks(results) -> list:
@@ -435,8 +451,8 @@ def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
 
 
 def _aborted(results, n_origins: int) -> dict:
-    """{origin: error} of the aborted origins; RunFailure beyond 1 % of ``n_origins``."""
-    aborted = {o: err for o, _, err in results if err is not None}
+    """{origin label: error} of the aborted origins; RunFailure beyond 1 % of ``n_origins``."""
+    aborted = {month_label(o): err for o, _, err in results if err is not None}
     if len(aborted) > 0.01 * n_origins:
         raise RunFailure(
             f"{len(aborted)} of {n_origins} origins aborted (limit 1%)",
@@ -538,26 +554,20 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         raise ConfigError(f"output directory {cfg.output_dir} already holds a run's manifest.json")
     threads = _threads()
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
-    dates = list(tpanel.dates)
-    last = month_index(dates[-1])
     max_h = max(cfg.horizons)
     for w in cfg.evaluation_windows:
-        if month_index(w.start) < month_index(dates[0]) or month_index(w.end) > last:
+        if w.start < tpanel.start or w.end > tpanel.end:
             raise ConfigError(f"evaluation window {w.label!r} outside the transformed sample")
-    _check_origins(cfg, dates, cfg.origins_start, cfg.origins_end)
-    if month_index(cfg.origins_end) + max_h > last:
+    _check_origins(cfg, tpanel, cfg.origins_start, cfg.origins_end)
+    if cfg.origins_end + max_h > tpanel.end:
         raise ConfigError(
             "origin range leaves no realizations for the longest horizon; "
-            f"last origin must be {max_h} months before {dates[-1]}"
+            f"last origin must be {max_h} months before {month_label(tpanel.end)}"
         )
 
-    origins = [d for d in dates if month_index(cfg.origins_start) <= month_index(d) <= month_index(cfg.origins_end)]
-
-    values = tpanel.values
+    origins = range(cfg.origins_start, cfg.origins_end + 1)
     names = list(cfg.variables)
-    payloads = [
-        (origin, oi, dates, values, names, cfg) for oi, origin in enumerate(origins)
-    ]
+    payloads = [_payload(cfg, tpanel, origin, oi) for oi, origin in enumerate(origins)]
     workers = min(threads, len(payloads)) - 1  # this process samples too
     if workers:
         results = _sample_shared(payloads, workers)
@@ -732,25 +742,30 @@ def _cmd_ingest(args) -> int:
     if args.transform:
         out_panel = transform_panel(panel)
     write_panel(out_panel, args.output, args.output_tcodes)
-    print(f"wrote {args.output} ({len(out_panel.dates)} rows, {out_panel.n_series} series)")
+    print(f"wrote {args.output} ({len(out_panel.values)} rows, {out_panel.n_series} series)")
     return 0
 
 
 def _cmd_forecast(args) -> int:
     cfg, _ = load_config(args.config)
     tpanel = _load_panel(cfg.data_file, cfg.tcode_file, cfg.variables)
-    dates = list(tpanel.dates)
-    origin = args.origin or dates[-1]
-    _check_origins(cfg, dates, origin, origin)
+    origin = tpanel.end
+    if args.origin:
+        try:
+            origin = month_index(args.origin)
+        except PanelError:  # a malformed month is no month of the sample
+            raise ConfigError(f"origin {args.origin} outside {_sample_span(tpanel)}") from None
+    _check_origins(cfg, tpanel, origin, origin)
     # panels are monthly and gap-free, so this is the origin's position in a run
-    origin_idx = month_index(origin) - month_index(cfg.origins_start)
+    origin_idx = origin - cfg.origins_start
     if origin_idx < 0:
-        raise ConfigError(f"origin {origin} precedes the config's first origin {cfg.origins_start}")
-    result = _forecast_one_origin((origin, origin_idx, dates, tpanel.values, cfg.variables, cfg))
+        raise ConfigError(f"origin {month_label(origin)} precedes the config's first origin "
+                          f"{month_label(cfg.origins_start)}")
+    result = _forecast_one_origin(_payload(cfg, tpanel, origin, origin_idx))
     _aborted([result], 1)
     fset = QuantileForecastSet.from_blocks(cfg.variables, cfg.horizons, _origin_blocks([result]))
     write_forecasts(fset, args.output)
-    print(f"wrote {args.output} ({len(fset)} records from origin {origin})")
+    print(f"wrote {args.output} ({len(fset)} records from origin {month_label(origin)})")
     return 0
 
 
@@ -758,7 +773,7 @@ def _parse_window_arg(spec: str) -> EventWindow:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"window spec must be LABEL:START:END, got {spec!r}")
-    return EventWindow(label=parts[0], start=parts[1], end=parts[2])
+    return EventWindow(label=parts[0], start=month_index(parts[1]), end=month_index(parts[2]))
 
 
 def _cmd_evaluate(args) -> int:

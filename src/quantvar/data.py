@@ -3,7 +3,9 @@
 Raw series arrive as levels with a per-series transformation code
 (1 = first difference, 2 = none, 5 = log first difference). Columns may be
 missing at the head of the sample only; after transformation every retained
-column shares the latest common start date.
+column shares the latest common start date. A month is held as its
+:func:`month_index`; the ``YYYY-MM`` label is parsed where a file is read
+and formatted where one is written or a message names a month.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"(\d{4})-(\d{2})")
 
 
 class PanelError(ValueError):
@@ -26,7 +28,7 @@ class PanelError(ValueError):
 
 def month_index(label: str) -> int:
     """Map an ISO month label 'YYYY-MM' to a running month count."""
-    m = _MONTH_RE.match(label)
+    m = _MONTH_RE.fullmatch(label)
     if m is None:
         raise PanelError(f"not an ISO month label: {label!r}")
     year, month = int(m.group(1)), int(m.group(2))
@@ -115,12 +117,14 @@ def splice_by_growth(target, donor) -> np.ndarray:
 
 @dataclass
 class TimeSeriesPanel:
-    """Dated monthly panel: values[t, j] is series ``names[j]`` at ``dates[t]``.
+    """Monthly panel: values[t, j] is series ``names[j]`` in month ``start + t``.
 
-    Missing values (NaN) are permitted only at the head of a column.
+    ``start`` is the :func:`month_index` of row 0, and the rows are
+    consecutive months. Missing values (NaN) are permitted only at the head
+    of a column.
     """
 
-    dates: list[str]
+    start: int
     values: np.ndarray
     names: list[str]
     tcodes: list[TransformCode]
@@ -130,16 +134,11 @@ class TimeSeriesPanel:
         self.tcodes = list(self.tcodes)
         if self.values.ndim != 2:
             raise PanelError("panel values must be a 2-d array")
-        T, n = self.values.shape
-        if len(self.dates) != T:
-            raise PanelError("dates length does not match rows")
+        n = self.values.shape[1]
         if len(self.names) != n or len(self.tcodes) != n:
             raise PanelError("names/tcodes length does not match columns")
         if len(set(self.names)) != n:
             raise PanelError("duplicate series names")
-        idx = [month_index(d) for d in self.dates]
-        if np.any(np.diff(idx) != 1):
-            raise PanelError("dates must be strictly increasing, monthly, gap-free")
         for j, name in enumerate(self.names):
             code = self.tcodes[j]
             # a boolean is no code, though True equals 1
@@ -150,7 +149,7 @@ class TimeSeriesPanel:
             # a blank cell is a missing value; an infinite one is a bad value
             inf = np.isinf(col)
             if inf.any():
-                at = self.dates[int(np.argmax(inf))]
+                at = month_label(self.start + int(np.argmax(inf)))
                 raise PanelError(f"series {name!r} has a non-finite value at {at}")
             missing = np.isnan(col)
             if missing.all():
@@ -159,6 +158,16 @@ class TimeSeriesPanel:
                 fv = int(np.argmax(~missing))
                 if not missing[:fv].all() or missing[fv:].any():
                     raise PanelError(f"series {name!r} has interior missing values")
+
+    @property
+    def end(self) -> int:
+        """The month of the last row."""
+        return self.start + len(self.values) - 1
+
+    @property
+    def dates(self) -> list[str]:
+        """The rows' ``YYYY-MM`` labels, for files and messages."""
+        return [month_label(m) for m in range(self.start, self.end + 1)]
 
     @property
     def n_series(self) -> int:
@@ -170,7 +179,7 @@ class TimeSeriesPanel:
     def select(self, names: list[str]) -> "TimeSeriesPanel":
         cols = [self.names.index(n) for n in names]
         return TimeSeriesPanel(
-            list(self.dates),
+            self.start,
             self.values[:, cols].copy(),
             list(names),
             [self.tcodes[c] for c in cols],
@@ -199,7 +208,7 @@ def transform_panel(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     if np.isnan(trimmed).any():
         raise PanelError("transformation left interior missing values")
     return TimeSeriesPanel(
-        panel.dates[start:],
+        panel.start + start,
         trimmed,
         list(panel.names),
         [TransformCode.LEVEL] * n,
@@ -270,6 +279,11 @@ def build_lag_design(Y, p: int) -> LagDesign:
 
 
 def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
+    """Read a panel CSV and its tcode sidecar; the first bad row raises PanelError naming file and line.
+
+    Each row's date is parsed once here and must be the month after the
+    previous row's.
+    """
     with open(tcode_path) as fh:
         tcode_map = json.load(fh)
     if not isinstance(tcode_map, dict):
@@ -279,30 +293,34 @@ def read_panel(csv_path, tcode_path) -> TimeSeriesPanel:
         header = next(reader, [])
         if len(header) < 2:
             raise PanelError("panel file needs a date column and at least one series")
-        names, dates, rows = header[1:], [], []
+        names, rows, start = header[1:], [], None
         for r in reader:
             try:
                 if len(r) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(r)}")
+                month = month_index(r[0])
+                if rows and month != start + len(rows):
+                    raise ValueError(f"{r[0]} is not the month after {month_label(start + len(rows) - 1)}")
                 rows.append([float(c) if c not in ("", "NA", "NaN", "nan") else np.nan for c in r[1:]])
             except ValueError as exc:
                 raise PanelError(f"{csv_path}, line {reader.line_num}: {exc}") from None
-            dates.append(r[0])
+            if start is None:
+                start = month
     if not rows:
         raise PanelError(f"{csv_path}: no data rows")
     values = np.array(rows)
     missing = [n for n in names if n not in tcode_map]
     if missing:
         raise PanelError(f"tcode sidecar missing series: {missing}")
-    return TimeSeriesPanel(dates, values, names, [tcode_map[n] for n in names])
+    return TimeSeriesPanel(start, values, names, [tcode_map[n] for n in names])
 
 
 def write_panel(panel: TimeSeriesPanel, csv_path, tcode_path=None) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + panel.names)
-        for i, d in enumerate(panel.dates):
-            writer.writerow([d] + [f"{v:.17g}" if not np.isnan(v) else "" for v in panel.values[i]])
+        for d, row in zip(panel.dates, panel.values):
+            writer.writerow([d] + [f"{v:.17g}" if not np.isnan(v) else "" for v in row])
     if tcode_path is not None:
         with open(tcode_path, "w") as fh:
             json.dump({n: int(c) for n, c in zip(panel.names, panel.tcodes)}, fh, indent=2, sort_keys=True)

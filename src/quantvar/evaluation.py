@@ -39,16 +39,16 @@ class EventWindow:
     """A labeled date range, e.g. a price collapse or boom episode."""
 
     label: str
-    start: str  # ISO month, inclusive
-    end: str  # ISO month, inclusive
+    start: int  # month_index, inclusive
+    end: int  # month_index, inclusive
 
     def __post_init__(self):
-        if month_index(self.start) >= month_index(self.end):
+        if self.start >= self.end:
             raise EvaluationError(f"event window {self.label!r}: start must precede end")
 
 
 def realizations(panel: TimeSeriesPanel, variable: str):
-    """The realizations of ``variable`` in ``panel``, its bounds parsed once.
+    """The realizations of ``variable`` in ``panel``.
 
     Returns ``value(origin_months, horizons)``, which looks up the
     observations at origin+h months for arrays of origins (as their
@@ -57,8 +57,7 @@ def realizations(panel: TimeSeriesPanel, variable: str):
     observed), and ``values`` holds the observations there and NaN
     elsewhere. A date before the sample start raises EvaluationError.
     """
-    first = month_index(panel.dates[0])
-    last = month_index(panel.dates[-1])
+    first, last = panel.start, panel.end
     column = panel.values[:, panel.names.index(variable)]
 
     def value(origin_months, horizons):
@@ -72,7 +71,7 @@ def realizations(panel: TimeSeriesPanel, variable: str):
 
 
 def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: int):
-    """Observed value at origin+h months, or None when not yet observed."""
+    """Observed value at origin+h months (``origin`` a ``YYYY-MM`` label), or None when not yet observed."""
     observed, values = realizations(panel, variable)([month_index(origin)], horizon)
     return float(values[0]) if observed[0] else None
 
@@ -145,8 +144,6 @@ def average_qs(
     are summed one after another in record (origin) order, so the table
     does not depend on numpy's summation order.
     """
-    if window is not None:
-        lo, hi = month_index(window.start), month_index(window.end)
     sums: dict = {}
     counts: dict = {}
     if window is not None and not any(len(records) for records in scored):
@@ -154,7 +151,7 @@ def average_qs(
     for records in scored:
         keep = slice(None)
         if window is not None:
-            keep = (lo <= records.realized_month) & (records.realized_month <= hi)
+            keep = (window.start <= records.realized_month) & (records.realized_month <= window.end)
         columns = (records.model[keep], records.quantile[keep], records.horizon[keep], records.score[keep])
         for m, q, h, score in column_rows(*columns):
             key = (records.model_labels[m], q, h)

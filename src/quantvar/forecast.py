@@ -164,7 +164,7 @@ class QuantileForecastSet:
     month_label(origin[i]), horizon[i], quantile[i]) and one value per
     variable, values[i], in ``variable_names`` order. Records are sorted by
     key and unique. ``model_labels`` holds the ids in use, sorted, so the
-    codes sort as their ids do. Methods take and give origins as labels.
+    codes sort as their ids do.
     """
 
     def __init__(self, variable_names, model_labels=(), model=(), origin=(), horizon=(), quantile=(),
@@ -199,10 +199,10 @@ class QuantileForecastSet:
 
     @classmethod
     def from_blocks(cls, variable_names, horizons, blocks):
-        """The set of (model_id, origin, quantile, block) entries; a block's row j holds horizon ``horizons[j]``."""
+        """The set of (model_id, origin month, quantile, block) entries; a block's row j holds horizon ``horizons[j]``."""
         models = {}
         model = [models.setdefault(m, len(models)) for m, _, _, _ in blocks]
-        origin = [month_index(o) for _, o, _, _ in blocks]
+        origin = [o for _, o, _, _ in blocks]
         H = len(horizons)
         return cls.from_columns(
             variable_names, list(models), np.repeat(model, H), np.repeat(origin, H),
@@ -214,50 +214,12 @@ class QuantileForecastSet:
         return len(self.values)
 
     def key(self, i: int) -> tuple:
-        """The (model_id, origin, horizon, quantile) key of record ``i``."""
+        """The (model_id, origin label, horizon, quantile) key of record ``i``, as messages name it."""
         return (self.model_labels[self.model[i]], month_label(int(self.origin[i])),
                 int(self.horizon[i]), float(self.quantile[i]))
 
-    def items(self):
-        """(key, values) of every record, in key order."""
-        for i in range(len(self)):
-            yield self.key(i), self.values[i]
-
-    def add(self, model_id: str, origin: str, horizon: int, quantile: float, values) -> None:
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != len(self.variable_names):
-            raise ValueError("value vector length does not match variables")
-        models = list(self.model_labels)
-        m = _intern(models, model_id)
-        merged = self.from_columns(
-            self.variable_names, models, np.append(self.model, m), np.append(self.origin, month_index(origin)),
-            np.append(self.horizon, int(horizon)), np.append(self.quantile, level_key(quantile)),
-            np.vstack([self.values, values]),
-        )
-        vars(self).update(vars(merged))
-
-    def get(self, model_id: str, origin: str, horizon: int, quantile: float) -> np.ndarray:
-        """The values of one record; KeyError when the set lacks it."""
-        key = (model_id, origin, int(horizon), level_key(quantile))
-        if model_id in self.model_labels:
-            lo, hi = 0, len(self)
-            codes = (self.model_labels.index(model_id), month_index(origin), *key[2:])
-            for column, code in zip((self.model, self.origin, self.horizon, self.quantile), codes):
-                part = column[lo:hi]  # sorted, since the columns before it are constant here
-                lo, hi = lo + int(part.searchsorted(code, "left")), lo + int(part.searchsorted(code, "right"))
-            if hi > lo:
-                return self.values[lo]
-        raise KeyError(key)
-
     def model_ids(self) -> list[str]:
         return list(self.model_labels)
-
-    def origins(self, model_id: str | None = None) -> list[str]:
-        months = self.origin
-        if model_id is not None:
-            code = self.model_labels.index(model_id) if model_id in self.model_labels else -1
-            months = months[self.model == code]
-        return [month_label(o) for o in distinct(months)]
 
     def horizons(self) -> list[int]:
         return distinct(self.horizon)

@@ -7,7 +7,7 @@ import pytest
 
 from quantvar.combine import combination_objective
 from quantvar.data import month_index, month_label
-from quantvar.forecast import QuantileForecastSet, write_forecasts
+from quantvar.forecast import QuantileForecastSet, level_key, write_forecasts
 from quantvar.qbvar import factor_system
 
 
@@ -57,15 +57,28 @@ def make_forecast_pair(dir_path, origins=("2017-08", "2018-03"), horizons=(1, 2)
     rng = np.random.default_rng(seed)
     paths = []
     for model_id in ("qbvar", "bvar"):
-        fset = QuantileForecastSet(variable_names=["tgt", "c1"])
-        for i in range(month_index(origins[0]), month_index(origins[1]) + 1):
-            for h in horizons:
-                for q in quantiles:
-                    fset.add(model_id, month_label(i), h, q, 0.05 * rng.standard_normal(2))
+        records = [(model_id, month_label(i), h, q, 0.05 * rng.standard_normal(2))
+                   for i in range(month_index(origins[0]), month_index(origins[1]) + 1)
+                   for h in horizons for q in quantiles]
         path = str(dir_path / f"{model_id}.csv")
-        write_forecasts(fset, path)
+        write_forecasts(forecast_set(["tgt", "c1"], records), path)
         paths.append(path)
     return paths
+
+
+def forecast_set(variable_names, records) -> QuantileForecastSet:
+    """The set of ``records``, (model_id, origin label, horizon, quantile, values) tuples in any order."""
+    models = sorted({r[0] for r in records})
+    return QuantileForecastSet.from_columns(
+        variable_names, models, [models.index(r[0]) for r in records], [month_index(r[1]) for r in records],
+        [r[2] for r in records], [level_key(r[3]) for r in records],
+        np.reshape([np.ravel(r[4]) for r in records], (len(records), len(variable_names))),
+    )
+
+
+def forecast_records(fset: QuantileForecastSet) -> dict:
+    """{key: values} of every record of ``fset``, keyed as :meth:`QuantileForecastSet.key` gives them."""
+    return {fset.key(i): fset.values[i] for i in range(len(fset))}
 
 
 def make_config_dict(

@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from quantvar.cli import _combine, _forecast_one_origin, main, parse_config
+from quantvar.cli import _combine, _forecast_one_origin, _payload, main, parse_config
 from quantvar.combine import (
     combination_objective,
     optimal_weight,
     performance_weight,
 )
-from quantvar.data import build_lag_design, month_index, month_label
+from quantvar.data import TimeSeriesPanel, TransformCode, build_lag_design, month_index, month_label
 from quantvar.dist import derive_rng, draw_from_precision_system, draw_gig_half
 from quantvar.evaluation import average_qs, pinball, score_records
-from quantvar.forecast import QuantileForecastSet, read_forecasts
+from quantvar.forecast import read_forecasts
 from quantvar.qbvar import (
     McmcSchedule,
     QbvarConfig,
@@ -35,7 +35,14 @@ from quantvar.qbvar import (
     weighted_system,
 )
 
-from conftest import factor_systems, make_config_dict, make_raw_panel, optimal_weight_grid
+from conftest import (
+    factor_systems,
+    forecast_records,
+    forecast_set,
+    make_config_dict,
+    make_raw_panel,
+    optimal_weight_grid,
+)
 
 
 def _report(name, ok, detail=""):
@@ -255,26 +262,22 @@ def test_05_pinball_loss_and_averages():
     exact = pinball(-2.0, 0.1) / pinball(2.0, 0.1) == 9.0
 
     rng = np.random.default_rng(505)
-    from quantvar.data import TimeSeriesPanel, TransformCode
-
     T = 60
     y = rng.standard_normal(T)
     start = month_index("2000-01")
     panel = TimeSeriesPanel(
-        dates=[month_label(start + j) for j in range(T)],
+        start=start,
         values=y[:, None],
         names=["v"],
         tcodes=[TransformCode.LEVEL],
     )
-    fset = QuantileForecastSet(variable_names=["v"])
     preds = {}
     origins = [month_label(start + j) for j in range(10, 40)]
     for h in (1, 4):
         for q in (0.1, 0.5, 0.9):
             for o in origins:
-                v = float(rng.normal())
-                preds[(o, h, q)] = v
-                fset.add("m", o, h, q, np.array([v]))
+                preds[(o, h, q)] = float(rng.normal())
+    fset = forecast_set(["v"], [("m", *cell, [v]) for cell, v in preds.items()])
     table = average_qs([score_records(fset, panel, "v")], "v")
     worst = 0.0
     for h in (1, 4):
@@ -298,18 +301,16 @@ def test_05_pinball_loss_and_averages():
 def test_06_combination_strategies():
     # endpoint identity: lam = 1 returns the first model, lam = 0 the second
     cells = {(month_label(month_index("2010-01") + j), 1, 0.5): float(j) for j in range(6)}
-    fa = QuantileForecastSet(variable_names=["v"])
-    fb = QuantileForecastSet(variable_names=["v"])
-    for (o, h, q), v in cells.items():
-        fa.add("a", o, h, q, np.array([v]))
-        fb.add("b", o, h, q, np.array([10.0 - v]))
+    fa = forecast_set(["v"], [("a", *cell, [v]) for cell, v in cells.items()])
+    fb = forecast_set(["v"], [("b", *cell, [10.0 - v]) for cell, v in cells.items()])
     # the fixed-weight path of `run` and `quantvar combine`
-    at_one = _combine(fa, fb, "fixed", 1.0, "comb_fixed")[0]
-    at_zero = _combine(fa, fb, "fixed", 0.0, "comb_fixed")[0]
+    at_one = forecast_records(_combine(fa, fb, "fixed", 1.0, "comb_fixed")[0])
+    at_zero = forecast_records(_combine(fa, fb, "fixed", 0.0, "comb_fixed")[0])
+    a, b = forecast_records(fa), forecast_records(fb)
     end_ok = all(
-        np.array_equal(at_one.get("comb_fixed", o, h, q), fa.get("a", o, h, q))
-        and np.array_equal(at_zero.get("comb_fixed", o, h, q), fb.get("b", o, h, q))
-        for (o, h, q) in cells
+        np.array_equal(at_one[("comb_fixed", *cell)], a[("a", *cell)])
+        and np.array_equal(at_zero[("comb_fixed", *cell)], b[("b", *cell)])
+        for cell in cells
     )
 
     perf_ok = performance_weight([1.0] * 50, [3.0] * 50, 50) == (0.75, False)
@@ -400,14 +401,17 @@ def test_08_no_leakage_past_origin():
     T = 70
     values = rng.standard_normal((T, 2)).cumsum(axis=0) * 0.1
     start = month_index("2000-01")
-    dates = [month_label(start + j) for j in range(T)]
     cut = 49
-    origin = dates[cut]
+    origin = start + cut
 
-    _, records_a, err_a = _forecast_one_origin((origin, 3, dates, values, ["y0", "y1"], cfg))
+    def one_origin(values):
+        panel = TimeSeriesPanel(start, values, ["y0", "y1"], [TransformCode.LEVEL] * 2)
+        return _forecast_one_origin(_payload(cfg, panel, origin, 3))
+
+    _, records_a, err_a = one_origin(values)
     tampered = values.copy()
     tampered[cut + 1:] = 1e6 * rng.standard_normal((T - cut - 1, 2))
-    _, records_b, err_b = _forecast_one_origin((origin, 3, dates, tampered, ["y0", "y1"], cfg))
+    _, records_b, err_b = one_origin(tampered)
 
     ok = err_a is None and err_b is None and records_a.keys() == records_b.keys()
     if ok:

@@ -19,6 +19,7 @@ from quantvar.cli import (
     ConfigError,
     RunFailure,
     _forecast_one_origin,
+    _payload,
     _sha256_file,
     config_digest,
     load_config,
@@ -27,10 +28,10 @@ from quantvar.cli import (
     report,
     run_recursive,
 )
-from quantvar.data import month_index, month_label
+from quantvar.data import TimeSeriesPanel, month_index, month_label
 from quantvar.forecast import QuantileForecastSet, read_forecasts, write_forecasts
 
-from conftest import make_config_dict, make_forecast_pair, make_raw_panel
+from conftest import forecast_records, forecast_set, make_config_dict, make_forecast_pair, make_raw_panel
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +58,10 @@ def test_parse_config_defaults():
     assert (sched.iterations, sched.burn_in, sched.thin) == (3000, 1000, 5)
     assert (cfg.bvar.a_sigma, cfg.bvar.b_sigma) == (3.0, 1.0)
     assert [w.label for w in cfg.evaluation_windows] == ["main", "recent"]
-    assert cfg.evaluation_windows[0].start == "2008-01"
-    assert cfg.evaluation_windows[1].start == "2013-01"
+    assert cfg.evaluation_windows[0].start == month_index("2008-01")
+    assert cfg.evaluation_windows[1].start == month_index("2013-01")
     assert cfg.benchmark == "bvar"
-    assert cfg.origins_start == "2008-01" and cfg.origins_end == "2025-02"
+    assert (cfg.origins_start, cfg.origins_end) == (month_index("2008-01"), month_index("2025-02"))
     assert cfg.data_file == "/base/panel.csv"  # relative paths resolve to the config dir
     assert cfg.model_ids() == ["bvar"]
 
@@ -134,6 +135,19 @@ def test_parse_config_rejections():
             parse_config(raw)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("target", ["tgt"], "config field 'target' must be a string, got ['tgt']"),
+    ("companions", "c1", "config field 'companions' must be a list of strings, got 'c1'"),
+    ("companions", ["c1", 2], "config field 'companions' must be a list of strings, got ['c1', 2]"),
+], ids=["target-list", "companions-string", "companions-number"])
+def test_parse_config_names_a_mistyped_target_or_companions(field, value, message):
+    # a string of companions was split into its characters, and a list target
+    # got as far as the panel check
+    with pytest.raises(ConfigError) as info:
+        parse_config(_minimal_raw(**{field: value}))
+    assert str(info.value) == message
+
+
 # JSON values for config fields; strings carry no path separator, so every
 # path a config names stays inside the example's temporary directory
 _json_leaf = (
@@ -188,19 +202,16 @@ def test_config_digest_canonical():
 def test_forecast_one_origin_reports_errors(monkeypatch):
     # an expected numerical failure aborts the origin and is reported
     cfg = parse_config(_minimal_raw())
-    dates = [month_label(month_index("2000-01") + j) for j in range(30)]
-    values = np.random.default_rng(0).normal(size=(30, 1))
+    start = month_index("2000-01")
+    panel = TimeSeriesPanel(start, np.random.default_rng(0).normal(size=(30, 1)), ["tgt"], [2])
 
     def singular(design, config, rng):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(cli_mod, "run_bvar_chain", singular)
-    origin, records, err = _forecast_one_origin((dates[-1], 29, dates, values, ["tgt"], cfg))
-    assert origin == dates[-1] and records is None
+    origin, records, err = _forecast_one_origin(_payload(cfg, panel, start + 29, 29))
+    assert origin == start + 29 and records is None
     assert err == "LinAlgError: not positive definite"
-    # an origin outside the sample is the caller's error, not an aborted origin
-    with pytest.raises(ValueError):
-        _forecast_one_origin(("1999-01", 0, ["2000-01"], np.zeros((1, 1)), ["tgt"], cfg))
 
 
 def _light_cfg(tmp_path, **over):
@@ -409,7 +420,7 @@ def test_abort_accounting_fails_run(tmp_path, monkeypatch):
     real = cli_mod._forecast_one_origin
 
     def flaky(payload):
-        if payload[0] == "2017-10":
+        if payload[0] == month_index("2017-10"):
             return payload[0], None, "RuntimeError: injected"
         return real(payload)
 
@@ -554,12 +565,9 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
     run_recursive(cfg, raw)
     fdir = os.path.join(cfg.output_dir, "forecasts")
     qset = read_forecasts(os.path.join(fdir, "qbvar.csv"))
-    first = qset.origins()[0]
-    partial = QuantileForecastSet(variable_names=qset.variable_names)
-    for (model_id, origin, h, q), values in qset.items():
-        if origin != first:
-            partial.add(model_id, origin, h, q, values)
-    write_forecasts(partial, str(tmp_path / "partial.csv"))
+    first = month_label(int(qset.origin.min()))
+    partial = [(*key, values) for key, values in forecast_records(qset).items() if key[1] != first]
+    write_forecasts(forecast_set(qset.variable_names, partial), str(tmp_path / "partial.csv"))
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
             "--target", "tgt", "--output-dir", str(tmp_path / "ev")]
     rc = main(["evaluate", "--forecasts", str(tmp_path / "partial.csv"),
@@ -568,8 +576,7 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
     assert json.loads(capsys.readouterr().err)["kind"] == "EvaluationError"
 
     # a window over realizations beyond the sample: nothing is scorable
-    unseen = QuantileForecastSet(variable_names=qset.variable_names)
-    unseen.add("qbvar", "2020-04", 1, 0.5, np.zeros(2))
+    unseen = forecast_set(qset.variable_names, [("qbvar", "2020-04", 1, 0.5, np.zeros(2))])
     write_forecasts(unseen, str(tmp_path / "unseen.csv"))
     rc = main(["evaluate", "--forecasts", str(tmp_path / "unseen.csv"), *data,
                "--window", "late:2020-01:2020-06"])
@@ -682,15 +689,15 @@ def test_run_into_a_previous_runs_directory_exits_2_before_sampling(tmp_path, ca
 
 def test_origin_range_validation(tmp_path):
     cfg, raw = _light_cfg(tmp_path)
-    cfg.origins_end = "2020-03"  # leaves no h=2 realization inside the sample
+    cfg.origins_end = month_index("2020-03")  # leaves no h=2 realization inside the sample
     with pytest.raises(ConfigError):
         run_recursive(cfg, raw)
     cfg2, raw2 = _light_cfg(tmp_path)
-    cfg2.origins_start = "2015-05"  # too little estimation data
+    cfg2.origins_start = month_index("2015-05")  # too little estimation data
     with pytest.raises(ConfigError):
         run_recursive(cfg2, raw2)
     cfg3, raw3 = _light_cfg(tmp_path)
-    cfg3.origins_start = "1990-01"  # outside the sample entirely
+    cfg3.origins_start = month_index("1990-01")  # outside the sample entirely
     with pytest.raises(ConfigError):
         run_recursive(cfg3, raw3)
 
@@ -746,11 +753,9 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
     assert "qbvar" in out and "QS50" in out
 
     # combine reads one model per file
+    records = forecast_records(fset)
     for model_id in ("qbvar", "bvar"):
-        one = QuantileForecastSet(variable_names=fset.variable_names)
-        for key, vals in fset.items():
-            if key[0] == model_id:
-                one.add(*key, vals)
+        one = forecast_set(fset.variable_names, [(*key, vals) for key, vals in records.items() if key[0] == model_id])
         write_forecasts(one, str(tmp_path / f"{model_id}.csv"))
     comb = str(tmp_path / "comb.csv")
     rc = main(
@@ -759,10 +764,10 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
          "--output", comb]
     )
     assert rc == 0
-    cset = read_forecasts(comb)
-    a = fset.get("qbvar", "2018-06", 1, 0.5)
-    b = fset.get("bvar", "2018-06", 1, 0.5)
-    np.testing.assert_allclose(cset.get("mix", "2018-06", 1, 0.5), 0.5 * (a + b))
+    cset = forecast_records(read_forecasts(comb))
+    a = records[("qbvar", "2018-06", 1, 0.5)]
+    b = records[("bvar", "2018-06", 1, 0.5)]
+    np.testing.assert_allclose(cset[("mix", "2018-06", 1, 0.5)], 0.5 * (a + b))
 
 
 def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
@@ -772,11 +777,11 @@ def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
     run_recursive(cfg, raw)
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc, "2017-09")) == 0
-    mine = dict(read_forecasts(fc).items())
+    mine = forecast_records(read_forecasts(fc))
     ran = {}
     for model_id in cfg.model_ids():
         path = os.path.join(cfg.output_dir, "forecasts", f"{model_id}.csv")
-        ran.update({k: v for k, v in read_forecasts(path).items() if k[1] == "2017-09"})
+        ran.update({k: v for k, v in forecast_records(read_forecasts(path)).items() if k[1] == "2017-09"})
     # 3 models x 2 levels x 2 horizons
     assert sorted(mine) == sorted(ran) and len(mine) == 12
     for key, vals in mine.items():
@@ -788,10 +793,11 @@ def test_forecast_defaults_to_the_sample_end(tmp_path, capsys):
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc)) == 0
     fset = read_forecasts(fc)
-    assert fset.origins() == ["2020-04"]  # the panel's last month, past every realization
+    records = forecast_records(fset)
+    assert {o for _, o, _, _ in records} == {"2020-04"}  # the panel's last month, past every realization
     for model_id in ("qbvar", "bvar", "rw"):
         for q in cfg.quantile_set:
-            cells = sorted(h for (m, _, h, level), _ in fset.items() if (m, level) == (model_id, q))
+            cells = sorted(h for m, _, h, level in records if (m, level) == (model_id, q))
             assert cells == cfg.horizons, (model_id, q)
     assert len(fset) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
 
@@ -881,6 +887,46 @@ def test_ingest_names_a_panel_without_rows_and_a_series_without_values(tmp_path,
                  "--output", str(out), "--output-tcodes", str(tmp_path / "out.json")]) == 2
     assert json.loads(capsys.readouterr().err) == {"status": "error", "kind": "PanelError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["malformed", "skipped", "repeated", "backward"])
+@pytest.mark.parametrize("command", ["ingest", "run", "forecast", "evaluate", "combine", "report"])
+def test_a_bad_panel_date_exits_2_naming_the_file_and_line(tmp_path, capsys, command, fault):
+    # these said "not an ISO month label" or "dates must be strictly
+    # increasing, monthly, gap-free", naming neither the file nor the line
+    make_raw_panel(tmp_path)
+    fa, fb = make_forecast_pair(tmp_path)
+    panel, tcodes = tmp_path / "panel.csv", str(tmp_path / "tcodes.json")
+    header, *rows = panel.read_text().splitlines()
+    assert rows[10].startswith("2015-11,")  # on line 12
+    if fault == "skipped":
+        del rows[10]
+        message = "2015-12 is not the month after 2015-10"
+    else:
+        date, message = {"malformed": ("2015-1", "not an ISO month label: '2015-1'"),
+                         "repeated": ("2015-10", "2015-10 is not the month after 2015-10"),
+                         "backward": ("2015-09", "2015-09 is not the month after 2015-10")}[fault]
+        rows[10] = date + rows[10][len("2015-11"):]
+    panel.write_text("\n".join([header, *rows]) + "\n")
+    (tmp_path / "config.json").write_text(json.dumps(make_config_dict()))
+    data = ["--data", str(panel), "--tcodes", tcodes, "--target", "tgt"]
+    out = str(tmp_path / "out")
+    argv = {
+        "ingest": ["ingest", "--input", str(panel), "--tcodes", tcodes, "--output", out,
+                   "--output-tcodes", str(tmp_path / "out.json")],
+        "run": ["run", "--config", str(tmp_path / "config.json"), "--output-dir", out],
+        "forecast": _forecast_argv(tmp_path, out),
+        "evaluate": ["evaluate", *data, "--forecasts", fa, "--output-dir", out],
+        "combine": ["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "performance",
+                    *data, "--output", out],
+        "report": ["report", "--run-dir", str(tmp_path)],
+    }[command]
+    if command == "report":
+        os.makedirs(tmp_path / "forecasts")
+        os.replace(fa, tmp_path / "forecasts" / "qbvar.csv")
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "PanelError", "message": f"{panel}, line 12: {message}"}
 
 
 def _blank_before(panel_path, series, month):
@@ -1220,10 +1266,8 @@ def test_combine_window_defaults_match_the_config_defaults(tmp_path, capsys, str
 def test_combine_adaptive_requires_data_args(tmp_path, capsys):
     make_raw_panel(tmp_path)
     # build two tiny aligned forecast files via the fixed path first
-    fa = QuantileForecastSet(variable_names=["tgt", "c1"])
-    fb = QuantileForecastSet(variable_names=["tgt", "c1"])
-    fa.add("a", "2018-01", 1, 0.5, np.array([0.1, 0.0]))
-    fb.add("b", "2018-01", 1, 0.5, np.array([0.2, 0.0]))
+    fa = forecast_set(["tgt", "c1"], [("a", "2018-01", 1, 0.5, [0.1, 0.0])])
+    fb = forecast_set(["tgt", "c1"], [("b", "2018-01", 1, 0.5, [0.2, 0.0])])
     pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_forecasts(fa, pa)
     write_forecasts(fb, pb)

@@ -13,16 +13,13 @@ from quantvar.combine import (
     performance_weight,
     weight_curve,
 )
-from quantvar.forecast import QuantileForecastSet
 
-from conftest import optimal_weight_grid
+from conftest import forecast_records, forecast_set, optimal_weight_grid
 
 
 def _fset(model, cells, names=("y0",)):
-    out = QuantileForecastSet(variable_names=list(names))
-    for (origin, h, q), v in cells.items():
-        out.add(model, origin, h, q, np.full(len(names), v, dtype=float))
-    return out
+    return forecast_set(list(names), [(model, *cell, np.full(len(names), v, dtype=float))
+                                      for cell, v in cells.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +36,12 @@ def test_combine_fixed_endpoints_and_midpoint():
     a = _fset("a", cells)
     b = _fset("b", {k: 10.0 for k in cells})
     # lam = 1 reproduces a, lam = 0 reproduces b, exactly
+    at_one, at_zero = (forecast_records(_fixed(a, b, lam)) for lam in (1.0, 0.0))
     for k in cells:
-        assert _fixed(a, b, 1.0).get("comb_fixed", *k)[0] == cells[k]
-        assert _fixed(a, b, 0.0).get("comb_fixed", *k)[0] == 10.0
-    mid = _fixed(a, b, 0.5, model_id="mix")
-    assert mid.get("mix", "2010-01", 1, 0.5)[0] == 6.0
+        assert at_one[("comb_fixed", *k)][0] == cells[k]
+        assert at_zero[("comb_fixed", *k)][0] == 10.0
+    mid = forecast_records(_fixed(a, b, 0.5, model_id="mix"))
+    assert mid[("mix", "2010-01", 1, 0.5)][0] == 6.0
 
 
 def test_combine_fixed_validation():
@@ -55,8 +53,7 @@ def test_combine_fixed_validation():
     b_short = _fset("b", {("2010-02", 1, 0.5): 1.0})
     with pytest.raises(CombinationError):
         _fixed(a, b_short, 0.5)
-    two = _fset("a", cells)
-    two.add("c", "2010-01", 1, 0.5, np.array([1.0]))
+    two = forecast_set(["y0"], [("a", "2010-01", 1, 0.5, [2.0]), ("c", "2010-01", 1, 0.5, [1.0])])
     with pytest.raises(CombinationError):
         _fixed(two, b, 0.5)
 
@@ -65,14 +62,12 @@ def test_combine_pairs_variables_by_name():
     # b may list a's variables in another order: the values pair up by name
     # and the output keeps a's order; another set of variables is refused
     def one_record(model, names, values):
-        fset = QuantileForecastSet(variable_names=names)
-        fset.add(model, "2010-01", 1, 0.5, np.array(values))
-        return fset
+        return forecast_set(names, [(model, "2010-01", 1, 0.5, values)])
 
     a = one_record("a", ["x", "y"], [1.0, 2.0])
     out = _fixed(a, one_record("b", ["y", "x"], [20.0, 10.0]), 0.5)
     assert out.variable_names == ["x", "y"]
-    np.testing.assert_array_equal(out.get("comb_fixed", "2010-01", 1, 0.5), [5.5, 11.0])
+    np.testing.assert_array_equal(forecast_records(out)[("comb_fixed", "2010-01", 1, 0.5)], [5.5, 11.0])
     with pytest.raises(CombinationError):
         _fixed(a, one_record("b", ["y", "z"], [20.0, 10.0]), 0.5)
 
@@ -272,5 +267,6 @@ def test_combine_weighted_uses_per_cell_weights():
     a = _fset("a", cells)
     b = _fset("b", {k: 10.0 for k in cells})
     out = combine_weighted(a, aligned_values(a, b), np.array([1.0, 0.25]), "comb_opt")
-    assert out.get("comb_opt", "2010-01", 1, 0.5)[0] == 2.0
-    assert out.get("comb_opt", "2010-02", 1, 0.5)[0] == pytest.approx(8.0)
+    records = forecast_records(out)
+    assert records[("comb_opt", "2010-01", 1, 0.5)][0] == 2.0
+    assert records[("comb_opt", "2010-02", 1, 0.5)][0] == pytest.approx(8.0)

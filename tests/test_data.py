@@ -25,7 +25,7 @@ def test_month_index_roundtrip():
     assert month_index("2000-01") - month_index("1999-12") == 1
 
 
-@pytest.mark.parametrize("bad", ["2020-13", "2020-00", "202001", "2020-1", "20-01"])
+@pytest.mark.parametrize("bad", ["2020-13", "2020-00", "202001", "2020-1", "20-01", "2020-01\n"])
 def test_month_index_rejects_malformed(bad):
     with pytest.raises(PanelError):
         month_index(bad)
@@ -130,18 +130,34 @@ def _dates(start, n):
 
 
 def test_panel_validation():
-    dates = _dates("2001-01", 4)
+    start = month_index("2001-01")
     vals = np.arange(8.0).reshape(4, 2)
-    panel = TimeSeriesPanel(dates, vals, ["a", "b"], [2, 2])
+    panel = TimeSeriesPanel(start, vals, ["a", "b"], [2, 2])
     assert panel.n_series == 2
-    with pytest.raises(PanelError):  # gap in dates
-        TimeSeriesPanel(["2001-01", "2001-03", "2001-04", "2001-05"], vals, ["a", "b"], [2, 2])
+    assert (panel.start, panel.end) == (start, start + 3)
     with pytest.raises(PanelError):  # duplicate names
-        TimeSeriesPanel(dates, vals, ["a", "a"], [2, 2])
+        TimeSeriesPanel(start, vals, ["a", "a"], [2, 2])
     bad = vals.copy()
     bad[2, 0] = np.nan  # interior hole
     with pytest.raises(PanelError):
-        TimeSeriesPanel(dates, bad, ["a", "b"], [2, 2])
+        TimeSeriesPanel(start, bad, ["a", "b"], [2, 2])
+
+
+@pytest.mark.parametrize("dates, line, message", [
+    (["2001-01", "2001-2", "2001-03"], 3, "not an ISO month label: '2001-2'"),
+    (["2001-01", '"2001-02\n"', "2001-03"], 4, "not an ISO month label: '2001-02\\n'"),
+    (["2001-01", "2001-03", "2001-04"], 3, "2001-03 is not the month after 2001-01"),
+    (["2001-01", "2001-02", "2001-02"], 4, "2001-02 is not the month after 2001-02"),
+    (["2001-02", "2001-03", "2001-01"], 4, "2001-01 is not the month after 2001-03"),
+], ids=["malformed", "trailing-newline", "skipped", "repeated", "backward"])
+def test_read_panel_names_the_line_of_a_bad_date(tmp_path, dates, line, message):
+    # a quoted date that holds a newline ends on the next line, which the message names
+    csv_path, tc_path = tmp_path / "p.csv", tmp_path / "t.json"
+    csv_path.write_text("date,a\n" + "".join(f"{d},{i}.0\n" for i, d in enumerate(dates)))
+    tc_path.write_text('{"a": 2}')
+    with pytest.raises(PanelError) as info:
+        read_panel(csv_path, tc_path)
+    assert str(info.value) == f"{csv_path}, line {line}: {message}"
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -150,20 +166,19 @@ def test_panel_rejects_an_infinite_value_with_series_and_month(value):
     vals = np.arange(8.0).reshape(4, 2)
     vals[2, 1] = value
     with pytest.raises(PanelError, match="series 'b' has a non-finite value at 2001-03"):
-        TimeSeriesPanel(_dates("2001-01", 4), vals, ["a", "b"], [2, 2])
+        TimeSeriesPanel(month_index("2001-01"), vals, ["a", "b"], [2, 2])
 
 
 def test_panel_head_missing_allowed():
     dates = _dates("2001-01", 5)
     vals = np.arange(10.0).reshape(5, 2)
     vals[:2, 1] = np.nan
-    panel = TimeSeriesPanel(dates, vals, ["a", "b"], [2, 2])
+    panel = TimeSeriesPanel(month_index("2001-01"), vals, ["a", "b"], [2, 2])
     assert panel.dates == dates
     np.testing.assert_array_equal(panel.column("b"), vals[:, 1])
 
 
 def test_transform_panel_aligns_to_latest_common_start():
-    dates = _dates("2001-01", 6)
     vals = np.column_stack(
         [
             np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),  # code 1: starts 2001-02
@@ -171,9 +186,9 @@ def test_transform_panel_aligns_to_latest_common_start():
             np.array([7.0, 7.0, 7.0, 7.0, 7.0, 7.0]),  # code 2: full
         ]
     )
-    panel = TimeSeriesPanel(dates, vals, ["d", "g", "l"], [1, 5, 2])
+    panel = TimeSeriesPanel(month_index("2001-01"), vals, ["d", "g", "l"], [1, 5, 2])
     out = transform_panel(panel)
-    assert out.dates[0] == "2001-04"
+    assert out.start == month_index("2001-04")
     assert out.values.shape == (3, 3)
     assert not np.isnan(out.values).any()
     np.testing.assert_allclose(out.values[:, 0], 1.0)
@@ -219,19 +234,18 @@ def test_lag_design_reconstruction(p, n, seed):
 def test_panel_names_the_series_of_an_invalid_tcode(code):
     # True equals 1 and would be read as a first difference
     with pytest.raises(PanelError) as info:
-        TimeSeriesPanel(_dates("1995-06", 3), np.ones((3, 2)), ["x", "y"], [2, code])
+        TimeSeriesPanel(month_index("1995-06"), np.ones((3, 2)), ["x", "y"], [2, code])
     assert str(info.value) == f"series 'y' has an invalid transformation code {code!r}"
 
 
 def test_panel_csv_roundtrip(tmp_path):
-    dates = _dates("1995-06", 4)
     vals = np.array([[np.nan, 1.5], [2.0, 2.5], [3.0, 3.5], [4.0, 4.5]])
-    panel = TimeSeriesPanel(dates, vals, ["x", "y"], [1, 5])
+    panel = TimeSeriesPanel(month_index("1995-06"), vals, ["x", "y"], [1, 5])
     csv_path = tmp_path / "panel.csv"
     tc_path = tmp_path / "tcodes.json"
     write_panel(panel, csv_path, tc_path)
     back = read_panel(csv_path, tc_path)
-    assert back.dates == panel.dates
+    assert back.start == panel.start and back.dates == _dates("1995-06", 4)
     assert back.names == panel.names
     assert back.tcodes == panel.tcodes
     np.testing.assert_array_equal(

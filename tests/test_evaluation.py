@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantvar.data import TimeSeriesPanel, TransformCode, month_label
+from quantvar.data import TimeSeriesPanel, TransformCode, month_index, month_label
 from quantvar.evaluation import (
     EvaluationError,
     EventWindow,
@@ -18,7 +18,8 @@ from quantvar.evaluation import (
     score_records,
     score_table_rows,
 )
-from quantvar.forecast import QuantileForecastSet
+
+from conftest import forecast_set
 
 
 def _panel(values, start="2000-01", names=None):
@@ -27,10 +28,8 @@ def _panel(values, start="2000-01", names=None):
         values = values.T
     n = values.shape[1]
     names = names or [f"y{j}" for j in range(n)]
-    dates = [month_label(j) for j in range(
-        _mi(start), _mi(start) + values.shape[0])]
     return TimeSeriesPanel(
-        dates=dates,
+        start=_mi(start),
         values=values,
         names=names,
         tcodes=[TransformCode.LEVEL] * n,
@@ -42,8 +41,6 @@ def _m(j, start="2000-01"):
 
 
 def _mi(label):
-    from quantvar.data import month_index
-
     return month_index(label)
 
 
@@ -117,7 +114,7 @@ def test_realized_value_alignment_and_bounds():
 def test_event_window_membership():
     # inclusive bounds are covered by test_window_by_realization_date_vs_origin
     with pytest.raises(EvaluationError):
-        EventWindow("bad", "2015-01", "2015-01")
+        EventWindow("bad", _mi("2015-01"), _mi("2015-01"))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +122,8 @@ def test_event_window_membership():
 
 
 def _one_model_set(preds, origins, h=1, q=0.5, model="m", names=("y0",)):
-    fset = QuantileForecastSet(variable_names=list(names))
-    for origin, pred in zip(origins, preds):
-        fset.add(model, origin, h, q, np.full(len(names), pred, dtype=float))
-    return fset
+    return forecast_set(list(names), [(model, origin, h, q, np.full(len(names), pred, dtype=float))
+                                      for origin, pred in zip(origins, preds)])
 
 
 def _average(sets, panel, variable, **kw):
@@ -142,15 +137,13 @@ def test_average_qs_matches_brute_force():
     y = rng.normal(size=T)
     panel = _panel(y[:, None])
     origins = [_m(j) for j in range(5, 25)]
-    fset = QuantileForecastSet(variable_names=["y0"])
     qs = (0.1, 0.5, 0.9)
     preds = {}
     for h in (1, 3):
         for q in qs:
             for i, o in enumerate(origins):
-                p = rng.normal()
-                preds[(o, h, q)] = p
-                fset.add("m", o, h, q, np.array([p]))
+                preds[(o, h, q)] = rng.normal()
+    fset = forecast_set(["y0"], [("m", *cell, [p]) for cell, p in preds.items()])
     table = _average([fset], panel, "y0")
     for h in (1, 3):
         for q in qs:
@@ -181,11 +174,11 @@ def test_window_by_realization_date_vs_origin():
     fset = _one_model_set([1.0] * len(origins), origins, h=2)
     # realizations land at months 2..9; window [2000-04, 2000-06] covers
     # realizations of origins 2000-02..2000-04 (3 of them)
-    w = EventWindow("mid", "2000-04", "2000-06")
+    w = EventWindow("mid", _mi("2000-04"), _mi("2000-06"))
     t_real = _average([fset], panel, "y0", window=w)
     assert t_real.counts[("m", 0.5, 2)] == 3
     # all-covering window must agree with the unconditional table exactly
-    wide = EventWindow("all", "1999-01", "2001-12")
+    wide = EventWindow("all", _mi("1999-01"), _mi("2001-12"))
     t_all = _average([fset], panel, "y0", window=wide)
     t_unc = _average([fset], panel, "y0")
     assert t_all.entries == t_unc.entries and t_all.counts == t_unc.counts
@@ -206,7 +199,7 @@ def test_empty_window_table_is_empty_not_error():
     panel = _panel([[0.0]] * 12)
     origins = [_m(j) for j in range(0, 8)]
     fset = _one_model_set([1.0] * len(origins), origins)
-    w = EventWindow("off", "2011-01", "2012-01")
+    w = EventWindow("off", _mi("2011-01"), _mi("2012-01"))
     table = _average([fset], panel, "y0", window=w)
     assert table.entries == {}
 
@@ -215,7 +208,7 @@ def test_window_with_nothing_scorable_raises():
     panel = _panel([[0.0]] * 3)
     fset = _one_model_set([1.0], ["2000-02"], h=5)  # realization beyond sample
     with pytest.raises(EvaluationError):
-        _average([fset], panel, "y0", window=EventWindow("w", "2000-01", "2000-12"))
+        _average([fset], panel, "y0", window=EventWindow("w", _mi("2000-01"), _mi("2000-12")))
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +283,9 @@ def test_render_score_table_smoke():
 def test_render_ratio_table_marks_na_and_favorable():
     panel = _panel([[0.0]] * 10)
     origins = [_m(j) for j in range(0, 5)]
-    a = QuantileForecastSet(variable_names=["y0"])
-    b = QuantileForecastSet(variable_names=["y0"])
-    for o in origins:
-        a.add("a", o, 1, 0.5, np.array([0.5]))
-        b.add("b", o, 1, 0.5, np.array([1.0]))
-        a.add("a", o, 2, 0.5, np.array([1.0]))
-        b.add("b", o, 2, 0.5, np.array([0.0]))  # zero benchmark at h=2
+    a = forecast_set(["y0"], [("a", o, h, 0.5, [v]) for o in origins for h, v in ((1, 0.5), (2, 1.0))])
+    # zero benchmark at h=2
+    b = forecast_set(["y0"], [("b", o, h, 0.5, [v]) for o in origins for h, v in ((1, 1.0), (2, 0.0))])
     table = _average([a, b], panel, "y0")
     ratio = qs_ratio(table, "a", "b")
     text = render_ratio_table(ratio)

@@ -22,6 +22,8 @@ from quantvar.forecast import (
 )
 from quantvar.qbvar import PosteriorDrawSet
 
+from conftest import forecast_records, forecast_set
+
 
 def _draw_set(Phi, Lam=None, sigma=None, kind="qbvar", quantile=0.5, p=1):
     Phi = np.asarray(Phi, dtype=float)
@@ -167,35 +169,37 @@ def test_random_walk_forecast_is_zero():
         random_walk_forecast(0, 3)
 
 
-def test_forecast_set_add_get_merge():
-    fset = QuantileForecastSet(variable_names=["a", "b"])
-    fset.add("m", "2010-05", 1, 0.1, [1.0, 2.0])
-    np.testing.assert_array_equal(fset.get("m", "2010-05", 1, 0.1), [1.0, 2.0])
-    for model, origin in [("m", "2010-06"), ("other", "2010-05")]:
-        with pytest.raises(KeyError):
-            fset.get(model, origin, 1, 0.1)
-    with pytest.raises(ValueError):
-        fset.add("m", "2010-05", 1, 0.1, [9.0, 9.0])  # duplicate
-    with pytest.raises(ValueError):
-        fset.add("m", "2010-05", 2, 0.1, [1.0])  # wrong width
-    fset.add("m2", "2010-05", 1, 0.5, [3.0, 4.0])
+def test_forecast_set_from_columns_sorts_records_and_refuses_a_duplicate():
+    # model ids and records in any order come out sorted by key
+    fset = QuantileForecastSet.from_columns(
+        ["a", "b"], ["m2", "m"], [0, 1, 1], [month_index("2010-05")] * 3, [1, 2, 1], [0.5, 0.1, 0.1],
+        [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
     assert fset.model_ids() == ["m", "m2"]
-    assert fset.origins("m") == ["2010-05"]
-    assert fset.quantiles() == [0.1, 0.5]
+    assert [fset.key(i) for i in range(len(fset))] == [
+        ("m", "2010-05", 1, 0.1), ("m", "2010-05", 2, 0.1), ("m2", "2010-05", 1, 0.5)]
+    np.testing.assert_array_equal(fset.values, [[1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
+    assert fset.quantiles() == [0.1, 0.5] and fset.horizons() == [1, 2]
+    with pytest.raises(ValueError, match=r"duplicate forecast record \('m', '2010-05', 1, 0.1\)"):
+        forecast_set(["a", "b"], [("m", "2010-05", 1, 0.1, [1.0, 2.0]), ("m", "2010-05", 1, 0.1, [9.0, 9.0])])
+
+
+def test_from_blocks_takes_origin_months():
+    blocks = [("m", month_index("2010-05"), 0.5, np.array([[1.0], [2.0]])),
+              ("m", month_index("2010-04"), 0.5, np.array([[3.0], [4.0]]))]
+    fset = QuantileForecastSet.from_blocks(["a"], [1, 3], blocks)
+    assert forecast_records(fset) == {("m", "2010-04", 1, 0.5): [3.0], ("m", "2010-04", 3, 0.5): [4.0],
+                                      ("m", "2010-05", 1, 0.5): [1.0], ("m", "2010-05", 3, 0.5): [2.0]}
 
 
 def test_forecast_csv_roundtrip(tmp_path):
-    fset = QuantileForecastSet(variable_names=["a", "b"])
     rng = np.random.default_rng(0)
-    for origin in ["2010-01", "2010-02"]:
-        for h in [1, 2, 3]:
-            for q in [0.1, 0.5, 0.9]:
-                fset.add("m", origin, h, q, rng.normal(size=2))
+    fset = forecast_set(["a", "b"], [("m", origin, h, q, rng.normal(size=2)) for origin in ["2010-01", "2010-02"]
+                                     for h in [1, 2, 3] for q in [0.1, 0.5, 0.9]])
     path = tmp_path / "fc.csv"
     write_forecasts(fset, path)
     back = read_forecasts(path)
     assert back.variable_names == fset.variable_names
-    assert [k for k, _ in back.items()] == [k for k, _ in fset.items()]
+    assert list(forecast_records(back)) == list(forecast_records(fset))
     np.testing.assert_array_equal(back.values, fset.values)  # 17g is lossless
 
 
@@ -218,9 +222,10 @@ def test_read_forecasts_accepts_rows_in_any_order(tmp_path):
                        "m,2010-02,1,0.5,b,2.5"])
     fset = read_forecasts(path)
     assert fset.variable_names == ["a", "b"]
-    assert [k for k, _ in fset.items()] == [("m", "2010-01", 2, 0.25), ("m", "2010-02", 1, 0.5)]
-    np.testing.assert_array_equal(fset.get("m", "2010-02", 1, 0.5), [1.5, 2.5])
-    np.testing.assert_array_equal(fset.get("m", "2010-01", 2, 0.25), [3.0, 4.0])
+    records = forecast_records(fset)
+    assert list(records) == [("m", "2010-01", 2, 0.25), ("m", "2010-02", 1, 0.5)]
+    np.testing.assert_array_equal(records[("m", "2010-02", 1, 0.5)], [1.5, 2.5])
+    np.testing.assert_array_equal(records[("m", "2010-01", 2, 0.25)], [3.0, 4.0])
 
 
 def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
@@ -243,7 +248,10 @@ def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
     # an origin that is not a YYYY-MM month is a bad line
     (["m,2010-01,1,0.5,a,1.0", "m,2010-01,1,0.5,b,1.0", "m,2018-3,1,0.5,a,1.0", "m,2010-01,1,0.5,a,2.0"],
      "line 4: not an ISO month label: '2018-3'"),
-], ids=["duplicate-then-bad-line", "bad-line-then-duplicate", "incomplete-and-duplicate", "bad-origin"])
+    # so is a quoted origin with a trailing newline; its row ends on the next line
+    (["m,2018-03,1,0.5,a,1.0", 'm,"2018-03\n",1,0.5,b,1.0'], "line 4: not an ISO month label: '2018-03\\n'"),
+], ids=["duplicate-then-bad-line", "bad-line-then-duplicate", "incomplete-and-duplicate", "bad-origin",
+        "origin-with-newline"])
 def test_read_forecasts_reports_the_first_fault(tmp_path, rows, message):
     path = tmp_path / "fc.csv"
     _write_rows(path, rows)
@@ -255,11 +263,9 @@ def test_read_forecasts_reports_the_first_fault(tmp_path, rows, message):
 def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
     # a reader that holds every row as a list before building the set peaks at about 5x
     rng = np.random.default_rng(0)
-    fset = QuantileForecastSet(variable_names=["a", "b", "c"])
-    for o in range(40):
-        for h in range(1, 13):
-            for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-                fset.add("qbvar", f"{2000 + o // 12}-{o % 12 + 1:02d}", h, q, rng.normal(size=3))
+    fset = forecast_set(["a", "b", "c"], [
+        ("qbvar", f"{2000 + o // 12}-{o % 12 + 1:02d}", h, q, rng.normal(size=3))
+        for o in range(40) for h in range(1, 13) for q in (0.1, 0.25, 0.5, 0.75, 0.9)])
     path = tmp_path / "fc.csv"
     write_forecasts(fset, path)
     del fset
@@ -311,7 +317,7 @@ def test_read_then_write_gives_the_sorted_file_byte_for_byte(data):
             fh.write(csv_bytes(shuffled))
         fset = read_forecasts(path)
         assert fset.variable_names == first_seen
-        assert [key for key, _ in fset.items()] == cells
+        assert list(forecast_records(fset)) == cells
         assert fset.values.tobytes() == values[:, slot].tobytes()
         write_forecasts(fset, back)
         with open(back, "rb") as fh:
