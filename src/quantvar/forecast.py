@@ -1,7 +1,10 @@
 """Iterated multi-step quantile forecasts from posterior draw sets.
 
 Each retained draw defines a VAR whose future shocks are normal with
-covariance Lam Lam' + diag(sigma); paths are simulated forward horizon by
+covariance Lam Lam' + diag(v): v = sigma for the Gaussian model, and for a
+quantile model the variance sigma^2 (theta^2 + tau2) of its asymmetric-Laplace
+error of scale sigma, with the normal centred (a stopgap until the quantile
+model has a predictive of its own); paths are simulated forward horizon by
 horizon, feeding predictions back into the lag vector. One function,
 :func:`forecast_quantiles`, turns either kind of draw set into quantile
 forecasts: a quantile model's forecast at its own level is the pointwise
@@ -27,7 +30,7 @@ from math import isfinite
 import numpy as np
 
 from .data import month_index, month_label
-from .qbvar import PosteriorDrawSet
+from .qbvar import PosteriorDrawSet, QuantileLevel
 
 # an origin is abandoned when more than this share of simulated paths
 # contains non-finite values (explosive draws)
@@ -59,6 +62,10 @@ def simulate_paths(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     r = draws.n_factors
+    sd = np.sqrt(draws.sigma)
+    if draws.kind == "qbvar":
+        level = QuantileLevel(draws.quantile)
+        sd = draws.sigma * np.sqrt(level.theta**2 + level.tau2)
     lags = np.broadcast_to(history[-p:][::-1], (S, p, n)).copy()  # most recent first
     paths = np.empty((S, horizon, n))
     x = np.empty((S, k))
@@ -66,7 +73,7 @@ def simulate_paths(
     for j in range(horizon):
         x[:, 1:] = lags.reshape(S, p * n)
         cond_mean = np.einsum("sik,sk->si", draws.Phi, x)
-        eps = rng.standard_normal((S, n)) * np.sqrt(draws.sigma)
+        eps = rng.standard_normal((S, n)) * sd
         if r:
             f = rng.standard_normal((S, r))
             eps = eps + np.einsum("sir,sr->si", draws.Lam, f)

@@ -9,8 +9,11 @@ handled through their exponential location-scale mixture
 
     y_it = Phi_i x_t + lam_i' f_t + theta z_it + sqrt(tau2 sigma_i z_it) u_it,
 
-with z_it ~ Exp(1), u_it ~ N(0,1), theta = (1-2q)/(q(1-q)) and
-tau2 = 2/(q(1-q)), which makes every full conditional a standard draw.
+with z_it exponential of mean sigma_i, u_it ~ N(0,1),
+theta = (1-2q)/(q(1-q)) and tau2 = 2/(q(1-q)) (Kozumi & Kobayashi 2011),
+which makes every full conditional a standard draw. With the scale in the
+mixing law as well as in the noise, the q-quantile of v_it is zero at every
+sigma_i, so the fitted plane is the q-quantile at any scale of the data.
 Coefficient rows carry a horseshoe prior with one global scale per model,
 beta_ij ~ N(0, psi_ij^2 kappa^2) with half-Cauchy(0, 1) scales psi_ij and
 kappa; each scale has an inverse-gamma auxiliary (nu_ij, xi) that makes its
@@ -140,7 +143,7 @@ class QbvarState:
     Lam: np.ndarray  # (n, r) factor loadings
     F: np.ndarray  # (T, r) factors
     Z: np.ndarray  # (n, T) mixture variables, series-major
-    sigma: np.ndarray  # (n,) scales
+    sigma: np.ndarray  # (n,) scales: the asymmetric-Laplace scale (bvar: the shock variance)
     psi: np.ndarray  # (n, k) horseshoe local scales
     kappa: float  # horseshoe global scale
     nu: np.ndarray  # (n, k) auxiliaries of the local scales
@@ -310,36 +313,34 @@ def step_factors(state, W, WR, rng) -> None:
 
 
 def step_latent(state, E, theta, s, rng) -> None:
-    """Draw mixture variables z_it ~ GIG(1/2, e^2/s_i, theta^2/s_i + 2), s_i = tau2 sigma_i.
+    """Draw mixture variables z_it ~ GIG(1/2, e^2/s_i, theta^2/s_i + 2/sigma_i), s_i = tau2 sigma_i.
 
     E holds the regression residuals Y - X Phi' - F Lam', (n, T), and s the
     scales tau2 sigma_i as a column, (n, 1), which the sweep's weights
-    1/(s_i z_it) share.
+    1/(s_i z_it) share. The 2/sigma_i term is the Exp(mean sigma_i) prior.
     """
     a = E * E
     a /= s
-    z = draw_gig_half(a, theta**2 / s + 2.0, rng)
+    z = draw_gig_half(a, theta**2 / s + 2.0 / state.sigma[:, None], rng)
     state.Z = np.maximum(z, _Z_FLOOR, out=z)
 
 
 def step_scales(state, E, theta, tau2, a_sigma, b_sigma, rng) -> None:
-    """Draw sigma_i ~ IG(a + T/2, b + sum (e - theta z)^2 / (2 tau2 z)).
+    """Draw sigma_i ~ IG(a + 3T/2, b + sum [(e - theta z)^2 / (2 tau2 z) + z]).
 
-    E holds the regression residuals, as in :func:`step_latent`. Only the
-    Gaussian part of the mixture involves sigma (the exponential
-    mixing law is parameter-free), so the likelihood adds T/2 to the shape
-    and the shift-adjusted squared residuals to the scale. Expanding the
-    square gives e^2/(2 tau2 z) - e theta/tau2 + theta^2 z/(2 tau2); the
-    cross term keeps the scale draw centered when theta != 0, which is what
-    anchors intercepts away from the median.
+    E holds the regression residuals, as in :func:`step_latent`. sigma
+    enters both parts of the mixture: the Gaussian part adds T/2 to the
+    shape and the shift-adjusted squared residuals to the scale, and the
+    Exp(mean sigma) mixing law adds T to the shape and sum z to the scale.
     """
     T = E.shape[1]
     adj = theta * state.Z
     np.subtract(E, adj, out=adj)
     adj *= adj
     adj /= 2.0 * tau2 * state.Z
+    adj += state.Z
     scale = b_sigma + adj.sum(axis=1)
-    state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
+    state.sigma[:] = draw_inverse_gamma(a_sigma + 1.5 * T, scale, rng)
 
 
 def step_shrinkage(state, rng) -> None:

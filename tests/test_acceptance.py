@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-Ten checks covering the statistical identities, sampler correctness,
+Eleven checks covering the statistical identities, sampler correctness,
 scoring, combination, hygiene (no leakage), determinism and benchmark
 sanity of the whole package. Each test prints a single PASS/FAIL line
 (visible with ``pytest -s`` or on failure) and asserts the same
@@ -54,7 +54,7 @@ def _report(name, ok, detail=""):
 
 
 def _mixture_var_data(q, Phi_true, sigma, T, seed):
-    """y_t = Phi x_t + theta z_t + sqrt(tau2 sigma z_t) u_t, z ~ Exp(1)."""
+    """y_t = Phi x_t + theta z_t + sqrt(tau2 sigma z_t) u_t, z ~ Exp(mean sigma)."""
     level = QuantileLevel(q)
     n = Phi_true.shape[0]
     p = (Phi_true.shape[1] - 1) // n
@@ -63,7 +63,7 @@ def _mixture_var_data(q, Phi_true, sigma, T, seed):
     for t in range(p, T + 100):
         lags = Y[t - 1: t - p - 1: -1].ravel() if p > 1 else Y[t - 1]
         x = np.concatenate([[1.0], lags])
-        z = rng.exponential(1.0, size=n)
+        z = rng.exponential(sigma, size=n)
         u = rng.standard_normal(n)
         Y[t] = Phi_true @ x + level.theta * z + np.sqrt(level.tau2 * sigma * z) * u
     return Y[100:]
@@ -134,16 +134,17 @@ def test_01_note_scale_rides_with_the_mixing_law():
 
 
 def test_02_sampler_recovers_known_coefficients():
-    # the intercepts offset the theta E[z] shift of the mixture so the
-    # simulated process is centered; otherwise the huge regressor means
-    # leak lag-coefficient noise into the intercept estimate
+    # the intercepts offset the theta E[z] = theta sigma shift of the
+    # mixture so the simulated process is centered; otherwise the huge
+    # regressor means leak lag-coefficient noise into the intercept estimate
     lags = np.array([[0.5, 0.1], [0.15, 0.3]])
+    sigma = 0.3
     worst = 0.0
     slowest = 0.0
     for qi, q in enumerate((0.1, 0.5, 0.9)):
         level = QuantileLevel(q)
-        Phi_true = np.column_stack([np.array([0.25, -0.15]) - level.theta, lags])
-        Y = _mixture_var_data(q, Phi_true, sigma=0.3, T=1500, seed=200 + qi)
+        Phi_true = np.column_stack([np.array([0.25, -0.15]) - level.theta * sigma, lags])
+        Y = _mixture_var_data(q, Phi_true, sigma=sigma, T=1500, seed=200 + qi)
         design = build_lag_design(Y, 1)
         cfg = QbvarConfig(p=1, r=0, quantile=q, schedule=McmcSchedule(3000, 1000, 5))
         t0 = time.time()
@@ -353,8 +354,9 @@ def test_07_quantile_antisymmetry():
     # isolates the q <-> 1-q symmetry rather than Monte-Carlo wobble
     level = QuantileLevel(0.1)
     lags = np.array([[0.5, 0.1], [0.2, 0.4]])
-    Phi_true = np.column_stack([np.array([0.3, -0.2]) - level.theta, lags])
-    Y = _mixture_var_data(0.1, Phi_true, sigma=0.3, T=1500, seed=707)
+    sigma = 0.3
+    Phi_true = np.column_stack([np.array([0.3, -0.2]) - level.theta * sigma, lags])
+    Y = _mixture_var_data(0.1, Phi_true, sigma=sigma, T=1500, seed=707)
     sched = McmcSchedule(1500, 500, 5)
 
     design_pos = build_lag_design(Y, 1)
@@ -523,4 +525,37 @@ def test_10_benchmark_parity_on_gaussian_data(tmp_path):
         "10 Gaussian-data parity with the benchmark",
         0.9 <= ratio <= 1.1 and n_origins == 100,
         f"(median QS ratio {ratio:.4f} over {n_origins} origins)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. a model fitted at level q puts a share q of observations below its
+#     plane, at any scale of the data
+
+
+def test_11_in_sample_share_below_the_plane_is_q_at_any_scale():
+    # a VAR(1) with N(0, c^2) shocks: with the scale in the mixing law as
+    # well as the noise, the plane sits at the q-quantile for every c; with
+    # unit-mean mixing it sat near the median at c = 100 and beyond the
+    # data at c = 0.01
+    Phi = np.array([[0.5, 0.1], [0.0, 0.3]])
+    T = 400
+    shocks = np.random.default_rng(1111).standard_normal((T + 101, 2))
+    worst = 0.0
+    shares = []
+    for qi, q in enumerate((0.1, 0.5, 0.9)):
+        for ci, c in enumerate((0.01, 1.0, 100.0)):
+            Y = np.zeros((T + 101, 2))
+            for t in range(1, T + 101):
+                Y[t] = Phi @ Y[t - 1] + c * shocks[t]
+            design = build_lag_design(Y[100:], 1)
+            cfg = QbvarConfig(p=1, r=0, quantile=q, schedule=McmcSchedule(1500, 500, 1))
+            draws, _ = run_chain(design, cfg, derive_rng(111, qi, ci))
+            share = float(np.mean(design.Y < design.X @ draws.Phi.mean(axis=0).T))
+            shares.append(f"{share:.3f}")
+            worst = max(worst, abs(share - q))
+    _report(
+        "11 in-sample share below the q-plane",
+        worst <= 0.03,
+        f"(shares at q=.1/.5/.9 x c=.01/1/100: {' '.join(shares)}; max |share-q| {worst:.3f})",
     )

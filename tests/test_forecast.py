@@ -20,7 +20,7 @@ from quantvar.forecast import (
     simulate_paths,
     write_forecasts,
 )
-from quantvar.qbvar import PosteriorDrawSet
+from quantvar.qbvar import PosteriorDrawSet, QuantileLevel
 
 from conftest import forecast_records, forecast_set
 
@@ -75,6 +75,20 @@ def test_simulate_paths_validations():
         simulate_paths(draws, np.zeros((3, 2)), 2, make_rng(0))  # wrong width
     with pytest.raises(ValueError):
         simulate_paths(draws, np.zeros((3, 1)), 0, make_rng(0))
+
+
+@pytest.mark.parametrize("kind, quantile", [("bvar", 0.5), ("qbvar", 0.1), ("qbvar", 0.5)])
+def test_simulate_paths_draws_each_models_shock_variance(kind, quantile):
+    # a bvar draw's sigma is its shock variance; a qbvar draw's is the scale
+    # of its asymmetric-Laplace error, and the centred normal shock takes
+    # that error's variance sigma^2 (theta^2 + tau2)
+    S, sigma = 20000, 0.3
+    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.full((S, 1), sigma), kind=kind, quantile=quantile)
+    shocks = simulate_paths(draws, np.zeros((1, 1)), 1, make_rng(4))[:, 0, 0]
+    level = QuantileLevel(quantile)
+    var = sigma if kind == "bvar" else sigma**2 * (level.theta**2 + level.tau2)
+    assert abs(shocks.mean()) <= 4 * np.sqrt(var / S)
+    assert shocks.var() == pytest.approx(var, rel=0.05)
 
 
 def _explosive_mixture(n_bad, S=400):

@@ -332,11 +332,11 @@ def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian
     else:
         E = residuals()
         s = tau2 * state.sigma[:, None]
-        state.Z = np.maximum(draw_gig_half(E**2 / s, theta**2 / s + 2.0, rng), 1e-12)
+        state.Z = np.maximum(draw_gig_half(E**2 / s, theta**2 / s + 2.0 / state.sigma[:, None], rng), 1e-12)
         E = residuals()
         adj = E - theta * state.Z
-        scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z), axis=1)
-        state.sigma[:] = draw_inverse_gamma(a_sigma + 0.5 * T, scale, rng)
+        scale = b_sigma + np.sum(adj**2 / (2.0 * tau2 * state.Z) + state.Z, axis=1)
+        state.sigma[:] = draw_inverse_gamma(a_sigma + 1.5 * T, scale, rng)
     step_shrinkage(state, rng)
     return float(np.sqrt(np.mean(residuals() ** 2)))
 
@@ -561,11 +561,11 @@ def test_step_latent_respects_floor_and_conditional_moments():
     design = _toy_design(seed=11, T=40)
     state = _fixed_state(design, r=0)
     level = QuantileLevel(0.5)
-    # Monte-Carlo check of the GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2)
+    # Monte-Carlo check of the GIG(1/2, e^2/(tau2 s), theta^2/(tau2 s) + 2/s)
     # conditional mean for one cell against the closed form
     E = design.YT - state.Phi @ design.XT
     a = E**2 / (level.tau2 * state.sigma[:, None])
-    b = np.full_like(a, level.theta**2 / (level.tau2 * state.sigma[0]) + 2.0)
+    b = np.full_like(a, level.theta**2 / (level.tau2 * state.sigma[0]) + 2.0 / state.sigma[0])
     i, t = 0, 7
     om = np.sqrt(max(a[i, t], 1e-300) * b[i, t])
     expect = np.sqrt(a[i, t] / b[i, t]) * (1 + 1 / om) if a[i, t] > 0 else None
@@ -588,8 +588,8 @@ def test_step_scales_matches_inverse_gamma_moments():
     E = design.YT - state.Phi @ design.XT
     T = E.shape[1]
     adj = E[0] - theta * state.Z[0]
-    scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[0]))
-    shape0 = 3.0 + 0.5 * T
+    scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[0]) + state.Z[0])
+    shape0 = 3.0 + 1.5 * T
     rng = make_rng(7)
     draws = []
     for _ in range(6000):
@@ -608,7 +608,7 @@ def test_step_scales_concentrates_on_true_scale():
     level = QuantileLevel(0.25)
     sigma_true = np.array([0.5, 1.5])
     rng = make_rng(29)
-    z = rng.exponential(1.0, (T, n))
+    z = rng.exponential(sigma_true, (T, n))  # mean sigma_i in column i
     u = rng.standard_normal((T, n))
     E = level.theta * z + np.sqrt(level.tau2 * sigma_true * z) * u
     Y = E
@@ -687,7 +687,7 @@ def test_run_chain_without_factors():
 
 
 def _mixture_var_data(q, Phi_true, sigma, T, seed):
-    """Simulate y_t = Phi x_t + theta z_t + sqrt(tau2 sigma z_t) u_t."""
+    """Simulate y_t = Phi x_t + theta z_t + sqrt(tau2 sigma z_t) u_t, z ~ Exp(mean sigma)."""
     level = QuantileLevel(q)
     n = Phi_true.shape[0]
     p = (Phi_true.shape[1] - 1) // n
@@ -695,7 +695,7 @@ def _mixture_var_data(q, Phi_true, sigma, T, seed):
     Y = np.zeros((T + 100, n))
     for t in range(p, T + 100):
         x = np.concatenate([[1.0], Y[t - 1 : t - p - 1 : -1].ravel()]) if p > 1 else np.concatenate([[1.0], Y[t - 1]])
-        z = rng.exponential(1.0, size=n)
+        z = rng.exponential(sigma, size=n)
         u = rng.standard_normal(n)
         Y[t] = Phi_true @ x + level.theta * z + np.sqrt(level.tau2 * sigma * z) * u
     return Y[100:]
