@@ -206,7 +206,7 @@ class QuantileForecastSet:
 
     @classmethod
     def from_blocks(cls, variable_names, horizons, blocks):
-        """The set of (model_id, origin month, quantile, block) entries; a block's row j holds horizon ``horizons[j]``."""
+        """The set of (model_id, origin month, quantile, block) entries; block row j holds ``horizons[j]``."""
         models = {}
         model = [models.setdefault(m, len(models)) for m, _, _, _ in blocks]
         origin = [o for _, o, _, _ in blocks]
