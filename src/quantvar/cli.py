@@ -404,7 +404,7 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
     b_values = aligned_values(fc_a, fc_b)
     col = fc_a.variable_names.index(target)
     months = fc_a.origin
-    observed, realized = realizations(tpanel, target)(months, fc_a.horizon)
+    observed, realized = realizations(tpanel, target, months, fc_a.horizon)
     histories = {}
     for q in fc_a.quantiles():
         for h in fc_a.horizons():
@@ -645,10 +645,6 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
     return manifest
 
 
-def _ratio_name(slug: str, ratios) -> str:
-    return f"ratios__{slug}__{_safe_label(ratios.numerator)}_vs_{_safe_label(ratios.benchmark)}"
-
-
 def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out_dir=None) -> str:
     """Score and ratio tables per (window, label); returns their text.
 
@@ -670,9 +666,12 @@ def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out
             if out_dir:
                 _write_text(os.path.join(out_dir, f"scores__{slug}.txt"), note)
             continue
-        ratios = [qs_ratio(table, m, benchmark) for m in table.models() if benchmark and m != benchmark]
         named = [(f"scores__{slug}", score_table_rows(table), render_score_table(table))]
-        named += [(_ratio_name(slug, r), ratio_table_rows(r), render_ratio_table(r)) for r in ratios]
+        for m in sorted({m for m, _, _ in table.entries} - {benchmark}) if benchmark else []:
+            ratios = qs_ratio(table, m, benchmark)
+            pair = f"{_safe_label(m)}_vs_{_safe_label(benchmark)}"
+            named.append((f"ratios__{slug}__{pair}", ratio_table_rows(m, benchmark, ratios),
+                          render_ratio_table(table, m, benchmark, ratios)))
         for name, rows, text in named:
             chunks.append(text)
             if out_dir:

@@ -4,12 +4,14 @@ A forecast made at origin t for horizon h is scored against the
 realization dated t+h. Date-window conditioning (evaluation windows,
 event episodes) selects records by that realization date. Scoring works on
 a forecast set's columns, whose origins are already month indices: one
-:func:`realizations` lookup serves every record.
+:func:`realizations` lookup serves every record. Means and ratios are
+dicts keyed by their cells, and every text table is built of h × q grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite, isnan, nan
 
 import numpy as np
 
@@ -47,32 +49,25 @@ class EventWindow:
             raise EvaluationError(f"event window {self.label!r}: start must precede end")
 
 
-def realizations(panel: TimeSeriesPanel, variable: str):
-    """The realizations of ``variable`` in ``panel``.
+def realizations(panel: TimeSeriesPanel, variable: str, origin_months, horizons):
+    """(observed, values) of ``variable`` at origin+h months, for arrays of origins and horizons.
 
-    Returns ``value(origin_months, horizons)``, which looks up the
-    observations at origin+h months for arrays of origins (as their
-    :func:`month_index`) and horizons, and returns (observed, values):
-    ``observed`` is False where origin+h lies beyond the sample end (not yet
-    observed), and ``values`` holds the observations there and NaN
-    elsewhere. A date before the sample start raises EvaluationError.
+    Origins are :func:`month_index` values. ``observed`` is False where
+    origin+h lies beyond the sample end (not yet observed), and ``values``
+    holds the observations there and NaN elsewhere. A date before the
+    sample start raises EvaluationError.
     """
-    first, last = panel.start, panel.end
+    target = np.add(origin_months, horizons)
+    if target.size and target.min() < panel.start:
+        raise EvaluationError(f"realization date {month_label(int(target.min()))} precedes the sample")
+    observed = target <= panel.end
     column = panel.values[:, panel.names.index(variable)]
-
-    def value(origin_months, horizons):
-        target = np.add(origin_months, horizons)
-        if target.size and target.min() < first:
-            raise EvaluationError(f"realization date {month_label(int(target.min()))} precedes the sample")
-        observed = target <= last
-        return observed, np.where(observed, column[np.minimum(target, last) - first], np.nan)
-
-    return value
+    return observed, np.where(observed, column[np.minimum(target, panel.end) - panel.start], np.nan)
 
 
 def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: int):
     """Observed value at origin+h months (``origin`` a ``YYYY-MM`` label), or None when not yet observed."""
-    observed, values = realizations(panel, variable)([month_index(origin)], horizon)
+    observed, values = realizations(panel, variable, [month_index(origin)], horizon)
     return float(values[0]) if observed[0] else None
 
 
@@ -99,7 +94,7 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
     month t+h is kept so that window filters need not parse dates again.
     """
     col = fset.variable_names.index(variable)
-    observed, realized = realizations(panel, variable)(fset.origin, fset.horizon)
+    observed, realized = realizations(panel, variable, fset.origin, fset.horizon)
     u = realized[observed] - fset.values[observed, col]
     quantile = fset.quantile[observed]
     score = np.empty_like(u)
@@ -119,15 +114,6 @@ class ScoreTable:
     window_label: str
     entries: dict = field(default_factory=dict)  # (model, q, h) -> mean score
     counts: dict = field(default_factory=dict)  # (model, q, h) -> evaluated origins
-
-    def models(self) -> list[str]:
-        return sorted({k[0] for k in self.entries})
-
-    def quantiles(self) -> list[float]:
-        return sorted({k[1] for k in self.entries})
-
-    def horizons(self) -> list[int]:
-        return sorted({k[2] for k in self.entries})
 
 
 def average_qs(
@@ -165,51 +151,25 @@ def average_qs(
     return table
 
 
-@dataclass
-class RatioTable:
-    """Cellwise QS(numerator)/QS(benchmark); values below 1 favor the numerator."""
+def qs_ratio(table: ScoreTable, numerator: str, benchmark: str) -> dict:
+    """{(q, h): QS(numerator)/QS(benchmark)} of a score table, NaN where the benchmark's mean is 0.
 
-    variable: str
-    window_label: str
-    numerator: str
-    benchmark: str
-    entries: dict = field(default_factory=dict)  # (q, h) -> ratio (NaN if flagged)
-    flagged: set = field(default_factory=set)  # benchmark-zero cells
-
-    def quantiles(self) -> list[float]:
-        return sorted({k[0] for k in self.entries})
-
-    def horizons(self) -> list[int]:
-        return sorted({k[1] for k in self.entries})
-
-
-def qs_ratio(table: ScoreTable, numerator: str, benchmark: str) -> RatioTable:
-    """Ratio view of a score table relative to a named benchmark model."""
+    Values below 1 favor the numerator. The means are finite and
+    non-negative, so a NaN ratio is exactly a benchmark-zero cell.
+    """
     num_cells = {(q, h) for (m, q, h) in table.entries if m == numerator}
     ben_cells = {(q, h) for (m, q, h) in table.entries if m == benchmark}
     if not num_cells:
         raise EvaluationError(f"model {numerator!r} absent from score table")
     if num_cells != ben_cells:
-        raise EvaluationError(
-            f"coverage mismatch between {numerator!r} and {benchmark!r}"
-        )
-    out = RatioTable(
-        variable=table.variable,
-        window_label=table.window_label,
-        numerator=numerator,
-        benchmark=benchmark,
-    )
+        raise EvaluationError(f"coverage mismatch between {numerator!r} and {benchmark!r}")
+    ratios = {}
     for q, h in sorted(num_cells):
         if table.counts[(numerator, q, h)] != table.counts[(benchmark, q, h)]:
             raise EvaluationError(f"evaluated-origin counts differ at (q={q}, h={h})")
-        num = table.entries[(numerator, q, h)]
         den = table.entries[(benchmark, q, h)]
-        if den == 0.0:
-            out.entries[(q, h)] = float("nan")
-            out.flagged.add((q, h))
-        else:
-            out.entries[(q, h)] = num / den
-    return out
+        ratios[(q, h)] = table.entries[(numerator, q, h)] / den if den != 0.0 else float("nan")
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -220,52 +180,47 @@ def _fmt_q(q: float) -> str:
     return f"QS{round(q * 100):02d}"
 
 
+def _axis(cells, i: int) -> list:
+    """The sorted levels of key position ``i`` among the keys of ``cells``."""
+    return sorted({key[i] for key in cells})
+
+
+def _grid(qs, hs, cell, last_header: str, last) -> list[str]:
+    """An h × q block: a header row, then per h the texts ``cell(q, h)``, 10 wide, and ``last(h)``."""
+    lines = ["  h  " + "".join(f"{_fmt_q(q):>10}" for q in qs) + last_header]
+    return lines + [f"{h:>4} " + "".join(f"{cell(q, h):>10}" for q in qs) + last(h) for h in hs]
+
+
 def render_score_table(table: ScoreTable) -> str:
-    models = table.models()
-    qs = table.quantiles()
-    hs = table.horizons()
+    qs, hs = _axis(table.entries, 1), _axis(table.entries, 2)
     lines = [f"Average quantile scores — {table.variable} — window: {table.window_label}"]
-    for m in models:
-        lines.append(f"\n[{m}]")
-        header = "  h  " + "".join(f"{_fmt_q(q):>10}" for q in qs) + "       P"
-        lines.append(header)
-        for h in hs:
-            cells = []
-            for q in qs:
-                score = table.entries.get((m, q, h))
-                cells.append(f"{'n/a':>10}" if score is None else f"{score:>10.4f}")
-            counts = {table.counts.get((m, q, h)) for q in qs}
-            counts.discard(None)
-            p = str(counts.pop()) if len(counts) == 1 else "mixed"
-            lines.append(f"{h:>4} " + "".join(cells) + f"{p:>8}")
+    for m in _axis(table.entries, 0):
+        def score(q, h):
+            value = table.entries.get((m, q, h))
+            return "n/a" if value is None else f"{value:.4f}"
+
+        def origins(h):
+            counts = {table.counts[(m, q, h)] for q in qs if (m, q, h) in table.counts}
+            return f"{counts.pop() if len(counts) == 1 else 'mixed':>8}"
+
+        lines += [f"\n[{m}]"] + _grid(qs, hs, score, "       P", origins)
     return "\n".join(lines) + "\n"
 
 
-def render_ratio_table(table: RatioTable) -> str:
-    qs = table.quantiles()
-    hs = table.horizons()
-    lines = [
-        f"QS ratios {table.numerator} / {table.benchmark} — {table.variable} — "
-        f"window: {table.window_label} (values < 1.00 favor {table.numerator})"
-    ]
-    lines.append("  h  " + "".join(f"{_fmt_q(q):>10}" for q in qs) + "   <1.00")
-    for h in hs:
-        cells = []
-        better = []
-        for q in qs:
-            key = (q, h)
-            if key not in table.entries:
-                cells.append(f"{'n/a':>10}")
-                continue
-            v = table.entries[key]
-            if key in table.flagged or not np.isfinite(v):
-                cells.append(f"{'n/a':>10}")
-            else:
-                cells.append(f"{v:>10.3f}")
-                if v < 1.0:
-                    better.append(_fmt_q(q))
-        lines.append(f"{h:>4} " + "".join(cells) + "   " + (",".join(better) if better else "-"))
-    return "\n".join(lines) + "\n"
+def render_ratio_table(table: ScoreTable, numerator: str, benchmark: str, ratios: dict) -> str:
+    """Text of :func:`qs_ratio`'s ``ratios`` of ``table``; a missing or NaN cell reads n/a."""
+    qs, hs = _axis(ratios, 0), _axis(ratios, 1)
+
+    def ratio(q, h):
+        value = ratios.get((q, h), nan)
+        return f"{value:.3f}" if isfinite(value) else "n/a"
+
+    def favored(h):
+        return "   " + (",".join(_fmt_q(q) for q in qs if ratios.get((q, h), nan) < 1.0) or "-")
+
+    title = (f"QS ratios {numerator} / {benchmark} — {table.variable} — "
+             f"window: {table.window_label} (values < 1.00 favor {numerator})")
+    return "\n".join([title] + _grid(qs, hs, ratio, "   <1.00", favored)) + "\n"
 
 
 def score_table_rows(table: ScoreTable) -> list[list]:
@@ -276,18 +231,11 @@ def score_table_rows(table: ScoreTable) -> list[list]:
     return rows
 
 
-def ratio_table_rows(table: RatioTable) -> list[list]:
+def ratio_table_rows(numerator: str, benchmark: str, ratios: dict) -> list[list]:
+    """Flat rows of :func:`qs_ratio`'s ``ratios``; a NaN (benchmark-zero) cell reads n/a, flagged 1."""
     rows = [["numerator", "benchmark", "quantile", "horizon", "ratio", "flagged"]]
-    for (q, h) in sorted(table.entries):
-        v = table.entries[(q, h)]
-        rows.append(
-            [
-                table.numerator,
-                table.benchmark,
-                f"{q:.10g}",
-                h,
-                "n/a" if (q, h) in table.flagged else f"{v:.17g}",
-                int((q, h) in table.flagged),
-            ]
-        )
+    for q, h in sorted(ratios):
+        flagged = isnan(ratios[(q, h)])
+        rows.append([numerator, benchmark, f"{q:.10g}", h, "n/a" if flagged else f"{ratios[(q, h)]:.17g}",
+                     int(flagged)])
     return rows

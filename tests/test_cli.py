@@ -1117,6 +1117,66 @@ def test_evaluate_names_the_forecast_file_with_a_bad_header(tmp_path, capsys):
         "status": "error", "kind": "ValueError", "message": f"{fb}: not a forecast file (bad header)"}
 
 
+def _hand_built_evaluation(tmp_path) -> list[str]:
+    """Write a level panel y = 1..6 (2000-01..06) and forecast files of models a and b; returns their argv.
+
+    h=1, q=.25 has only an unobserved record (an n/a cell), h=2 has 2 origins
+    at q=.25 and 3 at q=.5 (a mixed count), and b is exact at h=1, q=.5 (a
+    zero benchmark score).
+    """
+    (tmp_path / "panel.csv").write_text("date,y\n" + "".join(f"2000-0{m},{m}\n" for m in range(1, 7)))
+    (tmp_path / "tcodes.json").write_text('{"y": 2}')
+    cells = {  # (origin, h, q) -> forecast of a, forecast of b
+        ("2000-01", 1, 0.5): (2.5, 2), ("2000-02", 1, 0.5): (3, 3), ("2000-03", 1, 0.5): (4, 4),
+        ("2000-06", 1, 0.25): (1, 1),
+        ("2000-01", 2, 0.5): (3, 2), ("2000-02", 2, 0.5): (3.5, 3), ("2000-03", 2, 0.5): (5, 4),
+        ("2000-01", 2, 0.25): (3.5, 2.5), ("2000-02", 2, 0.25): (4.5, 3.5),
+    }
+    for j, m in enumerate("ab"):
+        (tmp_path / f"{m}.csv").write_text("model_id,origin,horizon,quantile,variable,value\n" + "".join(
+            f"{m},{o},{h},{q},y,{v[j]}\n" for (o, h, q), v in cells.items()))
+    return ["evaluate", "--forecasts", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+            "--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"), "--target", "y",
+            "--benchmark", "b", "--output-dir", str(tmp_path / "ev")]
+
+
+def test_evaluate_writes_the_exact_score_and_ratio_tables_of_a_hand_built_pair(tmp_path):
+    assert main(_hand_built_evaluation(tmp_path)) == 0
+    ev = tmp_path / "ev"
+    assert (ev / "scores__full.txt").read_bytes() == (
+        "Average quantile scores — y — window: full\n"
+        "\n[a]\n"
+        "  h        QS25      QS50       P\n"
+        "   1        n/a    0.0833       3\n"
+        "   2     0.3750    0.0833   mixed\n"
+        "\n[b]\n"
+        "  h        QS25      QS50       P\n"
+        "   1        n/a    0.0000       3\n"
+        "   2     0.1250    0.5000   mixed\n"
+    ).encode()
+    assert (ev / "scores__full.csv").read_bytes() == (
+        "model,quantile,horizon,score,n_origins\r\n"
+        "a,0.25,2,0.375,2\r\n"
+        "a,0.5,1,0.083333333333333329,3\r\n"
+        "a,0.5,2,0.083333333333333329,3\r\n"
+        "b,0.25,2,0.125,2\r\n"
+        "b,0.5,1,0,3\r\n"
+        "b,0.5,2,0.5,3\r\n"
+    ).encode()
+    assert (ev / "ratios__full__a_vs_b.txt").read_bytes() == (
+        "QS ratios a / b — y — window: full (values < 1.00 favor a)\n"
+        "  h        QS25      QS50   <1.00\n"
+        "   1        n/a       n/a   -\n"
+        "   2      3.000     0.167   QS50\n"
+    ).encode()
+    assert (ev / "ratios__full__a_vs_b.csv").read_bytes() == (
+        "numerator,benchmark,quantile,horizon,ratio,flagged\r\n"
+        "a,b,0.25,2,3,0\r\n"
+        "a,b,0.5,1,n/a,1\r\n"
+        "a,b,0.5,2,0.16666666666666666,0\r\n"
+    ).encode()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ingest"])
 def test_a_boolean_tcode_exits_2_naming_the_series(tmp_path, capsys, command):
     # true equals code 1: the target was read as first differences and scored on that scale
@@ -1225,14 +1285,9 @@ def test_combine_looks_up_realizations_in_one_call(tmp_path, monkeypatch, strate
     calls = []
     real = cli_mod.realizations
 
-    def counted(panel, variable):
-        value = real(panel, variable)
-
-        def lookup(months, horizons):
-            calls.append(len(months))
-            return value(months, horizons)
-
-        return lookup
+    def counted(panel, variable, months, horizons):
+        calls.append(len(months))
+        return real(panel, variable, months, horizons)
 
     def per_cell(*args):
         raise AssertionError("realized_value called per cell")

@@ -6,7 +6,6 @@ from quantvar.data import TimeSeriesPanel, TransformCode, month_index, month_lab
 from quantvar.evaluation import (
     EvaluationError,
     EventWindow,
-    RatioTable,
     ScoreTable,
     average_qs,
     pinball,
@@ -226,10 +225,10 @@ def _two_model_table(num_scale=1.0):
 def test_qs_ratio_self_is_one_and_halving():
     table = _two_model_table()
     same = qs_ratio(table, "a", "a")
-    assert same.entries[(0.5, 1)] == 1.0
+    assert same == {(0.5, 1): 1.0}
     # numerator errors half the benchmark's -> ratio 0.5 exactly
     half = qs_ratio(_two_model_table(num_scale=0.5), "a", "b")
-    assert half.entries[(0.5, 1)] == pytest.approx(0.5, abs=1e-15)
+    assert half[(0.5, 1)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_qs_ratio_scale_invariance():
@@ -240,8 +239,9 @@ def test_qs_ratio_scale_invariance():
     t2.entries = {k: 3.7 * v for k, v in t1.entries.items()}
     t2.counts = dict(t1.counts)
     r2 = qs_ratio(t2, "a", "b")
-    for key in r1.entries:
-        assert r2.entries[key] == pytest.approx(r1.entries[key], rel=1e-12)
+    assert r2.keys() == r1.keys()
+    for key in r1:
+        assert r2[key] == pytest.approx(r1[key], rel=1e-12)
 
 
 def test_qs_ratio_zero_benchmark_flagged():
@@ -251,8 +251,8 @@ def test_qs_ratio_zero_benchmark_flagged():
     b = _one_model_set([0.0] * 5, origins, model="b")  # perfect -> QS 0
     table = _average([a, b], panel, "y0")
     ratio = qs_ratio(table, "a", "b")
-    assert (0.5, 1) in ratio.flagged
-    assert np.isnan(ratio.entries[(0.5, 1)])
+    assert list(ratio) == [(0.5, 1)]
+    assert np.isnan(ratio[(0.5, 1)])
 
 
 def test_qs_ratio_coverage_mismatch_rejected():
@@ -288,9 +288,9 @@ def test_render_ratio_table_marks_na_and_favorable():
     b = forecast_set(["y0"], [("b", o, h, 0.5, [v]) for o in origins for h, v in ((1, 1.0), (2, 0.0))])
     table = _average([a, b], panel, "y0")
     ratio = qs_ratio(table, "a", "b")
-    text = render_ratio_table(ratio)
+    text = render_ratio_table(table, "a", "b", ratio)
     assert "n/a" in text  # flagged cell
     assert "QS50" in text
-    rows = ratio_table_rows(ratio)
+    rows = ratio_table_rows("a", "b", ratio)
     flagged_rows = [r for r in rows[1:] if r[5] == 1]
     assert len(flagged_rows) == 1 and flagged_rows[0][4] == "n/a"
