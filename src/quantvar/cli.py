@@ -56,11 +56,13 @@ from .evaluation import (
     EvaluationError,
     EventWindow,
     average_qs,
+    coverage_table_rows,
     pinball,
     qs_ratio,
     ratio_table_rows,
     realizations,
     realized_value,  # unused here; the benchmark's tracer counts its calls in this namespace
+    render_coverage_table,
     render_ratio_table,
     render_score_table,
     score_records,
@@ -646,11 +648,12 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
 
 def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out_dir=None) -> str:
-    """Score and ratio tables per (window, label); returns their text.
+    """Score, ratio and coverage tables per (window, label); returns their text.
 
     Every set is scored once and each window averages those scores. With
-    ``out_dir``, each table goes to ``scores__<window>`` or
-    ``ratios__<window>__<model>_vs_<benchmark>`` as .csv and .txt; a window
+    ``out_dir``, each table goes to ``scores__<window>``,
+    ``ratios__<window>__<model>_vs_<benchmark>`` or ``coverage__<window>``
+    as .csv and .txt; a window
     that covers no realizations gets only a ``scores__<window>.txt`` n/a
     note. Raises EvaluationError for a window with nothing scorable and for
     a model whose coverage differs from the benchmark's.
@@ -672,6 +675,7 @@ def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out
             pair = f"{_safe_label(m)}_vs_{_safe_label(benchmark)}"
             named.append((f"ratios__{slug}__{pair}", ratio_table_rows(m, benchmark, ratios),
                           render_ratio_table(table, m, benchmark, ratios)))
+        named.append((f"coverage__{slug}", coverage_table_rows(table), render_coverage_table(table)))
         for name, rows, text in named:
             chunks.append(text)
             if out_dir:

@@ -1,4 +1,4 @@
-"""Quantile-score evaluation: pinball loss, score tables, QS ratios.
+"""Quantile-score evaluation: pinball loss, score tables, QS ratios, coverage.
 
 A forecast made at origin t for horizon h is scored against the
 realization dated t+h. Date-window conditioning (evaluation windows,
@@ -11,12 +11,12 @@ dicts keyed by their cells, and every text table is built of h × q grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, isnan, nan
+from math import erfc, isfinite, isnan, log, nan, sqrt
 
 import numpy as np
 
 from .data import TimeSeriesPanel, month_index, month_label
-from .forecast import QuantileForecastSet, column_rows
+from .forecast import QuantileForecastSet, column_rows, group_starts
 
 
 class EvaluationError(ValueError):
@@ -81,6 +81,9 @@ class ScoredRecords:
     horizon: np.ndarray
     realized_month: np.ndarray  # month_index of the realization date t+h
     score: np.ndarray
+    hit: np.ndarray  # realization below the forecast (u < 0, as in pinball)
+    paired: np.ndarray  # the model forecast a lower level at the same origin and h
+    crossed: np.ndarray  # paired, and the forecast lies below the next lower level's
 
     def __len__(self) -> int:
         return len(self.score)
@@ -92,18 +95,24 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
     Records whose realization lies beyond the sample end are skipped (they
     are not yet observable); everything else must resolve. The realization
     month t+h is kept so that window filters need not parse dates again.
+    The set's records are sorted by (model, origin, h, q), so the record
+    before a paired one holds the next lower level.
     """
     col = fset.variable_names.index(variable)
     observed, realized = realizations(panel, variable, fset.origin, fset.horizon)
-    u = realized[observed] - fset.values[observed, col]
+    forecast = fset.values[observed, col]
+    u = realized[observed] - forecast
     quantile = fset.quantile[observed]
     score = np.empty_like(u)
     for q in fset.quantiles():
         at = quantile == q
         score[at] = pinball(u[at], q)
-    horizon = fset.horizon[observed]
-    return ScoredRecords(fset.model_labels, fset.model[observed], quantile, horizon,
-                         fset.origin[observed] + horizon, score)
+    model, origin, horizon = fset.model[observed], fset.origin[observed], fset.horizon[observed]
+    paired = ~group_starts([model, origin, horizon])
+    crossed = paired.copy()
+    crossed[1:] &= forecast[1:] < forecast[:-1]
+    return ScoredRecords(fset.model_labels, model, quantile, horizon, origin + horizon, score, u < 0,
+                         paired, crossed)
 
 
 @dataclass
@@ -114,6 +123,8 @@ class ScoreTable:
     window_label: str
     entries: dict = field(default_factory=dict)  # (model, q, h) -> mean score
     counts: dict = field(default_factory=dict)  # (model, q, h) -> evaluated origins
+    hits: dict = field(default_factory=dict)  # (model, q, h) -> realizations below the forecast
+    crossings: dict = field(default_factory=dict)  # (model, q, h) -> (crossed, paired) origins
 
 
 def average_qs(
@@ -128,26 +139,32 @@ def average_qs(
     caller averaging over several windows scores each set once. Window
     membership is decided by the realization date t+h. Each cell's scores
     are summed one after another in record (origin) order, so the table
-    does not depend on numpy's summation order.
+    does not depend on numpy's summation order; the same loop counts each
+    cell's hits and level pairs.
     """
-    sums: dict = {}
-    counts: dict = {}
+    tallies: dict = {}  # (model, q, h) -> [score sum, count, hits, crossed, paired]
     if window is not None and not any(len(records) for records in scored):
         raise EvaluationError("no scorable forecasts (all realizations unobserved)")
     for records in scored:
         keep = slice(None)
         if window is not None:
             keep = (window.start <= records.realized_month) & (records.realized_month <= window.end)
-        columns = (records.model[keep], records.quantile[keep], records.horizon[keep], records.score[keep])
-        for m, q, h, score in column_rows(*columns):
-            key = (records.model_labels[m], q, h)
-            sums[key] = sums.get(key, 0.0) + score
-            counts[key] = counts.get(key, 0) + 1
+        columns = (records.model, records.quantile, records.horizon, records.score, records.hit,
+                   records.crossed, records.paired)
+        for m, q, h, score, hit, crossed, paired in column_rows(*(column[keep] for column in columns)):
+            tally = tallies.setdefault((records.model_labels[m], q, h), [0.0, 0, 0, 0, 0])
+            tally[0] += score
+            tally[1] += 1
+            tally[2] += hit
+            tally[3] += crossed
+            tally[4] += paired
     label = window_label or (window.label if window is not None else "full")
     table = ScoreTable(variable=variable, window_label=label)
-    for key, total in sums.items():
-        table.entries[key] = total / counts[key]
-        table.counts[key] = counts[key]
+    for key, (total, count, hits, crossed, paired) in tallies.items():
+        table.entries[key] = total / count
+        table.counts[key] = count
+        table.hits[key] = hits
+        table.crossings[key] = (crossed, paired)
     return table
 
 
@@ -172,6 +189,19 @@ def qs_ratio(table: ScoreTable, numerator: str, benchmark: str) -> dict:
     return ratios
 
 
+def kupiec(n: int, hits: int, q: float) -> tuple[float, float]:
+    """Kupiec's (1995) unconditional-coverage test that ``hits`` of ``n`` have probability ``q``.
+
+    Returns (LR, p): LR = 2[x ln(x/(nq)) + (n-x) ln((n-x)/(n(1-q)))] for x
+    hits, with 0 ln 0 = 0, and p its chi-square(1) tail erfc(sqrt(LR/2)).
+    """
+    lr = 2 * hits * log(hits / (n * q)) if hits else 0.0
+    if hits < n:
+        lr += 2 * (n - hits) * log((n - hits) / (n * (1 - q)))
+    lr = max(lr, 0.0)  # rounding can leave -0 or a tiny negative at x = nq
+    return lr, erfc(sqrt(lr / 2))
+
+
 # ---------------------------------------------------------------------------
 # Rendering: aligned text (rows h, one column per quantile) and flat CSV.
 
@@ -191,6 +221,15 @@ def _grid(qs, hs, cell, last_header: str, last) -> list[str]:
     return lines + [f"{h:>4} " + "".join(f"{cell(q, h):>10}" for q in qs) + last(h) for h in hs]
 
 
+def _origins(table: ScoreTable, m: str, qs):
+    """The P column of model ``m``: per h, the origin count its cells share, or ``mixed``."""
+    def origins(h):
+        counts = {table.counts[(m, q, h)] for q in qs if (m, q, h) in table.counts}
+        return f"{counts.pop() if len(counts) == 1 else 'mixed':>8}"
+
+    return origins
+
+
 def render_score_table(table: ScoreTable) -> str:
     qs, hs = _axis(table.entries, 1), _axis(table.entries, 2)
     lines = [f"Average quantile scores — {table.variable} — window: {table.window_label}"]
@@ -199,11 +238,7 @@ def render_score_table(table: ScoreTable) -> str:
             value = table.entries.get((m, q, h))
             return "n/a" if value is None else f"{value:.4f}"
 
-        def origins(h):
-            counts = {table.counts[(m, q, h)] for q in qs if (m, q, h) in table.counts}
-            return f"{counts.pop() if len(counts) == 1 else 'mixed':>8}"
-
-        lines += [f"\n[{m}]"] + _grid(qs, hs, score, "       P", origins)
+        lines += [f"\n[{m}]"] + _grid(qs, hs, score, "       P", _origins(table, m, qs))
     return "\n".join(lines) + "\n"
 
 
@@ -239,3 +274,31 @@ def ratio_table_rows(numerator: str, benchmark: str, ratios: dict) -> list[list]
         rows.append([numerator, benchmark, f"{q:.10g}", h, "n/a" if flagged else f"{ratios[(q, h)]:.17g}",
                      int(flagged)])
     return rows
+
+
+def coverage_table_rows(table: ScoreTable) -> list[list]:
+    """Flat rows per (model, q, h): n, hits, hit share, Kupiec's LR and p, crossed and level pairs."""
+    rows = [["model", "quantile", "horizon", "n_origins", "hits", "hit_share", "kupiec_lr", "kupiec_p",
+             "crossed_pairs", "level_pairs"]]
+    for (m, q, h) in sorted(table.counts):
+        n, hits = table.counts[(m, q, h)], table.hits[(m, q, h)]
+        lr, p = kupiec(n, hits, q)
+        rows.append([m, f"{q:.10g}", h, n, hits, f"{hits / n:.17g}", f"{lr:.17g}", f"{p:.17g}",
+                     *table.crossings[(m, q, h)]])
+    return rows
+
+
+def render_coverage_table(table: ScoreTable) -> str:
+    """Per model, its crossed level pairs, then h × q grids of hit shares and of Kupiec p-values."""
+    qs, hs = _axis(table.counts, 1), _axis(table.counts, 2)
+    lines = [f"Coverage — {table.variable} — window: {table.window_label} "
+             "(hit share: realizations below the q forecast; Kupiec p: test of share q)"]
+    for m in _axis(table.counts, 0):
+        keys = [key for key in table.counts if key[0] == m]
+        share = {key[1:]: f"{table.hits[key] / table.counts[key]:.3f}" for key in keys}
+        p_value = {key[1:]: f"{kupiec(table.counts[key], table.hits[key], key[1])[1]:.4f}" for key in keys}
+        crossed, paired = (sum(column) for column in zip(*(table.crossings[key] for key in keys)))
+        lines += [f"\n[{m}] crossed level pairs: {crossed} of {paired}", "hit share"]
+        lines += _grid(qs, hs, lambda q, h: share.get((q, h), "n/a"), "       P", _origins(table, m, qs))
+        lines += ["Kupiec p"] + _grid(qs, hs, lambda q, h: p_value.get((q, h), "n/a"), "", lambda h: "")
+    return "\n".join(lines) + "\n"

@@ -527,7 +527,7 @@ def test_combine_and_evaluate_subcommands_reproduce_run_outputs(tmp_path, capsys
     assert rc == 0
     # evaluate writes run's tables/ layout, file for file, and prints report's text
     run_tables = sorted(os.listdir(os.path.join(out, "tables")))
-    assert len([f for f in run_tables if f.endswith(".csv")]) == 2 * 6  # scores + 5 ratio tables
+    assert len([f for f in run_tables if f.endswith(".csv")]) == 2 * 7  # scores + 5 ratio tables + coverage
     assert sorted(os.listdir(ev_dir)) == run_tables
     for name in run_tables:
         expected = open(os.path.join(out, "tables", name), "rb").read()
@@ -961,8 +961,8 @@ def test_evaluate_and_combine_read_only_the_target_series(tmp_path, capsys):
                    "--weights-output", str(out / f"w_{strategy}.csv")] for strategy in ("performance", "optimal")]
         assert [main(argv) for argv in argvs] == [0, 0, 0]
         outputs[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
-    # per window a score and a ratio table, per strategy forecasts and weights
-    assert len(outputs["full"]) == 2 * 4 + 2 * 2
+    # per window a score, a ratio and a coverage table, per strategy forecasts and weights
+    assert len(outputs["full"]) == 2 * 6 + 2 * 2
     assert outputs["late"] == outputs["full"]
 
 
@@ -1174,6 +1174,43 @@ def test_evaluate_writes_the_exact_score_and_ratio_tables_of_a_hand_built_pair(t
         "a,b,0.25,2,3,0\r\n"
         "a,b,0.5,1,n/a,1\r\n"
         "a,b,0.5,2,0.16666666666666666,0\r\n"
+    ).encode()
+
+
+def test_evaluate_writes_the_exact_coverage_table_of_a_hand_built_pair(tmp_path):
+    # hits (realization below the forecast): a 1 of 3 at (.5, 1), 2 of 2 at (.25, 2), 0 of 3
+    # at (.5, 2); b none. At h=2 both models' q=.25 forecasts lie above their q=.5 ones.
+    assert main(_hand_built_evaluation(tmp_path)) == 0
+    ev = tmp_path / "ev"
+    assert (ev / "coverage__full.csv").read_bytes() == (
+        "model,quantile,horizon,n_origins,hits,hit_share,kupiec_lr,kupiec_p,crossed_pairs,level_pairs\r\n"
+        "a,0.25,2,2,2,1,5.5451774444795623,0.018531677751199068,0,0\r\n"
+        "a,0.5,1,3,1,0.33333333333333331,0.3397980735907945,0.55994580085363088,0,0\r\n"
+        "a,0.5,2,3,0,0,4.1588830833596715,0.041416706487368352,2,2\r\n"
+        "b,0.25,2,2,0,0,1.1507282898071234,0.28339674496071399,0,0\r\n"
+        "b,0.5,1,3,0,0,4.1588830833596715,0.041416706487368352,0,0\r\n"
+        "b,0.5,2,3,0,0,4.1588830833596715,0.041416706487368352,2,2\r\n"
+    ).encode()
+    assert (ev / "coverage__full.txt").read_bytes() == (
+        "Coverage — y — window: full (hit share: realizations below the q forecast; Kupiec p: test of share q)\n"
+        "\n[a] crossed level pairs: 2 of 2\n"
+        "hit share\n"
+        "  h        QS25      QS50       P\n"
+        "   1        n/a     0.333       3\n"
+        "   2      1.000     0.000   mixed\n"
+        "Kupiec p\n"
+        "  h        QS25      QS50\n"
+        "   1        n/a    0.5599\n"
+        "   2     0.0185    0.0414\n"
+        "\n[b] crossed level pairs: 2 of 2\n"
+        "hit share\n"
+        "  h        QS25      QS50       P\n"
+        "   1        n/a     0.000       3\n"
+        "   2      0.000     0.000   mixed\n"
+        "Kupiec p\n"
+        "  h        QS25      QS50\n"
+        "   1        n/a    0.0414\n"
+        "   2     0.2834    0.0414\n"
     ).encode()
 
 

@@ -1,6 +1,9 @@
+from math import erfc, log, sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from quantvar.data import TimeSeriesPanel, TransformCode, month_index, month_label
 from quantvar.evaluation import (
@@ -8,6 +11,7 @@ from quantvar.evaluation import (
     EventWindow,
     ScoreTable,
     average_qs,
+    kupiec,
     pinball,
     qs_ratio,
     ratio_table_rows,
@@ -294,3 +298,54 @@ def test_render_ratio_table_marks_na_and_favorable():
     rows = ratio_table_rows("a", "b", ratio)
     flagged_rows = [r for r in rows[1:] if r[5] == 1]
     assert len(flagged_rows) == 1 and flagged_rows[0][4] == "n/a"
+
+
+# ---------------------------------------------------------------------------
+# coverage
+
+
+def test_coverage_counts_of_a_hand_built_set():
+    # y = 0, so a record hits (u < 0) exactly when its forecast is positive
+    panel = _panel([[0.0]] * 12)
+    forecasts = {  # origin -> forecasts at q = .1, .5, .9 for h = 1
+        "2000-01": (-1.0, 0.5, 1.0),  # hits at .5, .9; monotone
+        "2000-02": (1.0, -1.0, 2.0),  # hits at .1, .9; .5 below .1
+        "2000-03": (-2.0, -1.0, -3.0),  # no hit; .9 below .5
+        "2000-04": (0.5, 0.2, 0.1),  # all hit; .5 below .1, .9 below .5
+    }
+    fset = forecast_set(["y0"], [("m", o, 1, q, [v]) for o, vs in forecasts.items()
+                                 for q, v in zip((0.1, 0.5, 0.9), vs)])
+    table = _average([fset], panel, "y0")
+    assert table.counts == {("m", q, 1): 4 for q in (0.1, 0.5, 0.9)}
+    assert table.hits == {("m", 0.1, 1): 2, ("m", 0.5, 1): 2, ("m", 0.9, 1): 3}
+    assert table.crossings == {("m", 0.1, 1): (0, 0), ("m", 0.5, 1): (2, 4), ("m", 0.9, 1): (2, 4)}
+    # a window counts the records it scores: the realizations of origins 2000-01 and 2000-02
+    w = EventWindow("w", _mi("2000-02"), _mi("2000-03"))
+    table = _average([fset], panel, "y0", window=w)
+    assert table.hits == {("m", 0.1, 1): 1, ("m", 0.5, 1): 1, ("m", 0.9, 1): 2}
+    assert table.crossings == {("m", 0.1, 1): (0, 0), ("m", 0.5, 1): (1, 2), ("m", 0.9, 1): (0, 2)}
+
+
+@pytest.mark.parametrize("n,hits,q", [(8, 0, 0.1), (8, 8, 0.9), (8, 8, 0.1), (8, 0, 0.9), (3, 1, 0.5),
+                                      (206, 30, 0.1), (206, 103, 0.5), (10, 5, 0.5)])
+def test_kupiec_matches_its_closed_form(n, hits, q):
+    def xlogy(x, y):
+        return x * log(y) if x else 0.0
+
+    share = hits / n
+    closed = -2 * (xlogy(n - hits, 1 - q) + xlogy(hits, q) - xlogy(n - hits, 1 - share) - xlogy(hits, share))
+    lr, p = kupiec(n, hits, q)
+    assert lr == pytest.approx(closed, rel=1e-12, abs=1e-12)
+    assert p == erfc(sqrt(lr / 2))
+    if hits == 0:
+        assert lr == pytest.approx(-2 * n * log(1 - q), rel=1e-12)
+    if hits == n:
+        assert lr == pytest.approx(-2 * n * log(q), rel=1e-12)
+    if hits == n * q:
+        assert (lr, p) == (0.0, 1.0)
+
+
+def test_kupiec_p_value_is_the_chi2_1_tail():
+    for n, hits, q in [(8, 0, 0.1), (40, 9, 0.1), (206, 120, 0.5), (12, 12, 0.75)]:
+        lr, p = kupiec(n, hits, q)
+        assert p == pytest.approx(stats.chi2.sf(lr, 1), rel=1e-10)
