@@ -148,10 +148,21 @@ class ExperimentConfig:
         return windows + [(w, f"event_{w.label}") for w in self.event_windows]
 
 
-def _parse_window(d: dict) -> EventWindow:
-    if not isinstance(d["label"], str):
-        raise ConfigError(f"window label must be a string, got {d['label']!r}")
-    return EventWindow(label=d["label"], start=month_index(d["start"]), end=month_index(d["end"]))
+def _month(where: str, label) -> int:
+    """The :func:`month_index` of ``label``; a ConfigError that names ``where`` if it is no month."""
+    try:
+        return month_index(label)
+    except PanelError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _parse_window(d: dict, kind: str = "evaluation") -> EventWindow:
+    """The ``kind`` (evaluation or event) window ``d``: its label, start and end."""
+    label = d["label"]
+    if not isinstance(label, str):
+        raise ConfigError(f"window label must be a string, got {label!r}")
+    where = f"{kind} window {label!r}"
+    return EventWindow(label, _month(f"{where}: start", d["start"]), _month(f"{where}: end", d["end"]))
 
 
 def _integer(name: str, value) -> int:
@@ -242,13 +253,13 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     eval_windows = [_parse_window(w) for w in raw.get("evaluation_windows", _DEFAULT_EVAL_WINDOWS)]
     if not eval_windows:
         raise ConfigError("at least one evaluation window required")
-    event_windows = [_parse_window(w) for w in raw.get("event_windows", [])]
+    event_windows = [_parse_window(w, "event") for w in raw.get("event_windows", [])]
     origins = raw.get("origins", {})
     if not isinstance(origins, dict):
         raise ConfigError(f"config field 'origins' must be an object, got {origins!r}")
     # by default the origins span the first evaluation window
-    origins_start = month_index(origins["start"]) if "start" in origins else eval_windows[0].start
-    origins_end = month_index(origins["end"]) if "end" in origins else eval_windows[0].end
+    origins_start = _month("origins.start", origins["start"]) if "start" in origins else eval_windows[0].start
+    origins_end = _month("origins.end", origins["end"]) if "end" in origins else eval_windows[0].end
     if origins_start > origins_end:
         raise ConfigError("empty origin range")
 
@@ -776,7 +787,7 @@ def _parse_window_arg(spec: str) -> EventWindow:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"window spec must be LABEL:START:END, got {spec!r}")
-    return EventWindow(label=parts[0], start=month_index(parts[1]), end=month_index(parts[2]))
+    return _parse_window(dict(zip(("label", "start", "end"), parts)))
 
 
 def _cmd_evaluate(args) -> int:

@@ -652,6 +652,33 @@ def test_a_bool_in_a_real_field_exits_2(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, message", [
+    ("evaluation", "evaluation window 'all': start: not an ISO month label: '2015-3'"),
+    ("event", "event window 'mid': end: month out of range in '2018-13'"),
+    ("origins", "origins.start: not an ISO month label: '2017-8'"),
+    ("evaluate", "evaluation window 'late': start: not an ISO month label: '2017-8'"),
+], ids=["evaluation", "event", "origins", "evaluate"])
+def test_a_malformed_window_or_origin_month_exits_2_naming_where_it_is(tmp_path, capsys, case, message):
+    # these used to exit with only "not an ISO month label: '...'"
+    make_raw_panel(tmp_path)
+    out = tmp_path / "out"
+    if case == "evaluate":
+        fa, fb = make_forecast_pair(tmp_path)
+        argv = ["evaluate", "--forecasts", fa, fb, "--data", str(tmp_path / "panel.csv"),
+                "--tcodes", str(tmp_path / "tcodes.json"), "--target", "tgt",
+                "--window", "late:2017-8:2019-08", "--output-dir", str(out)]
+    else:
+        raw = make_config_dict(event_windows=[{"label": "mid", "start": "2017-11", "end": "2018-02"}])
+        path = {"evaluation": ("evaluation_windows", 0, "start"), "event": ("event_windows", 0, "end"),
+                "origins": ("origins", "start")}[case]
+        _set_field(raw, path, message.rsplit("'", 2)[-2])
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"status": "error", "kind": "ConfigError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1, None])
 def test_rw_other_than_true_or_false_exits_2(tmp_path, capsys, value):
     # bool("false") is True: "rw": "false" used to turn the random walk on
