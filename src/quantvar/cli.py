@@ -664,10 +664,10 @@ def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out
     Every set is scored once and each window averages those scores. With
     ``out_dir``, each table goes to ``scores__<window>``,
     ``ratios__<window>__<model>_vs_<benchmark>`` or ``coverage__<window>``
-    as .csv and .txt; a window
-    that covers no realizations gets only a ``scores__<window>.txt`` n/a
-    note. Raises EvaluationError for a window with nothing scorable and for
-    a model whose coverage differs from the benchmark's.
+    as .csv and .txt; a window that covers no realizations gets only a
+    ``scores__<window>.txt`` n/a note. Raises EvaluationError for a window
+    with nothing scorable and for a model whose coverage differs from the
+    benchmark's.
     """
     scored = [score_records(fset, tpanel, target) for fset in fsets]
     chunks = []
