@@ -4,8 +4,8 @@
 origin in the configured range it re-estimates each model on the expanding
 window of data up to that origin, produces quantile forecasts for horizons
 1..H, scores everything against later realizations, builds forecast
-combinations, and writes score/ratio tables, weight series, weight-vs-lambda
-curves and a hash manifest. ``forecast`` makes one origin of the same
+combinations, and writes score, ratio and coverage tables, weight series,
+weight-vs-lambda curves and a hash manifest. ``forecast`` makes one origin of the same
 config through the same per-origin worker: any origin of the run, bit for
 bit, or the sample end, which a run cannot reach. ``ingest``, ``evaluate``,
 ``combine`` and ``report`` expose the data, scoring and combination stages
