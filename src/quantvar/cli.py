@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .bvar import BvarConfig, run_bvar_chain
 from .combine import (
+    CombinationError,
     CombinationWeightSeries,
     aligned_values,
     combination_objective,
@@ -397,10 +398,14 @@ def _payload(cfg: ExperimentConfig, panel: TimeSeriesPanel, origin: int, origin_
     return origin, origin_idx, panel.values[: origin - panel.start + 1], cfg
 
 
-def _origin_blocks(results) -> list:
-    """(model_id, origin, quantile, block) of every origin of ``results`` that did not abort."""
-    return [(m, origin, q, block) for origin, blocks, err in results if err is None
-            for (m, q), block in blocks.items()]
+def _model_sets(cfg: ExperimentConfig, results) -> dict:
+    """{model_id: forecast set} of every configured model over the origins of ``results`` that did not abort."""
+    blocks = {m: [] for m in cfg.model_ids()}
+    for origin, by_key, err in results:
+        if err is None:
+            for (m, q), block in by_key.items():
+                blocks[m].append((origin, q, block))
+    return {m: QuantileForecastSet.from_blocks(cfg.variables, cfg.horizons, m, b) for m, b in blocks.items()}
 
 
 def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
@@ -579,7 +584,6 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         )
 
     origins = range(cfg.origins_start, cfg.origins_end + 1)
-    names = list(cfg.variables)
     payloads = [_payload(cfg, tpanel, origin, oi) for oi, origin in enumerate(origins)]
     workers = min(threads, len(payloads)) - 1  # this process samples too
     if workers:
@@ -589,11 +593,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
     aborted = _aborted(results, len(origins))
 
-    blocks = _origin_blocks(results)
-    fsets: dict[str, QuantileForecastSet] = {
-        m: QuantileForecastSet.from_blocks(names, cfg.horizons, [b for b in blocks if b[0] == m])
-        for m in cfg.model_ids()
-    }
+    fsets = _model_sets(cfg, results)
 
     out = cfg.output_dir
     os.makedirs(os.path.join(out, "forecasts"), exist_ok=True)
@@ -623,7 +623,7 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
 
     # forecast files
     for model_id in sorted(fsets):
-        write_forecasts(fsets[model_id], os.path.join(out, "forecasts", f"{model_id}.csv"))
+        write_forecasts([fsets[model_id]], os.path.join(out, "forecasts", f"{model_id}.csv"))
 
     # score and ratio tables per window (evaluation windows, then event windows)
     _emit_tables(
@@ -695,22 +695,24 @@ def _emit_tables(fsets, tpanel, target: str, windows, benchmark: str | None, out
     return "\n".join(chunks)
 
 
-def _require_target(fset: QuantileForecastSet, target: str, path) -> None:
-    if target not in fset.variable_names:
+def _require_target(fsets, target: str, path) -> None:
+    """ConfigError unless the sets that the file ``path`` holds, which share its variables, hold ``target``."""
+    if not fsets or target not in fsets[0].variable_names:
         raise ConfigError(f"forecast file {path} has no variable {target!r}")
 
 
 def _read_forecast_files(paths, target: str) -> list[QuantileForecastSet]:
-    """Read each forecasts CSV; ConfigError when one lacks ``target`` or two of them hold the same model."""
+    """Every model's set of each forecasts CSV; ConfigError when one lacks ``target`` or two hold the same model."""
     fsets, file_of = [], {}  # model id -> the file that holds it
     for path in paths:
-        fset = read_forecasts(path)
-        _require_target(fset, target, path)
-        for m in fset.model_ids():
-            if m in file_of:
-                raise ConfigError(f"model {m!r} is held by two forecast files: {file_of[m]} and {path}")
-            file_of[m] = path
-        fsets.append(fset)
+        held = read_forecasts(path)
+        _require_target(held, target, path)
+        for fset in held:
+            if fset.model_id in file_of:
+                raise ConfigError(f"model {fset.model_id!r} is held by two forecast files: "
+                                  f"{file_of[fset.model_id]} and {path}")
+            file_of[fset.model_id] = path
+        fsets += held
     return fsets
 
 
@@ -777,9 +779,9 @@ def _cmd_forecast(args) -> int:
                           f"{month_label(cfg.origins_start)}")
     result = _forecast_one_origin(_payload(cfg, tpanel, origin, origin_idx))
     _aborted([result], 1)
-    fset = QuantileForecastSet.from_blocks(cfg.variables, cfg.horizons, _origin_blocks([result]))
-    write_forecasts(fset, args.output)
-    print(f"wrote {args.output} ({len(fset)} records from origin {month_label(origin)})")
+    fsets = list(_model_sets(cfg, [result]).values())
+    write_forecasts(fsets, args.output)
+    print(f"wrote {args.output} ({sum(map(len, fsets))} records from origin {month_label(origin)})")
     return 0
 
 
@@ -797,7 +799,7 @@ def _cmd_evaluate(args) -> int:
     _check_window_names([label for _, label in windows])
     tpanel = _load_panel(args.data, args.tcodes, [args.target])
     fsets = _read_forecast_files(args.forecasts, args.target)
-    models = sorted({m for fset in fsets for m in fset.model_ids()})
+    models = sorted(fset.model_id for fset in fsets)
     if args.benchmark and args.benchmark not in models:
         raise ConfigError(f"benchmark {args.benchmark!r} is not a model of the forecast files {models}")
     os.makedirs(args.output_dir, exist_ok=True)
@@ -806,18 +808,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    fc_a = read_forecasts(args.forecasts_a)
-    fc_b = read_forecasts(args.forecasts_b)
+    files = [read_forecasts(args.forecasts_a), read_forecasts(args.forecasts_b)]
+    for fsets in files:
+        if len(fsets) != 1:
+            raise CombinationError(f"expected exactly one model id, found {[s.model_id for s in fsets]}")
+    (fc_a,), (fc_b,) = files
     histories, setting = None, args.lam
     if args.strategy != "fixed":
         if not (args.data and args.tcodes and args.target):
             raise ConfigError("adaptive strategies need --data, --tcodes and --target")
         tpanel = _load_panel(args.data, args.tcodes, [args.target])
-        _require_target(fc_a, args.target, args.forecasts_a)  # _histories checks that b has a's variables
+        _require_target([fc_a], args.target, args.forecasts_a)  # _histories checks that b has a's variables
         histories = _histories(fc_a, fc_b, tpanel, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
     out, series = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)
-    write_forecasts(out, args.output)
+    write_forecasts([out], args.output)
     if args.weights_output:
         _write_csv(args.weights_output, series.rows())
     print(f"wrote {args.output} ({len(out)} combined records)")

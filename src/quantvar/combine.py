@@ -34,7 +34,7 @@ class CombinationError(ValueError):
 
 
 def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> int:
-    """How many (origin, h, q) cells one of two single-model sets holds and the other lacks."""
+    """How many (origin, h, q) cells one of two sets holds and the other lacks."""
     columns = [[s.origin, s.horizon, s.quantile] for s in (fc_a, fc_b)]
     if all(map(np.array_equal, *columns)):
         return 0
@@ -48,15 +48,12 @@ def _cell_difference(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> in
 def aligned_values(fc_a: QuantileForecastSet, fc_b: QuantileForecastSet) -> np.ndarray:
     """b's values paired with a's: in a's record order and a's variable order.
 
-    Raises CombinationError unless each set holds one model and both cover
-    the same variables, in any order, and the same (origin, h, q) cells;
-    their records, each sorted by key, then pair up row by row.
+    Raises CombinationError unless both sets cover the same variables, in
+    any order, and the same (origin, h, q) cells; their records, each sorted
+    by key, then pair up row by row.
     """
     if sorted(fc_a.variable_names) != sorted(fc_b.variable_names):
         raise CombinationError("forecast sets cover different variables")
-    for fset in (fc_a, fc_b):
-        if len(fset.model_labels) != 1:
-            raise CombinationError(f"expected exactly one model id, found {fset.model_labels}")
     differing = _cell_difference(fc_a, fc_b)
     if differing:
         raise CombinationError(f"forecast sets misaligned on {differing} cells")
@@ -158,7 +155,7 @@ class CombinationWeightSeries:
 
     strategy: str  # "fixed" | "performance" | "optimal"
     window: int | None  # S, None for fixed
-    cells: QuantileForecastSet  # the single-model set the weights combine
+    cells: QuantileForecastSet  # the set the weights combine
     lam: np.ndarray
     warmup: np.ndarray  # True where the origin was still in fallback
 
@@ -187,5 +184,5 @@ def combine_weighted(fc_a: QuantileForecastSet, b_values: np.ndarray, lam: np.nd
                      model_id: str) -> QuantileForecastSet:
     """Cellwise lam * a + (1 - lam) * b: ``lam`` and ``b_values`` (from :func:`aligned_values`) follow a's records."""
     lam = lam[:, None]
-    return QuantileForecastSet(fc_a.variable_names, [model_id], fc_a.model, fc_a.origin, fc_a.horizon,
-                               fc_a.quantile, lam * fc_a.values + (1.0 - lam) * b_values)
+    return QuantileForecastSet(fc_a.variable_names, model_id, fc_a.origin, fc_a.horizon, fc_a.quantile,
+                               lam * fc_a.values + (1.0 - lam) * b_values)

@@ -75,8 +75,7 @@ def realized_value(panel: TimeSeriesPanel, variable: str, origin: str, horizon: 
 class ScoredRecords:
     """Pinball scores of a forecast set's observable records, as columns in the set's order."""
 
-    model_labels: list[str]
-    model: np.ndarray  # code into model_labels
+    model_id: str
     quantile: np.ndarray
     horizon: np.ndarray
     realized_month: np.ndarray  # month_index of the realization date t+h
@@ -95,8 +94,8 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
     Records whose realization lies beyond the sample end are skipped (they
     are not yet observable); everything else must resolve. The realization
     month t+h is kept so that window filters need not parse dates again.
-    The set's records are sorted by (model, origin, h, q), so the record
-    before a paired one holds the next lower level.
+    The set's records are sorted by (origin, h, q), so the record before a
+    paired one holds the next lower level.
     """
     col = fset.variable_names.index(variable)
     observed, realized = realizations(panel, variable, fset.origin, fset.horizon)
@@ -107,12 +106,11 @@ def score_records(fset: QuantileForecastSet, panel: TimeSeriesPanel, variable: s
     for q in fset.quantiles():
         at = quantile == q
         score[at] = pinball(u[at], q)
-    model, origin, horizon = fset.model[observed], fset.origin[observed], fset.horizon[observed]
-    paired = ~group_starts([model, origin, horizon])
+    origin, horizon = fset.origin[observed], fset.horizon[observed]
+    paired = ~group_starts([origin, horizon])
     crossed = paired.copy()
     crossed[1:] &= forecast[1:] < forecast[:-1]
-    return ScoredRecords(fset.model_labels, model, quantile, horizon, origin + horizon, score, u < 0,
-                         paired, crossed)
+    return ScoredRecords(fset.model_id, quantile, horizon, origin + horizon, score, u < 0, paired, crossed)
 
 
 @dataclass
@@ -149,10 +147,10 @@ def average_qs(
         keep = slice(None)
         if window is not None:
             keep = (window.start <= records.realized_month) & (records.realized_month <= window.end)
-        columns = (records.model, records.quantile, records.horizon, records.score, records.hit,
-                   records.crossed, records.paired)
-        for m, q, h, score, hit, crossed, paired in column_rows(*(column[keep] for column in columns)):
-            tally = tallies.setdefault((records.model_labels[m], q, h), [0.0, 0, 0, 0, 0])
+        columns = (records.quantile, records.horizon, records.score, records.hit, records.crossed,
+                   records.paired)
+        for q, h, score, hit, crossed, paired in column_rows(*(column[keep] for column in columns)):
+            tally = tallies.setdefault((records.model_id, q, h), [0.0, 0, 0, 0, 0])
             tally[0] += score
             tally[1] += 1
             tally[2] += hit

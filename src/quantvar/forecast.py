@@ -13,12 +13,12 @@ q-quantile of its predictive draws. The random-walk benchmark for
 stationarity-transformed series predicts zero change at every horizon and
 quantile.
 
-A :class:`QuantileForecastSet` holds forecasts as columns: one
-(records, variables) value array and key columns (model codes, origin
-months, horizons, levels), sorted by key, with no Python object per record.
-The forecasts CSV, the one place an origin is a ``YYYY-MM`` label, is read
-into typed buffers that one lexsort groups into records, and written a
-batch of rows at a time.
+A :class:`QuantileForecastSet` holds one model's forecasts as columns: one
+(records, variables) value array and key columns (origin months, horizons,
+levels), sorted by key, with no Python object per record. The forecasts
+CSV, the one place an origin is a ``YYYY-MM`` label, may hold several
+models: it is read into typed buffers that one lexsort groups into records,
+split into one set per model, and written a batch of rows at a time.
 """
 
 from __future__ import annotations
@@ -146,15 +146,6 @@ def group_starts(keys, order=None) -> np.ndarray:
     return start
 
 
-def _ranked(labels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
-    """(the labels that ``codes`` use, sorted; ``codes`` renumbered into that list)."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
-    used.sort(key=labels.__getitem__)
-    rank = np.zeros(len(labels), dtype=np.int32)
-    rank[used] = np.arange(len(used), dtype=np.int32)
-    return [labels[i] for i in used], rank[codes]
-
-
 def _intern(values: list, value) -> int:
     """``value``'s index in ``values``, appending it when absent."""
     if value not in values:
@@ -163,23 +154,19 @@ def _intern(values: list, value) -> int:
 
 
 class QuantileForecastSet:
-    """Forecast values keyed by (model_id, origin, horizon, quantile), stored as columns.
+    """One model's forecast values keyed by (origin, horizon, quantile), stored as columns.
 
     ``origin`` is the :func:`month_index` of the last observation used for
     estimation; ``horizon`` is months ahead; ``quantile`` is the level
-    rounded to 10 digits. Record i has the key (model_labels[model[i]],
-    month_label(origin[i]), horizon[i], quantile[i]) and one value per
-    variable, values[i], in ``variable_names`` order. Records are sorted by
-    key and unique. ``model_labels`` holds the ids in use, sorted, so the
-    codes sort as their ids do.
+    rounded to 10 digits. Record i has the key (month_label(origin[i]),
+    horizon[i], quantile[i]) and one value per variable, values[i], in
+    ``variable_names`` order. Records are sorted by key and unique.
     """
 
-    def __init__(self, variable_names, model_labels=(), model=(), origin=(), horizon=(), quantile=(),
-                 values=None):
+    def __init__(self, variable_names, model_id: str, origin=(), horizon=(), quantile=(), values=None):
         """A set of columns already in the layout above; by default an empty set."""
         self.variable_names = list(variable_names)
-        self.model_labels = list(model_labels)
-        self.model = np.asarray(model, dtype=np.int32)
+        self.model_id = model_id
         self.origin = np.asarray(origin, dtype=np.int32)
         self.horizon = np.asarray(horizon, dtype=np.int64)
         self.quantile = np.asarray(quantile, dtype=float)
@@ -188,33 +175,29 @@ class QuantileForecastSet:
         self.values = np.asarray(values, dtype=float)
 
     @classmethod
-    def from_columns(cls, variable_names, model_labels, model, origin, horizon, quantile, values):
-        """A set of the constructor's columns with records in any order and model ids in any order.
+    def from_columns(cls, variable_names, model_id, origin, horizon, quantile, values):
+        """A set of the constructor's columns with records in any order.
 
         ``quantile`` holds levels rounded as keys hold them. A duplicate key
         raises ValueError.
         """
-        model_labels, model = _ranked(list(model_labels), np.asarray(model, dtype=np.int32))
-        fset = cls(variable_names, model_labels, model, origin, horizon, quantile, values)
-        keys = (fset.model, fset.origin, fset.horizon, fset.quantile)
+        fset = cls(variable_names, model_id, origin, horizon, quantile, values)
+        keys = (fset.origin, fset.horizon, fset.quantile)
         order = np.lexsort(keys[::-1])
-        fset = cls(variable_names, model_labels, *(column[order] for column in (*keys, fset.values)))
-        new = group_starts([fset.model, fset.origin, fset.horizon, fset.quantile])
+        fset = cls(variable_names, model_id, *(column[order] for column in (*keys, fset.values)))
+        new = group_starts([fset.origin, fset.horizon, fset.quantile])
         if not new.all():
             raise ValueError(f"duplicate forecast record {fset.key(int(np.argmin(new)))}")
         return fset
 
     @classmethod
-    def from_blocks(cls, variable_names, horizons, blocks):
-        """The set of (model_id, origin month, quantile, block) entries; block row j holds ``horizons[j]``."""
-        models = {}
-        model = [models.setdefault(m, len(models)) for m, _, _, _ in blocks]
-        origin = [o for _, o, _, _ in blocks]
+    def from_blocks(cls, variable_names, horizons, model_id, blocks):
+        """The set of (origin month, quantile, block) entries; block row j holds ``horizons[j]``."""
         H = len(horizons)
         return cls.from_columns(
-            variable_names, list(models), np.repeat(model, H), np.repeat(origin, H),
-            np.tile(horizons, len(blocks)), np.repeat([level_key(q) for _, _, q, _ in blocks], H),
-            np.concatenate([b for _, _, _, b in blocks]) if blocks else np.empty((0, len(variable_names))),
+            variable_names, model_id, np.repeat([o for o, _, _ in blocks], H), np.tile(horizons, len(blocks)),
+            np.repeat([level_key(q) for _, q, _ in blocks], H),
+            np.concatenate([b for _, _, b in blocks]) if blocks else np.empty((0, len(variable_names))),
         )
 
     def __len__(self) -> int:
@@ -222,11 +205,7 @@ class QuantileForecastSet:
 
     def key(self, i: int) -> tuple:
         """The (model_id, origin label, horizon, quantile) key of record ``i``, as messages name it."""
-        return (self.model_labels[self.model[i]], month_label(int(self.origin[i])),
-                int(self.horizon[i]), float(self.quantile[i]))
-
-    def model_ids(self) -> list[str]:
-        return list(self.model_labels)
+        return self.model_id, month_label(int(self.origin[i])), int(self.horizon[i]), float(self.quantile[i])
 
     def horizons(self) -> list[int]:
         return distinct(self.horizon)
@@ -252,21 +231,22 @@ def column_rows(*columns):
         yield from zip(*(column[start:start + _ROW_BATCH].tolist() for column in columns))
 
 
-def write_forecasts(fset: QuantileForecastSet, path) -> None:
-    """Write one row per (model, origin, horizon, quantile, variable), in key order."""
-    names = fset.variable_names
-    origins = {o: month_label(o) for o in distinct(fset.origin)}
-    levels = {q: f"{q:.10g}" for q in fset.quantiles()}
+def write_forecasts(fsets, path) -> None:
+    """Write one row per (model, origin, horizon, quantile, variable) of the sets ``fsets``, in key order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for m, o, h, q, vals in column_rows(fset.model, fset.origin, fset.horizon, fset.quantile, fset.values):
-            head = (fset.model_labels[m], origins[o], h, levels[q])
-            writer.writerows([*head, name, f"{v:.17g}"] for name, v in zip(names, vals))
+        for fset in sorted(fsets, key=lambda s: s.model_id):
+            names = fset.variable_names
+            origins = {o: month_label(o) for o in distinct(fset.origin)}
+            levels = {q: f"{q:.10g}" for q in fset.quantiles()}
+            for o, h, q, vals in column_rows(fset.origin, fset.horizon, fset.quantile, fset.values):
+                head = (fset.model_id, origins[o], h, levels[q])
+                writer.writerows([*head, name, f"{v:.17g}"] for name, v in zip(names, vals))
 
 
-def read_forecasts(path) -> QuantileForecastSet:
-    """Read a forecasts CSV in one streaming pass into typed column buffers.
+def read_forecasts(path) -> list[QuantileForecastSet]:
+    """Read a forecasts CSV in one streaming pass into typed column buffers: one set per model, by model id.
 
     Rows may come in any order; one stable lexsort groups them into
     records, which :meth:`QuantileForecastSet.from_columns` sorts by key.
@@ -278,7 +258,8 @@ def read_forecasts(path) -> QuantileForecastSet:
     line, unless a duplicate row comes before that line: the earliest
     duplicate is raised first. A record that lacks a variable raises it
     last, naming the earliest-starting such record. Each distinct origin,
-    horizon and quantile string is parsed and checked once.
+    horizon and quantile string is parsed and checked once. A file with no
+    rows holds no set.
     """
     labels, months, horizons, levels, columns, value, line, fault = _parse_rows(path)
     models, _, _, _, variables = (list(c) for c in labels)
@@ -313,9 +294,13 @@ def read_forecasts(path) -> QuantileForecastSet:
     # a complete record's rows hold slots 0..V-1, once each and in slot order
     values = np.frombuffer(value)[order.reshape(len(starts), len(variables))]
     del order, value
-    return QuantileForecastSet.from_columns(
-        variables, models, model, np.array(months, dtype=np.int32)[origin],
-        np.array(horizons, dtype=np.int64)[horizon], np.array(levels, dtype=float)[quantile], values)
+    columns = (np.array(months, dtype=np.int32)[origin], np.array(horizons, dtype=np.int64)[horizon],
+               np.array(levels, dtype=float)[quantile], values)
+    # the records are sorted by model code, so each model's records form one block
+    bounds = np.append(np.flatnonzero(group_starts([model])), len(model)).tolist()
+    blocks = sorted((models[model[start]], start, end) for start, end in zip(bounds, bounds[1:]))
+    return [QuantileForecastSet.from_columns(variables, m, *(column[start:end] for column in columns))
+            for m, start, end in blocks]
 
 
 def _parse_rows(path) -> tuple:

@@ -61,16 +61,16 @@ def make_forecast_pair(dir_path, origins=("2017-08", "2018-03"), horizons=(1, 2)
                    for i in range(month_index(origins[0]), month_index(origins[1]) + 1)
                    for h in horizons for q in quantiles]
         path = str(dir_path / f"{model_id}.csv")
-        write_forecasts(forecast_set(["tgt", "c1"], records), path)
+        write_forecasts([forecast_set(["tgt", "c1"], records)], path)
         paths.append(path)
     return paths
 
 
 def forecast_set(variable_names, records) -> QuantileForecastSet:
-    """The set of ``records``, (model_id, origin label, horizon, quantile, values) tuples in any order."""
-    models = sorted({r[0] for r in records})
+    """The set of ``records``, one model's (model_id, origin label, horizon, quantile, values) tuples in any order."""
+    (model_id,) = {r[0] for r in records}
     return QuantileForecastSet.from_columns(
-        variable_names, models, [models.index(r[0]) for r in records], [month_index(r[1]) for r in records],
+        variable_names, model_id, [month_index(r[1]) for r in records],
         [r[2] for r in records], [level_key(r[3]) for r in records],
         np.reshape([np.ravel(r[4]) for r in records], (len(records), len(variable_names))),
     )

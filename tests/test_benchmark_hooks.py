@@ -169,7 +169,7 @@ def test_combine_calls_its_weight_function_once_per_cell(tmp_path, monkeypatch, 
          "--output", str(tmp_path / "comb.csv")]
     )
     assert rc == 0
-    fset = read_forecasts(fa)
+    (fset,) = read_forecasts(fa)
     cells = len(set(fset.origin.tolist())) * len(fset.quantiles()) * len(fset.horizons())
     assert cells == 8 * 2 * 2
     assert calls == {name: cells if name == f"{strategy}_weight" else 0 for name in calls}

@@ -241,7 +241,7 @@ def test_full_run_outputs_and_manifest(tmp_path):
     for m in expected_models:
         path = os.path.join(out, "forecasts", f"{m}.csv")
         assert os.path.exists(path), m
-        fset = read_forecasts(path)
+        (fset,) = read_forecasts(path)
         # full coverage: every (origin, horizon, quantile) cell present
         assert len(fset) == n_origins * 2 * 2, m
 
@@ -547,7 +547,7 @@ def test_combine_reads_b_with_its_variables_in_another_order(tmp_path):
     header, *body = open(os.path.join(fdir, "bvar.csv")).read().splitlines(keepends=True)
     reversed_b = tmp_path / "bvar_reversed.csv"
     reversed_b.write_text(header + "".join(body[::-1]))
-    assert read_forecasts(str(reversed_b)).variable_names == ["c1", "tgt"]
+    assert read_forecasts(str(reversed_b))[0].variable_names == ["c1", "tgt"]
     model_id, _, window = next(c for c in cfg.combinations if c[1] == "performance")
     got = tmp_path / "comb.csv"
     rc = main(
@@ -564,10 +564,10 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
     cfg, raw = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2, combinations=[])
     run_recursive(cfg, raw)
     fdir = os.path.join(cfg.output_dir, "forecasts")
-    qset = read_forecasts(os.path.join(fdir, "qbvar.csv"))
+    (qset,) = read_forecasts(os.path.join(fdir, "qbvar.csv"))
     first = month_label(int(qset.origin.min()))
     partial = [(*key, values) for key, values in forecast_records(qset).items() if key[1] != first]
-    write_forecasts(forecast_set(qset.variable_names, partial), str(tmp_path / "partial.csv"))
+    write_forecasts([forecast_set(qset.variable_names, partial)], str(tmp_path / "partial.csv"))
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json"),
             "--target", "tgt", "--output-dir", str(tmp_path / "ev")]
     rc = main(["evaluate", "--forecasts", str(tmp_path / "partial.csv"),
@@ -577,7 +577,7 @@ def test_evaluate_exits_2_on_coverage_mismatch_or_nothing_scorable(tmp_path, cap
 
     # a window over realizations beyond the sample: nothing is scorable
     unseen = forecast_set(qset.variable_names, [("qbvar", "2020-04", 1, 0.5, np.zeros(2))])
-    write_forecasts(unseen, str(tmp_path / "unseen.csv"))
+    write_forecasts([unseen], str(tmp_path / "unseen.csv"))
     rc = main(["evaluate", "--forecasts", str(tmp_path / "unseen.csv"), *data,
                "--window", "late:2020-01:2020-06"])
     assert rc == 2
@@ -765,8 +765,9 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
                combinations=[])
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc, "2018-06")) == 0
-    fset = read_forecasts(fc)
-    assert fset.model_ids() == ["bvar", "qbvar", "rw"] and fset.horizons() == [1, 2, 3]
+    fsets = read_forecasts(fc)
+    assert [fset.model_id for fset in fsets] == ["bvar", "qbvar", "rw"]
+    assert all(fset.horizons() == [1, 2, 3] for fset in fsets)
     data = ["--data", str(tmp_path / "panel.csv"), "--tcodes", str(tmp_path / "tcodes.json")]
 
     ev_dir = str(tmp_path / "ev")
@@ -780,10 +781,9 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
     assert "qbvar" in out and "QS50" in out
 
     # combine reads one model per file
-    records = forecast_records(fset)
-    for model_id in ("qbvar", "bvar"):
-        one = forecast_set(fset.variable_names, [(*key, vals) for key, vals in records.items() if key[0] == model_id])
-        write_forecasts(one, str(tmp_path / f"{model_id}.csv"))
+    records = {key: vals for fset in fsets for key, vals in forecast_records(fset).items()}
+    for fset in fsets:
+        write_forecasts([fset], str(tmp_path / f"{fset.model_id}.csv"))
     comb = str(tmp_path / "comb.csv")
     rc = main(
         ["combine", "--forecasts-a", str(tmp_path / "qbvar.csv"), "--forecasts-b",
@@ -791,10 +791,28 @@ def test_forecast_evaluate_combine_pipeline(tmp_path, capsys):
          "--output", comb]
     )
     assert rc == 0
-    cset = forecast_records(read_forecasts(comb))
+    cset = forecast_records(read_forecasts(comb)[0])
     a = records[("qbvar", "2018-06", 1, 0.5)]
     b = records[("bvar", "2018-06", 1, 0.5)]
     np.testing.assert_allclose(cset[("mix", "2018-06", 1, 0.5)], 0.5 * (a + b))
+
+
+def test_combine_refuses_a_file_of_several_models(tmp_path, capsys):
+    # forecast --config writes every configured model to one file; combine takes one model per file
+    _light_cfg(tmp_path, iterations=40, burn_in=10, thin=2, quantiles=(0.5,), combinations=[])
+    fc = str(tmp_path / "fc.csv")
+    assert main(_forecast_argv(tmp_path, fc)) == 0
+    single = str(tmp_path / "qbvar.csv")
+    write_forecasts([fset for fset in read_forecasts(fc) if fset.model_id == "qbvar"], single)
+    capsys.readouterr()
+    for a, b in ((fc, single), (single, fc)):
+        rc = main(["combine", "--forecasts-a", a, "--forecasts-b", b, "--strategy", "fixed",
+                   "--output", str(tmp_path / "comb.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "status": "error", "kind": "CombinationError",
+            "message": "expected exactly one model id, found ['bvar', 'qbvar', 'rw']"}
+    assert not os.path.exists(tmp_path / "comb.csv")
 
 
 def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
@@ -804,11 +822,11 @@ def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
     run_recursive(cfg, raw)
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc, "2017-09")) == 0
-    mine = forecast_records(read_forecasts(fc))
+    mine = {key: vals for fset in read_forecasts(fc) for key, vals in forecast_records(fset).items()}
     ran = {}
     for model_id in cfg.model_ids():
         path = os.path.join(cfg.output_dir, "forecasts", f"{model_id}.csv")
-        ran.update({k: v for k, v in forecast_records(read_forecasts(path)).items() if k[1] == "2017-09"})
+        ran.update({k: v for k, v in forecast_records(read_forecasts(path)[0]).items() if k[1] == "2017-09"})
     # 3 models x 2 levels x 2 horizons
     assert sorted(mine) == sorted(ran) and len(mine) == 12
     for key, vals in mine.items():
@@ -819,14 +837,14 @@ def test_forecast_defaults_to_the_sample_end(tmp_path, capsys):
     cfg, _ = _light_cfg(tmp_path, iterations=60, burn_in=20, thin=2, combinations=[])
     fc = str(tmp_path / "fc.csv")
     assert main(_forecast_argv(tmp_path, fc)) == 0
-    fset = read_forecasts(fc)
-    records = forecast_records(fset)
+    fsets = read_forecasts(fc)
+    records = {key: vals for fset in fsets for key, vals in forecast_records(fset).items()}
     assert {o for _, o, _, _ in records} == {"2020-04"}  # the panel's last month, past every realization
     for model_id in ("qbvar", "bvar", "rw"):
         for q in cfg.quantile_set:
             cells = sorted(h for m, _, h, level in records if (m, level) == (model_id, q))
             assert cells == cfg.horizons, (model_id, q)
-    assert len(fset) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
+    assert sum(map(len, fsets)) == 3 * len(cfg.quantile_set) * len(cfg.horizons)
 
 
 @pytest.mark.parametrize("origin, message", [
@@ -1388,8 +1406,8 @@ def test_combine_adaptive_requires_data_args(tmp_path, capsys):
     fa = forecast_set(["tgt", "c1"], [("a", "2018-01", 1, 0.5, [0.1, 0.0])])
     fb = forecast_set(["tgt", "c1"], [("b", "2018-01", 1, 0.5, [0.2, 0.0])])
     pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_forecasts(fa, pa)
-    write_forecasts(fb, pb)
+    write_forecasts([fa], pa)
+    write_forecasts([fb], pb)
     rc = main(
         ["combine", "--forecasts-a", pa, "--forecasts-b", pb, "--strategy", "optimal",
          "--output", str(tmp_path / "o.csv")]
@@ -1523,10 +1541,9 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
 
 def _without_target(path, out):
     """Write the forecasts of ``path`` with its target column (the first) dropped to ``out``."""
-    s = read_forecasts(path)
-    kept = QuantileForecastSet(s.variable_names[1:], s.model_labels, s.model, s.origin, s.horizon, s.quantile,
-                               s.values[:, 1:])
-    write_forecasts(kept, out)
+    (s,) = read_forecasts(path)
+    kept = QuantileForecastSet(s.variable_names[1:], s.model_id, s.origin, s.horizon, s.quantile, s.values[:, 1:])
+    write_forecasts([kept], out)
     return str(out)
 
 
@@ -1587,4 +1604,5 @@ def test_optimal_combine_at_the_papers_shape_peaks_under_5_mb(tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     assert peak < 5 * 2**20, peak
-    assert len(read_forecasts(str(tmp_path / "comb.csv"))) == 206 * 12 * 5
+    (comb,) = read_forecasts(str(tmp_path / "comb.csv"))
+    assert len(comb) == 206 * 12 * 5

@@ -53,9 +53,6 @@ def test_combine_fixed_validation():
     b_short = _fset("b", {("2010-02", 1, 0.5): 1.0})
     with pytest.raises(CombinationError):
         _fixed(a, b_short, 0.5)
-    two = forecast_set(["y0"], [("a", "2010-01", 1, 0.5, [2.0]), ("c", "2010-01", 1, 0.5, [1.0])])
-    with pytest.raises(CombinationError):
-        _fixed(two, b, 0.5)
 
 
 def test_combine_pairs_variables_by_name():

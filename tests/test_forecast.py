@@ -184,13 +184,13 @@ def test_random_walk_forecast_is_zero():
 
 
 def test_forecast_set_from_columns_sorts_records_and_refuses_a_duplicate():
-    # model ids and records in any order come out sorted by key
+    # records in any order come out sorted by key
     fset = QuantileForecastSet.from_columns(
-        ["a", "b"], ["m2", "m"], [0, 1, 1], [month_index("2010-05")] * 3, [1, 2, 1], [0.5, 0.1, 0.1],
-        [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
-    assert fset.model_ids() == ["m", "m2"]
+        ["a", "b"], "m", [month_index(o) for o in ("2010-06", "2010-05", "2010-05")], [1, 2, 1],
+        [0.5, 0.1, 0.1], [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
+    assert fset.model_id == "m"
     assert [fset.key(i) for i in range(len(fset))] == [
-        ("m", "2010-05", 1, 0.1), ("m", "2010-05", 2, 0.1), ("m2", "2010-05", 1, 0.5)]
+        ("m", "2010-05", 1, 0.1), ("m", "2010-05", 2, 0.1), ("m", "2010-06", 1, 0.5)]
     np.testing.assert_array_equal(fset.values, [[1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
     assert fset.quantiles() == [0.1, 0.5] and fset.horizons() == [1, 2]
     with pytest.raises(ValueError, match=r"duplicate forecast record \('m', '2010-05', 1, 0.1\)"):
@@ -198,9 +198,9 @@ def test_forecast_set_from_columns_sorts_records_and_refuses_a_duplicate():
 
 
 def test_from_blocks_takes_origin_months():
-    blocks = [("m", month_index("2010-05"), 0.5, np.array([[1.0], [2.0]])),
-              ("m", month_index("2010-04"), 0.5, np.array([[3.0], [4.0]]))]
-    fset = QuantileForecastSet.from_blocks(["a"], [1, 3], blocks)
+    blocks = [(month_index("2010-05"), 0.5, np.array([[1.0], [2.0]])),
+              (month_index("2010-04"), 0.5, np.array([[3.0], [4.0]]))]
+    fset = QuantileForecastSet.from_blocks(["a"], [1, 3], "m", blocks)
     assert forecast_records(fset) == {("m", "2010-04", 1, 0.5): [3.0], ("m", "2010-04", 3, 0.5): [4.0],
                                       ("m", "2010-05", 1, 0.5): [1.0], ("m", "2010-05", 3, 0.5): [2.0]}
 
@@ -210,8 +210,8 @@ def test_forecast_csv_roundtrip(tmp_path):
     fset = forecast_set(["a", "b"], [("m", origin, h, q, rng.normal(size=2)) for origin in ["2010-01", "2010-02"]
                                      for h in [1, 2, 3] for q in [0.1, 0.5, 0.9]])
     path = tmp_path / "fc.csv"
-    write_forecasts(fset, path)
-    back = read_forecasts(path)
+    write_forecasts([fset], path)
+    (back,) = read_forecasts(path)
     assert back.variable_names == fset.variable_names
     assert list(forecast_records(back)) == list(forecast_records(fset))
     np.testing.assert_array_equal(back.values, fset.values)  # 17g is lossless
@@ -234,12 +234,32 @@ def test_read_forecasts_accepts_rows_in_any_order(tmp_path):
     path = tmp_path / "fc.csv"
     _write_rows(path, ["m,2010-02,1,0.5,a,1.5", "m,2010-01,2,0.25,b,4.0", "m,2010-01,2,0.25,a,3.0",
                        "m,2010-02,1,0.5,b,2.5"])
-    fset = read_forecasts(path)
+    (fset,) = read_forecasts(path)
     assert fset.variable_names == ["a", "b"]
     records = forecast_records(fset)
     assert list(records) == [("m", "2010-01", 2, 0.25), ("m", "2010-02", 1, 0.5)]
     np.testing.assert_array_equal(records[("m", "2010-02", 1, 0.5)], [1.5, 2.5])
     np.testing.assert_array_equal(records[("m", "2010-01", 2, 0.25)], [3.0, 4.0])
+
+
+def test_read_forecasts_gives_one_set_per_model_in_id_order(tmp_path):
+    # three models' records interleaved, ids out of order: one set each, sorted
+    # by id, and writing the sets back gives the file's rows sorted by key
+    path, back = tmp_path / "fc.csv", tmp_path / "back.csv"
+    _write_rows(path, ["rw,2010-02,1,0.5,a,0", "qbvar,2010-01,1,0.5,a,1.5", "bvar,2010-02,1,0.5,a,2",
+                       "rw,2010-01,1,0.5,a,0", "bvar,2010-01,1,0.5,a,2.5"])
+    fsets = read_forecasts(path)
+    assert [fset.model_id for fset in fsets] == ["bvar", "qbvar", "rw"]
+    assert [list(forecast_records(fset)) for fset in fsets] == [
+        [("bvar", "2010-01", 1, 0.5), ("bvar", "2010-02", 1, 0.5)], [("qbvar", "2010-01", 1, 0.5)],
+        [("rw", "2010-01", 1, 0.5), ("rw", "2010-02", 1, 0.5)]]
+    write_forecasts(fsets, back)
+    assert back.read_text().splitlines() == ["model_id,origin,horizon,quantile,variable,value",
+                                             "bvar,2010-01,1,0.5,a,2.5", "bvar,2010-02,1,0.5,a,2",
+                                             "qbvar,2010-01,1,0.5,a,1.5", "rw,2010-01,1,0.5,a,0",
+                                             "rw,2010-02,1,0.5,a,0"]
+    _write_rows(path, [])
+    assert read_forecasts(path) == []  # a header-only file holds no set
 
 
 def test_read_forecasts_rejects_a_horizon_too_large_for_its_column(tmp_path):
@@ -281,11 +301,11 @@ def test_read_forecasts_peak_memory_stays_a_small_multiple_of_the_set(tmp_path):
         ("qbvar", f"{2000 + o // 12}-{o % 12 + 1:02d}", h, q, rng.normal(size=3))
         for o in range(40) for h in range(1, 13) for q in (0.1, 0.25, 0.5, 0.75, 0.9)])
     path = tmp_path / "fc.csv"
-    write_forecasts(fset, path)
+    write_forecasts([fset], path)
     del fset
     tracemalloc.start()
     try:
-        back = read_forecasts(path)
+        (back,) = read_forecasts(path)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,8 +320,9 @@ _LEVELS = (0.1, 0.25, 0.5, 0.9)
 @given(data=st.data())
 def test_read_then_write_gives_the_sorted_file_byte_for_byte(data):
     # random cells of several models, 1-3 variables, rows in shuffled order:
-    # the read set holds the cells sorted by key, and writing it gives the
-    # same rows sorted (variables in their order of first appearance)
+    # the read sets, one per model in id order, hold the cells sorted by key,
+    # and writing them gives the same rows sorted (variables in their order
+    # of first appearance)
     names = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
     models = data.draw(st.lists(st.sampled_from(["bvar", "comb", "qbvar", "rw"]), min_size=1, max_size=3,
                                 unique=True))
@@ -329,10 +350,11 @@ def test_read_then_write_gives_the_sorted_file_byte_for_byte(data):
         path, back = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
         with open(path, "wb") as fh:
             fh.write(csv_bytes(shuffled))
-        fset = read_forecasts(path)
-        assert fset.variable_names == first_seen
-        assert list(forecast_records(fset)) == cells
-        assert fset.values.tobytes() == values[:, slot].tobytes()
-        write_forecasts(fset, back)
+        fsets = read_forecasts(path)
+        assert [fset.model_id for fset in fsets] == sorted({m for m, _, _, _ in cells})
+        assert all(fset.variable_names == first_seen for fset in fsets)
+        assert [key for fset in fsets for key in forecast_records(fset)] == cells
+        assert b"".join(fset.values.tobytes() for fset in fsets) == values[:, slot].tobytes()
+        write_forecasts(fsets, back)
         with open(back, "rb") as fh:
             assert fh.read() == csv_bytes(expected)
