@@ -106,8 +106,8 @@ def main():
         "event_windows": [],
         "combinations": [
             {"strategy": "fixed", "lambda": 0.5},
-            {"strategy": "performance", "window": 10},
-            {"strategy": "optimal", "window": 12},
+            {"strategy": "performance", "window": 3},
+            {"strategy": "optimal", "window": 4},
         ],
         "benchmark": "bvar",
         "seed": args.seed,
