@@ -360,6 +360,10 @@ def _forecast_one_origin(payload):
     the last estimation row and ``est`` the (rows, n) data through it.
     Returns (origin, blocks, error) where blocks maps (model_id, quantile)
     to a (len(cfg.horizons), n) array, one row per configured horizon.
+    The sampled models are fitted and simulated on each series
+    standardised by its mean m and sd s over ``est`` (s = 1 where the sd
+    is 0), so that their priors do not depend on the data's units, and
+    their forecasts are mapped back as m + s * forecast.
     Only an expected numerical failure (ForecastError, LinAlgError,
     FloatingPointError) aborts the origin, with blocks None and the error
     text; any other exception, a bad model value or a code bug among them,
@@ -369,6 +373,9 @@ def _forecast_one_origin(payload):
     try:
         H = max(cfg.horizons)
         quantiles = cfg.quantile_set
+        mean, sd = est.mean(axis=0), est.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        z = (est - mean) / sd
         # qbvar's chains, one per level (stream index = level index), then
         # bvar's one chain; each model builds its lag design once
         chains = [("qbvar", qi, m) for qi, m in enumerate(cfg.qbvar)]
@@ -377,13 +384,13 @@ def _forecast_one_origin(payload):
         blocks, designs = {}, {}  # (model_id, q) -> (H, n) forecasts; model_id -> design
         for model_id, stream, model_cfg in chains:
             if model_id not in designs:
-                designs[model_id] = build_lag_design(est, model_cfg.p)
+                designs[model_id] = build_lag_design(z, model_cfg.p)
             # read at call time: the benchmark's tracer replaces both runners here
             runner = run_chain if model_id == "qbvar" else run_bvar_chain
             key = (cfg.seed, origin_idx, _MODEL_SEED_INDEX[model_id], stream)
             draws, _ = runner(designs[model_id], model_cfg, derive_rng(*key, _STAGE_CHAIN))
-            by_q = forecast_quantiles(draws, est, H, quantiles, derive_rng(*key, _STAGE_FORECAST))
-            blocks.update({(model_id, q): block for q, block in by_q.items()})
+            by_q = forecast_quantiles(draws, z, H, quantiles, derive_rng(*key, _STAGE_FORECAST))
+            blocks.update({(model_id, q): mean + sd * block for q, block in by_q.items()})
         if cfg.include_rw:
             blocks.update({("rw", q): random_walk_forecast(H, est.shape[1]) for q in quantiles})
         rows = [h - 1 for h in cfg.horizons]
