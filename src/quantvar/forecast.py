@@ -294,12 +294,12 @@ def read_forecasts(path) -> list[QuantileForecastSet]:
     # a complete record's rows hold slots 0..V-1, once each and in slot order
     values = np.frombuffer(value)[order.reshape(len(starts), len(variables))]
     del order, value
-    columns = (np.array(months, dtype=np.int32)[origin], np.array(horizons, dtype=np.int64)[horizon],
+    records = (np.array(months, dtype=np.int32)[origin], np.array(horizons, dtype=np.int64)[horizon],
                np.array(levels, dtype=float)[quantile], values)
     # the records are sorted by model code, so each model's records form one block
     bounds = np.append(np.flatnonzero(group_starts([model])), len(model)).tolist()
     blocks = sorted((models[model[start]], start, end) for start, end in zip(bounds, bounds[1:]))
-    return [QuantileForecastSet.from_columns(variables, m, *(column[start:end] for column in columns))
+    return [QuantileForecastSet.from_columns(variables, m, *(column[start:end] for column in records))
             for m, start, end in blocks]
 
 
