@@ -32,13 +32,13 @@ from . import __version__
 from .bvar import BvarConfig, run_bvar_chain
 from .combine import (
     CombinationError,
-    CombinationWeightSeries,
     aligned_values,
     combination_objective,
     combine_weighted,
     optimal_weight,
     performance_weight,
     weight_curve,
+    weight_rows,
 )
 from .data import (
     PanelError,
@@ -441,38 +441,44 @@ def _histories(fc_a, fc_b, tpanel: TimeSeriesPanel, target: str) -> dict:
 
 
 def _combine(fc_a, fc_b, strategy: str, setting, model_id: str, histories=None):
-    """Combine a with b under one strategy; returns (combined set, weight series).
+    """Combine a with b under one strategy; returns (combined set, weight file rows).
 
-    ``fixed`` puts ``setting`` (lambda) on a in every cell. The adaptive
-    strategies weigh a at origin t on the trailing ``setting`` (S) origins
-    of ``histories`` (from :func:`_histories`) whose realizations are
-    observed by t (see combine.py), one weight call per (q, h, origin) cell.
+    Every strategy fills one weight column on a's records, which is checked
+    to lie in [0, 1] once. ``fixed`` puts ``setting`` (lambda) on a in every
+    cell. The adaptive strategies weigh a at origin t on the trailing
+    ``setting`` (S) origins of ``histories`` (from :func:`_histories`) whose
+    realizations are observed by t (see combine.py), one weight call per
+    (q, h, origin) cell; a cell left unfilled stays NaN and fails the check.
+    The rows come from :func:`weight_rows`.
     """
     b_values = aligned_values(fc_a, fc_b)
-    n = len(fc_a)
-    warmup = np.zeros(n, dtype=bool)
-    if strategy == "fixed":
-        series = CombinationWeightSeries("fixed", None, fc_a, np.full(n, setting, dtype=float), warmup)
-        return combine_weighted(fc_a, b_values, series.lam, model_id), series
-    rows, lams, warms = [np.empty(0, dtype=np.intp)], [], []
-    for (q, h), (cell, months, known_at, fa, fb, ys) in histories.items():
-        if strategy == "performance":
-            scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
-        known_at = known_at.tolist()  # bisect and the loop read Python ints
-        for t in months.tolist():
-            # origins are sorted, so the realizations known at t form a prefix
-            k = bisect.bisect_right(known_at, t)
+    fixed = strategy == "fixed"
+    lam = np.full(len(fc_a), setting if fixed else np.nan, dtype=float)
+    warmup = np.zeros(len(fc_a), dtype=bool)
+    if not fixed:
+        # appending to lists is cheaper than a numpy item assignment per cell
+        cells, lams, warms = [np.empty(0, dtype=np.intp)], [], []
+        for (q, h), (records, months, known_at, fa, fb, ys) in histories.items():
             if strategy == "performance":
-                lam, warm = performance_weight(scores_a[:k], scores_b[:k], setting)
-            else:
-                lam, warm = optimal_weight(fa[:k], fb[:k], ys[:k], q, setting)
-            lams.append(lam)
-            warms.append(warm)
-        rows.append(cell)
-    lam, cells = np.full(n, np.nan), np.concatenate(rows)
-    lam[cells], warmup[cells] = lams, warms
-    series = CombinationWeightSeries(strategy, setting, fc_a, lam, warmup)
-    return combine_weighted(fc_a, b_values, series.lam, model_id), series
+                scores_a, scores_b = pinball(ys - fa, q), pinball(ys - fb, q)
+            known_at = known_at.tolist()  # bisect and the loop read Python ints
+            for t in months.tolist():
+                # origins are sorted, so the realizations known at t form a prefix
+                k = bisect.bisect_right(known_at, t)
+                if strategy == "performance":
+                    lam_t, warm = performance_weight(scores_a[:k], scores_b[:k], setting)
+                else:
+                    lam_t, warm = optimal_weight(fa[:k], fb[:k], ys[:k], q, setting)
+                lams.append(lam_t)
+                warms.append(warm)
+            cells.append(records)
+        cells = np.concatenate(cells)
+        lam[cells], warmup[cells] = lams, warms
+    outside = ~((lam >= 0.0) & (lam <= 1.0))
+    if outside.any():
+        raise CombinationError(f"weight must lie in [0, 1], got {lam[outside][0]}")
+    rows = weight_rows(strategy, None if fixed else setting, fc_a, lam, warmup)
+    return combine_weighted(fc_a, b_values, lam, model_id), rows
 
 
 def _aborted(results, n_origins: int) -> dict:
@@ -612,8 +618,8 @@ def run_recursive(cfg: ExperimentConfig, raw_config: dict) -> dict:
         fc_q, fc_b = fsets["qbvar"], fsets[cfg.benchmark]
         histories = _histories(fc_q, fc_b, tpanel, cfg.target)
         for model_id, strategy, setting in cfg.combinations:
-            fsets[model_id], series = _combine(fc_q, fc_b, strategy, setting, model_id, histories)
-            _write_csv(os.path.join(out, "combination", f"weights_{model_id}.csv"), series.rows())
+            fsets[model_id], rows = _combine(fc_q, fc_b, strategy, setting, model_id, histories)
+            _write_csv(os.path.join(out, "combination", f"weights_{model_id}.csv"), rows)
 
         # weight-vs-lambda curves for the plain qbvar/benchmark pair
         curve_rows = [["quantile", "horizon", "lambda", "avg_qs", "ratio_to_benchmark", "optimal"]]
@@ -828,10 +834,10 @@ def _cmd_combine(args) -> int:
         _require_target([fc_a], args.target, args.forecasts_a)  # _histories checks that b has a's variables
         histories = _histories(fc_a, fc_b, tpanel, args.target)
         setting = _DEFAULT_COMBINATION_WINDOWS[args.strategy] if args.window is None else args.window
-    out, series = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)
+    out, rows = _combine(fc_a, fc_b, args.strategy, setting, args.model_id, histories)
     write_forecasts([out], args.output)
     if args.weights_output:
-        _write_csv(args.weights_output, series.rows())
+        _write_csv(args.weights_output, rows)
     print(f"wrote {args.output} ({len(out)} combined records)")
     return 0
 

@@ -11,16 +11,14 @@ Three weighting strategies for q_comb = lam * q_a + (1 - lam) * q_b:
 
 Until S scored origins have accumulated, both adaptive strategies fall
 back to lam = 0.5 and flag the origin as warm-up. Every strategy is applied
-by :func:`combine_weighted` from the weights of a
-:class:`CombinationWeightSeries`; a fixed weight is a series that holds lam
-in every cell. A series holds its weights as an array aligned with a's
-records, and :func:`aligned_values` gives b's values in the same order, so
-that the combination is one broadcast over the two value arrays.
+by :func:`combine_weighted` from one weight column aligned with a's
+records (a fixed weight is the column that holds lam in every cell), and
+:func:`aligned_values` gives b's values in the same order, so that the
+combination is one broadcast over the two value arrays. :func:`weight_rows`
+lays the weight column out as the weight file's rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,35 +147,20 @@ def weight_curve(fc_a, fc_b, realized, quantile: float):
     return grid, vals, ratios
 
 
-@dataclass
-class CombinationWeightSeries:
-    """Weights on model a under one strategy: lam[i] and warmup[i] belong to record i of ``cells``."""
+def weight_rows(strategy: str, window: int | None, cells: QuantileForecastSet, lam, warmup):
+    """The weight file's header, then one row per (origin, q, h) cell of ``cells`` in that order.
 
-    strategy: str  # "fixed" | "performance" | "optimal"
-    window: int | None  # S, None for fixed
-    cells: QuantileForecastSet  # the set the weights combine
-    lam: np.ndarray
-    warmup: np.ndarray  # True where the origin was still in fallback
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.warmup = np.asarray(self.warmup, dtype=bool)
-        if not self.lam.shape == self.warmup.shape == (len(self.cells),):
-            raise CombinationError("a weight series needs one weight and one warm-up flag per cell")
-        outside = ~((self.lam >= 0.0) & (self.lam <= 1.0))
-        if outside.any():
-            raise CombinationError(f"weight must lie in [0, 1], got {self.lam[outside][0]}")
-
-    def rows(self):
-        """The weight file's header, then one row per (origin, q, h) cell in that order."""
-        yield ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]
-        c = self.cells
-        window = self.window if self.window is not None else ""
-        origins = {o: month_label(o) for o in distinct(c.origin)}
-        order = np.lexsort((c.horizon, c.quantile, c.origin))
-        columns = (c.origin, c.quantile, c.horizon, self.lam, self.warmup)
-        for o, q, h, lam, warm in column_rows(*(column[order] for column in columns)):
-            yield [self.strategy, window, origins[o], f"{q:.10g}", h, f"{lam:.17g}", int(warm)]
+    ``lam[i]`` and ``warmup[i]`` (True where the origin was still in
+    fallback) belong to record i of ``cells``; ``window`` is S, or None for
+    a fixed weight.
+    """
+    yield ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"]
+    window = window if window is not None else ""
+    origins = {o: month_label(o) for o in distinct(cells.origin)}
+    order = np.lexsort((cells.horizon, cells.quantile, cells.origin))
+    columns = (cells.origin, cells.quantile, cells.horizon, lam, warmup)
+    for o, q, h, lam_i, warm in column_rows(*(column[order] for column in columns)):
+        yield [strategy, window, origins[o], f"{q:.10g}", h, f"{lam_i:.17g}", int(warm)]
 
 
 def combine_weighted(fc_a: QuantileForecastSet, b_values: np.ndarray, lam: np.ndarray,

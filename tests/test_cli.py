@@ -858,6 +858,17 @@ def test_combine_refuses_a_file_of_several_models(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "comb.csv")
 
 
+def test_combine_refuses_a_fixed_weight_outside_the_unit_interval(tmp_path, capsys):
+    fa, fb = make_forecast_pair(tmp_path)
+    out, weights = tmp_path / "comb.csv", tmp_path / "weights.csv"
+    rc = main(["combine", "--forecasts-a", fa, "--forecasts-b", fb, "--strategy", "fixed", "--lambda", "1.5",
+               "--output", str(out), "--weights-output", str(weights)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "CombinationError", "message": "weight must lie in [0, 1], got 1.5"}
+    assert not out.exists() and not weights.exists()
+
+
 def test_forecast_reproduces_a_runs_records_at_a_later_origin(tmp_path, capsys):
     # origin index 1: every model and level of the run's second origin, bit for bit
     cfg, raw = _light_cfg(tmp_path, origins=("2017-08", "2017-09"), iterations=60, burn_in=20,

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from quantvar.cli import _combine
 from quantvar.combine import (
     CombinationError,
-    CombinationWeightSeries,
     aligned_values,
     combination_objective,
     combine_weighted,
     optimal_weight,
     performance_weight,
     weight_curve,
+    weight_rows,
 )
 
 from conftest import forecast_records, forecast_set, optimal_weight_grid
@@ -27,7 +27,7 @@ def _fset(model, cells, names=("y0",)):
 
 
 def _fixed(a, b, lam, model_id="comb_fixed"):
-    # the fixed-weight path of `run` and `quantvar combine`: a constant weight series
+    # the fixed-weight path of `run` and `quantvar combine`: a constant weight column
     return _combine(a, b, "fixed", lam, model_id)[0]
 
 
@@ -239,24 +239,22 @@ def test_weight_curve_shape_and_normalization():
 
 
 # ---------------------------------------------------------------------------
-# weight series and application
+# weight rows and application
 
 
-def test_weight_series_rows_and_validation():
+def test_weight_rows_list_cells_in_origin_quantile_horizon_order():
     cells = _fset("a", {("2010-02", 1, 0.5): 0.0, ("2010-01", 2, 0.5): 0.0, ("2010-01", 1, 0.9): 0.0})
     # cells hold (origin, h, q) order; rows list (origin, q, h) order
-    s = CombinationWeightSeries("performance", 50, cells, lam=[0.75, 0.25, 0.5], warmup=[False, False, True])
-    rows = list(s.rows())
+    lam, warmup = np.array([0.75, 0.25, 0.5]), np.array([False, False, True])
+    rows = list(weight_rows("performance", 50, cells, lam, warmup))
     assert rows == [
         ["strategy", "window", "origin", "quantile", "horizon", "lambda", "warmup"],
         ["performance", 50, "2010-01", "0.5", 2, "0.25", 0],
         ["performance", 50, "2010-01", "0.9", 1, "0.75", 0],
         ["performance", 50, "2010-02", "0.5", 1, "0.5", 1],
     ]
-    with pytest.raises(CombinationError):
-        CombinationWeightSeries("performance", 50, cells, lam=[0.5, 1.2, 0.5], warmup=[False] * 3)
-    with pytest.raises(CombinationError):
-        CombinationWeightSeries("performance", 50, cells, lam=[0.5, 0.5], warmup=[False] * 2)
+    # a fixed weight has no window
+    assert [row[1] for row in weight_rows("fixed", None, cells, lam, warmup)][1:] == ["", "", ""]
 
 
 def test_combine_weighted_uses_per_cell_weights():
