@@ -4,12 +4,12 @@ Each retained draw defines a VAR whose future shocks are normal with
 covariance Lam Lam' + diag(v): v = sigma for the Gaussian model, and for a
 quantile model the variance sigma^2 (theta^2 + tau2) of its asymmetric-Laplace
 error of scale sigma, with the normal centred (a stopgap until the quantile
-model has a predictive of its own); paths are simulated forward horizon by
-horizon, feeding predictions back into the lag vector. One function,
-:func:`forecast_quantiles`, turns either kind of draw set into quantile
-forecasts: a quantile model's forecast at its own level is the pointwise
-median across draws; the Gaussian benchmark's q-forecast is the empirical
-q-quantile of its predictive draws. The random-walk benchmark for
+model has a predictive of its own); PATHS_PER_DRAW paths per draw are
+simulated forward horizon by horizon, feeding predictions back into the lag
+vector. One function, :func:`forecast_quantiles`, turns either kind of draw
+set into quantile forecasts: a quantile model's forecast at its own level is
+the pointwise median across its paths; the Gaussian benchmark's q-forecast
+is the empirical q-quantile of its paths. The random-walk benchmark for
 stationarity-transformed series predicts zero change at every horizon and
 quantile.
 
@@ -35,6 +35,10 @@ from .qbvar import PosteriorDrawSet, QuantileLevel
 # an origin is abandoned when more than this share of simulated paths
 # contains non-finite values (explosive draws)
 MAX_BAD_FRACTION = 0.01
+# simulated paths per retained draw: the shocks, not the parameters, make
+# most of a forecast's Monte Carlo noise, and M paths cut the order-statistic
+# sd of a quantile forecast by about sqrt(M)
+PATHS_PER_DRAW = 10
 
 
 class ForecastError(RuntimeError):
@@ -44,11 +48,12 @@ class ForecastError(RuntimeError):
 def simulate_paths(
     draws: PosteriorDrawSet, history: np.ndarray, horizon: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Simulate (S, horizon, n) future paths, one per posterior draw.
+    """Simulate (S * PATHS_PER_DRAW, horizon, n) future paths, PATHS_PER_DRAW per posterior draw.
 
-    history holds the observed series in time order; only its last p rows
-    enter the lag vector. Non-finite paths are tolerated up to
-    MAX_BAD_FRACTION and replaced by NaN; beyond that the origin fails.
+    Each draw's paths are adjacent rows. history holds the observed series
+    in time order; only its last p rows enter the lag vector. Non-finite
+    paths are tolerated up to MAX_BAD_FRACTION of all paths and replaced by
+    NaN; beyond that the origin fails.
     """
     history = np.asarray(history, dtype=float)
     if history.ndim != 2:
@@ -62,28 +67,32 @@ def simulate_paths(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     r = draws.n_factors
+    M = PATHS_PER_DRAW
     sd = np.sqrt(draws.sigma)
     if draws.kind == "qbvar":
         level = QuantileLevel(draws.quantile)
         sd = draws.sigma * np.sqrt(level.theta**2 + level.tau2)
-    lags = np.broadcast_to(history[-p:][::-1], (S, p, n)).copy()  # most recent first
-    paths = np.empty((S, horizon, n))
-    x = np.empty((S, k))
-    x[:, 0] = 1.0
-    for j in range(horizon):
-        x[:, 1:] = lags.reshape(S, p * n)
-        cond_mean = np.einsum("sik,sk->si", draws.Phi, x)
-        eps = rng.standard_normal((S, n)) * sd
-        if r:
-            f = rng.standard_normal((S, r))
-            eps = eps + np.einsum("sir,sr->si", draws.Lam, f)
-        y_new = cond_mean + eps
-        paths[:, j, :] = y_new
-        if p > 1:
-            lags[:, 1:, :] = lags[:, :-1, :]
-        lags[:, 0, :] = y_new
-    with np.errstate(invalid="ignore"):
-        bad = ~np.isfinite(paths).all(axis=(1, 2))
+    sd = sd[:, None, :]
+    PhiT = draws.Phi.transpose(0, 2, 1)  # (S, k, n): x @ PhiT is each path's conditional mean
+    LamT = draws.Lam.transpose(0, 2, 1)
+    lags = np.broadcast_to(history[-p:][::-1], (S, M, p, n)).copy()  # most recent first
+    paths = np.empty((S, M, horizon, n))
+    x = np.empty((S, M, k))
+    x[:, :, 0] = 1.0
+    # an explosive draw overflows; its paths are counted below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(horizon):
+            x[:, :, 1:] = lags.reshape(S, M, p * n)
+            eps = rng.standard_normal((S, M, n)) * sd
+            if r:
+                eps += rng.standard_normal((S, M, r)) @ LamT
+            y_new = x @ PhiT + eps
+            paths[:, :, j, :] = y_new
+            if p > 1:
+                lags[:, :, 1:, :] = lags[:, :, :-1, :]
+            lags[:, :, 0, :] = y_new
+    paths = paths.reshape(S * M, horizon, n)
+    bad = ~np.isfinite(paths).all(axis=(1, 2))
     frac = float(bad.mean())
     if frac > MAX_BAD_FRACTION:
         raise ForecastError(
@@ -100,7 +109,7 @@ def forecast_quantiles(
     """Quantile forecasts {q: (horizon, n)} read off one simulation of paths.
 
     A quantile model was fitted at one level, so it returns only that level:
-    ``{draws.quantile: median across draws}``, and ``quantiles`` is not read.
+    ``{draws.quantile: median across paths}``, and ``quantiles`` is not read.
     A Gaussian model returns the empirical q-quantile of its paths at every
     requested level; all levels come from the same paths, so they are
     mutually consistent (monotone in q) up to sampling noise. Paths that

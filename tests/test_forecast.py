@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from quantvar.data import month_index, month_label
 from quantvar.dist import make_rng
 from quantvar.forecast import (
+    PATHS_PER_DRAW,
     ForecastError,
     QuantileForecastSet,
     forecast_quantiles,
@@ -50,11 +52,11 @@ def test_simulate_paths_follows_deterministic_recursion():
     draws = _draw_set(np.repeat(Phi, 3, axis=0))
     hist = np.array([[1.0, 2.0]])
     paths = simulate_paths(draws, hist, 4, make_rng(0))
-    assert paths.shape == (3, 4, 2)
+    assert paths.shape == (3 * PATHS_PER_DRAW, 4, 2)
     y = hist[-1]
     for j in range(4):
         y = c + A @ y
-        np.testing.assert_allclose(paths[:, j, :], np.tile(y, (3, 1)), atol=1e-8)
+        np.testing.assert_allclose(paths[:, j, :], np.tile(y, (3 * PATHS_PER_DRAW, 1)), atol=1e-8)
 
 
 def test_simulate_paths_uses_p_lags_in_order():
@@ -103,7 +105,8 @@ def test_simulate_paths_tolerates_rare_explosions():
     draws = _explosive_mixture(n_bad=3)  # 0.75% < 1%
     paths = simulate_paths(draws, np.array([[1.0]]), 6, make_rng(1))
     bad = ~np.isfinite(paths).all(axis=(1, 2))
-    assert bad.sum() == 3
+    # each explosive draw makes its PATHS_PER_DRAW adjacent paths bad
+    assert bad.sum() == 3 * PATHS_PER_DRAW and bad[:3 * PATHS_PER_DRAW].all()
     assert np.isnan(paths[bad]).all()
     med = np.nanmedian(paths, axis=0)
     assert np.all(np.isfinite(med))
@@ -113,6 +116,20 @@ def test_simulate_paths_fails_on_frequent_explosions():
     draws = _explosive_mixture(n_bad=5)  # 1.25% > 1%
     with pytest.raises(ForecastError):
         simulate_paths(draws, np.array([[1.0]]), 6, make_rng(1))
+
+
+def test_several_paths_per_draw_cut_the_seed_to_seed_noise_of_a_quantile_forecast():
+    # 100 identical N(0, 1) draws: the h = 1, q = 0.1 forecast is the sample
+    # 0.1-quantile of the simulated shocks, whose sd across forecast seeds is
+    # sqrt(q (1 - q) / N) / phi(Phi^-1(q)): 0.171 at N = 100 paths, 0.054 at
+    # 1,000. The band is half the one-path-per-draw sd; seeds 1000-1399 read
+    # 0.041-0.059 with 10 paths per draw and 0.157-0.183 with one.
+    S = 100
+    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.ones((S, 1)), kind="bvar")
+    forecasts = [forecast_quantiles(draws, np.zeros((1, 1)), 1, [0.1], make_rng(seed))[0.1][0, 0]
+                 for seed in range(2000, 2040)]
+    assert np.std(forecasts, ddof=1) <= 0.171 / 2
+    assert np.mean(forecasts) == pytest.approx(NormalDist().inv_cdf(0.1), abs=0.05)
 
 
 def test_quantile_forecast_median_across_draws():
