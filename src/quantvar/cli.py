@@ -92,6 +92,10 @@ _DEFAULT_EVAL_WINDOWS = [
     {"label": "main", "start": "2008-01", "end": "2025-02"},
     {"label": "recent", "start": "2013-01", "end": "2025-02"},
 ]
+# the keys a config may hold at its top level; _known_fields refuses any other
+_CONFIG_FIELDS = ("data_file", "tcode_file", "target", "companions", "models", "mcmc", "a_sigma", "b_sigma",
+                  "horizons", "origins", "evaluation_windows", "event_windows", "combinations", "benchmark",
+                  "seed", "output_dir")
 
 
 class ConfigError(ValueError):
@@ -157,9 +161,17 @@ def _month(where: str, label) -> int:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_window(d: dict, kind: str = "evaluation") -> EventWindow:
-    """The ``kind`` (evaluation or event) window ``d``: its label, start and end."""
-    label = d["label"]
+def _known_fields(path: str, d: dict, fields) -> dict:
+    """``d``, the config object at ``path``, once every key of it is one of ``fields``; else ConfigError."""
+    unknown = [key for key in d.keys() if key not in fields]
+    if unknown:
+        raise ConfigError(f"config field {path + unknown[0]!r} is not a known field")
+    return d
+
+
+def _parse_window(d: dict, kind: str = "evaluation", path: str = "") -> EventWindow:
+    """The ``kind`` (evaluation or event) window ``d``, at ``path`` in the config: its label, start and end."""
+    label = _known_fields(path, d, ("label", "start", "end"))["label"]
     if not isinstance(label, str):
         raise ConfigError(f"window label must be a string, got {label!r}")
     where = f"{kind} window {label!r}"
@@ -202,6 +214,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     def _path(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
+    _known_fields("", raw, _CONFIG_FIELDS)
     data_file = _path(raw["data_file"])
     tcode_file = _path(raw["tcode_file"])
     target = raw["target"]
@@ -217,7 +230,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     if target in companions:
         raise ConfigError("target listed among companions; exactly one target")
 
-    mc = raw.get("mcmc", {})
+    mc = _known_fields("mcmc.", raw.get("mcmc", {}), ("iterations", "burn_in", "thin"))
     shared = dict(
         schedule=McmcSchedule(
             iterations=_integer("iterations", mc.get("iterations", McmcSchedule.iterations)),
@@ -227,10 +240,10 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         a_sigma=_real("a_sigma", raw.get("a_sigma", ModelConfig.a_sigma)),
         b_sigma=_real("b_sigma", raw.get("b_sigma", ModelConfig.b_sigma)),
     )
-    models = raw.get("models", {})
+    models = _known_fields("models.", raw.get("models", {}), ("qbvar", "bvar", "rw"))
     qbvar = ()
     if "qbvar" in models:
-        m = models["qbvar"]
+        m = _known_fields("models.qbvar.", models["qbvar"], ("p", "r", "quantiles"))
         p, r = _integer("p", m["p"]), _integer("r", m.get("r", 0))
         quantiles = [_real("quantiles", q) for q in m["quantiles"]]
         # forecast records key a level by its value rounded to 10 digits
@@ -239,7 +252,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         qbvar = tuple(QbvarConfig(p=p, r=r, quantile=q, **shared) for q in sorted(quantiles))
     bvar = None
     if "bvar" in models:
-        m = models["bvar"]
+        m = _known_fields("models.bvar.", models["bvar"], ("p", "r"))
         bvar = BvarConfig(p=_integer("p", m["p"]), r=_integer("r", m.get("r", 0)), **shared)
     include_rw = models.get("rw", False)
     if not isinstance(include_rw, bool):
@@ -251,13 +264,16 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     if not horizons or sorted(set(horizons)) != sorted(horizons) or min(horizons) < 1:
         raise ConfigError("horizons must be distinct positive integers")
 
-    eval_windows = [_parse_window(w) for w in raw.get("evaluation_windows", _DEFAULT_EVAL_WINDOWS)]
+    eval_windows = [_parse_window(w, "evaluation", f"evaluation_windows[{i}].")
+                    for i, w in enumerate(raw.get("evaluation_windows", _DEFAULT_EVAL_WINDOWS))]
     if not eval_windows:
         raise ConfigError("at least one evaluation window required")
-    event_windows = [_parse_window(w, "event") for w in raw.get("event_windows", [])]
+    event_windows = [_parse_window(w, "event", f"event_windows[{i}].")
+                     for i, w in enumerate(raw.get("event_windows", []))]
     origins = raw.get("origins", {})
     if not isinstance(origins, dict):
         raise ConfigError(f"config field 'origins' must be an object, got {origins!r}")
+    _known_fields("origins.", origins, ("start", "end"))
     # by default the origins span the first evaluation window
     origins_start = _month("origins.start", origins["start"]) if "start" in origins else eval_windows[0].start
     origins_end = _month("origins.end", origins["end"]) if "end" in origins else eval_windows[0].end
@@ -265,8 +281,9 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
         raise ConfigError("empty origin range")
 
     combos = []
-    for c in raw.get("combinations", []):
+    for i, c in enumerate(raw.get("combinations", [])):
         strategy = c.get("strategy")
+        _known_fields(f"combinations[{i}].", c, ("strategy", "lambda" if strategy == "fixed" else "window"))
         if strategy == "fixed":
             setting = _real("lambda", c.get("lambda", 0.5))
             if not 0.0 <= setting <= 1.0:

@@ -722,6 +722,37 @@ def test_a_malformed_window_or_origin_month_exits_2_naming_where_it_is(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parent, key, typo, field", [
+    ((), "combinations", "combinatons", "combinatons"),
+    (("mcmc",), "iterations", "iteration", "mcmc.iteration"),
+    (("models",), "bvar", "bvr", "models.bvr"),
+    (("models", "qbvar"), "quantiles", "quantile", "models.qbvar.quantile"),
+    (("models", "bvar"), "r", "rr", "models.bvar.rr"),
+    (("origins",), "start", "stat", "origins.stat"),
+    (("evaluation_windows", 0), "label", "lable", "evaluation_windows[0].lable"),
+    (("event_windows", 0), "end", "ned", "event_windows[0].ned"),
+    (("combinations", 1), "window", "windw", "combinations[1].windw"),
+    (("combinations", 0), "lambda", "window", "combinations[0].window"),  # a fixed weight reads no window
+], ids=["top", "mcmc", "models", "qbvar", "bvar", "origins", "evaluation-window", "event-window", "combination",
+        "fixed-combination"])
+def test_a_misspelled_config_field_exits_2_naming_its_path(tmp_path, capsys, parent, key, typo, field):
+    # "mcmc": {"iteration": 120} used to run the 3,000-iteration default
+    make_raw_panel(tmp_path)
+    raw = make_config_dict(event_windows=[{"label": "mid", "start": "2017-11", "end": "2018-02"}])
+    level = raw
+    for step in parent:
+        level = level[step]
+    level[typo] = level.pop(key)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ConfigError", "message": f"config field {field!r} is not a known field"}
+    assert not out.exists()
+    level[key] = level.pop(typo)
+    parse_config(raw)
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1, None])
 def test_rw_other_than_true_or_false_exits_2(tmp_path, capsys, value):
     # bool("false") is True: "rw": "false" used to turn the random walk on
