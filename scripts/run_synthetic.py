@@ -22,12 +22,11 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from quantvar.cli import main as cli_main
-from quantvar.data import month_index, month_label
+from quantvar.data import TimeSeriesPanel, month_index, month_label, write_panel
 
 
-def write_panel(path, tcode_path, T, seed):
+def simulate_panel(T, seed):
     rng = np.random.default_rng(seed)
-    dates = [month_label(month_index("2008-01") + j) for j in range(T)]
     # target: log level whose growth is a persistent AR(1) with occasional
     # fat-tailed shocks, so the quantile models have something asymmetric
     # to chew on
@@ -35,24 +34,17 @@ def write_panel(path, tcode_path, T, seed):
     for t in range(1, T):
         shock = rng.standard_t(df=4) * 0.03
         g[t] = 0.35 * g[t - 1] + shock
-    cols = {"price": 80.0 * np.exp(np.cumsum(g))}
-    tcodes = {"price": 5}
+    price = 80.0 * np.exp(np.cumsum(g))
     x = np.zeros(T)
     for t in range(1, T):
         x[t] = 0.6 * x[t - 1] + 0.15 * rng.standard_normal()
-    cols["activity"] = x
-    tcodes["activity"] = 2
     w = 0.4 * x + 0.1 * rng.standard_normal(T)
-    cols["stocks"] = np.cumsum(w)
-    tcodes["stocks"] = 1
-    names = list(cols)
-    with open(path, "w") as fh:
-        fh.write("date," + ",".join(names) + "\n")
-        for i, d in enumerate(dates):
-            fh.write(d + "," + ",".join(f"{cols[n][i]:.17g}" for n in names) + "\n")
-    with open(tcode_path, "w") as fh:
-        json.dump(tcodes, fh, sort_keys=True)
-    return dates
+    return TimeSeriesPanel(
+        month_index("2008-01"),
+        np.column_stack([price, x, np.cumsum(w)]),
+        ["price", "activity", "stocks"],
+        [5, 2, 1],
+    )
 
 
 def main():
@@ -70,8 +62,9 @@ def main():
     os.makedirs(args.outdir, exist_ok=True)
     panel = os.path.join(args.outdir, "panel.csv")
     tcodes = os.path.join(args.outdir, "tcodes.json")
-    T = 140
-    dates = write_panel(panel, tcodes, T=T, seed=args.seed)
+    sim = simulate_panel(T=140, seed=args.seed)
+    write_panel(sim, panel, tcodes)
+    dates = sim.dates
 
     n_origins = 8 if args.quick else 30
     # leave 12 post-origin months so every horizon is realized

@@ -47,10 +47,6 @@ from .qbvar import (
 )
 
 
-class BvarConfig(ModelConfig):
-    """Lag order, factor count (may be zero), schedule and variance prior."""
-
-
 def step_scales_gaussian(state: QbvarState, E, a_sigma, b_sigma, rng) -> None:
     """Conjugate variance draw sigma_i ~ IG(a + T/2, b + sum e^2 / 2); E is (n, T) residuals."""
     T = E.shape[1]
@@ -59,7 +55,7 @@ def step_scales_gaussian(state: QbvarState, E, a_sigma, b_sigma, rng) -> None:
 
 
 def run_bvar_chain(
-    design: LagDesign, config: BvarConfig, rng: np.random.Generator
+    design: LagDesign, config: ModelConfig, rng: np.random.Generator
 ) -> tuple[PosteriorDrawSet, ChainDiagnostics]:
     """Gibbs sampler for the Gaussian benchmark; thinned post-burn-in draws."""
     XtX = design.X.T @ design.X

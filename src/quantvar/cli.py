@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bvar import BvarConfig, run_bvar_chain
+from .bvar import run_bvar_chain
 from .combine import (
     CombinationError,
     aligned_values,
@@ -117,7 +117,7 @@ class ExperimentConfig:
     target: str
     companions: list[str]
     qbvar: tuple[QbvarConfig, ...]  # one per quantile level, ascending; empty if unused
-    bvar: BvarConfig | None
+    bvar: ModelConfig | None
     include_rw: bool
     horizons: list[int]
     origins_start: int  # month_index of the first origin
@@ -253,7 +253,7 @@ def _parse_fields(raw: dict, base_dir: str) -> ExperimentConfig:
     bvar = None
     if "bvar" in models:
         m = _known_fields("models.bvar.", models["bvar"], ("p", "r"))
-        bvar = BvarConfig(p=_integer("p", m["p"]), r=_integer("r", m.get("r", 0)), **shared)
+        bvar = ModelConfig(p=_integer("p", m["p"]), r=_integer("r", m.get("r", 0)), **shared)
     include_rw = models.get("rw", False)
     if not isinstance(include_rw, bool):
         raise ConfigError(f"config field 'rw' must be true or false, got {include_rw!r}")

@@ -245,10 +245,6 @@ class LagDesign:
     def n_vars(self) -> int:
         return self.Y.shape[1]
 
-    @property
-    def n_obs(self) -> int:
-        return self.Y.shape[0]
-
 
 def build_lag_design(Y, p: int) -> LagDesign:
     """Build (Y, X) for a VAR(p) with intercept, lag-1 block first.

@@ -28,10 +28,6 @@ import numpy as np
 _TINY = 1e-300
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent stream for a structured key under one master seed.
 

@@ -172,15 +172,13 @@ class QuantileForecastSet:
     ``variable_names`` order. Records are sorted by key and unique.
     """
 
-    def __init__(self, variable_names, model_id: str, origin=(), horizon=(), quantile=(), values=None):
-        """A set of columns already in the layout above; by default an empty set."""
+    def __init__(self, variable_names, model_id: str, origin, horizon, quantile, values):
+        """A set of columns already in the layout above."""
         self.variable_names = list(variable_names)
         self.model_id = model_id
         self.origin = np.asarray(origin, dtype=np.int32)
         self.horizon = np.asarray(horizon, dtype=np.int64)
         self.quantile = np.asarray(quantile, dtype=float)
-        if values is None:
-            values = np.empty((0, len(self.variable_names)))
         self.values = np.asarray(values, dtype=float)
 
     @classmethod

@@ -204,7 +204,7 @@ def test_04_conjugate_posterior_means():
     k = n * p + 1
     Y = rng.standard_normal((T, n))
     design = build_lag_design(Y, p)
-    Td = design.n_obs
+    Td = len(design.Y)
     cfg = QbvarConfig(p=p, r=r, quantile=0.3, schedule=McmcSchedule(10, 2, 1))
     state = init_state(design, cfg)
     state.Z = np.ones((n, Td))  # z fixed at 1, series-major

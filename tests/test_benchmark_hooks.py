@@ -23,10 +23,9 @@ import quantvar.data as data
 import quantvar.evaluation as evaluation
 import quantvar.forecast as forecast
 import quantvar.qbvar as qbvar
-from quantvar.bvar import BvarConfig
-from quantvar.dist import make_rng
+from quantvar.dist import derive_rng
 from quantvar.forecast import read_forecasts
-from quantvar.qbvar import McmcSchedule, QbvarConfig
+from quantvar.qbvar import McmcSchedule, ModelConfig, QbvarConfig
 
 from conftest import make_config_dict, make_forecast_pair, make_raw_panel
 
@@ -90,7 +89,7 @@ def test_run_chain_calls_step_coefficients_once_per_sweep(monkeypatch, r):
     monkeypatch.setattr(qbvar, "step_coefficients", counted)
     design = data.build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
     sched = McmcSchedule(25, 5, 2)
-    qbvar.run_chain(design, QbvarConfig(p=1, r=r, quantile=0.25, schedule=sched), make_rng(2))
+    qbvar.run_chain(design, QbvarConfig(p=1, r=r, quantile=0.25, schedule=sched), derive_rng(2))
     assert len(calls) == sched.iterations
     assert all(d is design for d in calls)  # the design is the first argument
 
@@ -113,7 +112,7 @@ def test_run_bvar_chain_calls_only_its_own_step_coefficients(monkeypatch):
         monkeypatch.setattr(module, "step_coefficients", counting(module))
     design = data.build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
     sched = McmcSchedule(25, 5, 2)
-    bvar.run_bvar_chain(design, BvarConfig(p=1, r=1, schedule=sched), make_rng(2))
+    bvar.run_bvar_chain(design, ModelConfig(p=1, r=1, schedule=sched), derive_rng(2))
     assert calls == {"bvar": sched.iterations, "qbvar": 0}
 
 

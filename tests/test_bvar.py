@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from quantvar.bvar import BvarConfig, run_bvar_chain, step_scales_gaussian
+from quantvar.bvar import run_bvar_chain, step_scales_gaussian
 from quantvar.data import build_lag_design
-from quantvar.dist import derive_rng, make_rng
-from quantvar.qbvar import McmcSchedule, QbvarConfig, init_state
+from quantvar.dist import derive_rng
+from quantvar.qbvar import McmcSchedule, ModelConfig, QbvarConfig, init_state
 
 
 def test_bvar_config_allows_zero_factors():
-    cfg = BvarConfig(p=2, r=0)
+    cfg = ModelConfig(p=2, r=0)
     assert cfg.r == 0
     with pytest.raises(ValueError):
-        BvarConfig(p=0, r=0)
+        ModelConfig(p=0, r=0)
     with pytest.raises(ValueError):
-        BvarConfig(p=1, r=-1)
+        ModelConfig(p=1, r=-1)
     with pytest.raises(ValueError):
-        BvarConfig(p=1, r=0, b_sigma=-1.0)
+        ModelConfig(p=1, r=0, b_sigma=-1.0)
 
 
 def _gaussian_var_data(T, seed=0):
@@ -36,7 +36,7 @@ def test_gaussian_scale_step_matches_conjugate_moments():
     T = E.shape[1]
     shape = 3.0 + T / 2.0
     scale0 = 1.0 + 0.5 * np.sum(E[0] ** 2)
-    rng = make_rng(5)
+    rng = derive_rng(5)
     draws = []
     for _ in range(6000):
         step_scales_gaussian(state, E, 3.0, 1.0, rng)
@@ -47,7 +47,7 @@ def test_gaussian_scale_step_matches_conjugate_moments():
 def test_bvar_chain_recovers_coefficients():
     Y, Phi_true = _gaussian_var_data(500, seed=11)
     design = build_lag_design(Y, 1)
-    cfg = BvarConfig(p=1, r=0, schedule=McmcSchedule(500, 200, 3))
+    cfg = ModelConfig(p=1, r=0, schedule=McmcSchedule(500, 200, 3))
     draws, diag = run_bvar_chain(design, cfg, derive_rng(4, 0, 1))
     med = np.median(draws.Phi, axis=0)
     np.testing.assert_allclose(med, Phi_true, atol=0.12)
@@ -59,7 +59,7 @@ def test_bvar_chain_recovers_coefficients():
 def test_bvar_chain_with_factors_runs_and_is_deterministic():
     Y, _ = _gaussian_var_data(120, seed=13)
     design = build_lag_design(Y, 2)
-    cfg = BvarConfig(p=2, r=1, schedule=McmcSchedule(60, 20, 4))
+    cfg = ModelConfig(p=2, r=1, schedule=McmcSchedule(60, 20, 4))
     d1, _ = run_bvar_chain(design, cfg, derive_rng(9, 1))
     d2, _ = run_bvar_chain(design, cfg, derive_rng(9, 1))
     np.testing.assert_array_equal(d1.Phi, d2.Phi)
@@ -72,7 +72,7 @@ def test_bvar_sigma_estimates_error_variance():
     # homoskedastic DGP with known innovation variance 0.09
     Y, _ = _gaussian_var_data(800, seed=17)
     design = build_lag_design(Y, 1)
-    cfg = BvarConfig(p=1, r=0, schedule=McmcSchedule(400, 150, 5))
+    cfg = ModelConfig(p=1, r=0, schedule=McmcSchedule(400, 150, 5))
     draws, _ = run_bvar_chain(design, cfg, derive_rng(21, 0))
     sigma_med = np.median(draws.sigma, axis=0)
     np.testing.assert_allclose(sigma_med, 0.09, rtol=0.25)

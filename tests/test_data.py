@@ -205,7 +205,7 @@ def test_build_lag_design_hand_case():
 def test_build_lag_design_dimensions_and_errors():
     d = build_lag_design(np.arange(12.0).reshape(6, 2), 2)
     assert d.X.shape[1] == 5  # n*p + 1
-    assert d.n_obs == 4
+    assert len(d.Y) == 4
     with pytest.raises(PanelError):
         build_lag_design(np.ones((3, 1)), 3)  # p = T_full
     with pytest.raises(PanelError):
@@ -224,7 +224,7 @@ def test_lag_design_reconstruction(p, n, seed):
     Y = rng.normal(size=(T_full, n))
     d = build_lag_design(Y, p)
     assert np.all(d.X[:, 0] == 1.0)
-    for t in range(d.n_obs):
+    for t in range(len(d.Y)):
         for j in range(1, p + 1):
             np.testing.assert_array_equal(d.X[t, 1 + (j - 1) * n : 1 + j * n], Y[t + p - j])
         np.testing.assert_array_equal(d.Y[t], Y[t + p])

@@ -10,7 +10,6 @@ from quantvar.dist import (
     draw_from_precision_system,
     draw_gig_half,
     draw_inverse_gamma,
-    make_rng,
     update_horseshoe,
 )
 
@@ -24,7 +23,7 @@ def test_derive_rng_reproducible_and_distinct():
 
 
 def test_gig_half_moments():
-    rng = make_rng(101)
+    rng = derive_rng(101)
     n = 400_000
     x = draw_gig_half(np.ones(n), np.full(n, 4.0), rng)
     assert np.all(x > 0)
@@ -36,7 +35,7 @@ def test_gig_half_moments():
 
 def test_gig_half_tiny_a_matches_gamma_limit():
     # a -> 0 with p = 1/2 flows to Gamma(1/2, rate b/2); mean = 1/b * ... = p*2/b
-    rng = make_rng(5)
+    rng = derive_rng(5)
     n = 200_000
     x = draw_gig_half(np.zeros(n), np.full(n, 2.0), rng)
     assert np.all(x > 0) and np.all(np.isfinite(x))
@@ -45,7 +44,7 @@ def test_gig_half_tiny_a_matches_gamma_limit():
 
 
 def test_gig_half_ks_against_scipy():
-    rng = make_rng(2024)
+    rng = derive_rng(2024)
     n = 100_000
     for a, b in [(1.0, 4.0), (0.3, 2.0), (5.0, 0.5)]:
         mine = draw_gig_half(np.full(n, a), np.full(n, b), rng)
@@ -56,7 +55,7 @@ def test_gig_half_ks_against_scipy():
 
 
 def test_draw_gig_half_validation():
-    rng = make_rng(1)
+    rng = derive_rng(1)
     with pytest.raises(ValueError):
         draw_gig_half([1.0], [0.0], rng)
     with pytest.raises(ValueError):
@@ -64,7 +63,7 @@ def test_draw_gig_half_validation():
 
 
 def test_inverse_gamma_moments():
-    rng = make_rng(3)
+    rng = derive_rng(3)
     x = draw_inverse_gamma(5.0, np.full(200_000, 2.0), rng)
     assert np.all(x > 0)
     # mean scale/(shape-1) = 0.5; var scale^2/((s-1)^2 (s-2)) = 4/(16*3)
@@ -75,7 +74,7 @@ def test_inverse_gamma_moments():
 
 
 def test_draw_from_precision_system_mean_matches_inverse():
-    rng = make_rng(4)
+    rng = derive_rng(4)
     k = 6
     A = rng.standard_normal((k + 3, k))
     P = A.T @ A + np.eye(k)
@@ -91,20 +90,20 @@ def test_draw_from_precision_system_indefinite_raises_linalg_error():
     # eigenvalues 3 and -1: no jitter up to 1e-6 * mean(diag) makes it positive definite
     P = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        draw_from_precision_system(P, np.zeros(2), make_rng(0))
+        draw_from_precision_system(P, np.zeros(2), derive_rng(0))
 
 
 def test_inverse_gamma_vector_scale_matches_scalar_calls():
     scale = np.array([0.7, 2.5, 11.0, 0.04])
-    vec = draw_inverse_gamma(6.5, scale, make_rng(17))
-    rng = make_rng(17)
+    vec = draw_inverse_gamma(6.5, scale, derive_rng(17))
+    rng = derive_rng(17)
     one_by_one = np.array([draw_inverse_gamma(6.5, s, rng) for s in scale])
     np.testing.assert_array_equal(vec, one_by_one)
-    rng = make_rng(17)
+    rng = derive_rng(17)
     np.testing.assert_array_equal(vec, [1.0 / rng.gamma(6.5, 1.0 / s) for s in scale])
     for bad in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -3.0])):
         with pytest.raises(ValueError):
-            draw_inverse_gamma(6.5, bad, make_rng(0))
+            draw_inverse_gamma(6.5, bad, derive_rng(0))
 
 
 def _reference_draw(P, rhs, z):
@@ -117,18 +116,18 @@ def _reference_draw(P, rhs, z):
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
 @pytest.mark.parametrize("k", [1, 4])
 def test_draw_from_precision_system_batched_matches_single_calls(shape, k):
-    rng = make_rng(8)
+    rng = derive_rng(8)
     A = rng.standard_normal(shape + (k + 2, k))
     P = np.swapaxes(A, -1, -2) @ A + np.eye(k)
     rhs = rng.standard_normal(shape + (k,))
-    draw, mean = draw_from_precision_system(P, rhs, make_rng(21))
+    draw, mean = draw_from_precision_system(P, rhs, derive_rng(21))
     assert draw.shape == mean.shape == rhs.shape
     # the stack consumes its normals in row order, like one call per member
-    ref_rng = make_rng(21)
+    ref_rng = derive_rng(21)
     single = [draw_from_precision_system(Pm, rm, ref_rng)[0]
               for Pm, rm in zip(P.reshape(-1, k, k), rhs.reshape(-1, k))]
     np.testing.assert_allclose(draw.reshape(-1, k), np.array(single), rtol=0, atol=1e-12)
-    z = make_rng(21).standard_normal(rhs.shape)
+    z = derive_rng(21).standard_normal(rhs.shape)
     ref_draw, ref_mean = _reference_draw(P, rhs, z)
     np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(draw, ref_draw, rtol=0, atol=1e-12)
@@ -137,8 +136,8 @@ def test_draw_from_precision_system_batched_matches_single_calls(shape, k):
 def test_draw_from_precision_system_jitters_only_the_singular_member():
     P = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[3.0, -1.0], [-1.0, 2.0]]])
     rhs = np.array([[1.0, -1.0], [0.5, 0.5], [2.0, 0.0]])
-    draw, mean = draw_from_precision_system(P, rhs, make_rng(5))
-    ref_rng = make_rng(5)
+    draw, mean = draw_from_precision_system(P, rhs, derive_rng(5))
+    ref_rng = derive_rng(5)
     for i in range(3):
         d_i, m_i = draw_from_precision_system(P[i], rhs[i], ref_rng)
         # a positive-definite member is factored with no jitter, and the
@@ -153,7 +152,7 @@ def test_draw_from_precision_system_solves_with_the_jittered_matrix():
     # is set by the jitter alone
     P = np.stack([np.eye(2), np.ones((2, 2))])
     rhs = np.array([[1.0, 2.0], [1.0, 0.0]])
-    _, mean = draw_from_precision_system(P, rhs, make_rng(6))
+    _, mean = draw_from_precision_system(P, rhs, derive_rng(6))
     _, jitter = _cholesky_with_jitter(P[1])
     assert jitter > 0
     np.testing.assert_allclose(mean[1], np.linalg.solve(P[1] + jitter * np.eye(2), rhs[1]), rtol=1e-6)
@@ -170,8 +169,8 @@ def test_draw_from_precision_system_badly_scaled_matches_triangular_solves():
     prior = np.stack([rng.permutation(np.logspace(-8, 12, k)) for _ in range(n)])
     P = (X.T * w[:, None, :]) @ X + prior[:, :, None] * np.eye(k)
     rhs = rng.standard_normal((n, k))
-    draw, mean = draw_from_precision_system(P, rhs, make_rng(7))
-    ref_draw, ref_mean = _reference_draw(P, rhs, make_rng(7).standard_normal((n, k)))
+    draw, mean = draw_from_precision_system(P, rhs, derive_rng(7))
+    ref_draw, ref_mean = _reference_draw(P, rhs, derive_rng(7).standard_normal((n, k)))
     assert np.abs(draw - ref_draw).max() <= 1e-12 * np.abs(ref_draw).max()
     assert np.abs(mean - ref_mean).max() <= 1e-12 * np.abs(ref_mean).max()
 
@@ -179,9 +178,9 @@ def test_draw_from_precision_system_badly_scaled_matches_triangular_solves():
 def test_draw_from_precision_system_stack_with_indefinite_member_raises():
     P = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0 * np.eye(2)])
     with pytest.raises(np.linalg.LinAlgError):
-        draw_from_precision_system(P, np.zeros((3, 2)), make_rng(0))
+        draw_from_precision_system(P, np.zeros((3, 2)), derive_rng(0))
     with pytest.raises(np.linalg.LinAlgError):
-        draw_from_precision_system(np.array([[[1.0]], [[-2.0]]]), np.zeros((2, 1)), make_rng(0))
+        draw_from_precision_system(np.array([[[1.0]], [[-2.0]]]), np.zeros((2, 1)), derive_rng(0))
 
 
 def _factor_and_solve_draw(P, rhs, rng):
@@ -208,12 +207,12 @@ def test_precision_draw_1x1_with_a_bad_member_takes_the_factor_path(d):
     P = np.array(d)[:, None, None]
     rhs = np.linspace(-1.0, 1.0, len(d))[:, None]
     try:
-        expect = _factor_and_solve_draw(P, rhs, make_rng(3))
+        expect = _factor_and_solve_draw(P, rhs, derive_rng(3))
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
-            draw_from_precision_system(P, rhs, make_rng(3))
+            draw_from_precision_system(P, rhs, derive_rng(3))
         return
-    got = draw_from_precision_system(P, rhs, make_rng(3))
+    got = draw_from_precision_system(P, rhs, derive_rng(3))
     np.testing.assert_array_equal(got[0], expect[0])
     np.testing.assert_array_equal(got[1], expect[1])
 
@@ -223,8 +222,8 @@ def test_precision_draw_1x1_closed_form_matches_reference_draw(shape):
     rng = np.random.default_rng(11)
     P = np.exp(rng.uniform(-30.0, 30.0, shape + (1, 1)))
     rhs = rng.standard_normal(shape + (1,)) * np.exp(rng.uniform(-10.0, 10.0, shape + (1,)))
-    draw, mean = draw_from_precision_system(P, rhs, make_rng(12))
-    z = make_rng(12).standard_normal(rhs.shape)
+    draw, mean = draw_from_precision_system(P, rhs, derive_rng(12))
+    z = derive_rng(12).standard_normal(rhs.shape)
     ref_draw, ref_mean = _reference_draw(P, rhs, z)
     d = P[..., 0]
     # relative to the size of the two terms rhs/d and z/sqrt(d)
@@ -244,11 +243,11 @@ def test_precision_draw_factors_only_stacks_the_closed_form_does_not_cover(monke
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     rng = np.random.default_rng(4)
     A = rng.standard_normal((120, 3, 2))
-    draw_from_precision_system(np.swapaxes(A, -1, -2) @ A + np.eye(2), rng.standard_normal((120, 2)), make_rng(0))
+    draw_from_precision_system(np.swapaxes(A, -1, -2) @ A + np.eye(2), rng.standard_normal((120, 2)), derive_rng(0))
     assert calls == [(120, 2, 2)]  # r = 2: the Cholesky path
-    draw_from_precision_system(np.full((120, 1, 1), 2.5), rng.standard_normal((120, 1)), make_rng(0))
+    draw_from_precision_system(np.full((120, 1, 1), 2.5), rng.standard_normal((120, 1)), derive_rng(0))
     assert calls == [(120, 2, 2)]  # r = 1 with positive members: closed form
-    draw_from_precision_system(np.array([[[2.5]], [[0.0]]]), np.ones((2, 1)), make_rng(0))
+    draw_from_precision_system(np.array([[[2.5]], [[0.0]]]), np.ones((2, 1)), derive_rng(0))
     assert calls[1] == (2, 1, 1)  # a zero member: back on the Cholesky path
 
 
@@ -256,7 +255,7 @@ def test_horseshoe_conditionals_are_their_inverse_gammas():
     # one update from a fixed state: psi^2 and nu, then kappa^2 and xi, each
     # given the values drawn before it in the same sweep, against their exact
     # IG conditionals by the probability integral transform
-    rng = make_rng(41)
+    rng = derive_rng(41)
     k, calls = 6, 5000
     beta = np.array([0.0, 0.05, -0.3, 1.0, 2.5, -7.0])
     nu = np.array([0.2, 1.0, 3.0, 0.5, 8.0, 1.5])
@@ -280,7 +279,7 @@ def test_horseshoe_prior_gibbs_recovers_half_cauchy_medians():
     # alternating beta ~ N(0, psi^2 kappa^2) with the scale updates leaves
     # the joint prior invariant: psi and kappa are half-Cauchy(0, 1), with
     # quartiles tan(pi/8), 1 and tan(3 pi/8)
-    rng = make_rng(11)
+    rng = derive_rng(11)
     k = 3
     psi, nu = np.ones(k), np.ones(k)
     kap, xi = 1.0, 1.0
@@ -303,7 +302,7 @@ def test_horseshoe_prior_gibbs_recovers_half_cauchy_medians():
     st.integers(min_value=0, max_value=10_000),
 )
 def test_horseshoe_update_always_valid(beta, kappa, seed):
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     beta = np.asarray(beta)
     nu = np.abs(rng.standard_normal(beta.size)) + 0.1
     psi_new, nu_new, kappa_new, xi_new = update_horseshoe(beta, nu, kappa, 1.0, rng)
@@ -314,7 +313,7 @@ def test_horseshoe_update_always_valid(beta, kappa, seed):
 
 def test_horseshoe_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        update_horseshoe(np.zeros(3), np.ones(2), 1.0, 1.0, make_rng(0))
+        update_horseshoe(np.zeros(3), np.ones(2), 1.0, 1.0, derive_rng(0))
 
 
 # Reference copies of the kernels' earlier formulas: the rewrites must keep
@@ -342,8 +341,8 @@ def _gig_half_reference(a, b, rng):
     ],
 )
 def test_draw_gig_half_keeps_stream_and_values(a, b):
-    mine = draw_gig_half(a, b, make_rng(50))
-    ref = _gig_half_reference(a, b, make_rng(50))
+    mine = draw_gig_half(a, b, derive_rng(50))
+    ref = _gig_half_reference(a, b, derive_rng(50))
     assert np.shape(mine) == ref.shape
     np.testing.assert_array_equal(mine, ref)
 
@@ -368,8 +367,8 @@ def test_update_horseshoe_keeps_stream_and_values(k):
     beta = rng.normal(size=k) * np.logspace(-8, 1, k)
     nu = rng.uniform(0.1, 3.0, size=k)
     before = nu.copy()
-    mine = update_horseshoe(beta, nu, 0.7, 1.3, make_rng(60))
-    ref = _horseshoe_reference(beta, nu, 0.7, 1.3, make_rng(60))
+    mine = update_horseshoe(beta, nu, 0.7, 1.3, derive_rng(60))
+    ref = _horseshoe_reference(beta, nu, 0.7, 1.3, derive_rng(60))
     np.testing.assert_array_equal(nu, before)  # the input is not written to
     for m, r in zip(mine, ref):
         np.testing.assert_array_equal(m, r)
@@ -383,7 +382,7 @@ def test_update_horseshoe_keeps_stream_and_values(k):
 def test_draw_inverse_gamma_keeps_stream_and_values(scale, size):
     # a sized draw is a draw at a scale of that shape
     shaped = scale if size is None else np.broadcast_to(scale, size)
-    mine = draw_inverse_gamma(4.5, shaped, make_rng(70))
-    ref = 1.0 / make_rng(70).gamma(4.5, 1.0 / np.asarray(scale, dtype=float), size=size)
+    mine = draw_inverse_gamma(4.5, shaped, derive_rng(70))
+    ref = 1.0 / derive_rng(70).gamma(4.5, 1.0 / np.asarray(scale, dtype=float), size=size)
     assert np.shape(mine) == np.shape(ref)
     np.testing.assert_array_equal(mine, ref)

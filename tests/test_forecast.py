@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantvar.data import month_index, month_label
-from quantvar.dist import make_rng
+from quantvar.dist import derive_rng
 from quantvar.forecast import (
     PATHS_PER_DRAW,
     ForecastError,
@@ -51,7 +51,7 @@ def test_simulate_paths_follows_deterministic_recursion():
     Phi = np.column_stack([c, A])[None]  # one draw
     draws = _draw_set(np.repeat(Phi, 3, axis=0))
     hist = np.array([[1.0, 2.0]])
-    paths = simulate_paths(draws, hist, 4, make_rng(0))
+    paths = simulate_paths(draws, hist, 4, derive_rng(0))
     assert paths.shape == (3 * PATHS_PER_DRAW, 4, 2)
     y = hist[-1]
     for j in range(4):
@@ -65,18 +65,18 @@ def test_simulate_paths_uses_p_lags_in_order():
     Phi[0, 0, 2] = 1.0  # loads only on the second lag
     draws = _draw_set(Phi, p=2)
     hist = np.array([[5.0], [9.0]])  # y_{t-1} = 9, y_{t-2} = 5
-    paths = simulate_paths(draws, hist, 3, make_rng(0))
+    paths = simulate_paths(draws, hist, 3, derive_rng(0))
     np.testing.assert_allclose(paths[0, :, 0], [5.0, 9.0, 5.0], atol=1e-8)
 
 
 def test_simulate_paths_validations():
     draws = _draw_set(np.zeros((2, 1, 2)))
     with pytest.raises(ForecastError):
-        simulate_paths(draws, np.zeros((0, 1)), 2, make_rng(0))  # too little history
+        simulate_paths(draws, np.zeros((0, 1)), 2, derive_rng(0))  # too little history
     with pytest.raises(ValueError):
-        simulate_paths(draws, np.zeros((3, 2)), 2, make_rng(0))  # wrong width
+        simulate_paths(draws, np.zeros((3, 2)), 2, derive_rng(0))  # wrong width
     with pytest.raises(ValueError):
-        simulate_paths(draws, np.zeros((3, 1)), 0, make_rng(0))
+        simulate_paths(draws, np.zeros((3, 1)), 0, derive_rng(0))
 
 
 @pytest.mark.parametrize("kind, quantile", [("bvar", 0.5), ("qbvar", 0.1), ("qbvar", 0.5)])
@@ -86,7 +86,7 @@ def test_simulate_paths_draws_each_models_shock_variance(kind, quantile):
     # that error's variance sigma^2 (theta^2 + tau2)
     S, sigma = 20000, 0.3
     draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.full((S, 1), sigma), kind=kind, quantile=quantile)
-    shocks = simulate_paths(draws, np.zeros((1, 1)), 1, make_rng(4))[:, 0, 0]
+    shocks = simulate_paths(draws, np.zeros((1, 1)), 1, derive_rng(4))[:, 0, 0]
     level = QuantileLevel(quantile)
     var = sigma if kind == "bvar" else sigma**2 * (level.theta**2 + level.tau2)
     assert abs(shocks.mean()) <= 4 * np.sqrt(var / S)
@@ -103,7 +103,7 @@ def _explosive_mixture(n_bad, S=400):
 
 def test_simulate_paths_tolerates_rare_explosions():
     draws = _explosive_mixture(n_bad=3)  # 0.75% < 1%
-    paths = simulate_paths(draws, np.array([[1.0]]), 6, make_rng(1))
+    paths = simulate_paths(draws, np.array([[1.0]]), 6, derive_rng(1))
     bad = ~np.isfinite(paths).all(axis=(1, 2))
     # each explosive draw makes its PATHS_PER_DRAW adjacent paths bad
     assert bad.sum() == 3 * PATHS_PER_DRAW and bad[:3 * PATHS_PER_DRAW].all()
@@ -115,7 +115,7 @@ def test_simulate_paths_tolerates_rare_explosions():
 def test_simulate_paths_fails_on_frequent_explosions():
     draws = _explosive_mixture(n_bad=5)  # 1.25% > 1%
     with pytest.raises(ForecastError):
-        simulate_paths(draws, np.array([[1.0]]), 6, make_rng(1))
+        simulate_paths(draws, np.array([[1.0]]), 6, derive_rng(1))
 
 
 def test_several_paths_per_draw_cut_the_seed_to_seed_noise_of_a_quantile_forecast():
@@ -126,7 +126,7 @@ def test_several_paths_per_draw_cut_the_seed_to_seed_noise_of_a_quantile_forecas
     # 0.041-0.059 with 10 paths per draw and 0.157-0.183 with one.
     S = 100
     draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.ones((S, 1)), kind="bvar")
-    forecasts = [forecast_quantiles(draws, np.zeros((1, 1)), 1, [0.1], make_rng(seed))[0.1][0, 0]
+    forecasts = [forecast_quantiles(draws, np.zeros((1, 1)), 1, [0.1], derive_rng(seed))[0.1][0, 0]
                  for seed in range(2000, 2040)]
     assert np.std(forecasts, ddof=1) <= 0.171 / 2
     assert np.mean(forecasts) == pytest.approx(NormalDist().inv_cdf(0.1), abs=0.05)
@@ -138,7 +138,7 @@ def test_quantile_forecast_median_across_draws():
     Phi = np.zeros((3, 1, 2))
     Phi[:, 0, 0] = intercepts
     draws = _draw_set(Phi)
-    by_q = forecast_quantiles(draws, np.array([[0.0]]), 1, [0.1, 0.9], make_rng(0))
+    by_q = forecast_quantiles(draws, np.array([[0.0]]), 1, [0.1, 0.9], derive_rng(0))
     assert list(by_q) == [0.5]  # the draw set's own level; the requested ones are not read
     fc = by_q[0.5]
     assert fc.shape == (1, 1)
@@ -149,7 +149,7 @@ def test_quantile_forecast_level_conflict_and_gaussian_requirements():
     # a Gaussian draw set's requested levels must lie in (0, 1)
     bdraws = _draw_set(np.zeros((2, 1, 2)), kind="bvar")
     with pytest.raises(ValueError):
-        forecast_quantiles(bdraws, np.array([[0.0]]), 1, [1.5], make_rng(0))
+        forecast_quantiles(bdraws, np.array([[0.0]]), 1, [1.5], derive_rng(0))
 
 
 def test_gaussian_predictive_quantiles_are_monotone():
@@ -158,7 +158,7 @@ def test_gaussian_predictive_quantiles_are_monotone():
     sigma = np.full((S, 2), 0.5)
     Lam = np.ones((S, 2, 1))
     draws = _draw_set(Phi, Lam=Lam, sigma=sigma, kind="bvar")
-    by_q = forecast_quantiles(draws, np.zeros((1, 2)), 4, [0.1, 0.5, 0.9], make_rng(5))
+    by_q = forecast_quantiles(draws, np.zeros((1, 2)), 4, [0.1, 0.5, 0.9], derive_rng(5))
     assert set(by_q) == {0.1, 0.5, 0.9}
     assert np.all(by_q[0.1] <= by_q[0.5])
     assert np.all(by_q[0.5] <= by_q[0.9])
@@ -180,13 +180,13 @@ def test_forecast_quantiles_equal_the_nan_aware_reductions_bit_for_bit(kind, S, 
     draws = _draw_set(Phi, sigma=np.ones((S, 3)), kind=kind, p=2)
     history = rng.standard_normal((5, 3))
     levels = [0.1, 0.25, 0.5, 0.75, 0.9]
-    paths = simulate_paths(draws, history, 12, make_rng(9))
+    paths = simulate_paths(draws, history, 12, derive_rng(9))
     assert np.isnan(paths).any() == bool(n_bad)
     if kind == "qbvar":
         expected = {0.5: np.nanmedian(paths, axis=0)}
     else:
         expected = {q: np.nanquantile(paths, q, axis=0) for q in levels}
-    got = forecast_quantiles(draws, history, 12, levels, make_rng(9))
+    got = forecast_quantiles(draws, history, 12, levels, derive_rng(9))
     assert list(got) == list(expected)
     for q, value in expected.items():
         assert np.isfinite(value).all() and got[q].tobytes() == value.tobytes(), q

@@ -4,17 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quantvar.qbvar as qbvar
-from quantvar.bvar import BvarConfig, run_bvar_chain
+from quantvar.bvar import run_bvar_chain
 from quantvar.data import LagDesign, build_lag_design
 from quantvar.dist import (
     derive_rng,
     draw_from_precision_system,
     draw_gig_half,
     draw_inverse_gamma,
-    make_rng,
 )
 from quantvar.qbvar import (
     McmcSchedule,
+    ModelConfig,
     QbvarConfig,
     QbvarState,
     QuantileLevel,
@@ -132,7 +132,7 @@ def test_coefficient_conditional_mean_matches_conjugate_formula():
         ytil = Y[:, i] - state.F @ state.Lam[i] - theta * state.Z[i]
         prior_prec = 1.0 / (state.psi[i] ** 2 * state.kappa**2)
         P, rhs = weighted_system(X, ytil, w, prior_prec)
-        _, mean = draw_from_precision_system(P, rhs, make_rng(0))
+        _, mean = draw_from_precision_system(P, rhs, derive_rng(0))
         Dinv = np.diag(w)
         V_bar = np.linalg.inv(X.T @ Dinv @ X + np.diag(prior_prec))
         np.testing.assert_allclose(mean, V_bar @ X.T @ Dinv @ ytil, atol=1e-8)
@@ -148,7 +148,7 @@ def test_loading_conditional_mean_matches_conjugate_formula():
         w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
         ytil = Y[:, i] - X @ state.Phi[i] - theta * state.Z[i]
         P, rhs = weighted_system(state.F, ytil, w, np.ones(2))
-        _, mean = draw_from_precision_system(P, rhs, make_rng(0))
+        _, mean = draw_from_precision_system(P, rhs, derive_rng(0))
         Dinv = np.diag(w)
         V_bar = np.linalg.inv(state.F.T @ Dinv @ state.F + np.eye(2))
         np.testing.assert_allclose(mean, V_bar @ state.F.T @ Dinv @ ytil, atol=1e-8)
@@ -185,7 +185,7 @@ def test_batched_steps_match_per_row_reference(r):
     Y, X = design.Y, design.X
     T, n = Y.shape
 
-    rng = make_rng(40)
+    rng = derive_rng(40)
     u = rng.standard_normal((n, T))
     v = rng.standard_normal(state.Phi.shape)
     ref = np.empty_like(state.Phi)
@@ -197,10 +197,10 @@ def test_batched_steps_match_per_row_reference(r):
         ref[i] = np.linalg.solve(P, rhs + np.sqrt(prior) * v[i])
     W = 1.0 / (tau2 * state.sigma[:, None] * state.Z)
     target = design.YT - theta * state.Z - state.Lam @ state.F.T
-    step_coefficients(design, state, target, W, make_rng(40))
+    step_coefficients(design, state, target, W, derive_rng(40))
     np.testing.assert_allclose(state.Phi, ref, rtol=0, atol=1e-12)
 
-    rng = make_rng(41)
+    rng = derive_rng(41)
     ref = np.empty_like(state.Lam)
     for i in range(n):
         w = 1.0 / (tau2 * state.sigma[i] * state.Z[i])
@@ -208,16 +208,16 @@ def test_batched_steps_match_per_row_reference(r):
         P, rhs = weighted_system(state.F, ytil, w, np.ones(r))
         ref[i], _ = draw_from_precision_system(P, rhs, rng)
     R = design.YT - state.Phi @ design.XT - theta * state.Z
-    step_loadings(state, W, W * R, make_rng(41))
+    step_loadings(state, W, W * R, derive_rng(41))
     np.testing.assert_allclose(state.Lam, ref, rtol=0, atol=1e-12)
 
-    rng = make_rng(42)
+    rng = derive_rng(42)
     P, rhs = factor_systems(design, state, theta, tau2)
     ref = state.F.copy()
     if r:
         for t in range(Y.shape[0]):
             ref[t], _ = draw_from_precision_system(P[t], rhs[t], rng)
-    step_factors(state, W, W * R, make_rng(42))
+    step_factors(state, W, W * R, derive_rng(42))
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
 
 
@@ -241,7 +241,7 @@ def test_perturbed_draw_has_the_precision_systems_moments(per_column):
     mean = np.linalg.solve(P, rhs[..., None])[..., 0]
     L = np.linalg.cholesky(P)
     N = 20000
-    rng = make_rng(21)
+    rng = derive_rng(21)
     draws = np.array([draw_weighted_regression(X, y, w, prior, rng) for _ in range(N)])
     z = np.einsum("nij,snj->sni", np.swapaxes(L, -1, -2), draws - mean)
     for i in range(y.shape[0]):
@@ -255,9 +255,9 @@ def test_perturbed_draw_takes_observation_normals_then_prior_normals(per_column)
     # the stream contract: n T normals (one per observation), then n k (one
     # per prior term), and nothing else
     X, y, w, prior = _regression_inputs(per_column, seed=9)
-    rng = make_rng(22)
+    rng = derive_rng(22)
     beta = draw_weighted_regression(X, y, w, prior, rng)
-    ref_rng = make_rng(22)
+    ref_rng = derive_rng(22)
     u = ref_rng.standard_normal(y.shape)
     v = ref_rng.standard_normal(prior.shape)
     w_t = np.broadcast_to(w[:, None], y.shape) if per_column else w
@@ -275,7 +275,7 @@ def test_perturbed_draw_rejects_an_improper_system(bad):
     value = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad.split("_")[0]]
     (w if bad.endswith("weight") else prior)[1, 2] = value
     with pytest.raises(np.linalg.LinAlgError):
-        draw_weighted_regression(X, y, w, prior, make_rng(0))
+        draw_weighted_regression(X, y, w, prior, derive_rng(0))
 
 
 def _reference_sweep(design, state, theta, tau2, a_sigma, b_sigma, rng, gaussian):
@@ -351,14 +351,14 @@ def test_chain_sweeps_equal_reference_sweeps_bit_for_bit(model, r):
     for sched in (McmcSchedule(40, 0, 1), McmcSchedule(40, 7, 3)):
         if model == "qbvar":
             cfg = QbvarConfig(p=2, r=r, quantile=0.1, schedule=sched)
-            draws, diag = run_chain(design, cfg, make_rng(50 + r))
+            draws, diag = run_chain(design, cfg, derive_rng(50 + r))
             theta, tau2 = cfg.level.theta, cfg.level.tau2
         else:
-            cfg = BvarConfig(p=2, r=r, schedule=sched)
-            draws, diag = run_bvar_chain(design, cfg, make_rng(50 + r))
+            cfg = ModelConfig(p=2, r=r, schedule=sched)
+            draws, diag = run_bvar_chain(design, cfg, derive_rng(50 + r))
             theta, tau2 = 0.0, 1.0
         state = init_state(design, cfg)
-        rng = make_rng(50 + r)
+        rng = derive_rng(50 + r)
         retained = 0
         for it in range(sched.iterations):
             rms = _reference_sweep(design, state, theta, tau2, 3.0, 1.0, rng, gaussian=model == "bvar")
@@ -470,7 +470,7 @@ def test_run_chain_builds_the_designs_table_once(monkeypatch):
     monkeypatch.setattr(qbvar, "gram_table", counted)
     design = build_lag_design(np.random.default_rng(1).normal(size=(40, 2)), 1)
     sched = McmcSchedule(25, 5, 2)
-    run_chain(design, QbvarConfig(p=1, r=1, quantile=0.25, schedule=sched), make_rng(2))
+    run_chain(design, QbvarConfig(p=1, r=1, quantile=0.25, schedule=sched), derive_rng(2))
     assert len(calls) == 1 and calls[0] is design.X
 
 
@@ -490,11 +490,11 @@ def test_gaussian_factor_draw_shares_one_precision(r):
     assert P.shape == (r, r) and rhs.shape == (T, r)
     np.testing.assert_allclose(P_t, np.broadcast_to(P, P_t.shape), rtol=1e-12)
     np.testing.assert_allclose(rhs, rhs_t, rtol=1e-12)
-    rng = make_rng(44)
+    rng = derive_rng(44)
     ref = np.empty_like(state.F)
     for t in range(T):
         ref[t], _ = draw_from_precision_system(P_t[t], rhs_t[t], rng)
-    step_factors(state, w, wD, make_rng(44))
+    step_factors(state, w, wD, derive_rng(44))
     np.testing.assert_allclose(state.F, ref, rtol=0, atol=1e-12)
 
 
@@ -520,9 +520,9 @@ def test_factor_blocks_draw_from_the_plain_sums(monkeypatch, r, per_column):
     W = g.uniform(0.1, 5.0, size=n if per_column else (n, T))
     W_t = np.repeat(W[:, None], T, axis=1) if per_column else W
     state.F, state.Lam = F.copy(), Lam.copy()
-    step_loadings(state, W, W_t * R, make_rng(0))
+    step_loadings(state, W, W_t * R, derive_rng(0))
     state.Lam = Lam.copy()
-    step_factors(state, W, W_t * R, make_rng(1))
+    step_factors(state, W, W_t * R, derive_rng(1))
     (P_load, rhs_load), (P_fac, rhs_fac) = systems
     eye = np.eye(r)
     np.testing.assert_allclose(
@@ -550,11 +550,11 @@ def test_factor_systems_without_factors(per_column):
     WD = (W[:, None] if per_column else W) * D
     P, rhs = factor_system(state.Lam, W.T, WD.T)
     assert P.shape == ((0, 0) if per_column else (T, 0, 0)) and rhs.shape == (T, 0)
-    rng = make_rng(3)
+    rng = derive_rng(3)
     step_loadings(state, W, WD, rng)
     step_factors(state, W, WD, rng)
     assert state.Lam.shape == (3, 0) and state.F.shape == (T, 0)
-    assert rng.bit_generator.state == make_rng(3).bit_generator.state
+    assert rng.bit_generator.state == derive_rng(3).bit_generator.state
 
 
 def test_step_latent_respects_floor_and_conditional_moments():
@@ -569,7 +569,7 @@ def test_step_latent_respects_floor_and_conditional_moments():
     i, t = 0, 7
     om = np.sqrt(max(a[i, t], 1e-300) * b[i, t])
     expect = np.sqrt(a[i, t] / b[i, t]) * (1 + 1 / om) if a[i, t] > 0 else None
-    rng = make_rng(123)
+    rng = derive_rng(123)
     draws = []
     for _ in range(4000):
         step_latent(state, E, level.theta, level.tau2 * state.sigma[:, None], rng)
@@ -590,7 +590,7 @@ def test_step_scales_matches_inverse_gamma_moments():
     adj = E[0] - theta * state.Z[0]
     scale0 = 1.0 + np.sum(adj**2 / (2 * tau2 * state.Z[0]) + state.Z[0])
     shape0 = 3.0 + 1.5 * T
-    rng = make_rng(7)
+    rng = derive_rng(7)
     draws = []
     for _ in range(6000):
         step_scales(state, E, theta, tau2, 3.0, 1.0, rng)
@@ -607,7 +607,7 @@ def test_step_scales_concentrates_on_true_scale():
     T, n = 2000, 2
     level = QuantileLevel(0.25)
     sigma_true = np.array([0.5, 1.5])
-    rng = make_rng(29)
+    rng = derive_rng(29)
     z = rng.exponential(sigma_true, (T, n))  # mean sigma_i in column i
     u = rng.standard_normal((T, n))
     E = level.theta * z + np.sqrt(level.tau2 * sigma_true * z) * u
@@ -639,7 +639,7 @@ def test_step_scales_concentrates_on_true_scale():
 def test_step_shrinkage_keeps_scales_positive():
     design = _toy_design(seed=17)
     state = _fixed_state(design, r=1)
-    rng = make_rng(19)
+    rng = derive_rng(19)
     for _ in range(50):
         step_coefficients(design, state, design.YT - state.Lam @ state.F.T,
                           1.0 / (8.0 * state.sigma[:, None] * state.Z), rng)
@@ -681,7 +681,7 @@ def test_run_chain_shapes_and_determinism():
 def test_run_chain_without_factors():
     design = _toy_design(seed=31, T=40)
     cfg = QbvarConfig(p=1, r=0, quantile=0.5, schedule=McmcSchedule(40, 10, 3))
-    draws, _ = run_chain(design, cfg, make_rng(0))
+    draws, _ = run_chain(design, cfg, derive_rng(0))
     assert draws.Lam.shape == (10, 2, 0)
     assert np.all(np.isfinite(draws.Phi))
 
