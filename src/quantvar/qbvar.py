@@ -116,8 +116,8 @@ class ModelConfig:
             raise ValueError("lag order must be >= 1")
         if self.r < 0:
             raise ValueError("factor count must be >= 0")
-        if self.a_sigma <= 0 or self.b_sigma <= 0:
-            raise ValueError("inverse-gamma hyperparameters must be positive")
+        if not (0 < self.a_sigma < np.inf and 0 < self.b_sigma < np.inf):  # False on NaN too
+            raise ValueError("inverse-gamma hyperparameters must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -695,6 +695,22 @@ def test_a_bool_in_a_real_field_exits_2(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("a_sigma", float("nan")), ("b_sigma", float("inf"))])
+def test_a_non_finite_scale_prior_exits_2_before_sampling(tmp_path, capsys, field, value):
+    # json reads NaN and Infinity; NaN <= 0 is False, so such a prior used to
+    # pass the config and abort every origin only after sampling it
+    make_raw_panel(tmp_path)
+    raw = make_config_dict()
+    raw[field] = value
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "status": "error", "kind": "ValueError",
+        "message": "inverse-gamma hyperparameters must be positive and finite"}
+    assert not (out / "forecasts").exists()
+
+
 @pytest.mark.parametrize("case, message", [
     ("evaluation", "evaluation window 'all': start: not an ISO month label: '2015-3'"),
     ("event", "event window 'mid': end: month out of range in '2018-13'"),
