@@ -121,10 +121,13 @@ def forecast_quantiles(
                 raise ValueError("quantile must lie in (0, 1)")
     paths = simulate_paths(draws, history, horizon, rng)
     # a bad path is NaN throughout, every other path finite throughout
-    paths = paths[~np.isnan(paths[:, 0, 0])]
+    bad = np.isnan(paths[:, 0, 0])
+    if bad.any():
+        paths = paths[~bad]
+    # the paths are this call's own, so the order statistics partition them in place
     if draws.kind == "qbvar":
-        return {draws.quantile: np.median(paths, axis=0)}
-    levels = np.quantile(paths, list(quantiles), axis=0)
+        return {draws.quantile: np.median(paths, axis=0, overwrite_input=True)}
+    levels = np.quantile(paths, list(quantiles), axis=0, overwrite_input=True)
     return dict(zip(quantiles, levels))
 
 
