@@ -26,6 +26,8 @@ _SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "known_answe
 SEED = 20240601
 # qbvar/oracle QS ratio of each (q, h) cell; seeds 101-120 read 0.846-1.243 at h=1
 RATIO_BAND = (0.8, 1.3)
+# |out-of-sample hit share - q| of qbvar at h=1 over the 40 origins; seeds 101-120 read at most 0.15
+HIT_SHARE_BAND = 0.2
 
 
 def _rows(path) -> list:
@@ -62,6 +64,15 @@ def test_each_level_puts_a_share_q_in_sample_below_its_plane(known_run):
         draws, _ = run_chain(design, model, derive_rng(*key))
         share = float(np.mean(design.Y < design.X @ draws.Phi.mean(axis=0).T))
         assert abs(share - model.quantile) <= 0.03, (model.quantile, share)
+
+
+def test_qbvar_hit_shares_at_h1_are_near_q(known_run):
+    out, _ = known_run
+    rows = [r for r in _rows(out / "run" / "tables" / "coverage__full.csv")
+            if r["model"] == "qbvar" and r["horizon"] == "1"]
+    assert len(rows) == 3
+    for r in rows:
+        assert abs(float(r["hit_share"]) - float(r["quantile"])) <= HIT_SHARE_BAND, r
 
 
 def test_qbvar_scores_like_the_oracle_at_h1(known_run):
