@@ -80,4 +80,4 @@ def run_bvar_chain(
         step_shrinkage(state, rng)
         return E
 
-    return run_gibbs(design, config, sweep, "bvar", float("nan"))
+    return run_gibbs(design, config, sweep, float("nan"))

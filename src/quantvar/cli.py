@@ -72,9 +72,9 @@ from .evaluation import (
 from .forecast import (
     ForecastError,
     QuantileForecastSet,
-    forecast_quantiles,
+    gaussian_forecast,
     level_key,
-    random_walk_forecast,
+    quantile_forecast,
     read_forecasts,
     write_forecasts,
 )
@@ -388,7 +388,6 @@ def _forecast_one_origin(payload):
     """
     origin, origin_idx, est, cfg = payload
     try:
-        H = max(cfg.horizons)
         quantiles = cfg.quantile_set
         mean, sd = est.mean(axis=0), est.std(axis=0)
         sd[sd == 0.0] = 1.0
@@ -398,20 +397,23 @@ def _forecast_one_origin(payload):
         chains = [("qbvar", qi, m) for qi, m in enumerate(cfg.qbvar)]
         if cfg.bvar is not None:
             chains.append(("bvar", 0, cfg.bvar))
-        blocks, designs = {}, {}  # (model_id, q) -> (H, n) forecasts; model_id -> design
+        blocks, designs = {}, {}  # (model_id, q) -> forecasts; model_id -> design
         for model_id, stream, model_cfg in chains:
             if model_id not in designs:
                 designs[model_id] = build_lag_design(z, model_cfg.p)
-            # read at call time: the benchmark's tracer replaces both runners here
-            runner = run_chain if model_id == "qbvar" else run_bvar_chain
             key = (cfg.seed, origin_idx, _MODEL_SEED_INDEX[model_id], stream)
-            draws, _ = runner(designs[model_id], model_cfg, derive_rng(*key, _STAGE_CHAIN))
-            by_q = forecast_quantiles(draws, z, H, quantiles, derive_rng(*key, _STAGE_FORECAST))
+            chain_rng, forecast_rng = derive_rng(*key, _STAGE_CHAIN), derive_rng(*key, _STAGE_FORECAST)
+            # each model's sampler and predictive; the benchmark's tracer replaces both runners here
+            if model_id == "qbvar":
+                draws, _ = run_chain(designs[model_id], model_cfg, chain_rng)
+                by_q = {draws.quantile: quantile_forecast(draws, z, cfg.horizons, forecast_rng)}
+            else:
+                draws, _ = run_bvar_chain(designs[model_id], model_cfg, chain_rng)
+                by_q = gaussian_forecast(draws, z, cfg.horizons, quantiles, forecast_rng)
             blocks.update({(model_id, q): mean + sd * block for q, block in by_q.items()})
         if cfg.include_rw:
-            blocks.update({("rw", q): random_walk_forecast(H, est.shape[1]) for q in quantiles})
-        rows = [h - 1 for h in cfg.horizons]
-        return origin, {key: block[rows] for key, block in blocks.items()}, None
+            blocks.update({("rw", q): np.zeros((len(cfg.horizons), est.shape[1])) for q in quantiles})
+        return origin, blocks, None
     except (ForecastError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # the origin aborts; the run decides whether to fail
         return origin, None, f"{type(exc).__name__}: {exc}"

@@ -1,17 +1,16 @@
 """Iterated multi-step quantile forecasts from posterior draw sets.
 
 Each retained draw defines a VAR whose future shocks are normal with
-covariance Lam Lam' + diag(v): v = sigma for the Gaussian model, and for a
-quantile model the variance sigma^2 (theta^2 + tau2) of its asymmetric-Laplace
-error of scale sigma, with the normal centred (a stopgap until the quantile
-model has a predictive of its own); PATHS_PER_DRAW paths per draw are
-simulated forward horizon by horizon, feeding predictions back into the lag
-vector. One function, :func:`forecast_quantiles`, turns either kind of draw
-set into quantile forecasts: a quantile model's forecast at its own level is
-the pointwise median across its paths; the Gaussian benchmark's q-forecast
-is the empirical q-quantile of its paths. The random-walk benchmark for
-stationarity-transformed series predicts zero change at every horizon and
-quantile.
+covariance Lam Lam' + diag(v); PATHS_PER_DRAW paths per draw are simulated
+forward horizon by horizon, feeding predictions back into the lag vector.
+Each model has its own predictive, which the caller that ran the model's
+sampler picks. A quantile model's forecast at its own level
+(:func:`quantile_forecast`) is the pointwise median across its paths, with
+v = sigma^2 (theta^2 + tau2), the variance of its asymmetric-Laplace error
+of scale sigma, and the normal centred (a stopgap until the quantile model
+has a predictive of its own). The Gaussian benchmark's q-forecast
+(:func:`gaussian_forecast`) is the empirical q-quantile of its paths, with
+v = sigma.
 
 A :class:`QuantileForecastSet` holds one model's forecasts as columns: one
 (records, variables) value array and key columns (origin months, horizons,
@@ -46,14 +45,15 @@ class ForecastError(RuntimeError):
 
 
 def simulate_paths(
-    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, rng: np.random.Generator
+    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, sd: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Simulate (S * PATHS_PER_DRAW, horizon, n) future paths, PATHS_PER_DRAW per posterior draw.
 
     Each draw's paths are adjacent rows. history holds the observed series
-    in time order; only its last p rows enter the lag vector. Non-finite
-    paths are tolerated up to MAX_BAD_FRACTION of all paths and replaced by
-    NaN; beyond that the origin fails.
+    in time order; only its last p rows enter the lag vector. ``sd`` (S, n)
+    holds each draw's idiosyncratic shock sd. Non-finite paths are tolerated
+    up to MAX_BAD_FRACTION of all paths and replaced by NaN; beyond that the
+    origin fails.
     """
     history = np.asarray(history, dtype=float)
     if history.ndim != 2:
@@ -68,11 +68,6 @@ def simulate_paths(
         raise ValueError("horizon must be >= 1")
     r = draws.n_factors
     M = PATHS_PER_DRAW
-    sd = np.sqrt(draws.sigma)
-    if draws.kind == "qbvar":
-        level = QuantileLevel(draws.quantile)
-        sd = draws.sigma * np.sqrt(level.theta**2 + level.tau2)
-    sd = sd[:, None, :]
     PhiT = draws.Phi.transpose(0, 2, 1)  # (S, k, n): x @ PhiT is each path's conditional mean
     LamT = draws.Lam.transpose(0, 2, 1)
     lags = np.broadcast_to(history[-p:][::-1], (S, M, p, n)).copy()  # most recent first
@@ -83,7 +78,7 @@ def simulate_paths(
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(horizon):
             x[:, :, 1:] = lags.reshape(S, M, p * n)
-            eps = rng.standard_normal((S, M, n)) * sd
+            eps = rng.standard_normal((S, M, n)) * sd[:, None, :]
             if r:
                 eps += rng.standard_normal((S, M, r)) @ LamT
             y_new = x @ PhiT + eps
@@ -103,39 +98,29 @@ def simulate_paths(
     return paths
 
 
-def forecast_quantiles(
-    draws: PosteriorDrawSet, history: np.ndarray, horizon: int, quantiles, rng: np.random.Generator
-) -> dict:
-    """Quantile forecasts {q: (horizon, n)} read off one simulation of paths.
+def _finite_paths(draws, history, horizons, sd, rng) -> np.ndarray:
+    """:func:`simulate_paths` through the last of ``horizons``, less the paths it replaced by NaN."""
+    paths = simulate_paths(draws, history, max(horizons), sd, rng)
+    bad = np.isnan(paths[:, 0, 0])  # a bad path is NaN throughout, every other path finite throughout
+    return paths[~bad] if bad.any() else paths
 
-    A quantile model was fitted at one level, so it returns only that level:
-    ``{draws.quantile: median across paths}``, and ``quantiles`` is not read.
-    A Gaussian model returns the empirical q-quantile of its paths at every
-    requested level; all levels come from the same paths, so they are
-    mutually consistent (monotone in q) up to sampling noise. Paths that
-    ``simulate_paths`` replaced by NaN are left out.
-    """
-    if draws.kind != "qbvar":
-        for q in quantiles:
-            if not 0.0 < q < 1.0:
-                raise ValueError("quantile must lie in (0, 1)")
-    paths = simulate_paths(draws, history, horizon, rng)
-    # a bad path is NaN throughout, every other path finite throughout
-    bad = np.isnan(paths[:, 0, 0])
-    if bad.any():
-        paths = paths[~bad]
-    # the paths are this call's own, so the order statistics partition them in place
-    if draws.kind == "qbvar":
-        return {draws.quantile: np.median(paths, axis=0, overwrite_input=True)}
+
+def quantile_forecast(draws: PosteriorDrawSet, history: np.ndarray, horizons, rng) -> np.ndarray:
+    """The quantile model's forecast at its own level, row j at ``horizons[j]``: the median across its paths."""
+    level = QuantileLevel(draws.quantile)
+    paths = _finite_paths(draws, history, horizons, draws.sigma * np.sqrt(level.theta**2 + level.tau2), rng)
+    # the call's own paths: the median partitions them in place, and rows are picked from its result
+    return np.median(paths, axis=0, overwrite_input=True)[[h - 1 for h in horizons]]
+
+
+def gaussian_forecast(draws: PosteriorDrawSet, history: np.ndarray, horizons, quantiles, rng) -> dict:
+    """The Gaussian model's forecasts {q: rows at ``horizons``}: quantiles of one set of paths, so monotone in q."""
+    for q in quantiles:
+        if not 0.0 < q < 1.0:
+            raise ValueError("quantile must lie in (0, 1)")
+    paths = _finite_paths(draws, history, horizons, np.sqrt(draws.sigma), rng)
     levels = np.quantile(paths, list(quantiles), axis=0, overwrite_input=True)
-    return dict(zip(quantiles, levels))
-
-
-def random_walk_forecast(horizon: int, n_vars: int) -> np.ndarray:
-    """No-change benchmark on transformed (stationary) series: all zeros."""
-    if horizon < 1 or n_vars < 1:
-        raise ValueError("horizon and variable count must be >= 1")
-    return np.zeros((horizon, n_vars))
+    return dict(zip(quantiles, levels[:, [h - 1 for h in horizons]]))
 
 
 def level_key(quantile) -> float:

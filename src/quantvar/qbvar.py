@@ -393,7 +393,6 @@ class ChainDiagnostics:
 class PosteriorDrawSet:
     """Retained posterior draws of everything the forecaster needs."""
 
-    kind: str  # "qbvar" or "bvar"
     quantile: float  # NaN for the Gaussian model
     p: int
     Phi: np.ndarray  # (S, n, k)
@@ -410,13 +409,13 @@ class PosteriorDrawSet:
 
 
 def run_gibbs(
-    design: LagDesign, config: ModelConfig, sweep, kind: str, quantile: float
+    design: LagDesign, config: ModelConfig, sweep, quantile: float
 ) -> tuple[PosteriorDrawSet, ChainDiagnostics]:
     """Run ``sweep`` on one chain and return its thinned post-burn-in draws.
 
     ``sweep(state)`` makes one Gibbs sweep in place and returns the residuals
     Y - X Phi' - F Lam' it computed, which give the residual rms of a
-    retained draw. ``kind`` and ``quantile`` label the draw set.
+    retained draw. ``quantile`` labels the draw set.
     """
     # the quantile and Gaussian sweeps stay two closures, each calling the
     # steps bound in its own module: the benchmark's step_ms is the fastest
@@ -452,7 +451,6 @@ def run_gibbs(
         phi_second_half_mean=Phi_draws[half:].mean(axis=0),
     )
     draws = PosteriorDrawSet(
-        kind=kind,
         quantile=quantile,
         p=config.p,
         Phi=Phi_draws,
@@ -504,4 +502,4 @@ def run_chain(
         step_shrinkage(state, rng)
         return E
 
-    return run_gibbs(design, config, sweep, "qbvar", config.quantile)
+    return run_gibbs(design, config, sweep, config.quantile)

@@ -51,7 +51,6 @@ def test_bvar_chain_recovers_coefficients():
     draws, diag = run_bvar_chain(design, cfg, derive_rng(4, 0, 1))
     med = np.median(draws.Phi, axis=0)
     np.testing.assert_allclose(med, Phi_true, atol=0.12)
-    assert draws.kind == "bvar"
     assert np.isnan(draws.quantile)
     assert np.all(np.isfinite(diag.residual_rms))
 

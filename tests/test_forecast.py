@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantvar.forecast as forecast
 from quantvar.data import month_index, month_label
 from quantvar.dist import derive_rng
 from quantvar.forecast import (
     PATHS_PER_DRAW,
     ForecastError,
     QuantileForecastSet,
-    forecast_quantiles,
-    random_walk_forecast,
+    gaussian_forecast,
+    quantile_forecast,
     read_forecasts,
     simulate_paths,
     write_forecasts,
@@ -27,7 +28,7 @@ from quantvar.qbvar import PosteriorDrawSet, QuantileLevel
 from conftest import forecast_records, forecast_set
 
 
-def _draw_set(Phi, Lam=None, sigma=None, kind="qbvar", quantile=0.5, p=1):
+def _draw_set(Phi, Lam=None, sigma=None, quantile=0.5, p=1):
     Phi = np.asarray(Phi, dtype=float)
     S, n, _ = Phi.shape
     if Lam is None:
@@ -35,13 +36,32 @@ def _draw_set(Phi, Lam=None, sigma=None, kind="qbvar", quantile=0.5, p=1):
     if sigma is None:
         sigma = np.full((S, n), 1e-24)  # effectively noiseless
     return PosteriorDrawSet(
-        kind=kind,
-        quantile=quantile if kind == "qbvar" else float("nan"),
+        quantile=quantile,
         p=p,
         Phi=Phi,
         Lam=np.asarray(Lam, dtype=float),
         sigma=np.asarray(sigma, dtype=float),
     )
+
+
+def _forecast(kind, draws, history, horizons, levels, rng) -> dict:
+    """{q: forecast} from the predictive of the model ``kind``, as the per-origin worker calls it."""
+    if kind == "qbvar":
+        return {draws.quantile: quantile_forecast(draws, history, horizons, rng)}
+    return gaussian_forecast(draws, history, horizons, levels, rng)
+
+
+def _spy_on_paths(monkeypatch) -> list:
+    """A list that receives a copy of every path array simulate_paths returns from here on."""
+    seen = []
+
+    def spy(*args):
+        paths = simulate_paths(*args)
+        seen.append(paths.copy())
+        return paths
+
+    monkeypatch.setattr(forecast, "simulate_paths", spy)
+    return seen
 
 
 def test_simulate_paths_follows_deterministic_recursion():
@@ -51,7 +71,7 @@ def test_simulate_paths_follows_deterministic_recursion():
     Phi = np.column_stack([c, A])[None]  # one draw
     draws = _draw_set(np.repeat(Phi, 3, axis=0))
     hist = np.array([[1.0, 2.0]])
-    paths = simulate_paths(draws, hist, 4, derive_rng(0))
+    paths = simulate_paths(draws, hist, 4, np.zeros_like(draws.sigma), derive_rng(0))
     assert paths.shape == (3 * PATHS_PER_DRAW, 4, 2)
     y = hist[-1]
     for j in range(4):
@@ -65,28 +85,31 @@ def test_simulate_paths_uses_p_lags_in_order():
     Phi[0, 0, 2] = 1.0  # loads only on the second lag
     draws = _draw_set(Phi, p=2)
     hist = np.array([[5.0], [9.0]])  # y_{t-1} = 9, y_{t-2} = 5
-    paths = simulate_paths(draws, hist, 3, derive_rng(0))
+    paths = simulate_paths(draws, hist, 3, np.zeros_like(draws.sigma), derive_rng(0))
     np.testing.assert_allclose(paths[0, :, 0], [5.0, 9.0, 5.0], atol=1e-8)
 
 
 def test_simulate_paths_validations():
     draws = _draw_set(np.zeros((2, 1, 2)))
+    sd = np.zeros_like(draws.sigma)
     with pytest.raises(ForecastError):
-        simulate_paths(draws, np.zeros((0, 1)), 2, derive_rng(0))  # too little history
+        simulate_paths(draws, np.zeros((0, 1)), 2, sd, derive_rng(0))  # too little history
     with pytest.raises(ValueError):
-        simulate_paths(draws, np.zeros((3, 2)), 2, derive_rng(0))  # wrong width
+        simulate_paths(draws, np.zeros((3, 2)), 2, sd, derive_rng(0))  # wrong width
     with pytest.raises(ValueError):
-        simulate_paths(draws, np.zeros((3, 1)), 0, derive_rng(0))
+        simulate_paths(draws, np.zeros((3, 1)), 0, sd, derive_rng(0))
 
 
 @pytest.mark.parametrize("kind, quantile", [("bvar", 0.5), ("qbvar", 0.1), ("qbvar", 0.5)])
-def test_simulate_paths_draws_each_models_shock_variance(kind, quantile):
+def test_simulate_paths_draws_each_models_shock_variance(kind, quantile, monkeypatch):
     # a bvar draw's sigma is its shock variance; a qbvar draw's is the scale
     # of its asymmetric-Laplace error, and the centred normal shock takes
     # that error's variance sigma^2 (theta^2 + tau2)
     S, sigma = 20000, 0.3
-    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.full((S, 1), sigma), kind=kind, quantile=quantile)
-    shocks = simulate_paths(draws, np.zeros((1, 1)), 1, derive_rng(4))[:, 0, 0]
+    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.full((S, 1), sigma), quantile=quantile)
+    seen = _spy_on_paths(monkeypatch)
+    _forecast(kind, draws, np.zeros((1, 1)), [1], [0.5], derive_rng(4))
+    shocks = seen[0][:, 0, 0]
     level = QuantileLevel(quantile)
     var = sigma if kind == "bvar" else sigma**2 * (level.theta**2 + level.tau2)
     assert abs(shocks.mean()) <= 4 * np.sqrt(var / S)
@@ -103,7 +126,7 @@ def _explosive_mixture(n_bad, S=400):
 
 def test_simulate_paths_tolerates_rare_explosions():
     draws = _explosive_mixture(n_bad=3)  # 0.75% < 1%
-    paths = simulate_paths(draws, np.array([[1.0]]), 6, derive_rng(1))
+    paths = simulate_paths(draws, np.array([[1.0]]), 6, np.zeros_like(draws.sigma), derive_rng(1))
     bad = ~np.isfinite(paths).all(axis=(1, 2))
     # each explosive draw makes its PATHS_PER_DRAW adjacent paths bad
     assert bad.sum() == 3 * PATHS_PER_DRAW and bad[:3 * PATHS_PER_DRAW].all()
@@ -115,7 +138,7 @@ def test_simulate_paths_tolerates_rare_explosions():
 def test_simulate_paths_fails_on_frequent_explosions():
     draws = _explosive_mixture(n_bad=5)  # 1.25% > 1%
     with pytest.raises(ForecastError):
-        simulate_paths(draws, np.array([[1.0]]), 6, derive_rng(1))
+        simulate_paths(draws, np.array([[1.0]]), 6, np.zeros_like(draws.sigma), derive_rng(1))
 
 
 def test_several_paths_per_draw_cut_the_seed_to_seed_noise_of_a_quantile_forecast():
@@ -125,8 +148,8 @@ def test_several_paths_per_draw_cut_the_seed_to_seed_noise_of_a_quantile_forecas
     # 1,000. The band is half the one-path-per-draw sd; seeds 1000-1399 read
     # 0.041-0.059 with 10 paths per draw and 0.157-0.183 with one.
     S = 100
-    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.ones((S, 1)), kind="bvar")
-    forecasts = [forecast_quantiles(draws, np.zeros((1, 1)), 1, [0.1], derive_rng(seed))[0.1][0, 0]
+    draws = _draw_set(np.zeros((S, 1, 2)), sigma=np.ones((S, 1)))
+    forecasts = [gaussian_forecast(draws, np.zeros((1, 1)), [1], [0.1], derive_rng(seed))[0.1][0, 0]
                  for seed in range(2000, 2040)]
     assert np.std(forecasts, ddof=1) <= 0.171 / 2
     assert np.mean(forecasts) == pytest.approx(NormalDist().inv_cdf(0.1), abs=0.05)
@@ -138,18 +161,16 @@ def test_quantile_forecast_median_across_draws():
     Phi = np.zeros((3, 1, 2))
     Phi[:, 0, 0] = intercepts
     draws = _draw_set(Phi)
-    by_q = forecast_quantiles(draws, np.array([[0.0]]), 1, [0.1, 0.9], derive_rng(0))
-    assert list(by_q) == [0.5]  # the draw set's own level; the requested ones are not read
-    fc = by_q[0.5]
+    fc = quantile_forecast(draws, np.array([[0.0]]), [1], derive_rng(0))
     assert fc.shape == (1, 1)
     assert fc[0, 0] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_quantile_forecast_level_conflict_and_gaussian_requirements():
     # a Gaussian draw set's requested levels must lie in (0, 1)
-    bdraws = _draw_set(np.zeros((2, 1, 2)), kind="bvar")
+    bdraws = _draw_set(np.zeros((2, 1, 2)))
     with pytest.raises(ValueError):
-        forecast_quantiles(bdraws, np.array([[0.0]]), 1, [1.5], derive_rng(0))
+        gaussian_forecast(bdraws, np.array([[0.0]]), [1], [1.5], derive_rng(0))
 
 
 def test_gaussian_predictive_quantiles_are_monotone():
@@ -157,8 +178,8 @@ def test_gaussian_predictive_quantiles_are_monotone():
     Phi = np.zeros((S, 2, 3))
     sigma = np.full((S, 2), 0.5)
     Lam = np.ones((S, 2, 1))
-    draws = _draw_set(Phi, Lam=Lam, sigma=sigma, kind="bvar")
-    by_q = forecast_quantiles(draws, np.zeros((1, 2)), 4, [0.1, 0.5, 0.9], derive_rng(5))
+    draws = _draw_set(Phi, Lam=Lam, sigma=sigma)
+    by_q = gaussian_forecast(draws, np.zeros((1, 2)), [1, 2, 3, 4], [0.1, 0.5, 0.9], derive_rng(5))
     assert set(by_q) == {0.1, 0.5, 0.9}
     assert np.all(by_q[0.1] <= by_q[0.5])
     assert np.all(by_q[0.5] <= by_q[0.9])
@@ -168,36 +189,42 @@ def test_gaussian_predictive_quantiles_are_monotone():
     np.testing.assert_allclose(spread, expect, rtol=0.15)
 
 
+@pytest.mark.parametrize("kind", ["qbvar", "bvar"])
+def test_each_predictive_returns_only_the_configured_horizons(kind):
+    # the horizons are rows of the forecasts through the last one, not a new simulation
+    rng = np.random.default_rng(3)
+    draws = _draw_set(0.3 * rng.standard_normal((50, 2, 5)), sigma=np.ones((50, 2)), p=2)
+    history = rng.standard_normal((4, 2))
+    every = _forecast(kind, draws, history, [1, 2, 3, 4, 5, 6], [0.1, 0.9], derive_rng(8))
+    some = _forecast(kind, draws, history, [2, 6], [0.1, 0.9], derive_rng(8))
+    assert list(some) == list(every)
+    for q, block in some.items():
+        assert block.shape == (2, 2) and block.tobytes() == every[q][[1, 5]].tobytes()
+
+
 @pytest.mark.parametrize("n_bad", [0, 1])
 @pytest.mark.parametrize("S", [100, 101])
 @pytest.mark.parametrize("kind", ["qbvar", "bvar"])
-def test_forecast_quantiles_equal_the_nan_aware_reductions_bit_for_bit(kind, S, n_bad):
+def test_forecast_quantiles_equal_the_nan_aware_reductions_bit_for_bit(kind, S, n_bad, monkeypatch):
     # np.quantile / np.median over the finite paths must give the bits of
     # nanquantile / nanmedian over all paths, a path replaced by NaN or not
     rng = np.random.default_rng(S + n_bad)
     Phi = 0.2 * rng.standard_normal((S, 3, 7))
     Phi[:n_bad] = 1e80  # overflows within a few steps
-    draws = _draw_set(Phi, sigma=np.ones((S, 3)), kind=kind, p=2)
+    draws = _draw_set(Phi, sigma=np.ones((S, 3)), p=2)
     history = rng.standard_normal((5, 3))
     levels = [0.1, 0.25, 0.5, 0.75, 0.9]
-    paths = simulate_paths(draws, history, 12, derive_rng(9))
+    seen = _spy_on_paths(monkeypatch)
+    got = _forecast(kind, draws, history, list(range(1, 13)), levels, derive_rng(9))
+    (paths,) = seen
     assert np.isnan(paths).any() == bool(n_bad)
     if kind == "qbvar":
         expected = {0.5: np.nanmedian(paths, axis=0)}
     else:
         expected = {q: np.nanquantile(paths, q, axis=0) for q in levels}
-    got = forecast_quantiles(draws, history, 12, levels, derive_rng(9))
     assert list(got) == list(expected)
     for q, value in expected.items():
         assert np.isfinite(value).all() and got[q].tobytes() == value.tobytes(), q
-
-
-def test_random_walk_forecast_is_zero():
-    fc = random_walk_forecast(12, 3)
-    assert fc.shape == (12, 3)
-    assert np.all(fc == 0.0)
-    with pytest.raises(ValueError):
-        random_walk_forecast(0, 3)
 
 
 def test_forecast_set_from_columns_sorts_records_and_refuses_a_duplicate():

@@ -669,7 +669,7 @@ def test_run_chain_shapes_and_determinism():
     assert draws1.Phi.shape == (10, 2, 3)
     assert draws1.Lam.shape == (10, 2, 1)
     assert draws1.sigma.shape == (10, 2)
-    assert draws1.kind == "qbvar" and draws1.quantile == 0.25
+    assert draws1.quantile == 0.25
     np.testing.assert_array_equal(draws1.Phi, draws2.Phi)
     np.testing.assert_array_equal(draws1.Lam, draws2.Lam)
     np.testing.assert_array_equal(draws1.sigma, draws2.sigma)
