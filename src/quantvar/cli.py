@@ -402,14 +402,15 @@ def _forecast_one_origin(payload):
             if model_id not in designs:
                 designs[model_id] = build_lag_design(z, model_cfg.p)
             key = (cfg.seed, origin_idx, _MODEL_SEED_INDEX[model_id], stream)
-            chain_rng, forecast_rng = derive_rng(*key, _STAGE_CHAIN), derive_rng(*key, _STAGE_FORECAST)
+            chain_rng = derive_rng(*key, _STAGE_CHAIN)
             # each model's sampler and predictive; the benchmark's tracer replaces both runners here
             if model_id == "qbvar":
                 draws, _ = run_chain(designs[model_id], model_cfg, chain_rng)
-                by_q = {draws.quantile: quantile_forecast(draws, z, cfg.horizons, forecast_rng)}
+                fc = quantile_forecast(draws, z, cfg.horizons, derive_rng(*key, _STAGE_FORECAST))
+                by_q = {draws.quantile: fc}
             else:
                 draws, _ = run_bvar_chain(designs[model_id], model_cfg, chain_rng)
-                by_q = gaussian_forecast(draws, z, cfg.horizons, quantiles, forecast_rng)
+                by_q = gaussian_forecast(draws, z, cfg.horizons, quantiles)
             blocks.update({(model_id, q): mean + sd * block for q, block in by_q.items()})
         if cfg.include_rw:
             blocks.update({("rw", q): np.zeros((len(cfg.horizons), est.shape[1])) for q in quantiles})

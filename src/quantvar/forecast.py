@@ -1,16 +1,17 @@
 """Iterated multi-step quantile forecasts from posterior draw sets.
 
 Each retained draw defines a VAR whose future shocks are normal with
-covariance Lam Lam' + diag(v); PATHS_PER_DRAW paths per draw are simulated
-forward horizon by horizon, feeding predictions back into the lag vector.
-Each model has its own predictive, which the caller that ran the model's
-sampler picks. A quantile model's forecast at its own level
-(:func:`quantile_forecast`) is the pointwise median across its paths, with
-v = sigma^2 (theta^2 + tau2), the variance of its asymmetric-Laplace error
-of scale sigma, and the normal centred (a stopgap until the quantile model
-has a predictive of its own). The Gaussian benchmark's q-forecast
-(:func:`gaussian_forecast`) is the empirical q-quantile of its paths, with
-v = sigma.
+covariance Lam Lam' + diag(v). Each model has its own predictive, which the
+caller that ran the model's sampler picks. A quantile model's forecast at
+its own level (:func:`quantile_forecast`) is the pointwise median across
+PATHS_PER_DRAW simulated paths per draw, fed back into the lag vector
+horizon by horizon, with v = sigma^2 (theta^2 + tau2), the variance of its
+asymmetric-Laplace error of scale sigma, and the normal centred (a stopgap
+until the quantile model has a predictive of its own). The Gaussian
+benchmark's q-forecast (:func:`gaussian_forecast`), with v = sigma, is the
+q-quantile of its closed-form predictive, the mixture over draws of each
+draw's normal h-step predictive (Karlsson 2013), which no simulation noise
+enters.
 
 A :class:`QuantileForecastSet` holds one model's forecasts as columns: one
 (records, variables) value array and key columns (origin months, horizons,
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import csv
 from array import array
-from math import isfinite
+from math import erfc, isfinite, pi, sqrt
+from statistics import NormalDist
 
 import numpy as np
 
 from .data import month_index, month_label
 from .qbvar import PosteriorDrawSet, QuantileLevel
 
-# an origin is abandoned when more than this share of simulated paths
-# contains non-finite values (explosive draws)
+# an origin is abandoned when more than this share of simulated paths, or
+# of the Gaussian model's draws, has non-finite values (explosive draws)
 MAX_BAD_FRACTION = 0.01
 # simulated paths per retained draw: the shocks, not the parameters, make
 # most of a forecast's Monte Carlo noise, and M paths cut the order-statistic
@@ -41,7 +43,27 @@ PATHS_PER_DRAW = 10
 
 
 class ForecastError(RuntimeError):
-    """Raised when a forecast origin cannot produce usable paths."""
+    """Raised when a forecast origin cannot produce usable forecasts."""
+
+
+def _recent_lags(draws: PosteriorDrawSet, history) -> np.ndarray:
+    """The last p rows of the observed series ``history`` (T, n, in time order), most recent first."""
+    history = np.asarray(history, dtype=float)
+    if history.ndim != 2:
+        raise ValueError("history must be (T, n)")
+    p = draws.p
+    if history.shape[0] < p:
+        raise ForecastError(f"need at least p={p} rows of history, got {history.shape[0]}")
+    if history.shape[1] != draws.Phi.shape[1]:
+        raise ValueError("history width does not match the model")
+    return history[-p:][::-1]
+
+
+def _refuse_a_bad_share(bad: np.ndarray, what: str) -> None:
+    """Raise ForecastError when more than MAX_BAD_FRACTION of ``bad`` is True."""
+    frac = float(bad.mean())
+    if frac > MAX_BAD_FRACTION:
+        raise ForecastError(f"{frac:.1%} of {what} are non-finite (limit {MAX_BAD_FRACTION:.0%})")
 
 
 def simulate_paths(
@@ -55,22 +77,16 @@ def simulate_paths(
     up to MAX_BAD_FRACTION of all paths and replaced by NaN; beyond that the
     origin fails.
     """
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2:
-        raise ValueError("history must be (T, n)")
-    S, n, k = draws.Phi.shape
-    p = draws.p
-    if history.shape[0] < p:
-        raise ForecastError(f"need at least p={p} rows of history, got {history.shape[0]}")
-    if history.shape[1] != n:
-        raise ValueError("history width does not match the model")
+    lags = _recent_lags(draws, history)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    S, n, k = draws.Phi.shape
+    p = draws.p
     r = draws.n_factors
     M = PATHS_PER_DRAW
     PhiT = draws.Phi.transpose(0, 2, 1)  # (S, k, n): x @ PhiT is each path's conditional mean
     LamT = draws.Lam.transpose(0, 2, 1)
-    lags = np.broadcast_to(history[-p:][::-1], (S, M, p, n)).copy()  # most recent first
+    lags = np.broadcast_to(lags, (S, M, p, n)).copy()
     paths = np.empty((S, M, horizon, n))
     x = np.empty((S, M, k))
     x[:, :, 0] = 1.0
@@ -88,39 +104,93 @@ def simulate_paths(
             lags[:, :, 0, :] = y_new
     paths = paths.reshape(S * M, horizon, n)
     bad = ~np.isfinite(paths).all(axis=(1, 2))
-    frac = float(bad.mean())
-    if frac > MAX_BAD_FRACTION:
-        raise ForecastError(
-            f"{frac:.1%} of simulated paths are non-finite (limit {MAX_BAD_FRACTION:.0%})"
-        )
-    if frac > 0.0:
+    _refuse_a_bad_share(bad, "simulated paths")
+    if bad.any():
         paths[bad] = np.nan
     return paths
-
-
-def _finite_paths(draws, history, horizons, sd, rng) -> np.ndarray:
-    """:func:`simulate_paths` through the last of ``horizons``, less the paths it replaced by NaN."""
-    paths = simulate_paths(draws, history, max(horizons), sd, rng)
-    bad = np.isnan(paths[:, 0, 0])  # a bad path is NaN throughout, every other path finite throughout
-    return paths[~bad] if bad.any() else paths
 
 
 def quantile_forecast(draws: PosteriorDrawSet, history: np.ndarray, horizons, rng) -> np.ndarray:
     """The quantile model's forecast at its own level, row j at ``horizons[j]``: the median across its paths."""
     level = QuantileLevel(draws.quantile)
-    paths = _finite_paths(draws, history, horizons, draws.sigma * np.sqrt(level.theta**2 + level.tau2), rng)
+    paths = simulate_paths(draws, history, max(horizons), draws.sigma * np.sqrt(level.theta**2 + level.tau2), rng)
+    bad = np.isnan(paths[:, 0, 0])  # a bad path is NaN throughout, every other path finite throughout
+    if bad.any():
+        paths = paths[~bad]
     # the call's own paths: the median partitions them in place, and rows are picked from its result
     return np.median(paths, axis=0, overwrite_input=True)[[h - 1 for h in horizons]]
 
 
-def gaussian_forecast(draws: PosteriorDrawSet, history: np.ndarray, horizons, quantiles, rng) -> dict:
-    """The Gaussian model's forecasts {q: rows at ``horizons``}: quantiles of one set of paths, so monotone in q."""
+def gaussian_forecast(draws: PosteriorDrawSet, history: np.ndarray, horizons, quantiles) -> dict:
+    """The Gaussian model's forecasts {q: rows at ``horizons``}: q-quantiles of its closed-form predictive.
+
+    Each retained draw's h-step predictive is normal. Its mean follows the
+    VAR recursion with zero shocks; its variance is the diagonal of
+    sum_{j<h} Psi_j Sigma Psi_j', with Psi_j the draw's moving-average
+    coefficients and Sigma = Lam Lam' + diag(sigma). The forecast is the
+    q-quantile of the equal-weight mixture of these normals over the draws,
+    so it is monotone in q and draws no random number. A draw whose moments
+    are not finite (an explosive draw) is left out, up to MAX_BAD_FRACTION
+    of the draws.
+    """
     for q in quantiles:
         if not 0.0 < q < 1.0:
             raise ValueError("quantile must lie in (0, 1)")
-    paths = _finite_paths(draws, history, horizons, np.sqrt(draws.sigma), rng)
-    levels = np.quantile(paths, list(quantiles), axis=0, overwrite_input=True)
-    return dict(zip(quantiles, levels[:, [h - 1 for h in horizons]]))
+    lags = _recent_lags(draws, history)
+    S, n, _ = draws.Phi.shape
+    H, pn = max(horizons), draws.p * n
+    A = draws.Phi[:, :, 1:]  # (S, n, p n): the coefficients on the lag vector, most recent lag first
+    Sigma = draws.Lam @ draws.Lam.transpose(0, 2, 1) + draws.sigma[:, :, None] * np.eye(n)
+    y = np.broadcast_to(lags.reshape(pn, 1), (S, pn, 1)).copy()  # lag vector of the mean path
+    psi = np.zeros((S, pn, n))  # (Psi_j; Psi_{j-1}; ...; Psi_{j-p+1}) stacked, from Psi_0 = I
+    psi[:, :n] = np.eye(n)
+    mean, var = np.empty((2, H, S, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # an explosive draw overflows; it is counted below
+        for j in range(H):
+            var[j] = ((psi[:, :n] @ Sigma) * psi[:, :n]).sum(axis=2) + (var[j - 1] if j else 0.0)
+            mean[j] = draws.Phi[:, :, 0] + (A @ y)[:, :, 0]
+            y[:, n:], y[:, :n, 0] = y[:, :-n], mean[j]
+            psi[:, n:], psi[:, :n] = psi[:, :-n], A @ psi
+    bad = ~(np.isfinite(mean).all(axis=(0, 2)) & np.isfinite(var).all(axis=(0, 2)))
+    _refuse_a_bad_share(bad, "the draws' predictive moments")
+    rows = [h - 1 for h in horizons]
+    # one row per (horizon, variable) cell, one column per finite draw
+    mean, var = (a[rows][:, ~bad].transpose(0, 2, 1).reshape(len(rows) * n, -1) for a in (mean, var))
+    return {q: _mixture_quantile(mean, np.sqrt(var), q).reshape(len(rows), n) for q in quantiles}
+
+
+_erfc = np.frompyfunc(erfc, 1, 1)  # Phi(z) = erfc(-z / sqrt(2)) / 2, without scipy at run time
+
+
+def _mixture_quantile(mean: np.ndarray, sd: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile of each row's equal-weight mixture of the normals N(mean, sd^2) in its columns.
+
+    Solves the mean over columns of Phi((x - mean) / sd) = q by Newton's
+    method from the moment-matched normal quantile. The columns' own
+    q-quantiles bracket the root; each evaluation narrows the bracket, and
+    a step that leaves it is replaced by its midpoint. A row stops once its
+    step is within 1e-12 of its scale, so each row's result depends on that
+    row alone.
+    """
+    z_q = NormalDist().inv_cdf(q)
+    own = mean + sd * z_q
+    lo, hi = own.min(axis=1), own.max(axis=1)
+    x = np.clip(mean.mean(axis=1) + np.sqrt((sd**2).mean(axis=1) + mean.var(axis=1)) * z_q, lo, hi)
+    todo = np.arange(len(x))
+    # Newton ends in 3 to 5 steps; 100 halvings would shrink the bracket by 2^-100
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row solved exactly has gap 0
+        for _ in range(100):
+            at, m, s = x[todo], mean[todo], sd[todo]
+            z = (at[:, None] - m) / s
+            gap = 0.5 * _erfc(-z / sqrt(2.0)).astype(float).mean(axis=1) - q
+            lo[todo] = low = np.where(gap < 0.0, at, lo[todo])
+            hi[todo] = high = np.where(gap > 0.0, at, hi[todo])
+            step = np.where(gap == 0.0, at, at - gap / (np.exp(-0.5 * z * z) / s).mean(axis=1) * sqrt(2.0 * pi))
+            x[todo] = np.where((low <= step) & (step <= high), step, 0.5 * (low + high))
+            todo = todo[np.abs(x[todo] - at) > 1e-12 * (1.0 + np.abs(at))]
+            if not len(todo):
+                break
+    return x
 
 
 def level_key(quantile) -> float:
