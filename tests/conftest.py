@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from quantvar.combine import combination_objective
-from quantvar.data import month_index, month_label
+from quantvar.data import TimeSeriesPanel, month_index, month_label, write_panel
 from quantvar.forecast import QuantileForecastSet, level_key, write_forecasts
 from quantvar.qbvar import factor_system
 
 
 def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
-    """Write a raw panel CSV + tcode sidecar; returns (csv_path, tcode_path).
+    """Write a raw panel CSV + tcode sidecar with :func:`write_panel`; returns (csv_path, tcode_path).
 
     The target is a log-level series (tcode 5) whose growth rate follows a
     stationary AR(1); companions alternate between already-stationary
     series (tcode 2) and cumulated ones (tcode 1).
     """
     rng = np.random.default_rng(seed)
-    dates = [month_label(month_index(start) + j) for j in range(T)]
     g = np.zeros(T)
     for t in range(1, T):
         g[t] = 0.3 * g[t - 1] + 0.05 * rng.standard_normal()
@@ -39,11 +38,9 @@ def make_raw_panel(dir_path, T=64, start="2015-01", seed=42, n_companions=1):
     csv_path = dir_path / "panel.csv"
     tcode_path = dir_path / "tcodes.json"
     names = list(cols)
-    with open(csv_path, "w") as fh:
-        fh.write("date," + ",".join(names) + "\n")
-        for i, d in enumerate(dates):
-            fh.write(d + "," + ",".join(f"{cols[n][i]:.17g}" for n in names) + "\n")
-    tcode_path.write_text(json.dumps(tcodes, sort_keys=True))
+    panel = TimeSeriesPanel(month_index(start), np.column_stack([cols[n] for n in names]), names,
+                            [tcodes[n] for n in names])
+    write_panel(panel, csv_path, tcode_path)
     return csv_path, tcode_path
 
 
