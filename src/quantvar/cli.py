@@ -406,8 +406,7 @@ def _forecast_one_origin(payload):
             # each model's sampler and predictive; the benchmark's tracer replaces both runners here
             if model_id == "qbvar":
                 draws, _ = run_chain(designs[model_id], model_cfg, chain_rng)
-                fc = quantile_forecast(draws, z, cfg.horizons, derive_rng(*key, _STAGE_FORECAST))
-                by_q = {draws.quantile: fc}
+                by_q = {draws.quantile: quantile_forecast(draws, z, cfg.horizons, derive_rng(*key, _STAGE_FORECAST))}
             else:
                 draws, _ = run_bvar_chain(designs[model_id], model_cfg, chain_rng)
                 by_q = gaussian_forecast(draws, z, cfg.horizons, quantiles)
